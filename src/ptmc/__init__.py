@@ -4,7 +4,6 @@ from .metric import (
     Ambient,
     Point,
     ball_size_formula,
-    enumerate_vertices,
     hamming,
     truncated_ball,
     truncated_distance,
@@ -54,7 +53,7 @@ from .graphs import Graph, grid_graph, lattice_graph
 __version__ = "0.1.0"
 
 __all__ = [
-    "Ambient", "Point", "ball_size_formula", "enumerate_vertices", "hamming",
+    "Ambient", "Point", "ball_size_formula", "hamming",
     "truncated_ball", "truncated_distance",
     "BoxSpec", "CodeSet", "Component", "KappaAssignment", "TruncatedSphere",
     "VerifyReport", "box_hull_check", "class_census", "code_from_json",

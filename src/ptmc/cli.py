@@ -7,7 +7,7 @@ to stdout. Artifact files (code sets, graph renderings, solutions) are
 written to --emit.
 
 Exit codes: 0 success / verification pass, 1 verification failure or
-failed construction goal, 2 usage error, 3 search timeout.
+failed construction goal, 2 usage error or bad input, 3 search timeout.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from . import codes as codes_mod
 from . import constructions as cons
 from . import cover as cover_mod
 from . import gamma2
-from .codes import KappaAssignment, code_from_json, code_to_json
+from .codes import KappaAssignment, MissingRadiusError, code_from_json, code_to_json
 from .graphs import Graph, grid_graph, lattice_graph
 from .metric import Ambient
 
@@ -100,12 +100,13 @@ def cmd_verify(args) -> tuple[int, dict, dict, list]:
     with open(args.code) as f:
         doc = json.load(f)
     if args.what == "ptmc":
+        if args.t is not None:
+            doc.pop("kappa", None)  # --t replaces the map, so it is never resolved
         code, kappa = code_from_json(doc)
         if args.t is not None:
             kappa = KappaAssignment.uniform(args.t)
         if kappa is None:
-            print("error: code file carries no radius map; pass --t", file=sys.stderr)
-            return EXIT_USAGE, {}, {}, []
+            raise ValueError("code file carries no radius map; pass --t")
         rep = codes_mod.verify_kappa_ptmc(code, kappa)
         counts = {"vertices": code.ambient.vertex_count(), "code": len(code),
                   "components": len(codes_mod.components_of(code))}
@@ -121,11 +122,9 @@ def cmd_verify(args) -> tuple[int, dict, dict, list]:
             s = [str(v) for v in doc["vertices"]]
             missing = [v for v in s if v not in g]
             if missing:
-                print(f"error: vertex {missing[0]!r} not in graph", file=sys.stderr)
-                return EXIT_USAGE, {}, {}, []
+                raise ValueError(f"vertex {missing[0]!r} not in graph")
         else:
-            print("error: vertex-list codes need --graph", file=sys.stderr)
-            return EXIT_USAGE, {}, {}, []
+            raise ValueError("vertex-list codes need --graph")
         check = codes_mod.verify_pds if args.what == "pds" else codes_mod.verify_non_isolated_pds
         rep = check(s, g)
         counts = {"graph_vertices": len(g), "code": len(s)}
@@ -138,8 +137,7 @@ def cmd_construct(args) -> tuple[int, dict, dict, list]:
     artifacts: list[str] = []
     if args.family == "box":
         if args.c is None or args.k is None:
-            print("error: construct box needs --c and --k", file=sys.stderr)
-            return EXIT_USAGE, {}, {}, []
+            raise ValueError("construct box needs --c and --k")
         code, kappa = cons.build_box_code(args.c, args.k)
         rep = codes_mod.verify_kappa_ptmc(code, kappa)
         sep = cons.min_component_separation(code)
@@ -184,8 +182,7 @@ def cmd_search(args) -> tuple[int, dict, dict, list]:
     elif args.graph:
         inst = cover_mod.eds_instance(_load_graph(args.graph))
     else:
-        print("error: search needs --instance, --grid, --torus or --graph", file=sys.stderr)
-        return EXIT_USAGE, {}, {}, []
+        raise ValueError("search needs --instance, --grid, --torus or --graph")
     counts = {"cells": len(inst.universe), "tiles": len(inst.tiles)}
     if args.enumerate:
         res = cover_mod.enumerate_covers(inst, limit=args.limit, budget=args.budget)
@@ -308,8 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the run report JSON here (default: stdout)")
     common.add_argument("--emit", help="write the produced artifact (code, graph, solution) here")
-    common.add_argument("--threads", type=int, default=1,
-                        help="reserved; engines are deterministic and serial")
     p = argparse.ArgumentParser(prog="ptmc",
                                 description="perfect truncated-metric code toolkit")
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -372,14 +367,19 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     args._argv = argv
     started = time.monotonic()
-    code, verdicts, counts, artifacts = args.fn(args)
-    inputs = {}
-    for key in ("code", "graph", "instance"):
-        path = getattr(args, key, None)
-        if path:
-            inputs[key] = path
-    report = _report(args, verdicts, counts, artifacts, inputs, started)
-    _write_report(args, report)
+    # ValueError covers JSONDecodeError and DimensionMismatch; RuntimeError is a bug
+    try:
+        code, verdicts, counts, artifacts = args.fn(args)
+        inputs = {}
+        for key in ("code", "graph", "instance"):
+            path = getattr(args, key, None)
+            if path:
+                inputs[key] = path
+        report = _report(args, verdicts, counts, artifacts, inputs, started)
+        _write_report(args, report)
+    except (OSError, ValueError, MissingRadiusError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     return code
 
 

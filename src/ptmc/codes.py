@@ -30,6 +30,7 @@ ClassKey = tuple[Point, ...]
 
 class MissingRadiusError(KeyError):
     """A component's translation class has no radius assigned."""
+    __str__ = Exception.__str__  # the bare message, not KeyError's repr
 
 
 class ComponentWrapsTorus(ValueError):
@@ -132,7 +133,7 @@ class VerifyReport:
 
     kind on failure is one of: overlap, gap, nonunique-nearest, bad-radius,
     degenerate-ambient. Witnesses are the lexicographically smallest
-    offending vertices.
+    offending vertices; partitions report an overlap before a gap.
     """
 
     passed: bool
@@ -237,6 +238,30 @@ def box_hull_check(comp: Component) -> BoxSpec | None:
 # PTMC verifiers
 # ---------------------------------------------------------------------------
 
+def verify_partition(balls: Iterable, vertices: Iterable, size: int) -> VerifyReport:
+    """Check that balls, each inside a vertex set of the given size, partition it.
+
+    An overlap is reported before a gap: the witness is the smallest vertex
+    in two balls, else the first vertex of `vertices` in none. `vertices`
+    is only scanned when the balls cover fewer than `size` vertices.
+    """
+    covered: set = set()
+    overlap = None
+    for ball in balls:
+        for v in ball:
+            if v not in covered:
+                covered.add(v)
+            elif overlap is None or v < overlap:
+                overlap = v
+    if overlap is not None:
+        return _fail("overlap", (overlap,), "vertex covered by two balls")
+    if len(covered) != size:
+        for v in vertices:
+            if v not in covered:
+                return _fail("gap", (v,), "vertex covered by no ball")
+    return VerifyReport(passed=True)
+
+
 def spheres_of(code: CodeSet, kappa: KappaAssignment) -> list[TruncatedSphere]:
     """The truncated spheres of a code under a radius assignment."""
     out = []
@@ -260,9 +285,9 @@ def verify_kappa_ptmc(code: CodeSet, kappa: KappaAssignment) -> VerifyReport:
     radii the per-component reading is the one under which the two-radius
     constructions are perfect, so that is what is checked.
 
-    Failures report the lexicographically smallest witness vertex. Tori
-    with any modulus < 3 (and windows) are refused as degenerate: truncated
-    balls would self-overlap or be clipped.
+    Failures report the lexicographically smallest witness vertex, an
+    overlap before a gap. Tori with any modulus < 3 (and windows) are
+    refused as degenerate: truncated balls would self-overlap or be clipped.
     """
     a = code.ambient
     if a.degenerate:
@@ -274,21 +299,9 @@ def verify_kappa_ptmc(code: CodeSet, kappa: KappaAssignment) -> VerifyReport:
         if not 1 <= sp.radius <= n:
             return _fail("bad-radius", (sp.center.min_vertex,),
                          f"radius {sp.radius} outside [1, {n}]")
-    owners: dict[Point, int] = {}
-    overlap_w = None
-    for i, sp in enumerate(spheres):
-        for v in sp.ball:
-            if v in owners:
-                if overlap_w is None or v < overlap_w:
-                    overlap_w = v
-            else:
-                owners[v] = i
-    if overlap_w is not None:
-        return _fail("overlap", (overlap_w,), "vertex covered by two truncated spheres")
-    if len(owners) != a.vertex_count():
-        for v in a.vertices():
-            if v not in owners:
-                return _fail("gap", (v,), "vertex covered by no truncated sphere")
+    rep = verify_partition((sp.ball for sp in spheres), a.vertices(), a.vertex_count())
+    if not rep.passed:
+        return rep
     for sp in spheres:
         for v in sp.ball:
             dists = [truncated_distance(v, s, a) for s in sp.center.vertices]

@@ -16,6 +16,7 @@ import time
 from dataclasses import dataclass
 from itertools import permutations
 
+from .codes import verify_partition
 from .graphs import Graph, grid_graph
 from .metric import Ambient, Point, truncated_ball
 
@@ -164,9 +165,7 @@ def enumerate_covers(inst: ExactCoverInstance, limit: int | None = None,
 def verify_cover(inst: ExactCoverInstance, tile_ids: tuple[str, ...]) -> bool:
     """Independent re-check that chosen tiles partition the universe."""
     chosen = [inst.tile_cells(t) for t in tile_ids]
-    total = sum(len(c) for c in chosen)
-    union = frozenset().union(*chosen) if chosen else frozenset()
-    return total == len(inst.universe) and union == frozenset(inst.universe)
+    return verify_partition(chosen, inst.universe, len(inst.universe)).passed
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .codes import VerifyReport
+from .codes import VerifyReport, verify_partition
 from .cover import CoverOutcome, ExactCoverInstance, eds_instance, enumerate_covers, solve
 from .graphs import Graph
 
@@ -173,6 +173,12 @@ def neighbors(v: GammaVertex) -> tuple[GammaVertex, ...]:
             if b2 != v.b:
                 out.add(canonical_vertex(t, v.a, b2))
     return tuple(sorted(out))
+
+
+def local_ball(v: GammaVertex) -> frozenset:
+    """The truncated 2-ball of a vertex: the 25 vertices of its four
+    containing tersquares, the only vertices at distance <= 2."""
+    return frozenset(u for t in containing_tersquares(v) for u in tersquare_vertices(t))
 
 
 def gamma_truncated_distance(u: GammaVertex, v: GammaVertex) -> int:
@@ -324,39 +330,30 @@ def corner_partition(h: Hive) -> dict[Tersquare, tuple[GammaVertex, ...]]:
     so it raises rather than returning a report.
     """
     blocks = {c: tersquare_vertices(c) for c in h.corners}
-    seen: set[GammaVertex] = set()
-    for verts in blocks.values():
-        for v in verts:
-            if v in seen:
-                raise RuntimeError(f"corner blocks overlap at {v}")
-            seen.add(v)
-    if seen != set(hive_vertices(h)):
-        raise RuntimeError("corner blocks do not cover the hive")
+    verts = hive_vertices(h)
+    rep = verify_partition(blocks.values(), verts, len(verts))
+    if not rep.passed:
+        raise RuntimeError(f"corner blocks: {rep.kind} at {rep.witness[0]}")
     return blocks
 
 
-def restricted_ball(center: GammaVertex, vertices, radius: int = 2) -> frozenset:
-    """Truncated ball of a vertex, restricted to a given vertex collection."""
-    return frozenset(u for u in vertices
-                     if gamma_truncated_distance(u, center) <= radius)
+def restricted_ball(center: GammaVertex, vertices) -> frozenset:
+    """Truncated 2-ball of a vertex within a vertex collection, made of the
+    collection's own objects so dict lookups keyed by them skip __eq__."""
+    ball = local_ball(center)
+    return frozenset(u for u in vertices if u in ball)
 
 
 def verify_hive_selection(h: Hive, centers) -> VerifyReport:
     """Full check that chosen vertices form an isolated radius-2 code of the
-    hive: restricted 2-balls partition the 81 vertices, every vertex has a
-    unique nearest center, and the centers are pairwise non-adjacent."""
+    hive: restricted 2-balls partition the 81 vertices (overlaps before
+    gaps), every vertex has a unique nearest center, and the centers are
+    pairwise non-adjacent (not implied by the partition for outer centers)."""
     verts = hive_vertices(h)
     centers = sorted(centers)
-    balls = [restricted_ball(c, verts) for c in centers]
-    counts = {v: 0 for v in verts}
-    for ball in balls:
-        for v in ball:
-            counts[v] += 1
-    for v in sorted(counts):
-        if counts[v] == 0:
-            return VerifyReport(False, "gap", (v,))
-        if counts[v] > 1:
-            return VerifyReport(False, "overlap", (v,))
+    rep = verify_partition((restricted_ball(c, verts) for c in centers), verts, len(verts))
+    if not rep.passed:
+        return rep
     for v in verts:
         dists = sorted(gamma_truncated_distance(v, c) for c in centers)
         if len(dists) > 1 and dists[0] == dists[1]:
@@ -512,7 +509,8 @@ def _edge_code(max_depth: int, rng: random.Random | None) -> set[Edge]:
 
 @dataclass(frozen=True)
 class RegionCode:
-    """A radius-2 code on a bounded region, verified on its interior only."""
+    """A radius-2 code on a bounded region, verified on its interior only;
+    a failure's witness is the smallest overlap, else the smallest gap."""
 
     level: int
     seed: int | None
@@ -531,7 +529,7 @@ def extend_2ptmc(level: int, seed: int | None = None) -> RegionCode:
     by a deterministic frontier sweep with seeded choices. Centers are the
     pairs of chosen x- and y-edges. Truncated 2-balls of the centers
     partition the region's interior; boundary vertices (with containing
-    tersquares outside the region) are left unverified.
+    tersquares outside the region) are left unverified; overlaps precede gaps.
     """
     if level < 2:
         raise ValueError("need a region of level >= 2")
@@ -552,16 +550,11 @@ def extend_2ptmc(level: int, seed: int | None = None) -> RegionCode:
                 centers.append(v)
     centers = tuple(sorted(centers))
     interior = region.interior()
-    passed = True
-    witness = None
-    for u in interior:
-        hits = sum(1 for c in centers if gamma_truncated_distance(u, c) <= 2)
-        if hits != 1:
-            passed = False
-            witness = u
-            break
+    inside = set(interior)
+    rep = verify_partition((local_ball(c) & inside for c in centers), interior, len(interior))
     return RegionCode(level, seed, centers, len(interior),
-                      len(region.graph) - len(interior), passed, witness)
+                      len(region.graph) - len(interior), rep.passed,
+                      rep.witness[0] if rep.witness else None)
 
 
 # ---------------------------------------------------------------------------

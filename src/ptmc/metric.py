@@ -194,8 +194,3 @@ def ball_size_formula(n: int, t: int) -> int:
     if n < 0 or t < 0 or t > n:
         raise ValueError(f"need 0 <= t <= n, got n={n}, t={t}")
     return sum(2**i * comb(n, i) for i in range(t + 1))
-
-
-def enumerate_vertices(a: Ambient) -> Iterator[Point]:
-    """Stream all ambient vertices in lexicographic order."""
-    return a.vertices()

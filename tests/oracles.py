@@ -1,11 +1,14 @@
 """Reference implementations used only to cross-check the package.
 
 Everything here is deliberately naive and independent of the main code
-paths: plain window scans for balls, literal subset loops and pruned
-exhaustive DFS for domination, subset enumeration for exact cover.
+paths: plain window and distance scans for balls, literal subset loops
+and pruned exhaustive DFS for domination, subset enumeration for exact
+cover.
 """
 
 from itertools import combinations, product
+
+from ptmc.gamma2 import gamma_truncated_distance
 
 
 def brute_rho(u, v):
@@ -24,6 +27,12 @@ def brute_ball(centers, t, lo, hi):
         if min(brute_rho(p, c) for c in centers) <= t:
             out.append(p)
     return sorted(out)
+
+
+def naive_gamma_ball(center, vertices):
+    """Compound vertices within truncated distance 2 of a center, by a
+    distance scan over the given collection."""
+    return frozenset(u for u in vertices if gamma_truncated_distance(u, center) <= 2)
 
 
 def naive_cover_solutions(universe, tiles):

@@ -179,6 +179,46 @@ def test_usage_error_exit_code():
     assert main(["nonsense"]) == 2
 
 
+def usage_error(argv, tmp_path, capsys):
+    """Run a command that must end in exit 2, one error line and no report."""
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+    return err
+
+
+def test_missing_code_file_is_usage_error(tmp_path, capsys):
+    err = usage_error(["verify", "ptmc", "--code", str(tmp_path / "missing.json")],
+                      tmp_path, capsys)
+    assert "missing.json" in err
+
+
+def test_malformed_code_json_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    usage_error(["verify", "ptmc", "--code", str(bad), "--t", "2"], tmp_path, capsys)
+
+
+def test_incomplete_kappa_is_usage_error_unless_t_given(tmp_path, capsys):
+    code_file = tmp_path / "code.json"
+    code_file.write_text(json.dumps({
+        "ambient": {"kind": "torus", "moduli": [3, 3]},
+        "vertices": [[0, 0]],
+        "kappa": {},
+    }))
+    err = usage_error(["verify", "ptmc", "--code", str(code_file)], tmp_path, capsys)
+    assert "kappa entry" in err and "'" not in err
+    code, report = run(["verify", "ptmc", "--code", str(code_file), "--t", "2"], tmp_path)
+    assert code == 0 and report["verdicts"]["passed"] is True
+
+
+def test_extend_level_too_small_is_usage_error(tmp_path, capsys):
+    err = usage_error(["gamma", "extend", "--level", "1"], tmp_path, capsys)
+    assert "level >= 2" in err
+
+
 def test_reports_byte_identical_modulo_timings(tmp_path):
     _, r1 = run(["gamma", "stats", "--level", "2"], tmp_path, "a.json")
     _, r2 = run(["gamma", "stats", "--level", "2"], tmp_path, "b.json")

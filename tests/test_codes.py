@@ -20,6 +20,7 @@ from ptmc.codes import (
     spheres_of,
     verify_kappa_ptmc,
     verify_non_isolated_pds,
+    verify_partition,
     verify_pds,
     verify_t_ptmc,
 )
@@ -141,6 +142,15 @@ def test_overlap_reported():
     rep = verify_t_ptmc(code, 2)
     assert not rep.passed
     assert rep.kind == "overlap"
+
+
+def test_partition_reports_overlap_before_smaller_gap():
+    verts = [(0,), (1,), (2,), (3,)]
+    rep = verify_partition([{(1,), (2,)}, {(2,), (3,)}], verts, 4)
+    assert (rep.kind, rep.witness) == ("overlap", ((2,),))  # not the gap at (0,)
+    rep = verify_partition([{(3,)}, {(1,)}], verts, 4)
+    assert (rep.kind, rep.witness) == ("gap", ((0,),))
+    assert verify_partition([{(3,), (1,)}, {(0,), (2,)}], verts, 4).passed
 
 
 def test_degenerate_ambient_refused():

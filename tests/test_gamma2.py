@@ -36,6 +36,9 @@ from ptmc.gamma2 import (
     vertex_id,
 )
 from ptmc.gamma2 import _edge_code, ORIGIN
+import ptmc.gamma2
+
+from oracles import naive_gamma_ball
 
 
 def random_tersquare(rng, max_len=4):
@@ -322,6 +325,21 @@ def test_restricted_ball_is_corner_block():
             assert restricted_ball(c, verts) == frozenset(blocks[corner])
 
 
+def test_restricted_ball_returns_the_callers_objects():
+    h = build_hive()
+    copies = [GammaVertex(v.wx, v.wy, v.a, v.b) for v in hive_vertices(h)]
+    ids = {id(v) for v in copies}
+    for c in copies[::10]:
+        ball = restricted_ball(c, copies)
+        assert ball and all(id(u) in ids for u in ball)
+
+
+def test_local_balls_match_distance_scan_on_level3_region():
+    verts = build_region(3).graph.vertices
+    for v in verts:
+        assert restricted_ball(v, verts) == naive_gamma_ball(v, verts)
+
+
 def test_hive_census_is_4_to_the_9():
     h = build_hive()
     assert enumerate_hive_2ptmc(h) == 4**9
@@ -354,6 +372,18 @@ def test_full_selection_verification_samples():
     # degenerate selections fail
     bad = [exts[0][0], exts[0][1]] + [e[0] for e in exts[2:]]
     assert not verify_hive_selection(h, bad).passed
+
+
+def test_hive_selection_reports_overlap_before_smaller_gap():
+    h = build_hive()
+    blocks = corner_partition(h)
+    corners = sorted(h.corners, key=lambda c: min(blocks[c]))
+    # no center in the first corner, two in the last: the gap is smaller
+    sel = [external_cycle(h, c)[0] for c in corners[1:]]
+    sel.append(external_cycle(h, corners[-1])[1])
+    rep = verify_hive_selection(h, sel)
+    assert (rep.kind, rep.witness) == ("overlap", (min(blocks[corners[-1]]),))
+    assert min(blocks[corners[0]]) < rep.witness[0]
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +517,21 @@ def test_extend_level4_two_seeds_distinct_and_pass():
     assert a.passed and b.passed
     assert a.centers != b.centers
     assert a.interior_size == b.interior_size > 100
+
+
+def test_extend_level4_missing_center_reports_smallest_gap(monkeypatch):
+    full = extend_2ptmc(4, seed=1)
+    interior = build_region(4).interior()
+    dropped = full.centers[len(full.centers) // 2]
+    uncovered = [u for u in interior if gamma_truncated_distance(u, dropped) <= 2]
+    assert uncovered
+    real = ptmc.gamma2.local_ball
+    monkeypatch.setattr(ptmc.gamma2, "local_ball",
+                        lambda v: frozenset() if v == dropped else real(v))
+    rc = extend_2ptmc(4, seed=1)
+    assert rc.centers == full.centers
+    assert not rc.passed
+    assert rc.witness == min(uncovered)
 
 
 def test_extend_rejects_small_level():

@@ -9,7 +9,6 @@ from ptmc.metric import (
     DimensionMismatch,
     ball_clips_window,
     ball_size_formula,
-    enumerate_vertices,
     hamming,
     truncated_ball,
     truncated_distance,
@@ -132,9 +131,9 @@ def test_torus_ball_self_overlap_when_tiny():
 
 
 def test_enumerate_vertices():
-    assert list(enumerate_vertices(Ambient.torus(2, 2))) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert list(enumerate_vertices(Ambient.window((0, 1), (0, 0)))) == [(0, 0), (1, 0)]
-    assert list(enumerate_vertices(Ambient.torus(3))) == [(0,), (1,), (2,)]
+    assert list(Ambient.torus(2, 2).vertices()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert list(Ambient.window((0, 1), (0, 0)).vertices()) == [(0, 0), (1, 0)]
+    assert list(Ambient.torus(3).vertices()) == [(0,), (1,), (2,)]
 
 
 def test_wrapped_difference_tie_is_positive():
