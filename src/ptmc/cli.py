@@ -292,8 +292,12 @@ def cmd_survey(args) -> tuple[int, dict, dict, list]:
         if row["exists"] and (m, n) != (4, 4):
             only44 = False
         print(f"P{m} x P{n}: exists={row['exists']} count={row['count']}")
-    verdicts = {"exists_only_at_4x4": only44 and table.get((4, 4), {}).get("exists", False)}
     counts = {"grids": len(rows), "table": rows}
+    if not all(row["exhaustive"] for row in rows):
+        # a grid that timed out proves nothing either way
+        print("survey: timed out")
+        return EXIT_TIMEOUT, {"exists_only_at_4x4": None}, counts, []
+    verdicts = {"exists_only_at_4x4": only44 and table.get((4, 4), {}).get("exists", False)}
     return (EXIT_PASS if verdicts["exists_only_at_4x4"] else EXIT_FAIL), verdicts, counts, []
 
 

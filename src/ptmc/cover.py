@@ -1,10 +1,17 @@
 """Exact cover search: the engine behind tiling and efficient domination.
 
-Algorithm X over a dict-of-sets matrix. Branching is deterministic: always
-the uncovered cell with the fewest candidate tiles, ties broken by the
-cell's position in the universe ordering; candidate tiles are tried in
-instance order. Instances built by the constructors in this package list
-their tiles in sorted id order, so runs are reproducible.
+Algorithm X (Knuth, "Dancing Links", arXiv cs/0011047) over a dict-of-sets
+matrix. Branching is deterministic: always the uncovered cell with the
+fewest candidate tiles, ties broken by the cell's position in the universe
+ordering; candidate tiles are tried in instance order. Instances built by
+the constructors in this package list their tiles in sorted id order, so
+runs are reproducible.
+
+The search relabels cells and tiles once, to their positions in the
+universe and the tile list, so the matrix holds only ints however costly
+the callers' cells are to hash, and position order is the branching
+order. It runs as a loop over an explicit stack, so search depth is
+bounded by memory, not by Python's recursion limit.
 
 Exhausting the search without a solution is a proof of infeasibility and
 is reported distinctly from running out of time budget.
@@ -42,12 +49,6 @@ class ExactCoverInstance:
             if not tcells <= cells:
                 raise ValueError(f"tile {tid!r} leaves the universe")
 
-    def tile_cells(self, tid: str) -> frozenset:
-        for t, cs in self.tiles:
-            if t == tid:
-                return cs
-        raise KeyError(tid)
-
 
 @dataclass(frozen=True)
 class CoverOutcome:
@@ -67,32 +68,33 @@ class EnumerateOutcome:
     nodes: int
 
 
-class _Budget:
-    def __init__(self, seconds: float | None):
-        self.deadline = None if seconds is None else time.monotonic() + seconds
-        self.expired = False
-
-    def check(self) -> bool:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            self.expired = True
-        return self.expired
-
-
 def _run_x(inst: ExactCoverInstance, limit: int | None, budget: float | None):
-    """Core Algorithm X loop. Returns (solutions, exhausted, nodes)."""
-    order = {c: i for i, c in enumerate(inst.universe)}
-    y = {i: tuple(cells) for i, (tid, cells) in enumerate(inst.tiles)}
-    x: dict = {c: set() for c in inst.universe}
-    for i, cells in y.items():
+    """Core Algorithm X loop. Returns (solutions, exhausted, nodes).
+
+    Cells and tiles are relabelled once, to their positions in
+    inst.universe and inst.tiles: x maps each uncovered cell to the set of
+    live tiles containing it, and y[i] lists tile i's cells. The smallest
+    (len, cell) pair is then the fewest candidates with ties to the
+    earliest cell, and sorted() candidates are in instance order.
+
+    Each stack frame is [candidate tiles, next position, columns removed
+    by the tile selected here, or None]. Every tried candidate counts as a
+    node, and the budget is checked at each node.
+    """
+    ids = [tid for tid, _ in inst.tiles]
+    pos = {c: i for i, c in enumerate(inst.universe)}
+    y = [sorted(pos[c] for c in cells) for _, cells in inst.tiles]
+    x: dict[int, set[int]] = {c: set() for c in range(len(inst.universe))}
+    for i, cells in enumerate(y):
         for c in cells:
             x[c].add(i)
-    bud = _Budget(budget)
+    deadline = None if budget is None else time.monotonic() + budget
     solutions: list[tuple[str, ...]] = []
     partial: list[int] = []
+    stack: list[list] = []
     nodes = 0
-    stop = False
 
-    def select(row: int) -> list[set]:
+    def select(row: int) -> list[set[int]]:
         cols = []
         for j in y[row]:
             for i in x[j]:
@@ -102,7 +104,7 @@ def _run_x(inst: ExactCoverInstance, limit: int | None, budget: float | None):
             cols.append(x.pop(j))
         return cols
 
-    def deselect(row: int, cols: list[set]) -> None:
+    def deselect(row: int, cols: list[set[int]]) -> None:
         for j in reversed(y[row]):
             x[j] = cols.pop()
             for i in x[j]:
@@ -110,35 +112,34 @@ def _run_x(inst: ExactCoverInstance, limit: int | None, budget: float | None):
                     if k != j:
                         x[k].add(i)
 
-    def search() -> None:
-        nonlocal nodes, stop
-        if stop:
-            return
+    while True:
         if not x:
-            solutions.append(tuple(sorted(inst.tiles[i][0] for i in partial)))
+            solutions.append(tuple(sorted(ids[i] for i in partial)))
             if limit is not None and len(solutions) >= limit:
-                stop = True
-            return
-        cell = min(x, key=lambda c: (len(x[c]), order[c]))
-        if not x[cell]:
-            return
-        for row in sorted(x[cell]):
-            nodes += 1
-            if bud.check():
-                stop = True
-            if stop:
-                return
-            partial.append(row)
-            cols = select(row)
-            search()
-            deselect(row, cols)
-            partial.pop()
-            if stop:
-                return
-
-    search()
-    exhausted = not stop and not bud.expired
-    return solutions, exhausted, nodes
+                return solutions, False, nodes
+        else:
+            # min over (len, cell) pairs runs in C; cells are unique, so no tie
+            cell = min(zip(map(len, x.values()), x))[1]
+            if x[cell]:
+                stack.append([sorted(x[cell]), 0, None])
+        # backtrack to the next untried candidate, then descend into it
+        while stack:
+            frame = stack[-1]
+            if frame[2] is not None:
+                deselect(partial.pop(), frame[2])
+                frame[2] = None
+            if frame[1] < len(frame[0]):
+                break
+            stack.pop()
+        else:
+            return solutions, True, nodes
+        row = frame[0][frame[1]]
+        frame[1] += 1
+        nodes += 1
+        if deadline is not None and time.monotonic() > deadline:
+            return solutions, False, nodes
+        partial.append(row)
+        frame[2] = select(row)
 
 
 def solve(inst: ExactCoverInstance, budget: float | None = None) -> CoverOutcome:
@@ -164,7 +165,8 @@ def enumerate_covers(inst: ExactCoverInstance, limit: int | None = None,
 
 def verify_cover(inst: ExactCoverInstance, tile_ids: tuple[str, ...]) -> bool:
     """Independent re-check that chosen tiles partition the universe."""
-    chosen = [inst.tile_cells(t) for t in tile_ids]
+    cells = dict(inst.tiles)
+    chosen = [cells[t] for t in tile_ids]  # an unknown id raises KeyError
     return verify_partition(chosen, inst.universe, len(inst.universe)).passed
 
 
@@ -276,12 +278,16 @@ def grid_eds_survey(max_side: int, budget: float | None = None) -> dict:
     """Exhaustive EDS existence and count for grids P_m box P_n.
 
     Surveys 3 <= m, n <= max_side. In this range an efficient dominating
-    set is known to exist only at (4, 4).
+    set is known to exist only at (4, 4). The budget bounds the whole
+    survey: each grid gets the time left, and a grid that runs out of it
+    is reported with exists and count None.
     """
+    deadline = None if budget is None else time.monotonic() + budget
     out = {}
     for m in range(3, max_side + 1):
         for n in range(3, max_side + 1):
-            res = enumerate_covers(eds_instance(grid_graph(m, n)), budget=budget)
+            left = None if deadline is None else deadline - time.monotonic()
+            res = enumerate_covers(eds_instance(grid_graph(m, n)), budget=left)
             if not res.exhaustive:
                 out[(m, n)] = {"exists": None, "count": None, "exhaustive": False}
             else:

@@ -101,6 +101,14 @@ def test_search_timeout_exit_code(tmp_path):
     assert report["verdicts"]["exhaustive"] is False
 
 
+def test_search_deep_torus(tmp_path):
+    # 1,125 tiles deep: the search must not hit Python's recursion limit
+    code, report = run(["search", "--torus", "75,75", "--emit", str(tmp_path / "sol.json")],
+                       tmp_path)
+    assert code == 0
+    assert report["verdicts"]["outcome"] == "solution"
+
+
 def test_gamma_count(tmp_path):
     code, report = run(["gamma", "count-2ptmc"], tmp_path)
     assert code == 0
@@ -172,6 +180,17 @@ def test_survey(tmp_path):
     rows = {(r["m"], r["n"]): r for r in report["counts"]["table"]}
     assert rows[(4, 4)]["count"] == 2
     assert rows[(3, 3)]["count"] == 0
+
+
+def test_survey_budget_bounds_the_whole_survey(tmp_path):
+    # 25 grids cannot all finish in 0.1 ms; a grid that runs out of the
+    # shared budget leaves the verdict open and the exit code says timeout
+    code, report = run(["survey", "--max-side", "7", "--budget", "0.0001"], tmp_path)
+    assert code == 3
+    assert report["verdicts"] == {"exists_only_at_4x4": None}
+    timed_out = [r for r in report["counts"]["table"] if not r["exhaustive"]]
+    assert timed_out
+    assert all(r["exists"] is None and r["count"] is None for r in timed_out)
 
 
 def test_usage_error_exit_code():

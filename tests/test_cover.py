@@ -17,7 +17,9 @@ from ptmc.cover import (
     verify_cover,
 )
 from ptmc.codes import verify_pds
-from ptmc.graphs import Graph, grid_graph
+from ptmc.constructions import build_by_template, cube_singleton_template, square_singleton_template
+from ptmc.gamma2 import build_hive, no_isolated_pds
+from ptmc.graphs import Graph, grid_graph, lattice_graph
 from ptmc.metric import Ambient
 
 from oracles import naive_cover_solutions
@@ -88,6 +90,8 @@ def test_solutions_reverify():
     for sol in res.solutions:
         assert verify_cover(i, sol)
     assert not verify_cover(i, ("a", "c"))
+    with pytest.raises(KeyError):
+        verify_cover(i, ("a", "z"))
 
 
 def test_instance_validation():
@@ -134,6 +138,27 @@ def test_determinism_repeat_runs():
     second = enumerate_covers(i)
     assert first.solutions == second.solutions
     assert first.nodes == second.nodes
+
+
+def test_golden_node_counts_pin_branching_order():
+    # node counts of the recursive dict-of-sets search this core replaced;
+    # any change to the branching or candidate order moves them
+    assert no_isolated_pds(build_hive()).nodes == 5
+    for m, nodes in ((40, 320), (45, 405), (50, 500)):
+        out = solve(eds_instance(lattice_graph(Ambient.torus(m, m))))
+        assert (out.kind, out.nodes) == ("solution", nodes)
+    assert build_by_template(square_singleton_template()).nodes == 8
+    assert build_by_template(cube_singleton_template(4)).nodes == 16
+    res = enumerate_covers(eds_instance(grid_graph(7, 7)))
+    assert (res.exhaustive, res.solutions, res.nodes) == (True, (), 18)
+
+
+def test_deep_instance_beyond_recursion_limit():
+    # 1,125 nested choices, deeper than the default recursion limit allows
+    i = eds_instance(lattice_graph(Ambient.torus(75, 75)))
+    out = solve(i)
+    assert out.kind == "solution" and len(out.tiles) == 1125
+    assert verify_cover(i, out.tiles)
 
 
 # ---------------------------------------------------------------------------

@@ -352,13 +352,21 @@ def test_hive_census_translates():
 
 
 @pytest.mark.slow
-def test_hive_census_is_complete():
+def test_hive_census_is_complete(monkeypatch):
     # exhaustive totality check over balls of all 81 candidate centers:
     # the one-per-corner selections are the only isolated radius-2 codes
-    from ptmc.gamma2 import enumerate_hive_2ptmc_complete
-    total, exhaustive = enumerate_hive_2ptmc_complete(build_hive())
+    outcomes = []
+
+    def recording(*args, **kwargs):
+        outcomes.append(enumerate_covers(*args, **kwargs))
+        return outcomes[-1]
+
+    monkeypatch.setattr(ptmc.gamma2, "enumerate_covers", recording)
+    total, exhaustive = ptmc.gamma2.enumerate_hive_2ptmc_complete(build_hive())
     assert exhaustive
     assert total == 4**9
+    # the search tree's size pins the branching order on dataclass cells
+    assert [o.nodes for o in outcomes] == [357_889]
 
 
 def test_full_selection_verification_samples():
