@@ -49,9 +49,12 @@ def _digest(parts: list) -> str:
 
 def _report(args, verdicts: dict, counts: dict, artifacts: list[str],
             inputs: dict, started: float) -> dict:
+    # the subcommand and its parsed options, without the output paths
+    options = sorted((k, v) for k, v in vars(args).items()
+                     if k not in ("out", "emit", "fn", "_argv"))
     return {
         "command": args._argv,
-        "inputs": {"digest": _digest([args._argv, sorted(inputs.items())]), **inputs},
+        "inputs": {"digest": _digest(options), **inputs},
         "verdicts": verdicts,
         "counts": counts,
         "artifacts": artifacts,
@@ -171,6 +174,8 @@ def cmd_construct(args) -> tuple[int, dict, dict, list]:
 
 def cmd_search(args) -> tuple[int, dict, dict, list]:
     artifacts: list[str] = []
+    if args.limit is not None and args.limit < 1:
+        raise ValueError(f"--limit must be at least 1, got {args.limit}")
     if args.instance:
         with open(args.instance) as f:
             inst = cover_mod.instance_from_json(json.load(f))
@@ -191,7 +196,8 @@ def cmd_search(args) -> tuple[int, dict, dict, list]:
         verdicts = {"exhaustive": res.exhaustive}
         _emit(args, json.dumps({"solutions": [list(s) for s in res.solutions],
                                 "exhaustive": res.exhaustive}, indent=2), artifacts)
-        code = EXIT_PASS if res.exhaustive or args.limit else EXIT_TIMEOUT
+        done = res.exhaustive or (args.limit is not None and len(res.solutions) >= args.limit)
+        code = EXIT_PASS if done else EXIT_TIMEOUT
         return code, verdicts, counts, artifacts
     out = cover_mod.solve(inst, budget=args.budget)
     counts["nodes"] = out.nodes

@@ -18,11 +18,12 @@ Two families ship here:
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass
 from itertools import product
 
 from .codes import CodeSet, KappaAssignment, components_of
-from .cover import shape_orientations, solve, tiling_instance
+from .cover import solve, tiling_instance
 from .metric import Ambient, Point, ball_size_formula, truncated_ball
 
 
@@ -79,11 +80,7 @@ class TemplateSpec:
 
 def shape_ball_volume(shape: tuple[Point, ...], radius: int) -> int:
     """Truncated ball cardinality of a shape, on an unclipped window."""
-    n = len(shape[0])
-    lo = min(min(p) for p in shape) - 1
-    hi = max(max(p) for p in shape) + 1
-    win = Ambient.window(*(((lo, hi),) * n))
-    return len(truncated_ball(tuple(shape), radius, win))
+    return len(truncated_ball(tuple(shape), radius, Ambient.around(shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -211,71 +208,37 @@ def build_by_template(template: TemplateSpec, budget: float | None = None,
                       seed: int | None = None) -> TemplateBuild:
     """Search for a code realizing a template by exact cover of its torus.
 
-    Tiles are the truncated balls of every oriented, translated shape copy.
-    Placements whose ball wraps onto itself (span exceeding a modulus) are
-    dropped: the wrap always creates a vertex with two nearest center
-    vertices, so no verified code can use them. Symmetry is broken by
-    pinning: every solution has a translate in which the tile covering the
-    origin is anchored at the origin, so tiles that cover the origin from
-    elsewhere are dropped too. With a seed, the candidate order is shuffled
-    deterministically to reach different solutions; without one, tiles stay
-    in lexicographic order.
+    Tiles are the placements of tiling_instance: the truncated balls of
+    every oriented, translated shape copy that does not wrap onto itself.
+    Symmetry is broken by pinning: every solution has a translate in which
+    the tile covering the origin is anchored at the origin, so tiles that
+    cover the origin from elsewhere are dropped. With a seed, the candidate
+    order is shuffled deterministically to reach different solutions;
+    without one, tiles stay in lexicographic order. Building the instance
+    counts against the budget; the search gets the time left.
     """
+    deadline = None if budget is None else time.monotonic() + budget
     inst, placements = tiling_instance(
         template.torus,
         [(s.name, s.vertices, s.radius) for s in template.shapes])
-    n = template.torus.dimension
-    origin = (0,) * n
-    full_volume = {}
-    for s in template.shapes:
-        for oi, orient in enumerate(shape_orientations(s.vertices)):
-            full_volume[f"{s.name}:{oi}"] = shape_ball_volume(orient, s.radius)
+    origin = (0,) * template.torus.dimension
     tiles = [t for t in inst.tiles
-             if len(t[1]) == full_volume[t[0].split("@")[0]]
-             and (origin not in t[1] or placements[t[0]][3] == origin)]
+             if origin not in t[1] or placements[t[0]][3] == origin]
     if seed is not None:
         rng = random.Random(seed)
         rng.shuffle(tiles)
     pinned = type(inst)(inst.universe, tuple(tiles))
-    outcome = solve(pinned, budget=budget)
+    left = None if deadline is None else deadline - time.monotonic()
+    outcome = solve(pinned, budget=left)
     if outcome.kind != "solution":
         return TemplateBuild(outcome.kind, nodes=outcome.nodes)
     verts: list[Point] = []
     radii: dict[tuple[Point, ...], int] = {}
     for tid in outcome.tiles:
-        _, radius, placed, _ = placements[tid]
-        verts.extend(placed)
+        verts.extend(placements[tid][2])
     code = CodeSet(template.torus, tuple(verts))
     placed_sets = {frozenset(placements[t][2]): placements[t][1] for t in outcome.tiles}
     for comp in components_of(code):
         radii[comp.class_key] = placed_sets[frozenset(comp.vertices)]
     return TemplateBuild("solution", code, KappaAssignment(by_class=radii),
                          outcome.tiles, outcome.nodes)
-
-
-# ---------------------------------------------------------------------------
-# template serialization
-# ---------------------------------------------------------------------------
-
-def template_to_json(t: TemplateSpec) -> dict:
-    return {
-        "ambient": {"kind": "torus", "moduli": list(t.torus.moduli)},
-        "template": {
-            "shapes": [{"name": s.name,
-                        "vertices": [list(v) for v in s.vertices],
-                        "radius": s.radius,
-                        "multiplicity": s.multiplicity} for s in t.shapes],
-            "fr_volume": t.fr_volume,
-        },
-    }
-
-
-def template_from_json(doc: dict) -> TemplateSpec:
-    amb = doc["ambient"]
-    shapes = tuple(
-        TemplateShape(s["name"],
-                      tuple(tuple(v) for v in s["vertices"]),
-                      int(s["radius"]), int(s["multiplicity"]))
-        for s in doc["template"]["shapes"])
-    return TemplateSpec(shapes, Ambient.torus(*amb["moduli"]),
-                        int(doc["template"]["fr_volume"]))

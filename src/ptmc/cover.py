@@ -205,21 +205,6 @@ def shape_orientations(shape: tuple[Point, ...]) -> list[tuple[Point, ...]]:
     return sorted(out)
 
 
-def _anchor_shift(shape: tuple[Point, ...], radius: int, n: int) -> tuple[Point, ...]:
-    """Shift a shape so its truncated ball's anchor sits at the origin.
-
-    The anchor is the ball vertex of minimal coordinate sum, ties broken
-    lexicographically. Anchoring makes placement translations equivariant:
-    the tile translated by z has anchor exactly z.
-    """
-    lo = min(min(p) for p in shape) - 1
-    hi = max(max(p) for p in shape) + 1
-    win = Ambient.window(*(((lo, hi),) * n))
-    ball = truncated_ball(tuple(shape), radius, win)
-    anchor = min(ball, key=lambda p: (sum(p), p))
-    return tuple(sorted(tuple(x - a for x, a in zip(p, anchor)) for p in shape))
-
-
 def tiling_instance(a: Ambient, shapes: list[tuple[str, tuple[Point, ...], int]]):
     """Exact cover instance whose tiles are placed truncated balls.
 
@@ -228,43 +213,42 @@ def tiling_instance(a: Ambient, shapes: list[tuple[str, tuple[Point, ...], int]]
     Tile ids encode shape, orientation and anchor, e.g. "sq:1@0,3,2".
     Returns the instance plus a placement table keyed by tile id.
 
+    Each orientation's ball is enumerated once, on a window that does not
+    clip it. Its anchor is the ball vertex of minimal coordinate sum, ties
+    broken lexicographically; the tile anchored at z is that ball translated
+    so that its anchor lands on z, which on a torus is the ball of the
+    shape translated alike.
+
     A ball whose span exceeds a modulus wraps onto itself and comes out
-    smaller than its lattice volume; such placements stay in the instance
-    (they are legitimate cell sets) but can never occur in a verified code,
-    and the template builder drops them up front.
+    smaller than its lattice volume. The wrap always creates a vertex with
+    two nearest center vertices, so no verified code can use such a ball,
+    and its placements are left out; a translate has the same size, so
+    this drops whole orientations.
     """
     if not a.is_torus:
         raise ValueError("tiling instances are built over tori")
     if any(m < 3 for m in a.moduli):
         raise ValueError("tiling needs all moduli >= 3 (balls would self-wrap)")
-    n = a.dimension
     universe = tuple(a.vertices())
     tiles = []
     placements = {}
     for name, shape, radius in shapes:
         for oi, orient in enumerate(shape_orientations(tuple(shape))):
-            anchored = _anchor_shift(orient, radius, n)
+            ball = truncated_ball(orient, radius, Ambient.around(orient))
+            if len(set(map(a.wrap, ball))) < len(ball):
+                continue
+            anchor = min(ball, key=lambda p: (sum(p), p))
             for z in a.vertices():
-                placed = tuple(sorted(a.translate(p, z) for p in anchored))
-                ball = truncated_ball(placed, radius, a)
+                shift = tuple(x - y for x, y in zip(z, anchor))
+                placed = tuple(sorted(a.translate(p, shift) for p in orient))
                 tid = f"{name}:{oi}@{','.join(map(str, z))}"
-                tiles.append((tid, frozenset(ball)))
+                tiles.append((tid, frozenset(a.translate(p, shift) for p in ball)))
                 placements[tid] = (name, radius, placed, z)
     return ExactCoverInstance(universe, tuple(tiles)), placements
 
 
-def _cell_to_json(c):
-    return list(c) if isinstance(c, tuple) else c
-
-
 def _cell_from_json(c):
     return tuple(c) if isinstance(c, list) else c
-
-
-def instance_to_json(inst: ExactCoverInstance) -> dict:
-    return {"universe": [_cell_to_json(c) for c in inst.universe],
-            "tiles": [[tid, sorted((_cell_to_json(c) for c in cells), key=repr)]
-                      for tid, cells in inst.tiles]}
 
 
 def instance_from_json(doc: dict) -> ExactCoverInstance:

@@ -66,6 +66,12 @@ class Ambient:
     def window(cls, *bounds: tuple[int, int]) -> "Ambient":
         return cls(kind="window", bounds=tuple((int(a), int(b)) for a, b in bounds))
 
+    @classmethod
+    def around(cls, points: tuple[Point, ...]) -> "Ambient":
+        """The points' bounding box grown by one per axis: no truncated
+        ball around them is clipped."""
+        return cls.window(*((min(c) - 1, max(c) + 1) for c in zip(*points)))
+
     @property
     def dimension(self) -> int:
         return len(self.moduli) if self.kind == "torus" else len(self.bounds)

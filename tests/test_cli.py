@@ -85,8 +85,8 @@ def test_search_instance_file(tmp_path):
     assert json.loads(sol_file.read_text())["tiles"] == ["a", "b"]
 
 
-def test_search_timeout_exit_code(tmp_path):
-    # enumerating covers of a dense instance cannot finish in the budget
+def dense_instance_file(tmp_path):
+    """24 cells, every 3-subset a tile: far too many covers to enumerate."""
     universe = list(range(24))
     tiles = []
     for a in range(24):
@@ -95,10 +95,36 @@ def test_search_timeout_exit_code(tmp_path):
                 tiles.append([f"t{a}.{b}.{c}", [a, b, c]])
     inst_file = tmp_path / "big.json"
     inst_file.write_text(json.dumps({"universe": universe, "tiles": tiles}))
-    code, report = run(["search", "--instance", str(inst_file),
+    return str(inst_file)
+
+
+def test_search_timeout_exit_code(tmp_path):
+    # enumerating covers of a dense instance cannot finish in the budget
+    code, report = run(["search", "--instance", dense_instance_file(tmp_path),
                         "--enumerate", "--budget", "0.02"], tmp_path)
     assert code == 3
     assert report["verdicts"]["exhaustive"] is False
+
+
+def test_search_limit_exit_codes(tmp_path):
+    inst_file = dense_instance_file(tmp_path)
+    # reaching the limit is success
+    code, report = run(["search", "--instance", inst_file, "--enumerate",
+                        "--limit", "5"], tmp_path, "r1.json")
+    assert code == 0
+    assert report["counts"]["solutions"] == 5
+    # the budget ending the run before the limit is a timeout
+    code, report = run(["search", "--instance", inst_file, "--enumerate",
+                        "--limit", "100000", "--budget", "0.02"], tmp_path, "r2.json")
+    assert code == 3
+    assert report["verdicts"]["exhaustive"] is False
+    assert report["counts"]["solutions"] < 100000
+
+
+def test_search_limit_below_one_is_usage_error(tmp_path, capsys):
+    err = usage_error(["search", "--grid", "4,4", "--enumerate", "--limit", "0"],
+                      tmp_path, capsys)
+    assert "--limit" in err
 
 
 def test_search_deep_torus(tmp_path):
@@ -246,9 +272,9 @@ def test_reports_byte_identical_modulo_timings(tmp_path):
     # the command echo differs only in the --out path, which is part of it
     r1["command"] = [c for c in r1["command"] if "a.json" not in c]
     r2["command"] = [c for c in r2["command"] if "b.json" not in c]
-    r1["inputs"].pop("digest")
-    r2["inputs"].pop("digest")
     assert r1 == r2
+    _, r3 = run(["gamma", "stats", "--level", "3"], tmp_path, "c.json")
+    assert r3["inputs"]["digest"] != r1["inputs"]["digest"]
 
 
 def test_report_field_order(tmp_path):

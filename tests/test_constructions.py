@@ -1,6 +1,7 @@
 """Tests for the box-code generator and the template searches."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -23,9 +24,8 @@ from ptmc.constructions import (
     min_component_separation,
     shape_ball_volume,
     square_singleton_template,
-    template_from_json,
-    template_to_json,
 )
+from ptmc.cover import tiling_instance
 from ptmc.metric import Ambient, ball_size_formula
 
 from oracles import brute_ball
@@ -181,12 +181,6 @@ def test_template_requires_divisibility():
         TemplateSpec(shapes, Ambient.torus(5, 5), 7)   # stated volume != shape total
 
 
-def test_template_json_round_trip():
-    tpl = cube_singleton_template(4)
-    back = template_from_json(template_to_json(tpl))
-    assert back == tpl
-
-
 # ---------------------------------------------------------------------------
 # template search
 # ---------------------------------------------------------------------------
@@ -209,6 +203,16 @@ def test_build_is_deterministic_per_seed():
     assert seeded.tiles == seeded2.tiles
     assert seeded.kind == "solution"
     assert verify_kappa_ptmc(seeded.code, seeded.kappa).passed
+
+
+def test_build_budget_covers_instance_building(monkeypatch):
+    # instance building that outlasts the budget leaves the search no time
+    def slow_tiling_instance(*args):
+        time.sleep(0.2)
+        return tiling_instance(*args)
+
+    monkeypatch.setattr("ptmc.constructions.tiling_instance", slow_tiling_instance)
+    assert build_by_template(square_singleton_template(), budget=0.1).kind == "timeout"
 
 
 def test_build_radii_follow_shapes():
