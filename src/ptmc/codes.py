@@ -19,11 +19,14 @@ import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from itertools import product
+from math import prod
+from operator import mul, sub
 from typing import Iterable
 
 from .graphs import Graph
-from .metric import Ambient, Point, truncated_ball, truncated_distance
+from .metric import Ambient, Point, _offsets, truncated_ball
 
 ClassKey = tuple[Point, ...]
 
@@ -56,6 +59,12 @@ class CodeSet:
 
     def translate(self, z: Point) -> "CodeSet":
         return CodeSet(self.ambient, tuple(self.ambient.translate(v, z) for v in self.vertices))
+
+    @cached_property
+    def _components(self) -> tuple[Component, ...]:
+        # found once per code; the instance dict is not a field, so equality
+        # and hash are unaffected
+        return _find_components(self)
 
 
 @dataclass(frozen=True)
@@ -159,13 +168,22 @@ def components_of(code: CodeSet) -> list[Component]:
 
     Adjacency is one unit step in exactly one axis, wrapped on tori. Each
     component is lifted to Z^n by BFS to compute its class key; a lift
-    conflict means the component wraps an axis.
+    conflict means the component wraps an axis. The components are found
+    once per code; each call returns a new list.
     """
+    return list(code._components)
+
+
+def _find_components(code: CodeSet) -> tuple[Component, ...]:
     a = code.ambient
     n = a.dimension
-    member = set(code.vertices)
+    # (axis, step, modulus); a window's modulus 0 means no wrapping
+    moves = [(i, step, a.moduli[i] if a.is_torus else 0) for i in range(n) for step in (1, -1)]
+    member = {v: v for v in code.vertices}  # maps a built tuple to the code's own
+    keys: dict[ClassKey, ClassKey] = {}  # one key object per class
     seen: set[Point] = set()
     comps: list[Component] = []
+    # roots come in sorted order, so each root is its component's min vertex
     for root in code.vertices:
         if root in seen:
             continue
@@ -176,31 +194,29 @@ def components_of(code: CodeSet) -> list[Component]:
         while queue:
             v = queue.pop()
             lv = lift[v]
-            for i in range(n):
-                for step in (1, -1):
-                    w = list(v)
-                    w[i] += step
-                    u = a.wrap(tuple(w)) if a.is_torus else tuple(w)
-                    if u not in member:
-                        continue
-                    lu = tuple(x + (step if j == i else 0) for j, x in enumerate(lv))
-                    if u in lift:
-                        if lift[u] != lu:
-                            wrapped = True
-                        continue
-                    lift[u] = lu
-                    seen.add(u)
-                    queue.append(u)
+            for i, step, m in moves:
+                x = v[i] + step
+                u = member.get(v[:i] + ((x % m if m else x),) + v[i + 1:])
+                if u is None:
+                    continue
+                lu = lv[:i] + (lv[i] + step,) + lv[i + 1:]
+                if u in lift:
+                    if lift[u] != lu:
+                        wrapped = True
+                    continue
+                lift[u] = lu
+                seen.add(u)
+                queue.append(u)
         verts = tuple(sorted(lift))
-        comps.append(Component(verts, _class_key(verts, lift, wrapped, a), wrapped))
-    return sorted(comps, key=lambda c: c.min_vertex)
+        key = _class_key(verts, lift, wrapped, a)
+        comps.append(Component(verts, keys.setdefault(key, key), wrapped))
+    return tuple(comps)
 
 
 def _class_key(verts: tuple[Point, ...], lift: dict[Point, Point], wrapped: bool, a: Ambient) -> ClassKey:
     if not wrapped:
-        pts = list(lift.values())
-        mins = tuple(min(p[i] for p in pts) for i in range(len(pts[0])))
-        return tuple(sorted(tuple(x - m for x, m in zip(p, mins)) for p in pts))
+        mins = tuple(map(min, zip(*lift.values())))
+        return tuple(sorted([tuple(map(sub, p, mins)) for p in lift.values()]))
     # wrapped fallback: least translate that moves some vertex to the origin
     best = None
     for v in verts:
@@ -271,6 +287,62 @@ def spheres_of(code: CodeSet, kappa: KappaAssignment) -> list[TruncatedSphere]:
     return out
 
 
+@lru_cache(maxsize=64)
+def _strides(moduli: tuple[int, ...]) -> tuple[int, ...]:
+    """Per-axis weights of the row-major vertex index on a torus; index
+    order is lexicographic order."""
+    return tuple(prod(moduli[i + 1:]) for i in range(len(moduli)))
+
+
+@lru_cache(maxsize=1024)
+def _index_steps(moduli: tuple[int, ...], t: int,
+                 sides: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Row-major index steps of the offsets of weight 0..t, grouped by
+    weight, from a torus vertex on the given side of each axis: -1 at
+    coordinate 0, 1 at m - 1, else 0. A step off that side wraps round."""
+    return tuple(tuple(sum((x - m * side if x == side else x) * k
+                           for x, side, m, k in zip(d, sides, moduli, _strides(moduli)))
+                       for d in group)
+                 for group in _offsets(len(moduli), t))
+
+
+def _nearest_ball(center: tuple[Point, ...], t: int, moduli: tuple[int, ...],
+                  ties: list) -> dict[int, int]:
+    """Each vertex within truncated distance t of a component, by its
+    row-major index, mapped to its distance from the nearest center vertex,
+    on a torus with moduli >= 3.
+
+    There rho(p, s) is the weight of the unique d in {-1,0,1}^n with
+    p = s + d, so walking center vertices x offsets in order of weight hits
+    every vertex first at its nearest distance. A second hit at that same
+    weight comes from another center vertex: (index, distance) goes to ties.
+    """
+    strides = _strides(moduli)
+    starts = [(sum(map(mul, s, strides)),
+               _index_steps(moduli, t, tuple([(x == m - 1) - (x == 0)
+                                              for x, m in zip(s, moduli)])))
+              for s in center]
+    ball: dict[int, int] = {}
+    for w in range(t + 1):
+        for i, steps in starts:
+            for step in steps[w]:
+                p = i + step
+                if p not in ball:
+                    ball[p] = w
+                elif ball[p] == w:
+                    ties.append((p, w))
+    return ball
+
+
+def _point(i: int, moduli: tuple[int, ...]) -> Point:
+    """The torus vertex with row-major index i."""
+    out = []
+    for m in reversed(moduli):
+        i, x = divmod(i, m)
+        out.append(x)
+    return tuple(reversed(out))
+
+
 def verify_kappa_ptmc(code: CodeSet, kappa: KappaAssignment) -> VerifyReport:
     """Check that a code is a perfect truncated-metric code.
 
@@ -285,30 +357,39 @@ def verify_kappa_ptmc(code: CodeSet, kappa: KappaAssignment) -> VerifyReport:
     radii the per-component reading is the one under which the two-radius
     constructions are perfect, so that is what is checked.
 
-    Failures report the lexicographically smallest witness vertex, an
-    overlap before a gap. Tori with any modulus < 3 (and windows) are
-    refused as degenerate: truncated balls would self-overlap or be clipped.
+    Every radius is checked against [1, n] before any ball is built. Then
+    one pass over (center vertex x offset), in order of offset weight,
+    builds each component's ball, keyed by row-major vertex index, together
+    with its nearest-vertex ties; the balls stream into the partition check
+    one at a time.
+
+    Failures are checked in this order: degenerate ambient, bad radius
+    (the first component in min-vertex order), overlap, gap, nonunique
+    nearest. The witness is the lexicographically smallest offending vertex
+    (for a gap, the first uncovered vertex in lexicographic order). Tori
+    with any modulus < 3 (and windows) are refused as degenerate: truncated
+    balls would self-overlap or be clipped.
     """
     a = code.ambient
     if a.degenerate:
         return _fail("degenerate-ambient", (),
                      "PTMC verification needs a torus with all moduli >= 3")
     n = a.dimension
-    spheres = spheres_of(code, kappa)
-    for sp in spheres:
-        if not 1 <= sp.radius <= n:
-            return _fail("bad-radius", (sp.center.min_vertex,),
-                         f"radius {sp.radius} outside [1, {n}]")
-    rep = verify_partition((sp.ball for sp in spheres), a.vertices(), a.vertex_count())
+    comps = components_of(code)
+    radii = [kappa.radius_for(c.class_key) for c in comps]
+    for comp, t in zip(comps, radii):
+        if not 1 <= t <= n:
+            return _fail("bad-radius", (comp.min_vertex,), f"radius {t} outside [1, {n}]")
+    ties: list[tuple[int, int]] = []
+    balls = (_nearest_ball(c.vertices, t, a.moduli, ties) for c, t in zip(comps, radii))
+    size = a.vertex_count()
+    rep = verify_partition(balls, range(size), size)
     if not rep.passed:
-        return rep
-    for sp in spheres:
-        for v in sp.ball:
-            dists = [truncated_distance(v, s, a) for s in sp.center.vertices]
-            d = min(dists)
-            if dists.count(d) > 1:
-                return _fail("nonunique-nearest", (v,),
-                             f"two vertices of the center at distance {d}")
+        return _fail(rep.kind, (_point(rep.witness[0], a.moduli),), rep.detail)
+    if ties:
+        i, d = min(ties)
+        return _fail("nonunique-nearest", (_point(i, a.moduli),),
+                     f"two vertices of the center at distance {d}")
     return VerifyReport(passed=True)
 
 
@@ -409,9 +490,9 @@ def code_to_json(code: CodeSet, kappa: KappaAssignment | None = None) -> dict:
         ambient["bounds"] = [list(b) for b in a.bounds]
     doc = {"ambient": ambient, "vertices": [list(v) for v in code.vertices]}
     if kappa is not None:
-        radii = {}
-        for comp in components_of(code):
-            radii[class_key_hash(comp.class_key)] = kappa.radius_for(comp.class_key)
+        # one hash per class, not per component
+        radii = {class_key_hash(key): kappa.radius_for(key)
+                 for key in dict.fromkeys(c.class_key for c in components_of(code))}
         doc["kappa"] = {h: radii[h] for h in sorted(radii)}
     return doc
 
@@ -428,6 +509,8 @@ def code_from_json(doc: dict) -> tuple[CodeSet, KappaAssignment | None]:
     by_hash = dict(doc["kappa"])
     by_class = {}
     for comp in components_of(code):
+        if comp.class_key in by_class:
+            continue
         h = class_key_hash(comp.class_key)
         if h not in by_hash:
             raise MissingRadiusError(f"kappa entry {h} missing for class of {comp.min_vertex}")

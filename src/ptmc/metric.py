@@ -19,8 +19,10 @@ is observable in debug output only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from math import comb
+from operator import add, mod
 from typing import Iterator
 
 Point = tuple[int, ...]
@@ -151,9 +153,16 @@ def truncated_distance(u: Point, v: Point, a: Ambient) -> int:
     return sum(1 for x in d if x != 0)
 
 
-def _offsets(n: int, t: int) -> list[Point]:
-    """All vectors in {-1,0,1}^n with at most t nonzero entries."""
-    return [d for d in product((-1, 0, 1), repeat=n) if sum(1 for x in d if x) <= t]
+@cache
+def _offsets(n: int, t: int) -> tuple[tuple[Point, ...], ...]:
+    """The vectors of {-1,0,1}^n with at most t nonzero entries, grouped by
+    weight: entry w holds those with exactly w nonzero entries."""
+    groups: list[list[Point]] = [[] for _ in range(t + 1)]
+    for d in product((-1, 0, 1), repeat=n):
+        w = n - d.count(0)
+        if w <= t:
+            groups[w].append(d)
+    return tuple(map(tuple, groups))
 
 
 def truncated_ball(centers: tuple[Point, ...], t: int, a: Ambient) -> tuple[Point, ...]:
@@ -167,14 +176,11 @@ def truncated_ball(centers: tuple[Point, ...], t: int, a: Ambient) -> tuple[Poin
     n = a.dimension
     if not 0 <= t <= n:
         raise ValueError(f"radius {t} outside [0, {n}]")
-    pts: set[Point] = set()
-    for s in centers:
-        for d in _offsets(n, t):
-            p = tuple(x + y for x, y in zip(s, d))
-            if a.is_torus:
-                pts.add(a.wrap(p))
-            elif a.contains(p):
-                pts.add(p)
+    moved = (tuple(map(add, s, d)) for group in _offsets(n, t) for s in centers for d in group)
+    if a.is_torus:
+        pts = {tuple(map(mod, p, a.moduli)) for p in moved}
+    else:
+        pts = {p for p in moved if a.contains(p)}
     return tuple(sorted(pts))
 
 
@@ -182,13 +188,8 @@ def ball_clips_window(centers: tuple[Point, ...], t: int, a: Ambient) -> bool:
     """True iff the window ambient cut off part of the truncated ball."""
     if a.is_torus:
         return False
-    n = a.dimension
-    for s in centers:
-        for d in _offsets(n, t):
-            p = tuple(x + y for x, y in zip(s, d))
-            if not a.contains(p):
-                return True
-    return False
+    return any(not a.contains(tuple(map(add, s, d)))
+               for group in _offsets(a.dimension, t) for s in centers for d in group)
 
 
 def ball_size_formula(n: int, t: int) -> int:

@@ -8,6 +8,7 @@ cover.
 
 from itertools import combinations, product
 
+from ptmc.codes import components_of
 from ptmc.gamma2 import gamma_truncated_distance
 
 
@@ -27,6 +28,72 @@ def brute_ball(centers, t, lo, hi):
         if min(brute_rho(p, c) for c in centers) <= t:
             out.append(p)
     return sorted(out)
+
+
+def torus_rho(u, v, moduli):
+    """Truncated distance on a torus: each axis moves by the shorter way round."""
+    steps = [min((a - b) % m, (b - a) % m) for a, b, m in zip(u, v, moduli)]
+    if any(s > 1 for s in steps):
+        return len(u) + 1
+    return sum(1 for s in steps if s)
+
+
+def naive_components(code):
+    """Vertex sets of a code's components by flood fill over all code pairs
+    at torus distance one; sorted tuples, ordered by smallest vertex."""
+    moduli = code.ambient.moduli
+    left = set(code.vertices)
+    comps = []
+    while left:
+        todo = [min(left)]
+        comp = set(todo)
+        while todo:
+            v = todo.pop()
+            for u in list(left - comp):
+                if torus_rho(u, v, moduli) == 1:
+                    comp.add(u)
+                    todo.append(u)
+        left -= comp
+        comps.append(tuple(sorted(comp)))
+    return sorted(comps)
+
+
+def naive_verify_kappa_ptmc(code, kappa):
+    """(passed, kind, witness) of the PTMC check by distance scans.
+
+    Only the class keys, for the radii, come from `components_of`. Each
+    ball is a scan of every torus vertex against every center vertex; hits
+    are counted per vertex; ties are found by listing the distances to
+    every vertex of the covering component. Checks, in order: degenerate
+    ambient, bad radius (first component outside [1, n]), overlap
+    (smallest vertex covered twice), gap (smallest vertex covered by none),
+    nonunique nearest (smallest vertex with two nearest vertices in its
+    component).
+    """
+    a = code.ambient
+    if a.degenerate:
+        return False, "degenerate-ambient", ()
+    n = a.dimension
+    comps = components_of(code)
+    radii = [kappa.radius_for(c.class_key) for c in comps]
+    for comp, t in zip(comps, radii):
+        if not 1 <= t <= n:
+            return False, "bad-radius", (min(comp.vertices),)
+    verts = sorted(product(*(range(m) for m in a.moduli)))
+    owners = {v: [] for v in verts}
+    for comp, t in zip(comps, radii):
+        for v in verts:
+            if min(torus_rho(v, s, a.moduli) for s in comp.vertices) <= t:
+                owners[v].append(comp.vertices)
+    for kind, bad in (("overlap", lambda k: k > 1), ("gap", lambda k: k == 0)):
+        hit = [v for v in verts if bad(len(owners[v]))]
+        if hit:
+            return False, kind, (hit[0],)
+    for v in verts:
+        dists = [torus_rho(v, s, a.moduli) for s in owners[v][0]]
+        if dists.count(min(dists)) > 1:
+            return False, "nonunique-nearest", (v,)
+    return True, None, ()
 
 
 def naive_gamma_ball(center, vertices):

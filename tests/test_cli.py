@@ -33,6 +33,17 @@ def test_construct_box_and_verify(tmp_path):
     assert report["verdicts"]["failure"] in ("bad-radius", "gap")
 
 
+def test_verify_radius_above_dimension_is_a_failure_report(tmp_path):
+    code_file = tmp_path / "box.json"
+    assert run(["construct", "box", "--c", "2,2", "--k", "2,2",
+                "--emit", str(code_file)], tmp_path)[0] == 0
+    code, report = run(["verify", "ptmc", "--code", str(code_file), "--t", "3"],
+                       tmp_path, "r2.json")
+    assert code == 1
+    assert report["verdicts"] == {"passed": False, "failure": "bad-radius",
+                                  "witness": [[1, 1]]}
+
+
 def test_verify_failure_has_witness(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({

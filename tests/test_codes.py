@@ -29,6 +29,8 @@ from ptmc.cover import eds_instance, solve
 from ptmc.graphs import Graph, grid_graph, lattice_graph
 from ptmc.metric import Ambient
 
+from oracles import naive_components, naive_verify_kappa_ptmc
+
 
 def torus(*m):
     return Ambient.torus(*m)
@@ -74,6 +76,22 @@ def test_class_key_translation_invariant():
         z = (rng.randrange(7), rng.randrange(7))
         moved = base.translate(z)
         assert components_of(moved)[0].class_key == key
+
+
+def test_components_found_once_per_code():
+    code = inflate_code(CodeSet(torus(6, 6), ((0, 0), (0, 1), (3, 3))), (2, 1))
+    first = components_of(code)
+    again = components_of(code)
+    assert first is not again and first == again
+    own = {v: v for v in code.vertices}
+    assert all(own[v] is v for c in first for v in c.vertices)
+    keys = {}
+    for c in first:
+        assert keys.setdefault(c.class_key, c.class_key) is c.class_key
+    assert len(keys) == 2
+    fresh = CodeSet(code.ambient, code.vertices)
+    assert code == fresh and hash(code) == hash(fresh)
+    assert components_of(fresh) == first
 
 
 def test_wrapped_component_flagged():
@@ -166,6 +184,46 @@ def test_bad_radius_reported():
     code = CodeSet(torus(3, 3), ((0, 0),))
     rep = verify_t_ptmc(code, 0)
     assert not rep.passed and rep.kind == "bad-radius"
+
+
+def test_bad_radius_above_dimension_reported():
+    # radii are checked before any ball is built, so t = n + 1 is a report
+    code, _ = build_box_code((2, 2), (2, 2))
+    rep = verify_t_ptmc(code, 3)
+    assert (rep.kind, rep.witness) == ("bad-radius", (code.vertices[0],))
+    comps = components_of(code)
+    kappa = KappaAssignment(by_class={comps[0].class_key: 2})
+    assert verify_kappa_ptmc(code, kappa).passed
+    kappa = KappaAssignment(by_class={comps[0].class_key: -1})
+    assert verify_kappa_ptmc(code, kappa).kind == "bad-radius"
+
+
+def test_nonunique_nearest_reports_smallest_witness():
+    # (2, 0) is tied in the first component, (0, 2) in the second
+    code = CodeSet(torus(3, 6), ((0, 0), (1, 0), (1, 3), (2, 3)))
+    rep = verify_t_ptmc(code, 2)
+    assert (rep.kind, rep.witness) == ("nonunique-nearest", ((0, 2),))
+    assert rep.detail == "two vertices of the center at distance 2"
+
+
+def test_verifier_matches_naive_oracle_on_random_tori():
+    rng = random.Random(17)
+    kinds = set()
+    for _ in range(400):
+        n = rng.randint(1, 3)
+        a = torus(*(rng.randint(3, 6) for _ in range(n)))
+        verts = list(a.vertices())
+        code = CodeSet(a, tuple(rng.sample(verts, rng.randint(1, min(6, len(verts) // 3 + 1)))))
+        comps = components_of(code)
+        assert [c.vertices for c in comps] == naive_components(code)
+        if rng.random() < 0.5:
+            kappa = KappaAssignment.uniform(rng.randint(0, n + 1))
+        else:
+            kappa = KappaAssignment(by_class={c.class_key: rng.randint(0, n + 1) for c in comps})
+        rep = verify_kappa_ptmc(code, kappa)
+        assert (rep.passed, rep.kind, rep.witness) == naive_verify_kappa_ptmc(code, kappa)
+        kinds.add(rep.kind)
+    assert kinds == {None, "bad-radius", "overlap", "gap", "nonunique-nearest"}
 
 
 def test_missing_kappa_entry_raises():
