@@ -4,7 +4,6 @@ from .metric import (
     Ambient,
     Point,
     ball_size_formula,
-    hamming,
     truncated_ball,
     truncated_distance,
 )
@@ -16,7 +15,6 @@ from .codes import (
     TruncatedSphere,
     VerifyReport,
     box_hull_check,
-    class_census,
     code_from_json,
     code_to_json,
     components_of,
@@ -53,10 +51,9 @@ from .graphs import Graph, grid_graph, lattice_graph
 __version__ = "0.1.0"
 
 __all__ = [
-    "Ambient", "Point", "ball_size_formula", "hamming",
-    "truncated_ball", "truncated_distance",
+    "Ambient", "Point", "ball_size_formula", "truncated_ball", "truncated_distance",
     "BoxSpec", "CodeSet", "Component", "KappaAssignment", "TruncatedSphere",
-    "VerifyReport", "box_hull_check", "class_census", "code_from_json",
+    "VerifyReport", "box_hull_check", "code_from_json",
     "code_to_json", "components_of", "inflate_code", "verify_kappa_ptmc",
     "verify_non_isolated_pds", "verify_pds", "verify_t_ptmc",
     "CoverOutcome", "EnumerateOutcome", "ExactCoverInstance", "eds_instance",

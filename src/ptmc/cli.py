@@ -22,7 +22,7 @@ from . import codes as codes_mod
 from . import constructions as cons
 from . import cover as cover_mod
 from . import gamma2
-from .codes import KappaAssignment, MissingRadiusError, code_from_json, code_to_json
+from .codes import CodeSet, KappaAssignment, MissingRadiusError, code_from_json, code_to_json
 from .graphs import Graph, grid_graph, lattice_graph
 from .metric import Ambient
 
@@ -80,9 +80,32 @@ def _emit(args, text: str, artifacts: list[str]) -> None:
         print(text)
 
 
-def _load_graph(path: str) -> Graph:
+def _read_json(path: str, parse):
+    """Load a JSON input file and parse the document with `parse`.
+
+    A document of the wrong shape (a missing key, a list where an object
+    belongs, an edge to an unknown vertex) is bad input, a ValueError,
+    like a file that is not JSON at all.
+    """
     with open(path) as f:
-        return gamma2.graph_from_json(json.load(f))
+        doc = json.load(f)
+    try:
+        return parse(doc)
+    except MissingRadiusError:
+        raise
+    except (KeyError, TypeError, AttributeError) as e:
+        raise ValueError(f"{path}: malformed document ({type(e).__name__}: {e})") from e
+
+
+def _load_graph(path: str) -> Graph:
+    return _read_json(path, gamma2.graph_from_json)
+
+
+def _code_or_vertex_ids(doc):
+    """A code file with an ambient as a CodeSet, else its vertex id list."""
+    if "ambient" in doc:
+        return code_from_json(doc)[0]
+    return [str(v) for v in doc["vertices"]]
 
 
 def _report_verdict(rep: codes_mod.VerifyReport) -> dict:
@@ -100,12 +123,13 @@ def _report_verdict(rep: codes_mod.VerifyReport) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> tuple[int, dict, dict, list]:
-    with open(args.code) as f:
-        doc = json.load(f)
     if args.what == "ptmc":
-        if args.t is not None:
-            doc.pop("kappa", None)  # --t replaces the map, so it is never resolved
-        code, kappa = code_from_json(doc)
+        def parse(doc):
+            if args.t is not None:
+                doc.pop("kappa", None)  # --t replaces the map, so it is never resolved
+            return code_from_json(doc)
+
+        code, kappa = _read_json(args.code, parse)
         if args.t is not None:
             kappa = KappaAssignment.uniform(args.t)
         if kappa is None:
@@ -116,13 +140,13 @@ def cmd_verify(args) -> tuple[int, dict, dict, list]:
     else:
         # a code file with an ambient is checked on its own lattice graph;
         # a bare {"vertices": [ids]} list is checked against --graph
-        if "ambient" in doc:
-            code, _ = code_from_json(doc)
+        code = _read_json(args.code, _code_or_vertex_ids)
+        if isinstance(code, CodeSet):
             g = lattice_graph(code.ambient)
             s = list(code.vertices)
         elif args.graph:
             g = _load_graph(args.graph)
-            s = [str(v) for v in doc["vertices"]]
+            s = code
             missing = [v for v in s if v not in g]
             if missing:
                 raise ValueError(f"vertex {missing[0]!r} not in graph")
@@ -177,8 +201,7 @@ def cmd_search(args) -> tuple[int, dict, dict, list]:
     if args.limit is not None and args.limit < 1:
         raise ValueError(f"--limit must be at least 1, got {args.limit}")
     if args.instance:
-        with open(args.instance) as f:
-            inst = cover_mod.instance_from_json(json.load(f))
+        inst = _read_json(args.instance, cover_mod.instance_from_json)
     elif args.grid:
         m, n = args.grid
         inst = cover_mod.eds_instance(grid_graph(m, n))
@@ -377,7 +400,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     args._argv = argv
     started = time.monotonic()
-    # ValueError covers JSONDecodeError and DimensionMismatch; RuntimeError is a bug
+    # ValueError covers JSONDecodeError, malformed documents and
+    # DimensionMismatch; RuntimeError is a bug
     try:
         code, verdicts, counts, artifacts = args.fn(args)
         inputs = {}

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
@@ -129,12 +128,6 @@ class BoxSpec:
         """Number of axes with more than one vertex (the box dimension)."""
         return sum(1 for e in self.extents if e > 1)
 
-    def volume(self) -> int:
-        n = 1
-        for e in self.extents:
-            n *= e
-        return n
-
 
 @dataclass(frozen=True)
 class VerifyReport:
@@ -224,11 +217,6 @@ def _class_key(verts: tuple[Point, ...], lift: dict[Point, Point], wrapped: bool
         if best is None or shifted < best:
             best = shifted
     return best
-
-
-def class_census(code: CodeSet) -> dict[ClassKey, int]:
-    """Count components per translation class."""
-    return dict(Counter(c.class_key for c in components_of(code)))
 
 
 def box_hull_check(comp: Component) -> BoxSpec | None:

@@ -27,7 +27,7 @@ import json
 import random
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 from .codes import VerifyReport, verify_partition
 from .cover import CoverOutcome, ExactCoverInstance, eds_instance, enumerate_covers, solve
@@ -121,10 +121,6 @@ class GammaVertex:
 
     def __str__(self) -> str:
         return f"{word_str(self.wx)}|{word_str(self.wy)}|{self.a}|{self.b}"
-
-
-def vertex_id(v: GammaVertex) -> str:
-    return str(v)
 
 
 def parse_vertex_id(s: str) -> GammaVertex:
@@ -251,27 +247,25 @@ def hive_graph(h: Hive) -> Graph:
     return graph_of_tersquares(h.members)
 
 
-def tersquare_graph(j: Tersquare = ORIGIN) -> Graph:
-    """A single tersquare as a graph: K3 box K3."""
-    return graph_of_tersquares([j])
-
-
 @dataclass(frozen=True)
 class Region:
-    """All tersquares of bounded address depth, with their union graph."""
+    """All tersquares of bounded address depth, with their union graph.
+
+    Its vertices are the canonical vertices with |wx| + |wy| <= level: a
+    vertex's address is one of its own tersquares, and every vertex of a
+    tersquare has an address at most as deep.
+    """
 
     level: int
     members: tuple[Tersquare, ...]
     graph: Graph
 
-    def member_set(self) -> frozenset:
-        return frozenset(self.members)
-
     def interior(self) -> tuple[GammaVertex, ...]:
-        """Vertices all of whose containing tersquares lie in the region."""
-        ms = self.member_set()
-        return tuple(v for v in self.graph.vertices
-                     if all(t in ms for t in containing_tersquares(v)))
+        """Vertices all of whose containing tersquares lie in the region,
+        sorted. The deepest of them is (wx+a, wy+b), two letters deeper
+        than the address, so these are the vertices with |wx| + |wy| <=
+        level - 2."""
+        return _vertices_up_to(self.level - 2)
 
 
 def _words_up_to(length: int) -> list[Word]:
@@ -286,6 +280,20 @@ def _words_up_to(length: int) -> list[Word]:
         words.extend(nxt)
         frontier = nxt
     return words
+
+
+def _vertices_up_to(depth: int) -> tuple[GammaVertex, ...]:
+    """The canonical vertices with |wx| + |wy| <= depth, sorted; () when
+    depth < 0."""
+    if depth < 0:
+        return ()
+    out = []
+    for wx in _words_up_to(depth):
+        xs = [a for a in LETTERS if not wx or wx[-1] != a]
+        for wy in _words_up_to(depth - len(wx)):
+            ys = [b for b in LETTERS if not wy or wy[-1] != b]
+            out.extend(GammaVertex(wx, wy, a, b) for a in xs for b in ys)
+    return tuple(sorted(out))
 
 
 def build_region(level: int) -> Region:
@@ -384,47 +392,32 @@ def enumerate_hive_2ptmc_complete(h: Hive, budget: float | None = None):
 
 def enumerate_hive_2ptmc(h: Hive) -> int:
     """Count the isolated radius-2 codes given by one external vertex per
-    corner tersquare; every selection is individually checked.
+    corner tersquare: the product of the corners' candidate counts, 4^9.
 
-    Setup verifies once, for all 36 candidate centers, that the candidate's
-    hive-restricted 2-ball equals its corner block exactly and that
-    candidates of different corners are at distance 3 (no shared tersquare,
-    hence never adjacent and never in nearest-tie). Each of the 4^9
-    selections is then checked to cover the 81 vertices disjointly, which
-    with the per-candidate facts makes it a verified isolated code.
+    The count rests on checks made once, for all 36 candidate centers:
+    the nine corner blocks partition the hive, each candidate's
+    hive-restricted 2-ball is exactly its corner block, and candidates of
+    different corners are at distance 3 (no shared tersquare, hence never
+    adjacent and never in a nearest tie). Every selection's balls are then
+    the nine blocks, so each one is a verified isolated code; a failed
+    check raises RuntimeError. `enumerate_hive_2ptmc_complete` re-derives
+    the count by exhaustive exact cover.
     """
     verts = hive_vertices(h)
-    index = {v: i for i, v in enumerate(verts)}
-    full_mask = (1 << len(verts)) - 1
     blocks = corner_partition(h)
-    candidate_masks: list[list[int]] = []
-    all_candidates: list[tuple[Tersquare, GammaVertex]] = []
+    count = 1
+    candidates: list[tuple[Tersquare, GammaVertex]] = []
     for corner in h.corners:
         block = frozenset(blocks[corner])
-        row = []
-        for cand in external_cycle(h, corner):
-            ball = restricted_ball(cand, verts)
-            if ball != block:
+        cycle = external_cycle(h, corner)
+        for cand in cycle:
+            if restricted_ball(cand, verts) != block:
                 raise RuntimeError(f"2-ball of {cand} is not its corner block")
-            mask = 0
-            for v in ball:
-                mask |= 1 << index[v]
-            row.append(mask)
-            all_candidates.append((corner, cand))
-        candidate_masks.append(row)
-    for (c1, v1), (c2, v2) in combinations(all_candidates, 2):
+            candidates.append((corner, cand))
+        count *= len(cycle)
+    for (c1, v1), (c2, v2) in combinations(candidates, 2):
         if c1 != c2 and gamma_truncated_distance(v1, v2) != 3:
             raise RuntimeError(f"cross-corner candidates {v1}, {v2} too close")
-    count = 0
-    for sel in product(*candidate_masks):
-        acc = 0
-        for m in sel:
-            if acc & m:
-                break
-            acc |= m
-        else:
-            if acc == full_mask:
-                count += 1
     return count
 
 
@@ -527,33 +520,29 @@ def extend_2ptmc(level: int, seed: int | None = None) -> RegionCode:
     Hive by hive the construction picks one external vertex per corner; in
     tree terms that is one efficient edge-dominating set per axis, chosen
     by a deterministic frontier sweep with seeded choices. Centers are the
-    pairs of chosen x- and y-edges. Truncated 2-balls of the centers
-    partition the region's interior; boundary vertices (with containing
-    tersquares outside the region) are left unverified; overlaps precede gaps.
+    pairs (wx, a), (wy, b) of chosen x- and y-edges with |wx| + |wy| <=
+    level, whose address tersquare (wx, wy) lies in the region.
+
+    The region is never built as a graph: as in `Region`, its vertices
+    are those with |wx| + |wy| <= level and its interior those with
+    |wx| + |wy| <= level - 2. Truncated 2-balls of the centers partition
+    the interior; boundary vertices (with containing tersquares outside
+    the region) are left unverified; overlaps precede gaps.
     """
     if level < 2:
         raise ValueError("need a region of level >= 2")
-    region = build_region(level)
     rng = random.Random(seed) if seed is not None else None
     dx = _edge_code(level + 3, rng)
     dy = _edge_code(level + 3, rng)
-    members = region.member_set()
-    centers = []
-    for (wx, a) in sorted(dx):
-        if len(wx) > level:
-            continue
-        for (wy, b) in sorted(dy):
-            if len(wx) + len(wy) > level:
-                continue
-            v = GammaVertex(wx, wy, a, b)
-            if any(t in members for t in containing_tersquares(v)):
-                centers.append(v)
-    centers = tuple(sorted(centers))
-    interior = region.interior()
+    xs = [(wx, a) for (wx, a) in dx if len(wx) <= level]
+    ys = [(wy, b) for (wy, b) in dy if len(wy) <= level]
+    centers = tuple(sorted(GammaVertex(wx, wy, a, b) for (wx, a) in xs for (wy, b) in ys
+                           if len(wx) + len(wy) <= level))
+    interior = _vertices_up_to(level - 2)
     inside = set(interior)
     rep = verify_partition((local_ball(c) & inside for c in centers), interior, len(interior))
     return RegionCode(level, seed, centers, len(interior),
-                      len(region.graph) - len(interior), rep.passed,
+                      len(_vertices_up_to(level)) - len(interior), rep.passed,
                       rep.witness[0] if rep.witness else None)
 
 

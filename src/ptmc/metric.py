@@ -140,11 +140,6 @@ class Ambient:
             yield from product(*(range(lo, hi + 1) for lo, hi in self.bounds))
 
 
-def hamming(u: Point, v: Point, a: Ambient) -> int:
-    """Number of axes where the (wrapped) difference is nonzero."""
-    return sum(1 for d in a.diff(u, v) if d != 0)
-
-
 def truncated_distance(u: Point, v: Point, a: Ambient) -> int:
     """rho(u, v): Hamming distance if all offsets are in {-1,0,1}, else n+1."""
     d = a.diff(u, v)
@@ -168,8 +163,8 @@ def _offsets(n: int, t: int) -> tuple[tuple[Point, ...], ...]:
 def truncated_ball(centers: tuple[Point, ...], t: int, a: Ambient) -> tuple[Point, ...]:
     """All ambient vertices at truncated distance <= t from the given set.
 
-    Windows clip the ball to their bounds; `ball_clips_window` reports
-    whether that happened. Returned sorted lexicographically.
+    Windows clip the ball to their bounds. Returned sorted
+    lexicographically.
     """
     if not centers:
         raise ValueError("truncated ball of an empty set")
@@ -182,14 +177,6 @@ def truncated_ball(centers: tuple[Point, ...], t: int, a: Ambient) -> tuple[Poin
     else:
         pts = {p for p in moved if a.contains(p)}
     return tuple(sorted(pts))
-
-
-def ball_clips_window(centers: tuple[Point, ...], t: int, a: Ambient) -> bool:
-    """True iff the window ambient cut off part of the truncated ball."""
-    if a.is_torus:
-        return False
-    return any(not a.contains(tuple(map(add, s, d)))
-               for group in _offsets(a.dimension, t) for s in centers for d in group)
 
 
 def ball_size_formula(n: int, t: int) -> int:

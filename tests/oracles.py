@@ -6,10 +6,18 @@ and pruned exhaustive DFS for domination, subset enumeration for exact
 cover.
 """
 
+import random
 from itertools import combinations, product
 
 from ptmc.codes import components_of
-from ptmc.gamma2 import gamma_truncated_distance
+from ptmc.gamma2 import (
+    GammaVertex,
+    RegionCode,
+    _edge_code,
+    containing_tersquares,
+    gamma_truncated_distance,
+    local_ball,
+)
 
 
 def brute_rho(u, v):
@@ -100,6 +108,51 @@ def naive_gamma_ball(center, vertices):
     """Compound vertices within truncated distance 2 of a center, by a
     distance scan over the given collection."""
     return frozenset(u for u in vertices if gamma_truncated_distance(u, center) <= 2)
+
+
+def naive_region_interior(region):
+    """A region's interior by a scan of its graph: the vertices all four of
+    whose containing tersquares are region members, in vertex order."""
+    members = frozenset(region.members)
+    return tuple(v for v in region.graph.vertices
+                 if all(t in members for t in containing_tersquares(v)))
+
+
+def naive_region_code(region, seed):
+    """`extend_2ptmc(region.level, seed)` from a built region.
+
+    The same seeded edge codes; a center is a pair of chosen x- and
+    y-edges, both within the level, one of whose containing tersquares is
+    a region member. The interior comes from `naive_region_interior` and
+    the region size from the region's graph. Ball hits are counted per
+    interior vertex; the witness is the smallest vertex hit twice, else
+    the smallest vertex hit by none.
+    """
+    level = region.level
+    rng = random.Random(seed) if seed is not None else None
+    dx = _edge_code(level + 3, rng)
+    dy = _edge_code(level + 3, rng)
+    members = frozenset(region.members)
+    centers = []
+    for (wx, a) in sorted(dx):
+        if len(wx) > level:
+            continue
+        for (wy, b) in sorted(dy):
+            if len(wx) + len(wy) > level:
+                continue
+            v = GammaVertex(wx, wy, a, b)
+            if any(t in members for t in containing_tersquares(v)):
+                centers.append(v)
+    interior = naive_region_interior(region)
+    hits = dict.fromkeys(interior, 0)
+    for c in centers:
+        for u in local_ball(c):
+            if u in hits:
+                hits[u] += 1
+    bad = ([v for v in interior if hits[v] > 1] or [v for v in interior if hits[v] == 0])
+    return RegionCode(level, seed, tuple(sorted(centers)), len(interior),
+                      len(region.graph) - len(interior), not bad,
+                      min(bad) if bad else None)
 
 
 def naive_cover_solutions(universe, tiles):

@@ -257,6 +257,22 @@ def test_malformed_code_json_is_usage_error(tmp_path, capsys):
     usage_error(["verify", "ptmc", "--code", str(bad), "--t", "2"], tmp_path, capsys)
 
 
+@pytest.mark.parametrize("doc, argv", [
+    ({}, ["verify", "ptmc", "--t", "1", "--code"]),
+    ([], ["verify", "ptmc", "--t", "1", "--code"]),
+    ([], ["verify", "pds", "--code"]),
+    ({}, ["search", "--instance"]),
+    ({"vertices": [{"id": "a"}], "edges": [["a", "b"]]}, ["search", "--graph"]),
+    ({"vertices": [{"id": "a"}]}, ["search", "--graph"]),
+])
+def test_malformed_document_is_usage_error(doc, argv, tmp_path, capsys):
+    # valid JSON of the wrong shape is bad input, not a failed verification
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    err = usage_error(argv + [str(path)], tmp_path, capsys)
+    assert "input.json: malformed document" in err
+
+
 def test_incomplete_kappa_is_usage_error_unless_t_given(tmp_path, capsys):
     code_file = tmp_path / "code.json"
     code_file.write_text(json.dumps({

@@ -11,7 +11,6 @@ from ptmc.codes import (
     KappaAssignment,
     MissingRadiusError,
     box_hull_check,
-    class_census,
     class_key_hash,
     code_from_json,
     code_to_json,
@@ -369,19 +368,8 @@ def test_inflate_rejects_bad_multipliers():
 
 
 # ---------------------------------------------------------------------------
-# census and serialization
+# serialization
 # ---------------------------------------------------------------------------
-
-def test_class_census_single_class():
-    code, _ = build_box_code((3, 3), (2, 1))
-    census = class_census(code)
-    assert len(census) == 1
-    assert list(census.values()) == [2]
-
-
-def test_class_census_empty():
-    assert class_census(CodeSet(torus(3, 3), ())) == {}
-
 
 def test_json_round_trip_preserves_verdict():
     code, kappa = build_box_code((2, 3), (2, 1))

@@ -30,15 +30,13 @@ from ptmc.gamma2 import (
     no_isolated_pds,
     parse_vertex_id,
     restricted_ball,
-    tersquare_graph,
     tersquare_vertices,
     verify_hive_selection,
-    vertex_id,
 )
-from ptmc.gamma2 import _edge_code, ORIGIN
+from ptmc.gamma2 import _edge_code, graph_of_tersquares, ORIGIN
 import ptmc.gamma2
 
-from oracles import naive_gamma_ball
+from oracles import naive_gamma_ball, naive_region_code, naive_region_interior
 
 
 def random_tersquare(rng, max_len=4):
@@ -166,8 +164,8 @@ def test_vertex_id_round_trip():
     for _ in range(30):
         j = random_tersquare(rng)
         v = canonical_vertex(j, rng.randrange(3), rng.randrange(3))
-        assert parse_vertex_id(vertex_id(v)) == v
-    assert vertex_id(GammaVertex((), (2,), 0, 0)) == "-|2|0|0"
+        assert parse_vertex_id(str(v)) == v
+    assert str(GammaVertex((), (2,), 0, 0)) == "-|2|0|0"
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +272,12 @@ def test_region_interior_structure():
         assert len(set(containing_tersquares(v))) == 4
 
 
+def test_region_interior_matches_graph_scan():
+    for level in range(7):
+        region = build_region(level)
+        assert region.interior() == naive_region_interior(region)
+
+
 def test_triangles_lie_in_two_tersquares():
     # a triangle (one row of a tersquare) belongs to its tersquare and the
     # one glued along it, and no other
@@ -349,6 +353,26 @@ def test_hive_census_translates():
     # the count does not depend on the hive's center
     h = build_hive(Tersquare((1,), (0, 2)))
     assert enumerate_hive_2ptmc(h) == 4**9
+
+
+def test_hive_census_rejects_a_ball_short_of_its_corner_block(monkeypatch):
+    h = build_hive()
+    short = external_cycle(h, h.corners[4])[2]
+    real = ptmc.gamma2.restricted_ball
+    monkeypatch.setattr(ptmc.gamma2, "restricted_ball",
+                        lambda c, verts: real(c, verts) - {c} if c == short else real(c, verts))
+    with pytest.raises(RuntimeError, match="not its corner block"):
+        enumerate_hive_2ptmc(h)
+
+
+def test_hive_census_rejects_close_cross_corner_candidates(monkeypatch):
+    h = build_hive()
+    pair = {external_cycle(h, h.corners[0])[0], external_cycle(h, h.corners[8])[3]}
+    real = ptmc.gamma2.gamma_truncated_distance
+    monkeypatch.setattr(ptmc.gamma2, "gamma_truncated_distance",
+                        lambda u, v: 2 if {u, v} == pair else real(u, v))
+    with pytest.raises(RuntimeError, match="too close"):
+        enumerate_hive_2ptmc(h)
 
 
 @pytest.mark.slow
@@ -446,13 +470,13 @@ def test_hive_has_no_isolated_pds():
 
 
 def test_single_tersquare_has_no_eds():
-    res = enumerate_covers(eds_instance(tersquare_graph()))
+    res = enumerate_covers(eds_instance(graph_of_tersquares([ORIGIN])))
     assert res.exhaustive
     assert res.solutions == ()
 
 
 def test_single_tersquare_matches_subset_oracle():
-    g = tersquare_graph()
+    g = graph_of_tersquares([ORIGIN])
     verts = g.vertices
     idx = {v: i for i, v in enumerate(verts)}
     masks = [sum(1 << idx[u] for u in g.neighbors(v)) for v in verts]
@@ -540,6 +564,19 @@ def test_extend_level4_missing_center_reports_smallest_gap(monkeypatch):
     assert rc.centers == full.centers
     assert not rc.passed
     assert rc.witness == min(uncovered)
+
+
+@pytest.mark.parametrize("level", range(2, 7))
+def test_extend_matches_graph_scan_oracle(level):
+    region = build_region(level)
+    for seed in (None, 1, 7340):
+        assert extend_2ptmc(level, seed=seed) == naive_region_code(region, seed)
+
+
+def test_extend_level7_counts():
+    rc = extend_2ptmc(7, seed=7340)
+    assert rc.passed
+    assert (len(rc.centers), rc.interior_size, rc.boundary_size) == (657, 2889, 13248)
 
 
 def test_extend_rejects_small_level():

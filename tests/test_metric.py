@@ -7,9 +7,7 @@ import pytest
 from ptmc.metric import (
     Ambient,
     DimensionMismatch,
-    ball_clips_window,
     ball_size_formula,
-    hamming,
     truncated_ball,
     truncated_distance,
 )
@@ -19,20 +17,15 @@ from oracles import brute_ball, brute_rho
 WIN5 = Ambient.window((-5, 5), (-5, 5))
 
 
-def test_hamming_counts_differing_axes():
-    w = Ambient.window((-2, 2), (-2, 2), (-2, 2))
-    assert hamming((0, 0, 0), (1, 1, 0), w) == 2
-    assert hamming((1, 1, 0), (1, 1, 0), w) == 0
-
-
-def test_hamming_wraps_on_torus():
+def test_truncated_distance_wraps_on_torus():
     t = Ambient.torus(3, 3)
-    assert hamming((0, 0), (2, 0), t) == 1  # wrapped difference is -1
+    assert truncated_distance((0, 0), (2, 0), t) == 1  # wrapped difference is -1
+    assert truncated_distance((0, 0), (2, 2), t) == 2
 
 
 def test_dimension_mismatch_raises():
     with pytest.raises(DimensionMismatch):
-        hamming((0, 0), (0, 0, 0), WIN5)
+        WIN5.diff((0, 0), (0, 0, 0))
     with pytest.raises(DimensionMismatch):
         truncated_distance((0,), (0, 0), WIN5)
 
@@ -57,7 +50,7 @@ def test_truncated_distance_properties():
             assert (d == 0) == (u == v)
             assert d == brute_rho(u, v)
             if max(abs(a - b) for a, b in zip(u, v)) <= 1:
-                assert d == hamming(u, v, w)
+                assert d == sum(a != b for a, b in zip(u, v))
 
 
 def test_ball_lee_sphere():
@@ -87,8 +80,6 @@ def test_ball_rejects_bad_inputs():
 
 def test_ball_window_clipping_flag():
     tight = Ambient.window((0, 1), (0, 1))
-    assert ball_clips_window(((0, 0),), 1, tight)
-    assert not ball_clips_window(((0, 0),), 1, WIN5)
     assert len(truncated_ball(((0, 0),), 1, tight)) == 3  # clipped cross
 
 
