@@ -182,7 +182,7 @@ def cmd_construct(args) -> tuple[int, dict, dict, list]:
     counts = {"nodes": build.nodes, "fr_volume": template.fr_volume,
               "fr_count": template.fr_count}
     if build.kind == "timeout":
-        print("construct: search timed out")
+        print("construct: timed out")
         return EXIT_TIMEOUT, {"outcome": "timeout"}, counts, []
     if build.kind == "infeasible":
         print("construct: proven infeasible")
@@ -241,10 +241,12 @@ def cmd_gamma(args) -> tuple[int, dict, dict, list]:
         verdicts = {"count": count}
         counts = {"count": count}
         if args.complete:
-            total, exhaustive = gamma2.enumerate_hive_2ptmc_complete(h, budget=args.budget)
+            total, exhaustive, nodes = gamma2.enumerate_hive_2ptmc_complete(
+                h, budget=args.budget)
             verdicts["complete_count"] = total
             verdicts["complete_exhaustive"] = exhaustive
             counts["complete_count"] = total
+            counts["complete_nodes"] = nodes
             print(f"isolated radius-2 codes of the hive: {count} "
                   f"(totality run: {total}, exhaustive={exhaustive})")
             if not exhaustive:

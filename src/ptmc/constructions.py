@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .codes import CodeSet, KappaAssignment, components_of
-from .cover import solve, tiling_instance
+from .cover import OutOfTime, solve, tiling_instance
 from .metric import Ambient, Point, ball_size_formula, truncated_ball
 
 
@@ -215,12 +215,16 @@ def build_by_template(template: TemplateSpec, budget: float | None = None,
     cover the origin from elsewhere are dropped. With a seed, the candidate
     order is shuffled deterministically to reach different solutions;
     without one, tiles stay in lexicographic order. Building the instance
-    counts against the budget; the search gets the time left.
+    counts against the budget and stops once it runs out; the search gets
+    the time left.
     """
     deadline = None if budget is None else time.monotonic() + budget
-    inst, placements = tiling_instance(
-        template.torus,
-        [(s.name, s.vertices, s.radius) for s in template.shapes])
+    try:
+        inst, placements = tiling_instance(
+            template.torus,
+            [(s.name, s.vertices, s.radius) for s in template.shapes], deadline)
+    except OutOfTime:
+        return TemplateBuild("timeout")
     origin = (0,) * template.torus.dimension
     tiles = [t for t in inst.tiles
              if origin not in t[1] or placements[t[0]][3] == origin]

@@ -1,17 +1,21 @@
 """Exact cover search: the engine behind tiling and efficient domination.
 
-Algorithm X (Knuth, "Dancing Links", arXiv cs/0011047) over a dict-of-sets
-matrix. Branching is deterministic: always the uncovered cell with the
-fewest candidate tiles, ties broken by the cell's position in the universe
+Algorithm X (Knuth, "Dancing Links", arXiv cs/0011047) over int bitmasks.
+Branching is deterministic: always the uncovered cell with the fewest
+candidate tiles, ties broken by the cell's position in the universe
 ordering; candidate tiles are tried in instance order. Instances built by
 the constructors in this package list their tiles in sorted id order, so
 runs are reproducible.
 
 The search relabels cells and tiles once, to their positions in the
-universe and the tile list, so the matrix holds only ints however costly
-the callers' cells are to hash, and position order is the branching
-order. It runs as a loop over an explicit stack, so search depth is
-bounded by memory, not by Python's recursion limit.
+universe and the tile list, and turns every set it needs into a Python
+int: a tile's cells, a cell's tiles, the tiles a choice rules out, and the
+per-cell candidate counts as a few bit slices. However costly the callers'
+cells are to hash, a search node is then a handful of int operations, and
+position order is bit order, which is the branching order. The search
+runs as a loop over an explicit stack of frames of ints, so backtracking
+is a pop and search depth is bounded by memory, not by Python's recursion
+limit.
 
 Exhausting the search without a solution is a proof of infeasibility and
 is reported distinctly from running out of time budget.
@@ -71,75 +75,121 @@ class EnumerateOutcome:
 def _run_x(inst: ExactCoverInstance, limit: int | None, budget: float | None):
     """Core Algorithm X loop. Returns (solutions, exhausted, nodes).
 
-    Cells and tiles are relabelled once, to their positions in
-    inst.universe and inst.tiles: x maps each uncovered cell to the set of
-    live tiles containing it, and y[i] lists tile i's cells. The smallest
-    (len, cell) pair is then the fewest candidates with ties to the
-    earliest cell, and sorted() candidates are in instance order.
+    Cells and tiles are relabelled to their positions in inst.universe and
+    inst.tiles, and sets of them become int masks: cells[r] holds tile r's
+    cells, tiles[c] the tiles containing cell c, and kill[r] the OR of
+    tiles[c] over r's cells, i.e. every tile that clashes with r. A node is
+    (uncovered, live, counts); selecting r leaves uncovered & ~cells[r] and
+    live & ~kill[r].
 
-    Each stack frame is [candidate tiles, next position, columns removed
-    by the tile selected here, or None]. Every tried candidate counts as a
-    node, and the budget is checked at each node.
+    counts holds, per cell, the number of live tiles containing it as
+    bit slices: bit c of counts[j] is bit j of cell c's count. Selecting r
+    subtracts the killed tiles' cells masks from it, or sums the live
+    tiles' masks afresh when fewer tiles stay live than were killed.
+    Narrowing uncovered from the top slice down leaves the cells of
+    minimum count; the lowest of them is the branching cell, so ties go to
+    the earliest cell, and its candidates tiles[c] & live are tried lowest
+    bit first, in instance order.
+
+    Each stack frame is [uncovered, live, counts, untried candidates, tile
+    selected here]. Only its last two entries change once it is pushed; a
+    child builds new ints and a new counts list, so backtracking is a pop.
+    Every tried candidate counts as a node. The budget starts before the
+    relabelling, so it bounds the set-up too, and is checked at each node.
     """
+    deadline = None if budget is None else time.monotonic() + budget
     ids = [tid for tid, _ in inst.tiles]
     pos = {c: i for i, c in enumerate(inst.universe)}
-    y = [sorted(pos[c] for c in cells) for _, cells in inst.tiles]
-    x: dict[int, set[int]] = {c: set() for c in range(len(inst.universe))}
-    for i, cells in enumerate(y):
-        for c in cells:
-            x[c].add(i)
-    deadline = None if budget is None else time.monotonic() + budget
+    members = [[pos[c] for c in tcells] for _, tcells in inst.tiles]
+    cells = [_mask(m) for m in members]
+    holders: list[list[int]] = [[] for _ in inst.universe]
+    for r, m in enumerate(members):
+        for c in m:
+            holders[c].append(r)
+    tiles = [_mask(h) for h in holders]
+    kill = []
+    for m in members:
+        k = 0
+        for c in m:
+            k |= tiles[c]
+        kill.append(k)
+    uncovered = (1 << len(inst.universe)) - 1
+    live = (1 << len(ids)) - 1
+    counts = _sliced_sum(cells, live)
     solutions: list[tuple[str, ...]] = []
-    partial: list[int] = []
     stack: list[list] = []
     nodes = 0
-
-    def select(row: int) -> list[set[int]]:
-        cols = []
-        for j in y[row]:
-            for i in x[j]:
-                for k in y[i]:
-                    if k != j:
-                        x[k].discard(i)
-            cols.append(x.pop(j))
-        return cols
-
-    def deselect(row: int, cols: list[set[int]]) -> None:
-        for j in reversed(y[row]):
-            x[j] = cols.pop()
-            for i in x[j]:
-                for k in y[i]:
-                    if k != j:
-                        x[k].add(i)
-
     while True:
-        if not x:
-            solutions.append(tuple(sorted(ids[i] for i in partial)))
+        if not uncovered:
+            solutions.append(tuple(sorted(ids[f[4]] for f in stack)))
             if limit is not None and len(solutions) >= limit:
                 return solutions, False, nodes
         else:
-            # min over (len, cell) pairs runs in C; cells are unique, so no tie
-            cell = min(zip(map(len, x.values()), x))[1]
-            if x[cell]:
-                stack.append([sorted(x[cell]), 0, None])
+            least = uncovered
+            for s in reversed(counts):
+                narrowed = least & ~s
+                if narrowed:
+                    least = narrowed
+            candidates = tiles[(least & -least).bit_length() - 1] & live
+            if candidates:
+                stack.append([uncovered, live, counts, candidates, -1])
         # backtrack to the next untried candidate, then descend into it
-        while stack:
-            frame = stack[-1]
-            if frame[2] is not None:
-                deselect(partial.pop(), frame[2])
-                frame[2] = None
-            if frame[1] < len(frame[0]):
-                break
+        while stack and not stack[-1][3]:
             stack.pop()
-        else:
+        if not stack:
             return solutions, True, nodes
-        row = frame[0][frame[1]]
-        frame[1] += 1
+        frame = stack[-1]
+        uncovered, live, counts, candidates, _ = frame
+        low = candidates & -candidates
+        frame[3] = candidates ^ low
+        row = frame[4] = low.bit_length() - 1
         nodes += 1
         if deadline is not None and time.monotonic() > deadline:
             return solutions, False, nodes
-        partial.append(row)
-        frame[2] = select(row)
+        uncovered &= ~cells[row]
+        killed = live & kill[row]
+        live ^= killed
+        if live.bit_count() < killed.bit_count():
+            counts = _sliced_sum(cells, live)
+        else:
+            counts = list(counts)
+            while killed:
+                low = killed & -killed
+                killed ^= low
+                m = cells[low.bit_length() - 1]
+                for j, s in enumerate(counts):
+                    counts[j] = s ^ m
+                    m &= ~s  # borrow where the slice bit was 0
+                    if not m:
+                        break
+            while counts and not counts[-1]:
+                counts.pop()
+
+
+def _mask(positions) -> int:
+    """The int with exactly the given bit positions set."""
+    m = 0
+    for p in positions:
+        m |= 1 << p
+    return m
+
+
+def _sliced_sum(cells: list[int], chosen: int) -> list[int]:
+    """Per-bit counts of the masks cells[r], r in chosen, as bit slices."""
+    counts: list[int] = []
+    while chosen:
+        low = chosen & -chosen
+        chosen ^= low
+        m = cells[low.bit_length() - 1]
+        for j, s in enumerate(counts):
+            counts[j] = s ^ m
+            m &= s  # carry where the slice bit was 1
+            if not m:
+                break
+        else:
+            if m:
+                counts.append(m)
+    return counts
 
 
 def solve(inst: ExactCoverInstance, budget: float | None = None) -> CoverOutcome:
@@ -205,7 +255,12 @@ def shape_orientations(shape: tuple[Point, ...]) -> list[tuple[Point, ...]]:
     return sorted(out)
 
 
-def tiling_instance(a: Ambient, shapes: list[tuple[str, tuple[Point, ...], int]]):
+class OutOfTime(Exception):
+    """An instance builder passed its deadline before it finished."""
+
+
+def tiling_instance(a: Ambient, shapes: list[tuple[str, tuple[Point, ...], int]],
+                    deadline: float | None = None):
     """Exact cover instance whose tiles are placed truncated balls.
 
     shapes is a list of (name, vertex set, radius); every orientation under
@@ -224,6 +279,9 @@ def tiling_instance(a: Ambient, shapes: list[tuple[str, tuple[Point, ...], int]]
     two nearest center vertices, so no verified code can use such a ball,
     and its placements are left out; a translate has the same size, so
     this drops whole orientations.
+
+    With a deadline (a time.monotonic() value), building raises OutOfTime
+    once it has passed.
     """
     if not a.is_torus:
         raise ValueError("tiling instances are built over tori")
@@ -239,6 +297,8 @@ def tiling_instance(a: Ambient, shapes: list[tuple[str, tuple[Point, ...], int]]
                 continue
             anchor = min(ball, key=lambda p: (sum(p), p))
             for z in a.vertices():
+                if deadline is not None and time.monotonic() > deadline:
+                    raise OutOfTime
                 shift = tuple(x - y for x, y in zip(z, anchor))
                 placed = tuple(sorted(a.translate(p, shift) for p in orient))
                 tid = f"{name}:{oi}@{','.join(map(str, z))}"

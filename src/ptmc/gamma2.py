@@ -379,15 +379,16 @@ def enumerate_hive_2ptmc_complete(h: Hive, budget: float | None = None):
     Any such cover is automatically an isolated code with unique nearest
     centers: two centers at distance <= 2 would each lie in both balls,
     breaking disjointness. The run is exhaustive (slower than the corner
-    census, hence off the default path) and returns (count, exhaustive);
-    the count coming out equal to the corner census proves the one-per-
-    corner selections are the only isolated radius-2 codes of the hive.
+    census, hence off the default path) and returns (count, exhaustive,
+    search nodes); the count coming out equal to the corner census proves
+    the one-per-corner selections are the only isolated radius-2 codes of
+    the hive.
     """
     verts = hive_vertices(h)
     tiles = tuple((str(v), restricted_ball(v, verts)) for v in verts)
     inst = ExactCoverInstance(tuple(verts), tiles)
     res = enumerate_covers(inst, budget=budget)
-    return len(res.solutions), res.exhaustive
+    return len(res.solutions), res.exhaustive, res.nodes
 
 
 def enumerate_hive_2ptmc(h: Hive) -> int:

@@ -182,6 +182,73 @@ def naive_cover_solutions(universe, tiles):
     return sorted(sols)
 
 
+def reference_x(inst, limit=None):
+    """Algorithm X over a dict-of-sets matrix: (solutions, exhausted, nodes).
+
+    The branching rule `cover._run_x` must follow: the uncovered cell with
+    the fewest live tiles, ties to the earliest cell in inst.universe, and
+    its candidate tiles in instance order. Each tried candidate is one
+    node. Solutions are sorted tile-id tuples, in the order found. Cells
+    and tiles are relabelled to positions: x maps each uncovered cell to
+    the set of live tiles containing it, y[i] lists tile i's cells, and
+    select/deselect remove and restore the columns a tile covers.
+    """
+    ids = [tid for tid, _ in inst.tiles]
+    pos = {c: i for i, c in enumerate(inst.universe)}
+    y = [sorted(pos[c] for c in cells) for _, cells in inst.tiles]
+    x = {c: set() for c in range(len(inst.universe))}
+    for i, cells in enumerate(y):
+        for c in cells:
+            x[c].add(i)
+    solutions = []
+    partial = []
+    stack = []  # [candidate tiles, next position, columns removed, or None]
+    nodes = 0
+
+    def select(row):
+        cols = []
+        for j in y[row]:
+            for i in x[j]:
+                for k in y[i]:
+                    if k != j:
+                        x[k].discard(i)
+            cols.append(x.pop(j))
+        return cols
+
+    def deselect(row, cols):
+        for j in reversed(y[row]):
+            x[j] = cols.pop()
+            for i in x[j]:
+                for k in y[i]:
+                    if k != j:
+                        x[k].add(i)
+
+    while True:
+        if not x:
+            solutions.append(tuple(sorted(ids[i] for i in partial)))
+            if limit is not None and len(solutions) >= limit:
+                return solutions, False, nodes
+        else:
+            cell = min(zip(map(len, x.values()), x))[1]
+            if x[cell]:
+                stack.append([sorted(x[cell]), 0, None])
+        while stack:
+            frame = stack[-1]
+            if frame[2] is not None:
+                deselect(partial.pop(), frame[2])
+                frame[2] = None
+            if frame[1] < len(frame[0]):
+                break
+            stack.pop()
+        else:
+            return solutions, True, nodes
+        row = frame[0][frame[1]]
+        frame[1] += 1
+        nodes += 1
+        partial.append(row)
+        frame[2] = select(row)
+
+
 def _grid_neighbors(m, n):
     verts = [(i, j) for i in range(m) for j in range(n)]
     idx = {v: k for k, v in enumerate(verts)}

@@ -152,6 +152,15 @@ def test_gamma_count(tmp_path):
     assert report["verdicts"]["count"] == 262144
 
 
+def test_gamma_count_complete_records_nodes(tmp_path):
+    # the totality run cannot finish in the budget; its nodes are reported
+    code, report = run(["gamma", "count-2ptmc", "--complete", "--budget", "0.05"], tmp_path)
+    assert code == 3
+    assert report["verdicts"]["complete_exhaustive"] is False
+    assert list(report["counts"]) == ["count", "complete_count", "complete_nodes"]
+    assert report["counts"]["complete_nodes"] > 0
+
+
 def test_gamma_no_isolated_pds(tmp_path):
     code, report = run(["gamma", "no-isolated-pds"], tmp_path)
     assert code == 0

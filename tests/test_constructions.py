@@ -215,6 +215,16 @@ def test_build_budget_covers_instance_building(monkeypatch):
     assert build_by_template(square_singleton_template(), budget=0.1).kind == "timeout"
 
 
+def test_build_budget_stops_instance_building():
+    started = time.monotonic()
+    assert build_by_template(cube_singleton_template(4)).kind == "solution"
+    full_s = time.monotonic() - started
+    started = time.monotonic()
+    build = build_by_template(cube_singleton_template(4), budget=1e-3)
+    assert (build.kind, build.nodes) == ("timeout", 0)
+    assert time.monotonic() - started < full_s / 4
+
+
 def test_build_radii_follow_shapes():
     build = build_by_template(square_singleton_template(), budget=120)
     for comp in components_of(build.code):

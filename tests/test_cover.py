@@ -1,12 +1,15 @@
 """Tests for the exact cover engine and its instance builders."""
 
 import random
+import time
 from itertools import product
 
 import pytest
 
 from ptmc.cover import (
     ExactCoverInstance,
+    OutOfTime,
+    _run_x,
     eds_instance,
     enumerate_covers,
     grid_eds_survey,
@@ -22,7 +25,7 @@ from ptmc.gamma2 import build_hive, no_isolated_pds
 from ptmc.graphs import Graph, grid_graph, lattice_graph
 from ptmc.metric import Ambient, truncated_ball
 
-from oracles import brute_ball, naive_cover_solutions
+from oracles import brute_ball, naive_cover_solutions, reference_x
 
 
 def inst(universe, tiles):
@@ -128,6 +131,29 @@ def test_oracle_equivalence_random_instances():
             assert out.kind == "infeasible"
 
 
+def test_core_matches_reference_x():
+    # same solutions in the same order, same node counts, with and without a limit
+    rng = random.Random(7)
+    for trial in range(150):
+        ncells = rng.randint(2, 12)
+        universe = list(range(ncells))
+        tiles = [(f"t{t:02d}", rng.sample(universe, rng.randint(1, max(1, ncells // 2))))
+                 for t in range(rng.randint(1, 24))]
+        if trial % 5 == 0:
+            # a cell no tile holds: zero candidates, infeasible at the root
+            universe.insert(rng.randrange(ncells + 1), "hole")
+        rng.shuffle(tiles)  # as build_by_template's seeded candidate order
+        i = inst(universe, tiles)
+        for limit in (1, 3, None):
+            assert _run_x(i, limit, None) == reference_x(i, limit)
+    g = lattice_graph(Ambient.torus(10, 10))
+    tiles = list(eds_instance(g).tiles)
+    random.Random(3).shuffle(tiles)
+    i = ExactCoverInstance(tuple(sorted(g.vertices)), tuple(tiles))
+    for limit in (1, None):
+        assert _run_x(i, limit, None) == reference_x(i, limit)
+
+
 def test_determinism_repeat_runs():
     rng = random.Random(1)
     universe = list(range(8))
@@ -141,8 +167,9 @@ def test_determinism_repeat_runs():
 
 
 def test_golden_node_counts_pin_branching_order():
-    # node counts of the recursive dict-of-sets search this core replaced;
-    # any change to the branching or candidate order moves them
+    # node counts fixed by the branching rule (fewest live tiles, ties to the
+    # earliest cell, candidates in instance order); reference_x gives them too,
+    # and any change to the branching or candidate order moves them
     assert no_isolated_pds(build_hive()).nodes == 5
     for m, nodes in ((40, 320), (45, 405), (50, 500)):
         out = solve(eds_instance(lattice_graph(Ambient.torus(m, m))))
@@ -160,7 +187,7 @@ def test_deep_instance_beyond_recursion_limit():
     # 1,125 nested choices, deeper than the default recursion limit allows
     i = eds_instance(lattice_graph(Ambient.torus(75, 75)))
     out = solve(i)
-    assert out.kind == "solution" and len(out.tiles) == 1125
+    assert (out.kind, len(out.tiles), out.nodes) == ("solution", 1125, 1125)
     assert verify_cover(i, out.tiles)
 
 
@@ -258,6 +285,12 @@ def test_tiling_instance_matches_naive_placements(a, shapes):
                 else:
                     assert len(ball) < len(full) and tid not in placements
     assert [tid for tid, _ in i.tiles] == expected
+
+
+def test_tiling_instance_stops_at_its_deadline():
+    with pytest.raises(OutOfTime):
+        tiling_instance(Ambient.torus(6, 6, 3), [("dot", ((0, 0, 0),), 1)],
+                        deadline=time.monotonic())
 
 
 def test_tiling_rejects_degenerate_torus():

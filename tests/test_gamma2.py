@@ -376,21 +376,12 @@ def test_hive_census_rejects_close_cross_corner_candidates(monkeypatch):
 
 
 @pytest.mark.slow
-def test_hive_census_is_complete(monkeypatch):
+def test_hive_census_is_complete():
     # exhaustive totality check over balls of all 81 candidate centers:
-    # the one-per-corner selections are the only isolated radius-2 codes
-    outcomes = []
-
-    def recording(*args, **kwargs):
-        outcomes.append(enumerate_covers(*args, **kwargs))
-        return outcomes[-1]
-
-    monkeypatch.setattr(ptmc.gamma2, "enumerate_covers", recording)
-    total, exhaustive = ptmc.gamma2.enumerate_hive_2ptmc_complete(build_hive())
-    assert exhaustive
-    assert total == 4**9
+    # the one-per-corner selections are the only isolated radius-2 codes;
     # the search tree's size pins the branching order on dataclass cells
-    assert [o.nodes for o in outcomes] == [357_889]
+    total, exhaustive, nodes = ptmc.gamma2.enumerate_hive_2ptmc_complete(build_hive())
+    assert (total, exhaustive, nodes) == (4**9, True, 357_889)
 
 
 def test_full_selection_verification_samples():
