@@ -36,10 +36,8 @@ from .cover import (
     verify_cover,
 )
 from .constructions import (
-    LatticeBasis,
     TemplateBuild,
     TemplateSpec,
-    box_code_lattice,
     build_box_code,
     build_by_template,
     cube_singleton_template,
@@ -59,8 +57,8 @@ __all__ = [
     "CoverOutcome", "EnumerateOutcome", "ExactCoverInstance", "eds_instance",
     "enumerate_covers", "grid_eds_survey", "solve", "tiling_instance",
     "verify_cover",
-    "LatticeBasis", "TemplateBuild", "TemplateSpec", "box_code_lattice",
-    "build_box_code", "build_by_template", "cube_singleton_template",
-    "min_component_separation", "square_singleton_template",
+    "TemplateBuild", "TemplateSpec", "build_box_code", "build_by_template",
+    "cube_singleton_template", "min_component_separation",
+    "square_singleton_template",
     "Graph", "grid_graph", "lattice_graph",
 ]

@@ -28,28 +28,6 @@ from .metric import Ambient, Point, ball_size_formula, truncated_ball
 
 
 @dataclass(frozen=True)
-class LatticeBasis:
-    """Generator vectors of the anchor lattice, plus the anchor itself."""
-
-    generators: tuple[Point, ...]
-    anchor: Point
-
-    def determinant(self) -> int:
-        return _int_det([list(g) for g in self.generators])
-
-
-def _int_det(m: list[list[int]]) -> int:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = 0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * _int_det(minor)
-    return total
-
-
-@dataclass(frozen=True)
 class TemplateShape:
     name: str
     vertices: tuple[Point, ...]
@@ -86,20 +64,6 @@ def shape_ball_volume(shape: tuple[Point, ...], radius: int) -> int:
 # ---------------------------------------------------------------------------
 # box codes: one n-box per lattice cell, radius n
 # ---------------------------------------------------------------------------
-
-def box_code_lattice(c: tuple[int, ...]) -> LatticeBasis:
-    """Anchor lattice of the box construction: generators (1 + c_i) e_i.
-
-    The anchor of each radius-n sphere is its minimal-coordinate-sum
-    vertex; anchors of all spheres form this lattice, with the origin
-    anchoring the sphere whose box sits at offset 1 per axis.
-    """
-    n = len(c)
-    if any(ci < 2 for ci in c):
-        raise ValueError("box construction needs c_i >= 2")
-    gens = tuple(tuple((1 + c[i]) if j == i else 0 for j in range(n)) for i in range(n))
-    return LatticeBasis(gens, (0,) * n)
-
 
 def build_box_code(c: tuple[int, ...], k: tuple[int, ...]) -> tuple[CodeSet, KappaAssignment]:
     """Lattice code of n-boxes with uniform radius n on its minimal torus.

@@ -14,7 +14,13 @@ with b. Gluing preserves local labels on shared triangles, which makes the
 label intrinsic: a vertex lies in exactly four tersquares and carries the
 same (a, b) in each. In tree terms a vertex is a pair (x-tree edge, y-tree
 edge), its four tersquares the endpoint combinations; every vertex then has
-degree 8.
+degree 8, and `neighbors` is the one adjacency rule: every graph here (a
+hive's, a region's) is the subgraph it induces on a vertex collection.
+
+Addresses are plain named tuples (`Tersquare`, `GammaVertex`), hashed and
+ordered as tuples of their fields. Code here builds them only from reduced
+words and canonical labels, so they are not re-checked on construction;
+text is the one outside source, and `parse_vertex_id` validates it.
 
 The truncated distance here is the graph distance when the two vertices
 share a tersquare (that is the compound's analogue of all coordinate
@@ -28,6 +34,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .codes import VerifyReport, verify_partition
 from .cover import CoverOutcome, ExactCoverInstance, eds_instance, enumerate_covers, solve
@@ -56,16 +63,11 @@ def parse_word(s: str) -> Word:
     return () if s == "-" else tuple(int(ch) for ch in s)
 
 
-@dataclass(frozen=True, order=True)
-class Tersquare:
-    """Address of one tersquare: a reduced word per axis; [] [] is the origin."""
+class Tersquare(NamedTuple):
+    """Address of one tersquare: a reduced word per axis; () () is the origin."""
 
     wx: Word = ()
     wy: Word = ()
-
-    def __post_init__(self) -> None:
-        _check_word(self.wx)
-        _check_word(self.wy)
 
     def __str__(self) -> str:
         return f"{word_str(self.wx)}|{word_str(self.wy)}"
@@ -95,8 +97,7 @@ def glue(j: Tersquare, axis: str, s: int) -> Tersquare:
     raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
 
 
-@dataclass(frozen=True, order=True)
-class GammaVertex:
+class GammaVertex(NamedTuple):
     """Canonical global vertex: tersquare address plus local label (a, b).
 
     Canonical form: wx does not end with a and wy does not end with b; the
@@ -109,23 +110,23 @@ class GammaVertex:
     a: int
     b: int
 
-    def __post_init__(self) -> None:
-        _check_word(self.wx)
-        _check_word(self.wy)
-        if self.a not in LETTERS or self.b not in LETTERS:
-            raise ValueError("labels must lie in F3")
-        if self.wx and self.wx[-1] == self.a:
-            raise ValueError(f"non-canonical vertex: x-word ends with {self.a}")
-        if self.wy and self.wy[-1] == self.b:
-            raise ValueError(f"non-canonical vertex: y-word ends with {self.b}")
-
     def __str__(self) -> str:
         return f"{word_str(self.wx)}|{word_str(self.wy)}|{self.a}|{self.b}"
 
 
 def parse_vertex_id(s: str) -> GammaVertex:
+    """Read a vertex id `wx|wy|a|b`, as `str` writes it.
+
+    Raises ValueError unless both words are reduced words over F3, both
+    labels lie in F3 and the address is canonical.
+    """
     wx, wy, a, b = s.split("|")
-    return GammaVertex(parse_word(wx), parse_word(wy), int(a), int(b))
+    v = GammaVertex(_check_word(parse_word(wx)), _check_word(parse_word(wy)), int(a), int(b))
+    if v.a not in LETTERS or v.b not in LETTERS:
+        raise ValueError(f"labels of {s!r} must lie in F3")
+    if v.wx[-1:] == (v.a,) or v.wy[-1:] == (v.b,):
+        raise ValueError(f"non-canonical vertex id {s!r}: a word ends with its label")
+    return v
 
 
 def canonical_vertex(j: Tersquare, a: int, b: int) -> GammaVertex:
@@ -221,35 +222,24 @@ def hive_vertices(h: Hive) -> tuple[GammaVertex, ...]:
     return tuple(sorted(out))
 
 
-def _tersquare_edges(t: Tersquare):
-    grid = {(a, b): canonical_vertex(t, a, b) for a in LETTERS for b in LETTERS}
-    for a in LETTERS:
-        for b1, b2 in combinations(LETTERS, 2):
-            yield grid[(a, b1)], grid[(a, b2)]
-    for b in LETTERS:
-        for a1, a2 in combinations(LETTERS, 2):
-            yield grid[(a1, b)], grid[(a2, b)]
+def _induced_graph(vertices) -> Graph:
+    """The subgraph of the compound induced on a vertex collection.
 
-
-def graph_of_tersquares(members) -> Graph:
-    """Union of the member tersquares' vertices and triangle edges."""
-    adj: dict = {}
-    for t in members:
-        for v in tersquare_vertices(t):
-            adj.setdefault(v, set())
-        for u, v in _tersquare_edges(t):
-            adj[u].add(v)
-            adj[v].add(u)
-    return Graph(adj)
+    Neighbors are mapped to the collection's own objects, so each vertex
+    is stored once however many adjacency sets hold it.
+    """
+    own = {v: v for v in vertices}
+    return Graph({v: [own[u] for u in neighbors(v) if u in own] for v in own})
 
 
 def hive_graph(h: Hive) -> Graph:
-    return graph_of_tersquares(h.members)
+    return _induced_graph(hive_vertices(h))
 
 
 @dataclass(frozen=True)
 class Region:
-    """All tersquares of bounded address depth, with their union graph.
+    """All tersquares of bounded address depth, with the graph their
+    vertices induce.
 
     Its vertices are the canonical vertices with |wx| + |wy| <= level: a
     vertex's address is one of its own tersquares, and every vertex of a
@@ -305,7 +295,7 @@ def build_region(level: int) -> Region:
         for wy in _words_up_to(level - len(wx)):
             members.append(Tersquare(wx, wy))
     members = tuple(sorted(members))
-    return Region(level, members, graph_of_tersquares(members))
+    return Region(level, members, _induced_graph(_vertices_up_to(level)))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +337,8 @@ def corner_partition(h: Hive) -> dict[Tersquare, tuple[GammaVertex, ...]]:
 
 def restricted_ball(center: GammaVertex, vertices) -> frozenset:
     """Truncated 2-ball of a vertex within a vertex collection, made of the
-    collection's own objects so dict lookups keyed by them skip __eq__."""
+    collection's own objects: balls of many centers then share one object
+    per vertex, and lookups keyed by them match on identity first."""
     ball = local_ball(center)
     return frozenset(u for u in vertices if u in ball)
 
@@ -552,12 +543,19 @@ def extend_2ptmc(level: int, seed: int | None = None) -> RegionCode:
 # ---------------------------------------------------------------------------
 
 def _vertex_class(v: GammaVertex, h: Hive) -> str:
-    if h.center in containing_tersquares(v):
+    owners = containing_tersquares(v)
+    if h.center in owners:
         return "center"
-    sub = set(h.subcentral)
-    if sub & set(containing_tersquares(v)):
+    if not set(h.subcentral).isdisjoint(owners):
         return "subcentral"
     return "corner"
+
+
+def _member_tersquares(v: GammaVertex, member_set) -> list[Tersquare]:
+    """The tersquares containing v, sorted; only members unless member_set
+    is None."""
+    return sorted(t for t in containing_tersquares(v)
+                  if member_set is None or t in member_set)
 
 
 _CLASS_COLORS = {"center": "white", "subcentral": "lightblue", "corner": "lightgray"}
@@ -568,11 +566,8 @@ def graph_to_json(g: Graph, members=None) -> dict:
     member_set = set(members) if members is not None else None
     verts = []
     for v in sorted(g.vertices):
-        entry = {"id": str(v)}
-        owns = [t for t in containing_tersquares(v)
-                if member_set is None or t in member_set]
-        entry["tersquares"] = [str(t) for t in sorted(owns)]
-        verts.append(entry)
+        verts.append({"id": str(v),
+                      "tersquares": [str(t) for t in _member_tersquares(v, member_set)]})
     edges = [[str(u), str(v)] for u, v in g.edges()]
     return {"vertices": verts, "edges": sorted(edges)}
 
@@ -595,9 +590,8 @@ def graph_to_dot(g: Graph, hive: Hive | None = None, members=None) -> str:
             cls = _vertex_class(v, hive)
             attrs.append(f'fillcolor="{_CLASS_COLORS[cls]}"')
             attrs.append(f'class="{cls}"')
-        owns = [t for t in containing_tersquares(v)
-                if member_set is None or t in member_set]
-        attrs.append(f'tersquares="{";".join(str(t) for t in sorted(owns))}"')
+        owns = ";".join(str(t) for t in _member_tersquares(v, member_set))
+        attrs.append(f'tersquares="{owns}"')
         lines.append(f'  "{v}" [{", ".join(attrs)}];')
     for u, v in g.edges():
         lines.append(f'  "{u}" -- "{v}";')

@@ -63,20 +63,19 @@ def lattice_graph(a: Ambient) -> Graph:
     On a torus the steps wrap; note that moduli 1 and 2 collapse or double
     edges away (a modulus-2 axis yields a single edge, not two).
     """
-    adj: dict = {v: set() for v in a.vertices()}
-    n = a.dimension
-    for v in adj:
-        for i in range(n):
-            for step in (1, -1):
-                w = list(v)
-                w[i] += step
-                u = tuple(w)
-                if a.is_torus:
-                    u = a.wrap(u)
-                elif not a.contains(u):
-                    continue
-                if u != v:
-                    adj[v].add(u)
+    # (axis, step, modulus); a window's modulus 0 means no wrapping
+    moves = [(i, step, a.moduli[i] if a.is_torus else 0)
+             for i in range(a.dimension) for step in (1, -1)]
+    own = {v: v for v in a.vertices()}  # maps a built tuple to the ambient's own
+    adj: dict = {}
+    for v in own:
+        ns = set()
+        for i, step, m in moves:
+            x = v[i] + step
+            u = own.get(v[:i] + ((x % m if m else x),) + v[i + 1:])
+            if u is not None and u != v:
+                ns.add(u)
+        adj[v] = ns
     return Graph(adj)
 
 

@@ -11,13 +11,16 @@ from itertools import combinations, product
 
 from ptmc.codes import components_of
 from ptmc.gamma2 import (
+    LETTERS,
     GammaVertex,
     RegionCode,
     _edge_code,
+    canonical_vertex,
     containing_tersquares,
     gamma_truncated_distance,
     local_ball,
 )
+from ptmc.graphs import Graph
 
 
 def brute_rho(u, v):
@@ -104,10 +107,40 @@ def naive_verify_kappa_ptmc(code, kappa):
     return True, None, ()
 
 
+def naive_lattice_graph(a):
+    """Grid graph of an ambient by stepping each vertex along each axis and
+    wrapping (torus) or bounds-checking (window) the result."""
+    adj = {v: set() for v in a.vertices()}
+    for v in adj:
+        for i in range(a.dimension):
+            for step in (1, -1):
+                w = list(v)
+                w[i] += step
+                u = a.wrap(tuple(w))
+                if a.contains(u) and u != v:
+                    adj[v].add(u)
+    return Graph(adj)
+
+
 def naive_gamma_ball(center, vertices):
     """Compound vertices within truncated distance 2 of a center, by a
     distance scan over the given collection."""
     return frozenset(u for u in vertices if gamma_truncated_distance(u, center) <= 2)
+
+
+def naive_tersquare_graph(members):
+    """Union of the member tersquares' vertices and triangle edges: within
+    a tersquare, vertices sharing a row or a column are adjacent."""
+    adj = {}
+    for t in members:
+        grid = {(a, b): canonical_vertex(t, a, b) for a in LETTERS for b in LETTERS}
+        for v in grid.values():
+            adj.setdefault(v, set())
+        for (a1, b1), (a2, b2) in combinations(grid, 2):
+            if a1 == a2 or b1 == b2:
+                adj[grid[a1, b1]].add(grid[a2, b2])
+                adj[grid[a2, b2]].add(grid[a1, b1])
+    return Graph(adj)
 
 
 def naive_region_interior(region):

@@ -28,7 +28,7 @@ from ptmc.cover import eds_instance, solve
 from ptmc.graphs import Graph, grid_graph, lattice_graph
 from ptmc.metric import Ambient
 
-from oracles import naive_components, naive_verify_kappa_ptmc
+from oracles import naive_components, naive_lattice_graph, naive_verify_kappa_ptmc
 
 
 def torus(*m):
@@ -282,6 +282,15 @@ def cycle_graph(n):
 
 def triangle():
     return Graph({0: {1, 2}, 1: {0, 2}, 2: {0, 1}})
+
+
+def test_lattice_graph_matches_step_oracle():
+    # moduli 1 and 2 collapse a step onto the vertex or both steps onto one edge
+    for a in (Ambient.torus(1, 3), Ambient.torus(2, 5), Ambient.torus(3, 5, 2),
+              Ambient.window((-2, 1), (3, 8))):
+        g, ref = lattice_graph(a), naive_lattice_graph(a)
+        assert g.vertices == ref.vertices
+        assert g.edges() == ref.edges()
 
 
 def test_pds_on_grid_4x4():

@@ -17,7 +17,6 @@ from ptmc.codes import (
 from ptmc.constructions import (
     TemplateShape,
     TemplateSpec,
-    box_code_lattice,
     build_box_code,
     build_by_template,
     cube_singleton_template,
@@ -41,28 +40,6 @@ def shape_kind_census(code):
         key = tuple(sorted(spec.extents))
         kinds[key] = kinds.get(key, 0) + 1
     return kinds
-
-
-# ---------------------------------------------------------------------------
-# lattice basis
-# ---------------------------------------------------------------------------
-
-def test_lattice_generators():
-    basis = box_code_lattice((2, 2))
-    assert basis.generators == ((3, 0), (0, 3))
-    assert basis.anchor == (0, 0)
-    basis = box_code_lattice((4, 2, 3))
-    assert basis.generators == ((5, 0, 0), (0, 3, 0), (0, 0, 4))
-
-
-def test_lattice_determinant_is_ball_volume():
-    assert box_code_lattice((2, 2)).determinant() == 9
-    assert box_code_lattice((3, 2, 4)).determinant() == 4 * 3 * 5
-
-
-def test_lattice_rejects_small_c():
-    with pytest.raises(ValueError):
-        box_code_lattice((1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +87,9 @@ def test_box_code_separation_is_three():
 
 def test_box_code_components_are_boxes():
     code, _ = build_box_code((4, 2, 3), (2, 1, 1))
+    # moduli (1 + c_i) k_i: one component per lattice cell
+    assert code.ambient.moduli == (10, 3, 4)
+    assert len(components_of(code)) == 2
     for comp in components_of(code):
         spec = box_hull_check(comp)
         assert spec is not None

@@ -33,10 +33,15 @@ from ptmc.gamma2 import (
     tersquare_vertices,
     verify_hive_selection,
 )
-from ptmc.gamma2 import _edge_code, graph_of_tersquares, ORIGIN
+from ptmc.gamma2 import _edge_code, ORIGIN
 import ptmc.gamma2
 
-from oracles import naive_gamma_ball, naive_region_code, naive_region_interior
+from oracles import (
+    naive_gamma_ball,
+    naive_region_code,
+    naive_region_interior,
+    naive_tersquare_graph,
+)
 
 
 def random_tersquare(rng, max_len=4):
@@ -55,10 +60,12 @@ def random_tersquare(rng, max_len=4):
 # ---------------------------------------------------------------------------
 
 def test_word_validation():
-    with pytest.raises(ValueError):
-        Tersquare((0, 0), ())
-    with pytest.raises(ValueError):
-        Tersquare((3,), ())
+    # ids are the one place addresses come from text; internal
+    # constructions build reduced, canonical addresses
+    for bad in ("00|-|1|1", "3|-|1|1", "-|11|0|0", "-|-|3|0", "-|-|0|-1",
+                "0|-|0|1", "-|2|1|2"):
+        with pytest.raises(ValueError):
+            parse_vertex_id(bad)
 
 
 def test_glue_examples():
@@ -165,6 +172,8 @@ def test_vertex_id_round_trip():
         j = random_tersquare(rng)
         v = canonical_vertex(j, rng.randrange(3), rng.randrange(3))
         assert parse_vertex_id(str(v)) == v
+    for v in hive_vertices(build_hive(Tersquare((0, 1, 2), (1,)))):
+        assert parse_vertex_id(str(v)) == v
     assert str(GammaVertex((), (2,), 0, 0)) == "-|2|0|0"
 
 
@@ -247,6 +256,27 @@ def test_hive_graph_interior_degree():
     center_verts = tersquare_vertices(ORIGIN)
     for v in center_verts:
         assert g.degree(v) == 8
+
+
+def assert_graph_is_tersquare_union(g, members):
+    ref = naive_tersquare_graph(members)
+    assert g.vertices == ref.vertices
+    assert g.edges() == ref.edges()
+    # neighbors are the graph's own vertex objects, not equal copies
+    own = {v: v for v in g.vertices}
+    assert all(u is own[u] for v in g.vertices for u in g.neighbors(v))
+
+
+@pytest.mark.parametrize("center", [ORIGIN, Tersquare((0, 1, 2), (1,))])
+def test_hive_graph_matches_tersquare_oracle(center):
+    h = build_hive(center)
+    assert_graph_is_tersquare_union(hive_graph(h), h.members)
+
+
+def test_region_graph_matches_tersquare_oracle():
+    for level in range(6):
+        region = build_region(level)
+        assert_graph_is_tersquare_union(region.graph, region.members)
 
 
 def test_neighboring_hives_share_four_tersquares():
@@ -461,13 +491,13 @@ def test_hive_has_no_isolated_pds():
 
 
 def test_single_tersquare_has_no_eds():
-    res = enumerate_covers(eds_instance(graph_of_tersquares([ORIGIN])))
+    res = enumerate_covers(eds_instance(naive_tersquare_graph([ORIGIN])))
     assert res.exhaustive
     assert res.solutions == ()
 
 
 def test_single_tersquare_matches_subset_oracle():
-    g = graph_of_tersquares([ORIGIN])
+    g = naive_tersquare_graph([ORIGIN])
     verts = g.vertices
     idx = {v: i for i, v in enumerate(verts)}
     masks = [sum(1 << idx[u] for u in g.neighbors(v)) for v in verts]
