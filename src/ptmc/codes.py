@@ -18,14 +18,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product
-from math import prod
-from operator import mul, sub
+from operator import sub
 from typing import Iterable
 
 from .graphs import Graph
-from .metric import Ambient, Point, _offsets, truncated_ball
+from .metric import Ambient, Point, _nearest_ball, _point, truncated_ball
 
 ClassKey = tuple[Point, ...]
 
@@ -273,62 +272,6 @@ def spheres_of(code: CodeSet, kappa: KappaAssignment) -> list[TruncatedSphere]:
         t = kappa.radius_for(comp.class_key)
         out.append(TruncatedSphere(comp, t, truncated_ball(comp.vertices, t, code.ambient)))
     return out
-
-
-@lru_cache(maxsize=64)
-def _strides(moduli: tuple[int, ...]) -> tuple[int, ...]:
-    """Per-axis weights of the row-major vertex index on a torus; index
-    order is lexicographic order."""
-    return tuple(prod(moduli[i + 1:]) for i in range(len(moduli)))
-
-
-@lru_cache(maxsize=1024)
-def _index_steps(moduli: tuple[int, ...], t: int,
-                 sides: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Row-major index steps of the offsets of weight 0..t, grouped by
-    weight, from a torus vertex on the given side of each axis: -1 at
-    coordinate 0, 1 at m - 1, else 0. A step off that side wraps round."""
-    return tuple(tuple(sum((x - m * side if x == side else x) * k
-                           for x, side, m, k in zip(d, sides, moduli, _strides(moduli)))
-                       for d in group)
-                 for group in _offsets(len(moduli), t))
-
-
-def _nearest_ball(center: tuple[Point, ...], t: int, moduli: tuple[int, ...],
-                  ties: list) -> dict[int, int]:
-    """Each vertex within truncated distance t of a component, by its
-    row-major index, mapped to its distance from the nearest center vertex,
-    on a torus with moduli >= 3.
-
-    There rho(p, s) is the weight of the unique d in {-1,0,1}^n with
-    p = s + d, so walking center vertices x offsets in order of weight hits
-    every vertex first at its nearest distance. A second hit at that same
-    weight comes from another center vertex: (index, distance) goes to ties.
-    """
-    strides = _strides(moduli)
-    starts = [(sum(map(mul, s, strides)),
-               _index_steps(moduli, t, tuple([(x == m - 1) - (x == 0)
-                                              for x, m in zip(s, moduli)])))
-              for s in center]
-    ball: dict[int, int] = {}
-    for w in range(t + 1):
-        for i, steps in starts:
-            for step in steps[w]:
-                p = i + step
-                if p not in ball:
-                    ball[p] = w
-                elif ball[p] == w:
-                    ties.append((p, w))
-    return ball
-
-
-def _point(i: int, moduli: tuple[int, ...]) -> Point:
-    """The torus vertex with row-major index i."""
-    out = []
-    for m in reversed(moduli):
-        i, x = divmod(i, m)
-        out.append(x)
-    return tuple(reversed(out))
 
 
 def verify_kappa_ptmc(code: CodeSet, kappa: KappaAssignment) -> VerifyReport:

@@ -96,31 +96,32 @@ def min_component_separation(code: CodeSet) -> int:
     The toroidal code is unrolled over a 3x3x...x3 block of torus copies so
     that wrap-around neighbors (including the code's own lattice copies
     when the torus holds a single component) are measured in Z^n, matching
-    the separation claim of the box construction.
+    the separation claim of the box construction. The home component grows
+    through code vertices, then l1 shells through the rest up to the code.
     """
     a = code.ambient
     if not a.is_torus:
         raise ValueError("separation is measured on toroidal codes")
-    n = a.dimension
-    lifted = set()
-    for v in code.vertices:
-        for z in product((0, 1, 2), repeat=n):
-            lifted.add(tuple(x + zi * m for x, zi, m in zip(v, z, a.moduli)))
-    window = Ambient.window(*((0, 3 * m - 1) for m in a.moduli))
-    comps = components_of(CodeSet(window, tuple(lifted)))
-    center = tuple(x + m for x, m in zip(code.vertices[0], a.moduli))
-    home = next(c for c in comps if center in c.vertices)
-    home_set = set(home.vertices)
-    reach = max(a.moduli)  # anything farther cannot be the minimum
-    best = None
-    for v in lifted - home_set:
-        for u in home.vertices:
-            d = sum(abs(x - y) for x, y in zip(u, v))
-            if d <= reach and (best is None or d < best):
-                best = d
-    if best is None:
-        raise ValueError("no second component within reach")
-    return best
+    members = set(code.vertices)
+    moves = [(i, step, 3 * m) for i, m in enumerate(a.moduli) for step in (1, -1)]
+    seen = {tuple(x + m for x, m in zip(code.vertices[0], a.moduli))}
+    shell = list(seen)
+    for d in range(max(a.moduli)):  # anything farther cannot be the minimum
+        nxt = []
+        for v in shell:  # at d = 0 the home component grows while walked
+            for i, step, size in moves:
+                x = v[i] + step
+                u = v[:i] + (x,) + v[i + 1:]
+                if 0 <= x < size and u not in seen:
+                    seen.add(u)
+                    if a.wrap(u) not in members:
+                        nxt.append(u)
+                    elif d:
+                        return d + 1
+                    else:
+                        shell.append(u)
+        shell = nxt
+    raise ValueError("no second component within reach")
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from itertools import permutations
 
 from .codes import verify_partition
 from .graphs import Graph, grid_graph
-from .metric import Ambient, Point, truncated_ball
+from .metric import Ambient, Point, _nearest_ball, truncated_ball
 
 
 @dataclass(frozen=True)
@@ -269,10 +269,9 @@ def tiling_instance(a: Ambient, shapes: list[tuple[str, tuple[Point, ...], int]]
     Returns the instance plus a placement table keyed by tile id.
 
     Each orientation's ball is enumerated once, on a window that does not
-    clip it. Its anchor is the ball vertex of minimal coordinate sum, ties
-    broken lexicographically; the tile anchored at z is that ball translated
-    so that its anchor lands on z, which on a torus is the ball of the
-    shape translated alike.
+    clip it, for its anchor: the ball vertex of minimal coordinate sum, ties
+    broken lexicographically. The tile anchored at z is the verifier's torus
+    ball (`metric._nearest_ball`) of the shape placed with its anchor at z.
 
     A ball whose span exceeds a modulus wraps onto itself and comes out
     smaller than its lattice volume. The wrap always creates a vertex with
@@ -296,13 +295,14 @@ def tiling_instance(a: Ambient, shapes: list[tuple[str, tuple[Point, ...], int]]
             if len(set(map(a.wrap, ball))) < len(ball):
                 continue
             anchor = min(ball, key=lambda p: (sum(p), p))
-            for z in a.vertices():
+            for z in universe:
                 if deadline is not None and time.monotonic() > deadline:
                     raise OutOfTime
                 shift = tuple(x - y for x, y in zip(z, anchor))
                 placed = tuple(sorted(a.translate(p, shift) for p in orient))
                 tid = f"{name}:{oi}@{','.join(map(str, z))}"
-                tiles.append((tid, frozenset(a.translate(p, shift) for p in ball)))
+                cells = _nearest_ball(placed, radius, a.moduli, [])
+                tiles.append((tid, frozenset(map(universe.__getitem__, cells))))
                 placements[tid] = (name, radius, placed, z)
     return ExactCoverInstance(universe, tuple(tiles)), placements
 

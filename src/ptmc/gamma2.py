@@ -155,21 +155,20 @@ def containing_tersquares(v: GammaVertex) -> tuple[Tersquare, ...]:
     )
 
 
+def _edges_meeting(w: Word, a: int) -> list[tuple[Word, int]]:
+    """The four tree edges (shallower node, letter) meeting edge (w, a)."""
+    return ([(w[:-1] if w[-1:] == (s,) else w, s) for s in LETTERS if s != a]  # at node w
+            + [(w + (a,), s) for s in LETTERS if s != a])  # below node w + a
+
+
 def neighbors(v: GammaVertex) -> tuple[GammaVertex, ...]:
     """The eight vertices sharing a triangle with v, sorted.
 
-    Within each containing tersquare the same-row and same-column vertices
-    are neighbors; canonicalization collapses the 16 candidates to 8.
+    In tree terms: the x-edges meeting v's x-edge, with v's y-edge, and
+    the y-edges meeting v's y-edge, with v's x-edge.
     """
-    out = set()
-    for t in containing_tersquares(v):
-        for a2 in LETTERS:
-            if a2 != v.a:
-                out.add(canonical_vertex(t, a2, v.b))
-        for b2 in LETTERS:
-            if b2 != v.b:
-                out.add(canonical_vertex(t, v.a, b2))
-    return tuple(sorted(out))
+    return tuple(sorted([GammaVertex(wx, v.wy, a, v.b) for wx, a in _edges_meeting(v.wx, v.a)]
+                        + [GammaVertex(v.wx, wy, v.a, b) for wy, b in _edges_meeting(v.wy, v.b)]))
 
 
 def local_ball(v: GammaVertex) -> frozenset:
@@ -564,11 +563,10 @@ _CLASS_COLORS = {"center": "white", "subcentral": "lightblue", "corner": "lightg
 def graph_to_json(g: Graph, members=None) -> dict:
     """JSON adjacency with stable string ids and tersquare membership."""
     member_set = set(members) if members is not None else None
-    verts = []
-    for v in sorted(g.vertices):
-        verts.append({"id": str(v),
-                      "tersquares": [str(t) for t in _member_tersquares(v, member_set)]})
-    edges = [[str(u), str(v)] for u, v in g.edges()]
+    ids = {v: str(v) for v in g.vertices}
+    verts = [{"id": ids[v], "tersquares": [str(t) for t in _member_tersquares(v, member_set)]}
+             for v in sorted(g.vertices)]
+    edges = [[ids[u], ids[v]] for u, v in g.edges()]
     return {"vertices": verts, "edges": sorted(edges)}
 
 
@@ -584,6 +582,7 @@ def graph_to_dot(g: Graph, hive: Hive | None = None, members=None) -> str:
     """DOT text; for a hive, vertices are colored by tersquare class."""
     lines = ["graph gamma2 {", '  node [shape=circle, style=filled];']
     member_set = set(members) if members is not None else None
+    ids = {v: str(v) for v in g.vertices}
     for v in sorted(g.vertices):
         attrs = []
         if hive is not None:
@@ -592,9 +591,8 @@ def graph_to_dot(g: Graph, hive: Hive | None = None, members=None) -> str:
             attrs.append(f'class="{cls}"')
         owns = ";".join(str(t) for t in _member_tersquares(v, member_set))
         attrs.append(f'tersquares="{owns}"')
-        lines.append(f'  "{v}" [{", ".join(attrs)}];')
-    for u, v in g.edges():
-        lines.append(f'  "{u}" -- "{v}";')
+        lines.append(f'  "{ids[v]}" [{", ".join(attrs)}];')
+    lines.extend(f'  "{ids[u]}" -- "{ids[v]}";' for u, v in g.edges())
     lines.append("}")
     return "\n".join(lines)
 

@@ -8,7 +8,9 @@ here work on two finite ambient spaces:
 
   * a window: an axis-aligned box of Z^n, used for enumeration and debug;
   * a torus: Z^n quotiented by per-axis moduli, used for exact verification
-    of periodic codes.
+    of periodic codes. All torus arithmetic lives here, including the
+    row-major vertex index and its ball routine `_nearest_ball`, which the
+    verifier and the tiling-instance builder share.
 
 Coordinate differences on a torus are wrapped to the representative of
 minimal absolute value; a tie (even modulus, offset exactly half) picks the
@@ -19,10 +21,10 @@ is observable in debug output only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import product
-from math import comb
-from operator import add, mod
+from math import comb, prod
+from operator import add, mod, mul
 from typing import Iterator
 
 Point = tuple[int, ...]
@@ -177,6 +179,62 @@ def truncated_ball(centers: tuple[Point, ...], t: int, a: Ambient) -> tuple[Poin
     else:
         pts = {p for p in moved if a.contains(p)}
     return tuple(sorted(pts))
+
+
+@lru_cache(maxsize=64)
+def _strides(moduli: tuple[int, ...]) -> tuple[int, ...]:
+    """Per-axis weights of the row-major vertex index on a torus; index
+    order is lexicographic order."""
+    return tuple(prod(moduli[i + 1:]) for i in range(len(moduli)))
+
+
+@lru_cache(maxsize=1024)
+def _index_steps(moduli: tuple[int, ...], t: int,
+                 sides: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Row-major index steps of the offsets of weight 0..t, grouped by
+    weight, from a torus vertex on the given side of each axis: -1 at
+    coordinate 0, 1 at m - 1, else 0. A step off that side wraps round."""
+    return tuple(tuple(sum((x - m * side if x == side else x) * k
+                           for x, side, m, k in zip(d, sides, moduli, _strides(moduli)))
+                       for d in group)
+                 for group in _offsets(len(moduli), t))
+
+
+def _nearest_ball(center: tuple[Point, ...], t: int, moduli: tuple[int, ...],
+                  ties: list) -> dict[int, int]:
+    """Each vertex within truncated distance t of a component, by its
+    row-major index, mapped to its distance from the nearest center vertex,
+    on a torus with moduli >= 3.
+
+    There rho(p, s) is the weight of the unique d in {-1,0,1}^n with
+    p = s + d, so walking center vertices x offsets in order of weight hits
+    every vertex first at its nearest distance. A second hit at that same
+    weight comes from another center vertex: (index, distance) goes to ties.
+    """
+    strides = _strides(moduli)
+    starts = [(sum(map(mul, s, strides)),
+               _index_steps(moduli, t, tuple([(x == m - 1) - (x == 0)
+                                              for x, m in zip(s, moduli)])))
+              for s in center]
+    ball: dict[int, int] = {}
+    for w in range(t + 1):
+        for i, steps in starts:
+            for step in steps[w]:
+                p = i + step
+                if p not in ball:
+                    ball[p] = w
+                elif ball[p] == w:
+                    ties.append((p, w))
+    return ball
+
+
+def _point(i: int, moduli: tuple[int, ...]) -> Point:
+    """The torus vertex with row-major index i."""
+    out = []
+    for m in reversed(moduli):
+        i, x = divmod(i, m)
+        out.append(x)
+    return tuple(reversed(out))
 
 
 def ball_size_formula(n: int, t: int) -> int:

@@ -9,7 +9,7 @@ cover.
 import random
 from itertools import combinations, product
 
-from ptmc.codes import components_of
+from ptmc.codes import CodeSet, components_of
 from ptmc.gamma2 import (
     LETTERS,
     GammaVertex,
@@ -21,6 +21,7 @@ from ptmc.gamma2 import (
     local_ball,
 )
 from ptmc.graphs import Graph
+from ptmc.metric import Ambient
 
 
 def brute_rho(u, v):
@@ -120,6 +121,49 @@ def naive_lattice_graph(a):
                 if a.contains(u) and u != v:
                     adj[v].add(u)
     return Graph(adj)
+
+
+def naive_min_component_separation(code):
+    """Minimum l1 distance from the home component to any other, by lifting
+    the code into a 3^n block of torus copies, finding the block's
+    components and comparing every lifted vertex with every home vertex."""
+    a = code.ambient
+    if not a.is_torus:
+        raise ValueError("separation is measured on toroidal codes")
+    n = a.dimension
+    lifted = set()
+    for v in code.vertices:
+        for z in product((0, 1, 2), repeat=n):
+            lifted.add(tuple(x + zi * m for x, zi, m in zip(v, z, a.moduli)))
+    window = Ambient.window(*((0, 3 * m - 1) for m in a.moduli))
+    comps = components_of(CodeSet(window, tuple(lifted)))
+    center = tuple(x + m for x, m in zip(code.vertices[0], a.moduli))
+    home = next(c for c in comps if center in c.vertices)
+    home_set = set(home.vertices)
+    reach = max(a.moduli)
+    best = None
+    for v in lifted - home_set:
+        for u in home.vertices:
+            d = sum(abs(x - y) for x, y in zip(u, v))
+            if d <= reach and (best is None or d < best):
+                best = d
+    if best is None:
+        raise ValueError("no second component within reach")
+    return best
+
+
+def naive_neighbors(v):
+    """A compound vertex's neighbours: the same-row and same-column
+    vertices of each of its four tersquares, canonicalized, sorted."""
+    out = set()
+    for t in containing_tersquares(v):
+        for a2 in LETTERS:
+            if a2 != v.a:
+                out.add(canonical_vertex(t, a2, v.b))
+        for b2 in LETTERS:
+            if b2 != v.b:
+                out.add(canonical_vertex(t, v.a, b2))
+    return tuple(sorted(out))
 
 
 def naive_gamma_ball(center, vertices):

@@ -1,12 +1,14 @@
 """Tests for the box-code generator and the template searches."""
 
 import json
+import random
 import time
 from pathlib import Path
 
 import pytest
 
 from ptmc.codes import (
+    CodeSet,
     KappaAssignment,
     box_hull_check,
     code_from_json,
@@ -27,7 +29,7 @@ from ptmc.constructions import (
 from ptmc.cover import tiling_instance
 from ptmc.metric import Ambient, ball_size_formula
 
-from oracles import brute_ball
+from oracles import brute_ball, naive_min_component_separation
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -111,6 +113,30 @@ def test_box_code_dimension_four_samples():
         code, kappa = build_box_code(c, k)
         assert verify_t_ptmc(code, 4).passed, (c, k)
         assert min_component_separation(code) == 3
+
+
+def _separation_or_error(f, code):
+    try:
+        return f(code)
+    except (ValueError, IndexError) as e:
+        return type(e), str(e)
+
+
+def test_separation_matches_all_pairs_oracle():
+    codes = [build_box_code(c, k)[0]
+             for c, k in (((2,), (1,)), ((3,), (2,)), ((2, 3), (2, 1)), ((4, 2), (1, 3)),
+                          ((2, 3, 4), (1, 2, 1)), ((3, 2, 2), (2, 1, 1)),
+                          ((2, 2, 2, 2), (1, 1, 1, 1)), ((3, 2, 2, 2), (1, 2, 1, 1)))]
+    rng = random.Random(20)
+    for _ in range(300):
+        a = Ambient.torus(*(rng.randint(1, 6) for _ in range(rng.randint(1, 3))))
+        verts = list(a.vertices())
+        codes.append(CodeSet(a, tuple(rng.sample(verts, rng.randint(1, max(1, len(verts) // 4))))))
+    codes += [CodeSet(Ambient.torus(4, 4), ()), CodeSet(Ambient.window((0, 3), (0, 3)), ((1, 1),))]
+    results = [_separation_or_error(naive_min_component_separation, c) for c in codes]
+    assert results == [_separation_or_error(min_component_separation, c) for c in codes]
+    # the sample reaches every outcome: distances, no second component, no code
+    assert {r if isinstance(r, int) else r[0] for r in results} >= {2, 3, 4, 5, 6, ValueError, IndexError}
 
 
 # ---------------------------------------------------------------------------

@@ -268,6 +268,9 @@ def test_tiling_instance_matches_naive_placements(a, shapes):
     # ball at z and take the torus ball of the placed shape
     i, placements = tiling_instance(a, shapes)
     cells = dict(i.tiles)
+    # each cell is the universe's own tuple at that position, not a copy
+    pos = {v: k for k, v in enumerate(i.universe)}
+    assert all(c is i.universe[pos[c]] for _, tile in i.tiles for c in tile)
     expected = []
     for name, shape, radius in shapes:
         for oi, orient in enumerate(shape_orientations(shape)):

@@ -33,11 +33,12 @@ from ptmc.gamma2 import (
     tersquare_vertices,
     verify_hive_selection,
 )
-from ptmc.gamma2 import _edge_code, ORIGIN
+from ptmc.gamma2 import _edge_code, _vertices_up_to, ORIGIN
 import ptmc.gamma2
 
 from oracles import (
     naive_gamma_ball,
+    naive_neighbors,
     naive_region_code,
     naive_region_interior,
     naive_tersquare_graph,
@@ -156,6 +157,13 @@ def test_neighbors_eight_and_symmetric():
         assert len(nb) == 8
         for u in nb:
             assert v in neighbors(u)
+
+
+def test_neighbors_match_tersquare_oracle():
+    verts = _vertices_up_to(5)
+    assert len(verts) == 2889
+    for v in verts:
+        assert neighbors(v) == naive_neighbors(v), v
 
 
 def test_triangle_rows_are_cliques():
