@@ -1,10 +1,14 @@
 """Command-line front end: verify, construct, search, gamma, export, survey.
 
+verify, construct, gamma and export take a leaf command (`verify ptmc`,
+`gamma stats`, ...). Each leaf accepts only the options its handler reads,
+after the leaf's name, and its parser's defaults name that handler.
+
 Every run prints a short human summary and assembles a machine-readable
 run report (stable field order; identical inputs give identical reports up
 to the trailing timing block). The report goes to --out when given, else
-to stdout. Artifact files (code sets, graph renderings, solutions) are
-written to --emit.
+to stdout. Leaves that produce an artifact (code sets, graph renderings,
+solutions) write it to --emit.
 
 Exit codes: 0 success / verification pass, 1 verification failure or
 failed construction goal, 2 usage error or bad input, 3 search timeout.
@@ -17,6 +21,7 @@ import hashlib
 import json
 import sys
 import time
+from functools import partial
 
 from . import codes as codes_mod
 from . import constructions as cons
@@ -49,7 +54,7 @@ def _digest(parts: list) -> str:
 
 def _report(args, verdicts: dict, counts: dict, artifacts: list[str],
             inputs: dict, started: float) -> dict:
-    # the subcommand and its parsed options, without the output paths
+    # the command path and the options its leaf reads, without the output paths
     options = sorted((k, v) for k, v in vars(args).items()
                      if k not in ("out", "emit", "fn", "_argv"))
     return {
@@ -108,76 +113,83 @@ def _code_or_vertex_ids(doc):
     return [str(v) for v in doc["vertices"]]
 
 
-def _report_verdict(rep: codes_mod.VerifyReport) -> dict:
-    out = {"passed": rep.passed}
+def _verify_outcome(args, rep: codes_mod.VerifyReport,
+                    counts: dict) -> tuple[int, dict, dict, list]:
+    verdict = {"passed": rep.passed}
     if not rep.passed:
-        out["failure"] = rep.kind
-        out["witness"] = [list(w) if isinstance(w, tuple) else str(w) for w in rep.witness]
+        verdict["failure"] = rep.kind
+        verdict["witness"] = [list(w) if isinstance(w, tuple) else str(w) for w in rep.witness]
     if rep.independent is not None:
-        out["independent"] = rep.independent
-    return out
-
-
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
-
-def cmd_verify(args) -> tuple[int, dict, dict, list]:
-    if args.what == "ptmc":
-        def parse(doc):
-            if args.t is not None:
-                doc.pop("kappa", None)  # --t replaces the map, so it is never resolved
-            return code_from_json(doc)
-
-        code, kappa = _read_json(args.code, parse)
-        if args.t is not None:
-            kappa = KappaAssignment.uniform(args.t)
-        if kappa is None:
-            raise ValueError("code file carries no radius map; pass --t")
-        rep = codes_mod.verify_kappa_ptmc(code, kappa)
-        counts = {"vertices": code.ambient.vertex_count(), "code": len(code),
-                  "components": len(codes_mod.components_of(code))}
-    else:
-        # a code file with an ambient is checked on its own lattice graph;
-        # a bare {"vertices": [ids]} list is checked against --graph
-        code = _read_json(args.code, _code_or_vertex_ids)
-        if isinstance(code, CodeSet):
-            g = lattice_graph(code.ambient)
-            s = list(code.vertices)
-        elif args.graph:
-            g = _load_graph(args.graph)
-            s = code
-            missing = [v for v in s if v not in g]
-            if missing:
-                raise ValueError(f"vertex {missing[0]!r} not in graph")
-        else:
-            raise ValueError("vertex-list codes need --graph")
-        check = codes_mod.verify_pds if args.what == "pds" else codes_mod.verify_non_isolated_pds
-        rep = check(s, g)
-        counts = {"graph_vertices": len(g), "code": len(s)}
-    verdict = _report_verdict(rep)
+        verdict["independent"] = rep.independent
     print(f"verify {args.what}: {'pass' if rep.passed else 'FAIL (' + str(rep.kind) + ')'}")
     return (EXIT_PASS if rep.passed else EXIT_FAIL), verdict, counts, []
 
 
-def cmd_construct(args) -> tuple[int, dict, dict, list]:
-    artifacts: list[str] = []
-    if args.family == "box":
-        if args.c is None or args.k is None:
-            raise ValueError("construct box needs --c and --k")
-        code, kappa = cons.build_box_code(args.c, args.k)
-        rep = codes_mod.verify_kappa_ptmc(code, kappa)
-        sep = cons.min_component_separation(code)
-        verdicts = {"verified": rep.passed, "separation": sep}
-        counts = {"vertices": code.ambient.vertex_count(), "code": len(code),
-                  "components": len(codes_mod.components_of(code))}
-        _emit(args, json.dumps(code_to_json(code, kappa), indent=2), artifacts)
-        ok = rep.passed and sep == 3
-        return (EXIT_PASS if ok else EXIT_FAIL), verdicts, counts, artifacts
-    if args.family == "square-singleton":
-        template = cons.square_singleton_template()
+# ---------------------------------------------------------------------------
+# subcommands: one handler per leaf command, reading only the leaf's options
+# ---------------------------------------------------------------------------
+
+def cmd_verify_ptmc(args) -> tuple[int, dict, dict, list]:
+    def parse(doc):
+        if args.t is not None:
+            doc.pop("kappa", None)  # --t replaces the map, so it is never resolved
+        return code_from_json(doc)
+
+    code, kappa = _read_json(args.code, parse)
+    if args.t is not None:
+        kappa = KappaAssignment.uniform(args.t)
+    if kappa is None:
+        raise ValueError("code file carries no radius map; pass --t")
+    rep = codes_mod.verify_kappa_ptmc(code, kappa)
+    counts = {"vertices": code.ambient.vertex_count(), "code": len(code),
+              "components": len(codes_mod.components_of(code))}
+    return _verify_outcome(args, rep, counts)
+
+
+def cmd_verify_domination(check, args) -> tuple[int, dict, dict, list]:
+    # a code file with an ambient is checked on its own lattice graph;
+    # a bare {"vertices": [ids]} list is checked against --graph
+    code = _read_json(args.code, _code_or_vertex_ids)
+    if isinstance(code, CodeSet):
+        if args.graph is not None:
+            raise ValueError(f"{args.code} has an ambient and is checked on its lattice "
+                             "graph; --graph is for vertex-list codes")
+        g = lattice_graph(code.ambient)
+        s = list(code.vertices)
+    elif args.graph:
+        g = _load_graph(args.graph)
+        s = code
+        missing = [v for v in s if v not in g]
+        if missing:
+            raise ValueError(f"vertex {missing[0]!r} not in graph")
     else:
-        template = cons.cube_singleton_template(args.n)
+        raise ValueError("vertex-list codes need --graph")
+    return _verify_outcome(args, check(s, g), {"graph_vertices": len(g), "code": len(s)})
+
+
+def cmd_construct_box(args) -> tuple[int, dict, dict, list]:
+    artifacts: list[str] = []
+    code, kappa = cons.build_box_code(args.c, args.k)
+    rep = codes_mod.verify_kappa_ptmc(code, kappa)
+    sep = cons.min_component_separation(code)
+    verdicts = {"verified": rep.passed, "separation": sep}
+    counts = {"vertices": code.ambient.vertex_count(), "code": len(code),
+              "components": len(codes_mod.components_of(code))}
+    _emit(args, json.dumps(code_to_json(code, kappa), indent=2), artifacts)
+    ok = rep.passed and sep == 3
+    return (EXIT_PASS if ok else EXIT_FAIL), verdicts, counts, artifacts
+
+
+def cmd_construct_square(args) -> tuple[int, dict, dict, list]:
+    return _construct_by_template(args, cons.square_singleton_template())
+
+
+def cmd_construct_cube(args) -> tuple[int, dict, dict, list]:
+    return _construct_by_template(args, cons.cube_singleton_template(args.n))
+
+
+def _construct_by_template(args, template: cons.TemplateSpec) -> tuple[int, dict, dict, list]:
+    artifacts: list[str] = []
     build = cons.build_by_template(template, budget=args.budget, seed=args.seed)
     counts = {"nodes": build.nodes, "fr_volume": template.fr_volume,
               "fr_count": template.fr_count}
@@ -198,19 +210,20 @@ def cmd_construct(args) -> tuple[int, dict, dict, list]:
 
 def cmd_search(args) -> tuple[int, dict, dict, list]:
     artifacts: list[str] = []
+    if args.limit is not None and not args.enumerate:
+        raise ValueError("--limit needs --enumerate")
     if args.limit is not None and args.limit < 1:
         raise ValueError(f"--limit must be at least 1, got {args.limit}")
-    if args.instance:
+    # the parser lets exactly one source through
+    if args.instance is not None:
         inst = _read_json(args.instance, cover_mod.instance_from_json)
-    elif args.grid:
+    elif args.grid is not None:
         m, n = args.grid
         inst = cover_mod.eds_instance(grid_graph(m, n))
-    elif args.torus:
+    elif args.torus is not None:
         inst = cover_mod.eds_instance(lattice_graph(Ambient.torus(*args.torus)))
-    elif args.graph:
-        inst = cover_mod.eds_instance(_load_graph(args.graph))
     else:
-        raise ValueError("search needs --instance, --grid, --torus or --graph")
+        inst = cover_mod.eds_instance(_load_graph(args.graph))
     counts = {"cells": len(inst.universe), "tiles": len(inst.tiles)}
     if args.enumerate:
         res = cover_mod.enumerate_covers(inst, limit=args.limit, budget=args.budget)
@@ -233,85 +246,100 @@ def cmd_search(args) -> tuple[int, dict, dict, list]:
     return EXIT_PASS, verdicts, counts, artifacts
 
 
-def cmd_gamma(args) -> tuple[int, dict, dict, list]:
-    artifacts: list[str] = []
+def cmd_gamma_count(args) -> tuple[int, dict, dict, list]:
+    if args.budget is not None and not args.complete:
+        raise ValueError("--budget needs --complete")
     h = gamma2.build_hive()
-    if args.action == "count-2ptmc":
-        count = gamma2.enumerate_hive_2ptmc(h)
-        verdicts = {"count": count}
-        counts = {"count": count}
-        if args.complete:
-            total, exhaustive, nodes = gamma2.enumerate_hive_2ptmc_complete(
-                h, budget=args.budget)
-            verdicts["complete_count"] = total
-            verdicts["complete_exhaustive"] = exhaustive
-            counts["complete_count"] = total
-            counts["complete_nodes"] = nodes
-            print(f"isolated radius-2 codes of the hive: {count} "
-                  f"(totality run: {total}, exhaustive={exhaustive})")
-            if not exhaustive:
-                return EXIT_TIMEOUT, verdicts, counts, []
-            return (EXIT_PASS if total == count else EXIT_FAIL), verdicts, counts, []
-        print(f"isolated radius-2 codes of the hive: {count}")
-        return EXIT_PASS, verdicts, counts, []
-    if args.action == "no-isolated-pds":
-        out = gamma2.no_isolated_pds(h, budget=args.budget)
-        print(f"hive efficient dominating set search: {out.kind}")
-        verdicts = {"outcome": out.kind}
-        counts = {"nodes": out.nodes}
-        if out.kind == "timeout":
+    count = gamma2.enumerate_hive_2ptmc(h)
+    verdicts = {"count": count}
+    counts = {"count": count}
+    if args.complete:
+        total, exhaustive, nodes = gamma2.enumerate_hive_2ptmc_complete(h, budget=args.budget)
+        verdicts["complete_count"] = total
+        verdicts["complete_exhaustive"] = exhaustive
+        counts["complete_count"] = total
+        counts["complete_nodes"] = nodes
+        print(f"isolated radius-2 codes of the hive: {count} "
+              f"(totality run: {total}, exhaustive={exhaustive})")
+        if not exhaustive:
             return EXIT_TIMEOUT, verdicts, counts, []
-        return (EXIT_PASS if out.kind == "infeasible" else EXIT_FAIL), verdicts, counts, []
-    if args.action == "non-isolated-pds":
-        s = gamma2.hive_non_isolated_pds()
-        g = gamma2.hive_graph(h)
-        rep = codes_mod.verify_non_isolated_pds(s, g)
-        iso = codes_mod.verify_pds(s, g)
-        verdicts = {"non_isolated_pass": rep.passed, "isolated_pass": iso.passed}
-        _emit(args, json.dumps({"vertices": [str(v) for v in s]}, indent=2), artifacts)
-        print(f"18-vertex set: non-isolated={rep.passed}, isolated={iso.passed}")
-        ok = rep.passed and not iso.passed
-        return (EXIT_PASS if ok else EXIT_FAIL), verdicts, {"size": len(s)}, artifacts
-    if args.action == "extend":
-        rc = gamma2.extend_2ptmc(args.level, seed=args.seed)
-        verdicts = {"interior_verified": rc.passed}
-        counts = {"centers": len(rc.centers), "interior": rc.interior_size,
-                  "boundary_unverified": rc.boundary_size}
-        _emit(args, json.dumps({"centers": [str(c) for c in rc.centers],
-                                "level": rc.level, "seed": rc.seed}, indent=2), artifacts)
-        print(f"extend level={args.level}: interior partition "
-              f"{'pass' if rc.passed else 'FAIL'} ({rc.interior_size} vertices)")
-        return (EXIT_PASS if rc.passed else EXIT_FAIL), verdicts, counts, artifacts
-    if args.action == "stats":
-        region = gamma2.build_region(args.level)
-        interior = region.interior()
-        degs = sorted({region.graph.degree(v) for v in interior})
-        owners = sorted({len(set(gamma2.containing_tersquares(v))) for v in interior})
-        counts = {
-            "hive_members": len(h.members),
-            "hive_vertices": len(gamma2.hive_vertices(h)),
-            "region_level": args.level,
-            "region_tersquares": len(region.members),
-            "region_vertices": len(region.graph),
-            "interior_vertices": len(interior),
-            "interior_degrees": degs,
-            "interior_containing_tersquares": owners,
-        }
-        ok = (counts["hive_members"] == 16 and counts["hive_vertices"] == 81
-              and degs in ([], [8]) and owners in ([], [4]))
-        print(f"hive: {counts['hive_members']} tersquares, {counts['hive_vertices']} vertices; "
-              f"region L={args.level}: {counts['region_tersquares']} tersquares, "
-              f"interior degrees {degs}")
-        return (EXIT_PASS if ok else EXIT_FAIL), {"structure_ok": ok}, counts, []
-    raise AssertionError(args.action)
+        return (EXIT_PASS if total == count else EXIT_FAIL), verdicts, counts, []
+    print(f"isolated radius-2 codes of the hive: {count}")
+    return EXIT_PASS, verdicts, counts, []
 
 
-def cmd_export(args) -> tuple[int, dict, dict, list]:
+def cmd_gamma_no_isolated(args) -> tuple[int, dict, dict, list]:
+    out = gamma2.no_isolated_pds(gamma2.build_hive(), budget=args.budget)
+    print(f"hive efficient dominating set search: {out.kind}")
+    verdicts = {"outcome": out.kind}
+    counts = {"nodes": out.nodes}
+    if out.kind == "timeout":
+        return EXIT_TIMEOUT, verdicts, counts, []
+    return (EXIT_PASS if out.kind == "infeasible" else EXIT_FAIL), verdicts, counts, []
+
+
+def cmd_gamma_non_isolated(args) -> tuple[int, dict, dict, list]:
     artifacts: list[str] = []
-    text = gamma2.export_graph(args.target, args.format, level=args.level)
+    s = gamma2.hive_non_isolated_pds()
+    g = gamma2.hive_graph(gamma2.build_hive())
+    rep = codes_mod.verify_non_isolated_pds(s, g)
+    iso = codes_mod.verify_pds(s, g)
+    verdicts = {"non_isolated_pass": rep.passed, "isolated_pass": iso.passed}
+    _emit(args, json.dumps({"vertices": [str(v) for v in s]}, indent=2), artifacts)
+    print(f"18-vertex set: non-isolated={rep.passed}, isolated={iso.passed}")
+    ok = rep.passed and not iso.passed
+    return (EXIT_PASS if ok else EXIT_FAIL), verdicts, {"size": len(s)}, artifacts
+
+
+def cmd_gamma_extend(args) -> tuple[int, dict, dict, list]:
+    artifacts: list[str] = []
+    rc = gamma2.extend_2ptmc(args.level, seed=args.seed)
+    verdicts = {"interior_verified": rc.passed}
+    counts = {"centers": len(rc.centers), "interior": rc.interior_size,
+              "boundary_unverified": rc.boundary_size}
+    _emit(args, json.dumps({"centers": [str(c) for c in rc.centers],
+                            "level": rc.level, "seed": rc.seed}, indent=2), artifacts)
+    print(f"extend level={args.level}: interior partition "
+          f"{'pass' if rc.passed else 'FAIL'} ({rc.interior_size} vertices)")
+    return (EXIT_PASS if rc.passed else EXIT_FAIL), verdicts, counts, artifacts
+
+
+def cmd_gamma_stats(args) -> tuple[int, dict, dict, list]:
+    h = gamma2.build_hive()
+    region = gamma2.build_region(args.level)
+    interior = region.interior()
+    degs = sorted({region.graph.degree(v) for v in interior})
+    owners = sorted({len(set(gamma2.containing_tersquares(v))) for v in interior})
+    counts = {
+        "hive_members": len(h.members),
+        "hive_vertices": len(gamma2.hive_vertices(h)),
+        "region_level": args.level,
+        "region_tersquares": len(region.members),
+        "region_vertices": len(region.graph),
+        "interior_vertices": len(interior),
+        "interior_degrees": degs,
+        "interior_containing_tersquares": owners,
+    }
+    ok = (counts["hive_members"] == 16 and counts["hive_vertices"] == 81
+          and degs in ([], [8]) and owners in ([], [4]))
+    print(f"hive: {counts['hive_members']} tersquares, {counts['hive_vertices']} vertices; "
+          f"region L={args.level}: {counts['region_tersquares']} tersquares, "
+          f"interior degrees {degs}")
+    return (EXIT_PASS if ok else EXIT_FAIL), {"structure_ok": ok}, counts, []
+
+
+def cmd_export_hive(args) -> tuple[int, dict, dict, list]:
+    return _export(args, gamma2.export_graph("hive", args.format))
+
+
+def cmd_export_region(args) -> tuple[int, dict, dict, list]:
+    return _export(args, gamma2.export_graph("region", args.format, level=args.level))
+
+
+def _export(args, text: str) -> tuple[int, dict, dict, list]:
+    artifacts: list[str] = []
     _emit(args, text, artifacts)
-    counts = {"bytes": len(text)}
-    return EXIT_PASS, {"format": args.format}, counts, artifacts
+    return EXIT_PASS, {"format": args.format}, {"bytes": len(text)}, artifacts
 
 
 def cmd_survey(args) -> tuple[int, dict, dict, list]:
@@ -337,59 +365,79 @@ def cmd_survey(args) -> tuple[int, dict, dict, list]:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="write the run report JSON here (default: stdout)")
-    common.add_argument("--emit", help="write the produced artifact (code, graph, solution) here")
+    """The command tree; options go after the leaf command that reads them."""
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write the run report JSON here (default: stdout)")
+    emit = argparse.ArgumentParser(add_help=False, parents=[out])
+    emit.add_argument("--emit", help="write the produced artifact (code, graph, solution) here")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget", type=float, help="seconds before timing out")
+
+    def leaf(group, name, fn, *shared, **kw):
+        p = group.add_parser(name, parents=list(shared), **kw)
+        p.set_defaults(fn=fn)
+        return p
+
     p = argparse.ArgumentParser(prog="ptmc",
                                 description="perfect truncated-metric code toolkit")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    v = sub.add_parser("verify", help="check codes and dominating sets", parents=[common])
-    v.add_argument("what", choices=["ptmc", "pds", "nipds"])
-    v.add_argument("--code", required=True, help="code set JSON file")
-    v.add_argument("--t", type=int, help="uniform radius overriding the file's map")
-    v.add_argument("--graph", help="graph JSON file (default: the code's lattice)")
-    v.set_defaults(fn=cmd_verify)
+    v = sub.add_parser("verify", help="check codes and dominating sets")
+    v = v.add_subparsers(dest="what", required=True)
+    x = leaf(v, "ptmc", cmd_verify_ptmc, out)
+    x.add_argument("--code", required=True, help="code set JSON file")
+    x.add_argument("--t", type=int, help="uniform radius overriding the file's map")
+    for what, check in (("pds", codes_mod.verify_pds),
+                        ("nipds", codes_mod.verify_non_isolated_pds)):
+        x = leaf(v, what, partial(cmd_verify_domination, check), out)
+        x.add_argument("--code", required=True,
+                       help="code set JSON file, or a {\"vertices\": [ids]} list")
+        x.add_argument("--graph", help="graph JSON file for a vertex-id list")
 
-    c = sub.add_parser("construct", help="build codes, by formula or by search", parents=[common])
-    c.add_argument("family", choices=["box", "square-singleton", "cube-singleton"])
-    c.add_argument("--c", type=_ints, help="box extents parameter, comma separated")
-    c.add_argument("--k", type=_ints, help="cells per axis, comma separated")
-    c.add_argument("--n", type=int, default=4, help="dimension for cube-singleton")
-    c.add_argument("--budget", type=float, help="search budget in seconds")
-    c.add_argument("--seed", type=int, help="shuffle candidate order deterministically")
-    c.set_defaults(fn=cmd_construct)
+    c = sub.add_parser("construct", help="build codes, by formula or by search")
+    c = c.add_subparsers(dest="family", required=True)
+    x = leaf(c, "box", cmd_construct_box, emit)
+    x.add_argument("--c", type=_ints, required=True, help="box extents parameter, comma separated")
+    x.add_argument("--k", type=_ints, required=True, help="cells per axis, comma separated")
+    template = argparse.ArgumentParser(add_help=False, parents=[emit, budget])
+    template.add_argument("--seed", type=int, help="shuffle candidate order deterministically")
+    leaf(c, "square-singleton", cmd_construct_square, template)
+    x = leaf(c, "cube-singleton", cmd_construct_cube, template)
+    x.add_argument("--n", type=int, default=4, help="dimension")
 
-    s = sub.add_parser("search", help="exact cover and efficient domination", parents=[common])
-    s.add_argument("--instance", help="exact cover instance JSON")
-    s.add_argument("--grid", type=_ints, help="EDS of the m,n grid graph")
-    s.add_argument("--torus", type=_ints, help="EDS of the toroidal grid a,b,...")
-    s.add_argument("--graph", help="EDS of a graph JSON file")
+    s = leaf(sub, "search", cmd_search, emit, budget,
+             help="exact cover and efficient domination")
+    source = s.add_mutually_exclusive_group(required=True)
+    source.add_argument("--instance", help="exact cover instance JSON")
+    source.add_argument("--grid", type=_ints, help="EDS of the m,n grid graph")
+    source.add_argument("--torus", type=_ints, help="EDS of the toroidal grid a,b,...")
+    source.add_argument("--graph", help="EDS of a graph JSON file")
     s.add_argument("--enumerate", action="store_true", help="find all solutions")
-    s.add_argument("--limit", type=int, help="stop after this many solutions")
-    s.add_argument("--budget", type=float, help="seconds before timing out")
-    s.set_defaults(fn=cmd_search)
+    s.add_argument("--limit", type=int, help="with --enumerate: stop after this many solutions")
 
-    g = sub.add_parser("gamma", help="ternary square compound computations", parents=[common])
-    g.add_argument("action", choices=["count-2ptmc", "no-isolated-pds",
-                                      "non-isolated-pds", "extend", "stats"])
-    g.add_argument("--level", type=int, default=4, help="region level")
-    g.add_argument("--seed", type=int, help="seed for extension choices")
-    g.add_argument("--budget", type=float, help="seconds before timing out")
-    g.add_argument("--complete", action="store_true",
-                   help="count-2ptmc: also run the exhaustive totality check")
-    g.set_defaults(fn=cmd_gamma)
+    g = sub.add_parser("gamma", help="ternary square compound computations")
+    g = g.add_subparsers(dest="action", required=True)
+    x = leaf(g, "count-2ptmc", cmd_gamma_count, out, budget)
+    x.add_argument("--complete", action="store_true",
+                   help="also run the exhaustive totality check, bounded by --budget")
+    leaf(g, "no-isolated-pds", cmd_gamma_no_isolated, out, budget)
+    leaf(g, "non-isolated-pds", cmd_gamma_non_isolated, emit)
+    x = leaf(g, "extend", cmd_gamma_extend, emit)
+    x.add_argument("--level", type=int, default=4, help="region level")
+    x.add_argument("--seed", type=int, help="seed for extension choices")
+    x = leaf(g, "stats", cmd_gamma_stats, out)
+    x.add_argument("--level", type=int, default=4, help="region level")
 
-    e = sub.add_parser("export", help="render the hive or a region", parents=[common])
-    e.add_argument("target", choices=["hive", "region"])
-    e.add_argument("--level", type=int, default=2, help="region level")
-    e.add_argument("--format", choices=["dot", "json"], default="dot")
-    e.set_defaults(fn=cmd_export)
+    e = sub.add_parser("export", help="render the hive or a region")
+    e = e.add_subparsers(dest="target", required=True)
+    fmt = argparse.ArgumentParser(add_help=False, parents=[emit])
+    fmt.add_argument("--format", choices=["dot", "json"], default="dot")
+    leaf(e, "hive", cmd_export_hive, fmt)
+    x = leaf(e, "region", cmd_export_region, fmt)
+    x.add_argument("--level", type=int, default=2, help="region level")
 
-    y = sub.add_parser("survey", help="grid efficient-domination survey", parents=[common])
+    y = leaf(sub, "survey", cmd_survey, out, budget, help="grid efficient-domination survey")
     y.add_argument("--max-side", type=int, default=7)
-    y.add_argument("--budget", type=float)
-    y.set_defaults(fn=cmd_survey)
     return p
 
 

@@ -48,9 +48,10 @@ class CodeSet:
     def __post_init__(self) -> None:
         vs = tuple(sorted(set(self.vertices)))
         object.__setattr__(self, "vertices", vs)
-        for v in vs:
-            if not self.ambient.contains(v):
-                raise ValueError(f"vertex {v} outside ambient")
+        if not _inside(self.ambient, vs):
+            for v in vs:  # sorted, so the smallest offender is named
+                if not self.ambient.contains(v):
+                    raise ValueError(f"vertex {v} outside ambient")
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -63,6 +64,22 @@ class CodeSet:
         # found once per code; the instance dict is not a field, so equality
         # and hash are unaffected
         return _find_components(self)
+
+
+def _inside(a: Ambient, vs: tuple[Point, ...]) -> bool:
+    """True when every vertex lies in the ambient, checked per axis by C-level
+    min and max. False leaves the verdict to the exact per-vertex scan: a
+    vertex may be outside or of the wrong length, or a coordinate may not be
+    an int, where min and max need not agree with the scan (NaN, strings)."""
+    if not vs:
+        return True
+    if set(map(len, vs)) != {a.dimension}:
+        return False
+    limits = [(0, m - 1) for m in a.moduli] if a.is_torus else a.bounds
+    for column, (lo, hi) in zip(zip(*vs), limits):
+        if set(map(type, column)) != {int} or not lo <= min(column) <= max(column) <= hi:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -102,6 +102,8 @@ def min_component_separation(code: CodeSet) -> int:
     a = code.ambient
     if not a.is_torus:
         raise ValueError("separation is measured on toroidal codes")
+    if not code.vertices:
+        raise ValueError("separation of an empty code is undefined")
     members = set(code.vertices)
     moves = [(i, step, 3 * m) for i, m in enumerate(a.moduli) for step in (1, -1)]
     seen = {tuple(x + m for x, m in zip(code.vertices[0], a.moduli))}

@@ -550,11 +550,15 @@ def _vertex_class(v: GammaVertex, h: Hive) -> str:
     return "corner"
 
 
-def _member_tersquares(v: GammaVertex, member_set) -> list[Tersquare]:
-    """The tersquares containing v, sorted; only members unless member_set
-    is None."""
-    return sorted(t for t in containing_tersquares(v)
-                  if member_set is None or t in member_set)
+def _export_labels(g: Graph, members) -> tuple[dict, dict]:
+    """Each vertex's id, and the ids of the tersquares containing it, sorted;
+    only members unless members is None. Each tersquare's id is built once."""
+    member_set = set(members) if members is not None else None
+    names: dict = {}
+    owners = {v: [names.get(t) or names.setdefault(t, str(t))
+                  for t in sorted(containing_tersquares(v))
+                  if member_set is None or t in member_set] for v in g.vertices}
+    return {v: str(v) for v in g.vertices}, owners
 
 
 _CLASS_COLORS = {"center": "white", "subcentral": "lightblue", "corner": "lightgray"}
@@ -562,10 +566,8 @@ _CLASS_COLORS = {"center": "white", "subcentral": "lightblue", "corner": "lightg
 
 def graph_to_json(g: Graph, members=None) -> dict:
     """JSON adjacency with stable string ids and tersquare membership."""
-    member_set = set(members) if members is not None else None
-    ids = {v: str(v) for v in g.vertices}
-    verts = [{"id": ids[v], "tersquares": [str(t) for t in _member_tersquares(v, member_set)]}
-             for v in sorted(g.vertices)]
+    ids, owners = _export_labels(g, members)
+    verts = [{"id": ids[v], "tersquares": owners[v]} for v in sorted(g.vertices)]
     edges = [[ids[u], ids[v]] for u, v in g.edges()]
     return {"vertices": verts, "edges": sorted(edges)}
 
@@ -581,16 +583,14 @@ def graph_from_json(doc: dict) -> Graph:
 def graph_to_dot(g: Graph, hive: Hive | None = None, members=None) -> str:
     """DOT text; for a hive, vertices are colored by tersquare class."""
     lines = ["graph gamma2 {", '  node [shape=circle, style=filled];']
-    member_set = set(members) if members is not None else None
-    ids = {v: str(v) for v in g.vertices}
+    ids, owners = _export_labels(g, members)
     for v in sorted(g.vertices):
         attrs = []
         if hive is not None:
             cls = _vertex_class(v, hive)
             attrs.append(f'fillcolor="{_CLASS_COLORS[cls]}"')
             attrs.append(f'class="{cls}"')
-        owns = ";".join(str(t) for t in _member_tersquares(v, member_set))
-        attrs.append(f'tersquares="{owns}"')
+        attrs.append(f'tersquares="{";".join(owners[v])}"')
         lines.append(f'  "{ids[v]}" [{", ".join(attrs)}];')
     lines.extend(f'  "{ids[u]}" -- "{ids[v]}";' for u, v in g.edges())
     lines.append("}")

@@ -1,10 +1,16 @@
 """End-to-end tests of every CLI subcommand."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from ptmc.cli import main
+from ptmc.cli import build_parser, main
+from ptmc.codes import code_to_json
+from ptmc.constructions import build_box_code
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(argv, tmp_path, name="report.json"):
@@ -254,6 +260,72 @@ def usage_error(argv, tmp_path, capsys):
     return err
 
 
+# every option a leaf does not read, and every combination its handler would
+# ignore, is refused; CODE is a box code file, GRAPH a graph file
+@pytest.mark.parametrize("argv, flag", [
+    (["construct", "box", "--c", "2,2", "--k", "1,1", "--n", "3"], "--n"),
+    (["construct", "box", "--c", "2,2", "--k", "1,1", "--budget", "5"], "--budget"),
+    (["construct", "box", "--c", "2,2", "--k", "1,1", "--seed", "5"], "--seed"),
+    (["construct", "square-singleton", "--c", "2,2"], "--c"),
+    (["construct", "square-singleton", "--k", "1,1"], "--k"),
+    (["construct", "square-singleton", "--n", "3"], "--n"),
+    (["construct", "cube-singleton", "--c", "2,2"], "--c"),
+    (["construct", "cube-singleton", "--k", "1,1"], "--k"),
+    (["gamma", "count-2ptmc", "--level", "3"], "--level"),
+    (["gamma", "count-2ptmc", "--seed", "1"], "--seed"),
+    (["gamma", "no-isolated-pds", "--level", "3"], "--level"),
+    (["gamma", "no-isolated-pds", "--seed", "1"], "--seed"),
+    (["gamma", "no-isolated-pds", "--complete"], "--complete"),
+    (["gamma", "non-isolated-pds", "--level", "3"], "--level"),
+    (["gamma", "non-isolated-pds", "--seed", "1"], "--seed"),
+    (["gamma", "non-isolated-pds", "--budget", "1"], "--budget"),
+    (["gamma", "non-isolated-pds", "--complete"], "--complete"),
+    (["gamma", "extend", "--budget", "1"], "--budget"),
+    (["gamma", "extend", "--complete"], "--complete"),
+    (["gamma", "stats", "--seed", "1"], "--seed"),
+    (["gamma", "stats", "--budget", "1"], "--budget"),
+    (["gamma", "stats", "--complete"], "--complete"),
+    (["export", "hive", "--level", "3"], "--level"),
+    (["verify", "ptmc", "--code", "CODE", "--graph", "GRAPH"], "--graph"),
+    (["verify", "pds", "--code", "CODE", "--t", "1"], "--t"),
+    (["verify", "nipds", "--code", "CODE", "--t", "1"], "--t"),
+    (["verify", "ptmc", "--code", "CODE", "--emit", "x.json"], "--emit"),
+    (["verify", "pds", "--code", "CODE", "--emit", "x.json"], "--emit"),
+    (["verify", "nipds", "--code", "CODE", "--emit", "x.json"], "--emit"),
+    (["survey", "--max-side", "3", "--emit", "x.json"], "--emit"),
+    (["gamma", "count-2ptmc", "--emit", "x.json"], "--emit"),
+    (["gamma", "no-isolated-pds", "--emit", "x.json"], "--emit"),
+    (["gamma", "stats", "--emit", "x.json"], "--emit"),
+    (["search", "--grid", "4,4", "--torus", "5,5"], "--torus"),
+    (["search", "--instance", "CODE", "--graph", "GRAPH"], "--graph"),
+    (["search", "--grid", "4,4", "--limit", "2"], "--limit"),
+    (["gamma", "count-2ptmc", "--budget", "1"], "--budget"),
+    (["verify", "pds", "--code", "CODE", "--graph", "GRAPH"], "--graph"),
+    (["verify", "nipds", "--code", "CODE", "--graph", "GRAPH"], "--graph"),
+])
+def test_ignored_option_is_usage_error(argv, flag, tmp_path, capsys):
+    code_file, graph_file = tmp_path / "code.json", tmp_path / "graph.json"
+    code_file.write_text(json.dumps(code_to_json(*build_box_code((2, 2), (1, 1)))))
+    graph_file.write_text(json.dumps({"vertices": [{"id": "a"}], "edges": []}))
+    paths = {"CODE": str(code_file), "GRAPH": str(graph_file)}
+    out = tmp_path / "report.json"
+    assert main([paths.get(a, a) for a in argv] + ["--out", str(out)]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "x.json").exists()
+
+
+def test_readme_cli_examples_parse():
+    text = README.read_text()
+    block = text[text.index("## CLI"):]
+    block = block[block.index("```sh"):]
+    block = block[:block.index("```", 5)]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    examples = [words[1:] for words in lines if words[:1] == ["ptmc"]]
+    assert len(examples) >= 18
+    for words in examples:
+        build_parser().parse_args(words)
+
+
 def test_missing_code_file_is_usage_error(tmp_path, capsys):
     err = usage_error(["verify", "ptmc", "--code", str(tmp_path / "missing.json")],
                       tmp_path, capsys)
@@ -293,6 +365,18 @@ def test_incomplete_kappa_is_usage_error_unless_t_given(tmp_path, capsys):
     assert "kappa entry" in err and "'" not in err
     code, report = run(["verify", "ptmc", "--code", str(code_file), "--t", "2"], tmp_path)
     assert code == 0 and report["verdicts"]["passed"] is True
+
+
+@pytest.mark.parametrize("vertex", [[1, 3], [1]])
+def test_vertex_outside_torus_is_usage_error(vertex, tmp_path, capsys):
+    code_file = tmp_path / "code.json"
+    code_file.write_text(json.dumps({
+        "ambient": {"kind": "torus", "moduli": [3, 3]},
+        "vertices": [[0, 0], vertex],
+    }))
+    err = usage_error(["verify", "ptmc", "--code", str(code_file), "--t", "1"],
+                      tmp_path, capsys)
+    assert f"vertex {tuple(vertex)} outside ambient" in err
 
 
 def test_extend_level_too_small_is_usage_error(tmp_path, capsys):

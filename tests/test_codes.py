@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 
@@ -49,6 +50,23 @@ def test_components_basic():
 
 def test_components_empty():
     assert components_of(CodeSet(torus(4, 4), ())) == []
+
+
+@pytest.mark.parametrize("ambient, vertices, bad", [
+    (torus(3, 3), ((0, 0), (2, 3), (1, 3)), "(1, 3)"),  # the smallest offender is named
+    (torus(3, 3), ((2, 2), (0, -1)), "(0, -1)"),
+    (torus(3, 3), ((0, 0), (1,)), "(1,)"),
+    (Ambient.window((-1, 1), (0, 2)), ((-1, 0), (-2, 1)), "(-2, 1)"),
+    (Ambient.window((-1, 1), (0, 2)), ((0, 0, 0),), "(0, 0, 0)"),
+])
+def test_vertex_outside_ambient_raises(ambient, vertices, bad):
+    with pytest.raises(ValueError, match=re.escape(f"vertex {bad} outside ambient")):
+        CodeSet(ambient, vertices)
+
+
+def test_vertices_on_the_ambient_boundary_are_inside():
+    assert len(CodeSet(torus(3, 4), ((0, 0), (2, 3), (0, 3), (2, 0)))) == 4
+    assert len(CodeSet(Ambient.window((-1, 1), (0, 2)), ((-1, 0), (1, 2)))) == 2
 
 
 def test_components_unit_square():
