@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import product
 from operator import sub
@@ -46,7 +46,8 @@ class CodeSet:
     vertices: tuple[Point, ...]
 
     def __post_init__(self) -> None:
-        vs = tuple(sorted(set(self.vertices)))
+        # a stable sort keeps first occurrences, and is linear on sorted input
+        vs = tuple(dict.fromkeys(sorted(self.vertices)))
         object.__setattr__(self, "vertices", vs)
         if not _inside(self.ambient, vs):
             for v in vs:  # sorted, so the smallest offender is named
@@ -261,18 +262,19 @@ def box_hull_check(comp: Component) -> BoxSpec | None:
 def verify_partition(balls: Iterable, vertices: Iterable, size: int) -> VerifyReport:
     """Check that balls, each inside a vertex set of the given size, partition it.
 
-    An overlap is reported before a gap: the witness is the smallest vertex
-    in two balls, else the first vertex of `vertices` in none. `vertices`
-    is only scanned when the balls cover fewer than `size` vertices.
+    A ball (a set, a dict, a tuple) lists each vertex once. An overlap is
+    reported before a gap: the witness is the smallest vertex in two balls,
+    else the first vertex of `vertices` in none. `vertices` is only scanned
+    when the balls cover fewer than `size` vertices.
     """
     covered: set = set()
     overlap = None
     for ball in balls:
-        for v in ball:
-            if v not in covered:
-                covered.add(v)
-            elif overlap is None or v < overlap:
-                overlap = v
+        if not covered.isdisjoint(ball):
+            twice = min(covered.intersection(ball))
+            if overlap is None or twice < overlap:
+                overlap = twice
+        covered.update(ball)
     if overlap is not None:
         return _fail("overlap", (overlap,), "vertex covered by two balls")
     if len(covered) != size:
@@ -346,6 +348,25 @@ def verify_t_ptmc(code: CodeSet, t: int) -> VerifyReport:
     return verify_kappa_ptmc(code, KappaAssignment.uniform(t))
 
 
+def _dominate(s: Iterable, g: Graph, accepts, detail: str) -> tuple[set, VerifyReport]:
+    """S as a set, and the report of the domination scan behind the PDS
+    verifiers. The first vertex of S, in the order given, that is not in g
+    raises ValueError. The report fails at the first vertex of g outside S
+    whose neighbours in S `accepts` rejects: a gap if it has none, else an
+    overlap."""
+    sset = set()
+    for v in s:
+        if v not in g:
+            raise ValueError(f"code vertex {v!r} not in graph")
+        sset.add(v)
+    for v in g.vertices:
+        if v not in sset:
+            seen = g.neighbors(v) & sset
+            if not accepts(seen):
+                return sset, _fail("overlap" if seen else "gap", (v,), detail)
+    return sset, VerifyReport(passed=True)
+
+
 def verify_pds(s: Iterable, g: Graph) -> VerifyReport:
     """Perfect dominating set check on an arbitrary finite graph.
 
@@ -353,24 +374,9 @@ def verify_pds(s: Iterable, g: Graph) -> VerifyReport:
     The report's `independent` flag states whether S induces no edges
     (an isolated PDS, also known as an efficient dominating set).
     """
-    sset = set(s)
-    for v in sset:
-        if v not in g:
-            raise ValueError(f"code vertex {v!r} not in graph")
-    witness = None
-    kind = None
-    for v in sorted(g.vertices):
-        if v in sset:
-            continue
-        k = len(g.neighbors(v) & sset)
-        if k != 1 and (witness is None or v < witness):
-            witness = v
-            kind = "gap" if k == 0 else "overlap"
-    independent = all(not (g.neighbors(v) & sset) for v in sset)
-    if witness is not None:
-        return VerifyReport(False, kind, (witness,),
-                            "vertex dominated zero or several times", independent)
-    return VerifyReport(True, independent=independent)
+    sset, rep = _dominate(s, g, lambda seen: len(seen) == 1,
+                          "vertex dominated zero or several times")
+    return replace(rep, independent=all(sset.isdisjoint(g.neighbors(v)) for v in sset))
 
 
 def verify_non_isolated_pds(s: Iterable, g: Graph) -> VerifyReport:
@@ -379,18 +385,8 @@ def verify_non_isolated_pds(s: Iterable, g: Graph) -> VerifyReport:
     Pass iff every vertex outside S is adjacent either to exactly one
     vertex of S, or to exactly two vertices of S joined by an edge.
     """
-    sset = set(s)
-    for v in sorted(g.vertices):
-        if v in sset:
-            continue
-        nbrs = sorted(g.neighbors(v) & sset)
-        if len(nbrs) == 1:
-            continue
-        if len(nbrs) == 2 and g.has_edge(nbrs[0], nbrs[1]):
-            continue
-        return VerifyReport(False, "gap" if not nbrs else "overlap", (v,),
-                            "vertex not dominated by one vertex or one edge of S")
-    return VerifyReport(True)
+    return _dominate(s, g, lambda seen: len(seen) == 1 or len(seen) == 2 and g.has_edge(*seen),
+                     "vertex not dominated by one vertex or one edge of S")[1]
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from .codes import CodeSet, KappaAssignment, components_of
 from .cover import OutOfTime, solve, tiling_instance
-from .metric import Ambient, Point, ball_size_formula, truncated_ball
+from .metric import Ambient, Point, truncated_ball
 
 
 @dataclass(frozen=True)
@@ -37,18 +37,18 @@ class TemplateShape:
 
 @dataclass(frozen=True)
 class TemplateSpec:
-    """Shapes with radii and per-fundamental-region multiplicities."""
+    """Shapes with radii and per-fundamental-region multiplicities. The
+    region's volume, the sum of multiplicity x ball volume, divides the torus."""
 
     shapes: tuple[TemplateShape, ...]
     torus: Ambient
-    fr_volume: int
+    fr_volume: int = field(init=False)
 
     def __post_init__(self) -> None:
         vol = sum(s.multiplicity * shape_ball_volume(s.vertices, s.radius)
                   for s in self.shapes)
-        if vol != self.fr_volume:
-            raise ValueError(f"FR volume {self.fr_volume} != shape total {vol}")
-        if self.torus.vertex_count() % self.fr_volume != 0:
+        object.__setattr__(self, "fr_volume", vol)
+        if self.torus.vertex_count() % vol != 0:
             raise ValueError("FR volume does not divide the torus size")
 
     @property
@@ -139,7 +139,7 @@ def square_singleton_template() -> TemplateSpec:
     square = ((0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0))
     shapes = (TemplateShape("square", square, 1, 2),
               TemplateShape("singleton", ((0, 0, 0),), 1, 2))
-    return TemplateSpec(shapes, Ambient.torus(6, 6, 3), 54)
+    return TemplateSpec(shapes, Ambient.torus(6, 6, 3))
 
 
 def cube_singleton_template(n: int) -> TemplateSpec:
@@ -152,12 +152,10 @@ def cube_singleton_template(n: int) -> TemplateSpec:
     if n < 3:
         raise ValueError("cube template needs dimension >= 3")
     cube = tuple(sorted(p + (0,) for p in product((0, 1), repeat=n - 1)))
-    cube_ball = shape_ball_volume(cube, 1)
-    fr = 2 * cube_ball + 2 * ball_size_formula(n, n - 2)
     torus = Ambient.torus(*((6,) * (n - 1) + (3,)))
     shapes = (TemplateShape("cube", cube, 1, 2),
               TemplateShape("singleton", ((0,) * n,), n - 2, 2))
-    return TemplateSpec(shapes, torus, fr)
+    return TemplateSpec(shapes, torus)
 
 
 @dataclass(frozen=True)

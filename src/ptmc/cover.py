@@ -230,7 +230,7 @@ def eds_instance(g: Graph) -> ExactCoverInstance:
     A vertex subset S dominates every vertex exactly once iff the closed
     neighborhoods N[v], v in S, partition V(G). Tile ids are str(vertex).
     """
-    universe = tuple(sorted(g.vertices))
+    universe = g.vertices
     tiles = tuple((str(v), frozenset(g.neighbors(v) | {v})) for v in universe)
     return ExactCoverInstance(universe, tiles)
 

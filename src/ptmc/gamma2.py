@@ -551,23 +551,23 @@ def _vertex_class(v: GammaVertex, h: Hive) -> str:
 
 
 def _export_labels(g: Graph, members) -> tuple[dict, dict]:
-    """Each vertex's id, and the ids of the tersquares containing it, sorted;
-    only members unless members is None. Each tersquare's id is built once."""
-    member_set = set(members) if members is not None else None
+    """Each vertex's id, and the ids of the member tersquares containing it,
+    sorted. Each tersquare's id is built once."""
+    member_set = set(members)
     names: dict = {}
     owners = {v: [names.get(t) or names.setdefault(t, str(t))
-                  for t in sorted(containing_tersquares(v))
-                  if member_set is None or t in member_set] for v in g.vertices}
+                  for t in sorted(containing_tersquares(v)) if t in member_set]
+              for v in g.vertices}
     return {v: str(v) for v in g.vertices}, owners
 
 
 _CLASS_COLORS = {"center": "white", "subcentral": "lightblue", "corner": "lightgray"}
 
 
-def graph_to_json(g: Graph, members=None) -> dict:
-    """JSON adjacency with stable string ids and tersquare membership."""
+def graph_to_json(g: Graph, members) -> dict:
+    """JSON adjacency with stable string ids and membership in `members`."""
     ids, owners = _export_labels(g, members)
-    verts = [{"id": ids[v], "tersquares": owners[v]} for v in sorted(g.vertices)]
+    verts = [{"id": ids[v], "tersquares": owners[v]} for v in g.vertices]
     edges = [[ids[u], ids[v]] for u, v in g.edges()]
     return {"vertices": verts, "edges": sorted(edges)}
 
@@ -580,11 +580,11 @@ def graph_from_json(doc: dict) -> Graph:
     return Graph(adj)
 
 
-def graph_to_dot(g: Graph, hive: Hive | None = None, members=None) -> str:
-    """DOT text; for a hive, vertices are colored by tersquare class."""
+def graph_to_dot(g: Graph, members, hive: Hive | None = None) -> str:
+    """DOT text with membership in `members`; a hive's vertices are colored."""
     lines = ["graph gamma2 {", '  node [shape=circle, style=filled];']
     ids, owners = _export_labels(g, members)
-    for v in sorted(g.vertices):
+    for v in g.vertices:
         attrs = []
         if hive is not None:
             cls = _vertex_class(v, hive)
@@ -615,7 +615,7 @@ def export_graph(target: str, fmt: str, level: int = 2) -> str:
     else:
         raise ValueError(f"unknown export target {target!r}")
     if fmt == "dot":
-        return graph_to_dot(g, hive=hive, members=members)
+        return graph_to_dot(g, members, hive=hive)
     if fmt == "json":
-        return json.dumps(graph_to_json(g, members=members), indent=2, sort_keys=True)
+        return json.dumps(graph_to_json(g, members), indent=2, sort_keys=True)
     raise ValueError(f"unknown format {fmt!r}")

@@ -8,6 +8,8 @@ immutable.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .metric import Ambient
 
 
@@ -25,8 +27,9 @@ class Graph:
             if v in ns:
                 raise ValueError(f"self-loop at {v!r}")
 
-    @property
+    @cached_property
     def vertices(self) -> tuple:
+        """The vertices in sorted order, sorted once per graph."""
         return tuple(sorted(self._adj))
 
     def __len__(self) -> int:
@@ -46,12 +49,7 @@ class Graph:
 
     def edges(self) -> list:
         """Each undirected edge once, as a sorted pair, in sorted order."""
-        out = []
-        for v in sorted(self._adj):
-            for u in self._adj[v]:
-                if v < u:
-                    out.append((v, u))
-        return sorted(out)
+        return sorted((v, u) for v, ns in self._adj.items() for u in ns if v < u)
 
     def edge_count(self) -> int:
         return sum(len(ns) for ns in self._adj.values()) // 2

@@ -123,6 +123,42 @@ def naive_lattice_graph(a):
     return Graph(adj)
 
 
+def naive_domination(s, g, relaxed):
+    """(passed, kind, witness, detail, independent) of a PDS verifier by
+    literal loops over S.
+
+    A vertex outside S is dominated when exactly one vertex of S is its
+    neighbour, or, if relaxed, exactly two that are joined by an edge. The
+    witness is the smallest vertex that is not dominated; it is a gap with
+    no neighbour in S, else an overlap. `independent` is whether no two
+    vertices of S are joined by an edge, and None when relaxed. A vertex of
+    S outside g raises ValueError, the first in the order given.
+    """
+    members = []
+    for v in s:
+        if v not in g:
+            raise ValueError(f"code vertex {v!r} not in graph")
+        if v not in members:
+            members.append(v)
+    bad = []
+    for v in g.vertices:
+        if v in members:
+            continue
+        doms = [u for u in members if g.has_edge(v, u)]
+        if len(doms) == 1 or relaxed and len(doms) == 2 and g.has_edge(*doms):
+            continue
+        bad.append((v, "overlap" if doms else "gap"))
+    independent = None
+    detail = "vertex not dominated by one vertex or one edge of S"
+    if not relaxed:
+        independent = not any(g.has_edge(u, w) for u, w in combinations(members, 2))
+        detail = "vertex dominated zero or several times"
+    if not bad:
+        return True, None, (), "", independent
+    v, kind = min(bad)
+    return False, kind, (v,), detail, independent
+
+
 def naive_min_component_separation(code):
     """Minimum l1 distance from the home component to any other, by lifting
     the code into a 3^n block of torus copies, finding the block's

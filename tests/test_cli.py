@@ -1,11 +1,16 @@
 """End-to-end tests of every CLI subcommand."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ptmc
+from ptmc import cli
 from ptmc.cli import build_parser, main
 from ptmc.codes import code_to_json
 from ptmc.constructions import build_box_code
@@ -144,6 +149,12 @@ def test_search_limit_below_one_is_usage_error(tmp_path, capsys):
     assert "--limit" in err
 
 
+@pytest.mark.parametrize("grid", ["4", "4,4,4"])
+def test_search_grid_needs_two_values(grid, tmp_path, capsys):
+    err = usage_error(["search", "--grid", grid], tmp_path, capsys)
+    assert "--grid" in err
+
+
 def test_search_deep_torus(tmp_path):
     # 1,125 tiles deep: the search must not hit Python's recursion limit
     code, report = run(["search", "--torus", "75,75", "--emit", str(tmp_path / "sol.json")],
@@ -193,6 +204,17 @@ def test_gamma_stats(tmp_path):
     assert report["counts"]["hive_members"] == 16
     assert report["counts"]["hive_vertices"] == 81
     assert report["counts"]["interior_degrees"] == [8]
+
+
+@pytest.mark.parametrize("what", ["pds", "nipds"])
+def test_verify_foreign_vertex_is_usage_error(what, tmp_path, capsys):
+    hive_file, pds_file = tmp_path / "hive.json", tmp_path / "pds.json"
+    assert main(["export", "hive", "--format", "json", "--emit", str(hive_file),
+                 "--out", str(tmp_path / "e.json")]) == 0
+    pds_file.write_text(json.dumps({"vertices": ["nowhere", "elsewhere"]}))
+    err = usage_error(["verify", what, "--code", str(pds_file), "--graph", str(hive_file)],
+                      tmp_path, capsys)
+    assert "'nowhere' not in graph" in err
 
 
 def test_verify_gamma_pds_against_exported_graph(tmp_path):
@@ -402,3 +424,52 @@ def test_report_field_order(tmp_path):
     main(["gamma", "count-2ptmc", "--out", str(out)])
     keys = list(json.loads(out.read_text()).keys())
     assert keys == ["command", "inputs", "verdicts", "counts", "artifacts", "timings"]
+
+
+def test_main_builds_the_parser_once(tmp_path, monkeypatch):
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    assert main(["survey", "--max-side", "3", "--out", str(tmp_path / "a.json")]) == 1
+    assert main(["gamma", "stats", "--level", "2", "--out", str(tmp_path / "b.json")]) == 0
+    assert built == [1]
+    assert build_parser() is not build_parser()  # the public builder stays fresh
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    # each run exports the hive and the relaxed set, then searches and
+    # verifies them (the strict check fails at a witness), all in fresh
+    # processes with one PYTHONHASHSEED
+    commands = [
+        ["export", "hive", "--format", "json", "--emit", "hive.json", "--out", "r1.json"],
+        ["gamma", "non-isolated-pds", "--emit", "pds.json", "--out", "r2.json"],
+        ["search", "--graph", "hive.json", "--enumerate", "--emit", "sol.json",
+         "--out", "r3.json"],
+        ["verify", "nipds", "--code", "pds.json", "--graph", "hive.json", "--out", "r4.json"],
+        ["verify", "pds", "--code", "pds.json", "--graph", "hive.json", "--out", "r5.json"],
+    ]
+    src = str(Path(ptmc.__file__).resolve().parent.parent)
+    runs = []
+    for seed in ("1", "2"):
+        cwd = tmp_path / seed
+        cwd.mkdir()
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = [subprocess.run([sys.executable, "-m", "ptmc", *argv], cwd=cwd, env=env,
+                               capture_output=True, text=True) for argv in commands]
+        stdout = [(p.returncode, p.stdout, p.stderr) for p in done]
+        files = {path.name: path.read_text() for path in sorted(cwd.iterdir())}
+        for name in ("r1.json", "r2.json", "r3.json", "r4.json", "r5.json"):
+            report = json.loads(files[name])
+            del report["timings"]
+            files[name] = json.dumps(report)  # in field order
+        runs.append((stdout, files))
+    assert [code for code, _, _ in runs[0][0]] == [0, 0, 0, 0, 1]
+    assert sorted(runs[0][1]) == ["hive.json", "pds.json", "r1.json", "r2.json", "r3.json",
+                                  "r4.json", "r5.json", "sol.json"]
+    assert runs[1] == runs[0]

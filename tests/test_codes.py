@@ -26,10 +26,16 @@ from ptmc.codes import (
 )
 from ptmc.constructions import build_box_code, square_singleton_template, build_by_template
 from ptmc.cover import eds_instance, solve
+from ptmc.gamma2 import build_hive, hive_graph, hive_non_isolated_pds
 from ptmc.graphs import Graph, grid_graph, lattice_graph
 from ptmc.metric import Ambient
 
-from oracles import naive_components, naive_lattice_graph, naive_verify_kappa_ptmc
+from oracles import (
+    naive_components,
+    naive_domination,
+    naive_lattice_graph,
+    naive_verify_kappa_ptmc,
+)
 
 
 def torus(*m):
@@ -62,6 +68,14 @@ def test_components_empty():
 def test_vertex_outside_ambient_raises(ambient, vertices, bad):
     with pytest.raises(ValueError, match=re.escape(f"vertex {bad} outside ambient")):
         CodeSet(ambient, vertices)
+
+
+def test_codeset_sorts_and_dedups_keeping_first_occurrence():
+    first, again = tuple([1, 0]), tuple([1, 0])
+    assert first == again and first is not again
+    code = CodeSet(torus(3, 3), ((2, 2), first, (0, 1), again, (2, 2), (0, 1)))
+    assert code.vertices == ((0, 1), (1, 0), (2, 2))
+    assert code.vertices[1] is first
 
 
 def test_vertices_on_the_ambient_boundary_are_inside():
@@ -186,6 +200,11 @@ def test_partition_reports_overlap_before_smaller_gap():
     rep = verify_partition([{(3,)}, {(1,)}], verts, 4)
     assert (rep.kind, rep.witness) == ("gap", ((0,),))
     assert verify_partition([{(3,), (1,)}, {(0,), (2,)}], verts, 4).passed
+    # balls of every kind the callers pass (dicts, tuples, sets); the witness
+    # is the smallest vertex in two balls, though (3,) is found first
+    balls = [{(3,): 0, (0,): 1}, ((2,),), frozenset({(3,), (1,)}), {(1,), (2,)}]
+    rep = verify_partition(balls, verts, 4)
+    assert (rep.kind, rep.witness) == ("overlap", ((1,),))
 
 
 def test_degenerate_ambient_refused():
@@ -347,6 +366,49 @@ def test_non_isolated_pds_rejects_nonedge_pair():
     p3 = Graph({0: {1}, 1: {0, 2}, 2: {1}})
     rep = verify_non_isolated_pds([0, 2], p3)
     assert not rep.passed and rep.kind == "overlap"
+
+
+@pytest.mark.parametrize("check", [verify_pds, verify_non_isolated_pds])
+def test_pds_verifiers_name_first_foreign_vertex_in_input_order(check):
+    g = grid_graph(4, 4)
+    s = [(0, 1), (1, 3), (2, 0), (3, 2)]  # an efficient dominating set
+    assert verify_pds(s, g).passed
+    # (0, 9) sorts before (9, 9) but comes after it
+    with pytest.raises(ValueError, match=re.escape("code vertex (9, 9) not in graph")):
+        check(s[:2] + [(9, 9), (0, 9)] + s[2:], g)
+
+
+def report_fields(rep):
+    return rep.passed, rep.kind, rep.witness, rep.detail, rep.independent
+
+
+def test_pds_verifiers_match_domination_oracle():
+    rng = random.Random(11)
+    cases = []
+    for g in (grid_graph(4, 4), grid_graph(3, 5), grid_graph(5, 6),
+              lattice_graph(torus(5, 5)), hive_graph(build_hive())):
+        verts = list(g.vertices)
+        cases.append((g, []))
+        for _ in range(40):
+            cases.append((g, rng.sample(verts, rng.randint(1, len(verts) // 2))))
+    # passing sets, from exact cover and the hive's relaxed set, with
+    # one-vertex edits and repeats
+    g = grid_graph(4, 4)
+    eds = [eval(t) for t in solve(eds_instance(g)).tiles]
+    cases += [(g, eds), (g, eds[1:]), (g, eds + [(0, 0)])]
+    g = lattice_graph(torus(5, 5))
+    eds = [eval(t) for t in solve(eds_instance(g)).tiles]
+    cases += [(g, eds), (g, eds[:-1]), (g, eds[::-1] + [eds[0]])]
+    g = hive_graph(build_hive())
+    relaxed = list(hive_non_isolated_pds())
+    cases += [(g, relaxed), (g, relaxed[1:]), (g, relaxed + relaxed[:3])]
+    passed = set()
+    for g, s in cases:
+        for check, rel in ((verify_pds, False), (verify_non_isolated_pds, True)):
+            rep = check(s, g)
+            assert report_fields(rep) == naive_domination(s, g, rel), (check.__name__, s)
+            passed.add((check.__name__, rep.passed))
+    assert len(passed) == 4  # every verifier both passes and fails somewhere
 
 
 # ---------------------------------------------------------------------------

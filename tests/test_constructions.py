@@ -184,9 +184,9 @@ def test_cube_template_rejects_small_dimension():
 def test_template_requires_divisibility():
     shapes = (TemplateShape("dot", ((0, 0),), 1, 1),)
     with pytest.raises(ValueError):
-        TemplateSpec(shapes, Ambient.torus(4, 3), 5)   # volume 5 does not divide 12
-    with pytest.raises(ValueError):
-        TemplateSpec(shapes, Ambient.torus(5, 5), 7)   # stated volume != shape total
+        TemplateSpec(shapes, Ambient.torus(4, 3))   # volume 5 does not divide 12
+    tpl = TemplateSpec(shapes, Ambient.torus(5, 5))
+    assert (tpl.fr_volume, tpl.fr_count) == (5, 5)  # derived from the shape's ball
 
 
 # ---------------------------------------------------------------------------
