@@ -217,8 +217,12 @@ def cmd_search(args) -> tuple[int, dict, dict, list]:
     elif args.grid is not None:
         if len(args.grid) != 2:
             raise ValueError(f"--grid takes two values m,n, got {len(args.grid)}")
+        if min(args.grid) < 1:
+            raise ValueError(f"--grid values must be at least 1, got {args.grid}")
         inst = cover_mod.eds_instance(grid_graph(*args.grid))
     elif args.torus is not None:
+        if min(args.torus) < 1:
+            raise ValueError(f"--torus moduli must be at least 1, got {args.torus}")
         inst = cover_mod.eds_instance(lattice_graph(Ambient.torus(*args.torus)))
     else:
         inst = cover_mod.eds_instance(_load_graph(args.graph))
@@ -341,6 +345,9 @@ def _export(args, text: str) -> tuple[int, dict, dict, list]:
 
 
 def cmd_survey(args) -> tuple[int, dict, dict, list]:
+    if args.max_side < 4:
+        # the survey's verdict is about 4 x 4, which a smaller side never searches
+        raise ValueError(f"--max-side must be at least 4, got {args.max_side}")
     table = cover_mod.grid_eds_survey(args.max_side, budget=args.budget)
     rows = []
     only44 = True

@@ -1,21 +1,21 @@
-"""The ternary square compound: address algebra, hives, and radius-2 codes.
+"""The ternary square compound: tree edges, hives, and radius-2 codes.
 
 The compound is an infinite union of tersquares (K3 box K3 graphs) glued in
 pairs along shared triangles, three gluings per axis per tersquare, each
-its own inverse. Addresses are pairs of reduced ternary words (no two
-adjacent equal letters), one word per axis; gluing appends a letter when it
-differs from the last one and pops otherwise. Per axis this is the Cayley
-graph of the free product of three order-2 generators, i.e. an infinite
-3-regular tree, and a tersquare is a (tree node, tree node) pair.
+its own inverse. Per axis the tersquares form the infinite 3-regular tree
+T: a node is a reduced ternary word (no two adjacent equal letters), and
+gluing along triangle s appends s, or pops it from a word ending with s. A
+tersquare is a pair of tree nodes, one per axis.
 
-A vertex is addressed by a tersquare plus a local label (a, b) in F3 x F3,
-canonicalized so the x-word does not end with a and the y-word does not end
-with b. Gluing preserves local labels on shared triangles, which makes the
-label intrinsic: a vertex lies in exactly four tersquares and carries the
-same (a, b) in each. In tree terms a vertex is a pair (x-tree edge, y-tree
-edge), its four tersquares the endpoint combinations; every vertex then has
-degree 8, and `neighbors` is the one adjacency rule: every graph here (a
-hive's, a region's) is the subgraph it induces on a vertex collection.
+The compound is L(T) box L(T). A vertex is a pair (x-tree edge e, y-tree
+edge f), where a tree edge is (shallow node, letter) and its letter is the
+vertex's local label on that axis. It lies in the four tersquares pairing
+an endpoint of e with one of f, with the same label (a, b) in each. With
+N[e] for e and the four tree edges meeting it, the vertex has the eight
+neighbours (N[e] - e) x {f} and {e} x (N[f] - f), and its truncated 2-ball
+is N[e] x N[f]. Every local structure here is such a product of one piece
+per axis, and every graph (a hive's, a region's) is the subgraph
+`neighbors` induces on a vertex collection.
 
 Addresses are plain named tuples (`Tersquare`, `GammaVertex`), hashed and
 ordered as tuples of their fields. Code here builds them only from reduced
@@ -41,8 +41,10 @@ from .cover import CoverOutcome, ExactCoverInstance, eds_instance, enumerate_cov
 from .graphs import Graph
 
 Word = tuple[int, ...]
+Edge = tuple[Word, int]  # tree edge: shallow endpoint plus the letter toward the deep one
 
 LETTERS = (0, 1, 2)
+_OTHER_LETTERS = ((1, 2), (0, 2), (0, 1))  # indexed by a letter: the other two
 
 
 def _check_word(w: Word) -> Word:
@@ -81,9 +83,7 @@ ORIGIN = Tersquare()
 
 
 def _glue_word(w: Word, s: int) -> Word:
-    if w and w[-1] == s:
-        return w[:-1]
-    return w + (s,)
+    return w[:-1] if w and w[-1] == s else w + (s,)
 
 
 def glue(j: Tersquare, axis: str, s: int) -> Tersquare:
@@ -98,11 +98,11 @@ def glue(j: Tersquare, axis: str, s: int) -> Tersquare:
 
 
 class GammaVertex(NamedTuple):
-    """Canonical global vertex: tersquare address plus local label (a, b).
+    """Canonical global vertex: x-tree edge (wx, a) and y-tree edge (wy, b).
 
-    Canonical form: wx does not end with a and wy does not end with b; the
-    four tersquares containing the vertex are then (wx, wy), (wx+a, wy),
-    (wx, wy+b) and (wx+a, wy+b).
+    Each word is its edge's shallow node, so wx does not end with a and wy
+    does not end with b; the four tersquares containing the vertex are
+    (wx, wy), (wx+a, wy), (wx, wy+b) and (wx+a, wy+b).
     """
 
     wx: Word
@@ -129,60 +129,67 @@ def parse_vertex_id(s: str) -> GammaVertex:
     return v
 
 
-def canonical_vertex(j: Tersquare, a: int, b: int) -> GammaVertex:
-    """The global vertex labelled (a, b) inside tersquare j.
+def _edge(node: Word, s: int) -> Edge:
+    """The tree edge at a node with letter s: up to the parent when the
+    node ends with s, else down to node + s."""
+    return (node[:-1], s) if node and node[-1] == s else (node, s)
 
-    Pops a trailing x-letter equal to a and a trailing y-letter equal to b
-    (at most one pop each, words being reduced); idempotent.
-    """
-    wx = j.wx[:-1] if j.wx and j.wx[-1] == a else j.wx
-    wy = j.wy[:-1] if j.wy and j.wy[-1] == b else j.wy
-    return GammaVertex(wx, wy, a, b)
+
+def _edges_at(node: Word) -> list[Edge]:
+    return [_edge(node, s) for s in LETTERS]
+
+
+def _closed(e: Edge) -> tuple[Edge, ...]:
+    """N[e]: the tree edge e first, then the four edges meeting it."""
+    w, a = e
+    s, t = _OTHER_LETTERS[a]
+    deep = w + (a,)
+    return (e, _edge(w, s), _edge(w, t), (deep, s), (deep, t))
+
+
+def _vertex(e: Edge, f: Edge) -> GammaVertex:
+    return GammaVertex(e[0], f[0], e[1], f[1])
+
+
+def canonical_vertex(j: Tersquare, a: int, b: int) -> GammaVertex:
+    """The global vertex labelled (a, b) inside tersquare j: the edge at
+    j.wx with letter a, times the edge at j.wy with letter b; idempotent."""
+    return _vertex(_edge(j.wx, a), _edge(j.wy, b))
 
 
 def tersquare_vertices(j: Tersquare) -> tuple[GammaVertex, ...]:
-    """The nine global vertices of a tersquare, sorted."""
-    return tuple(sorted(canonical_vertex(j, a, b) for a in LETTERS for b in LETTERS))
+    """The nine global vertices of a tersquare, sorted: the edges at its
+    x-node times the edges at its y-node."""
+    return tuple(sorted(_vertex(e, f) for e in _edges_at(j.wx) for f in _edges_at(j.wy)))
 
 
 def containing_tersquares(v: GammaVertex) -> tuple[Tersquare, ...]:
-    """The four tersquares a vertex lies in."""
-    return (
-        Tersquare(v.wx, v.wy),
-        Tersquare(v.wx + (v.a,), v.wy),
-        Tersquare(v.wx, v.wy + (v.b,)),
-        Tersquare(v.wx + (v.a,), v.wy + (v.b,)),
-    )
-
-
-def _edges_meeting(w: Word, a: int) -> list[tuple[Word, int]]:
-    """The four tree edges (shallower node, letter) meeting edge (w, a)."""
-    return ([(w[:-1] if w[-1:] == (s,) else w, s) for s in LETTERS if s != a]  # at node w
-            + [(w + (a,), s) for s in LETTERS if s != a])  # below node w + a
+    """The four tersquares a vertex lies in: an endpoint of its x-edge with
+    one of its y-edge, the address (wx, wy) first and x varying fastest."""
+    return tuple(Tersquare(x, y) for y in (v.wy, v.wy + (v.b,)) for x in (v.wx, v.wx + (v.a,)))
 
 
 def neighbors(v: GammaVertex) -> tuple[GammaVertex, ...]:
-    """The eight vertices sharing a triangle with v, sorted.
-
-    In tree terms: the x-edges meeting v's x-edge, with v's y-edge, and
-    the y-edges meeting v's y-edge, with v's x-edge.
-    """
-    return tuple(sorted([GammaVertex(wx, v.wy, a, v.b) for wx, a in _edges_meeting(v.wx, v.a)]
-                        + [GammaVertex(v.wx, wy, v.a, b) for wy, b in _edges_meeting(v.wy, v.b)]))
+    """The eight vertices sharing a triangle with v, sorted."""
+    e, f = (v.wx, v.a), (v.wy, v.b)
+    return tuple(sorted([_vertex(m, f) for m in _closed(e)[1:]]
+                        + [_vertex(e, m) for m in _closed(f)[1:]]))
 
 
 def local_ball(v: GammaVertex) -> frozenset:
-    """The truncated 2-ball of a vertex: the 25 vertices of its four
-    containing tersquares, the only vertices at distance <= 2."""
-    return frozenset(u for t in containing_tersquares(v) for u in tersquare_vertices(t))
+    """The truncated 2-ball of a vertex, N[e] x N[f]: the 25 vertices of
+    its four containing tersquares, the only vertices at distance <= 2."""
+    fs = _closed((v.wy, v.b))
+    return frozenset(_vertex(e, f) for e in _closed((v.wx, v.a)) for f in fs)
 
 
 def gamma_truncated_distance(u: GammaVertex, v: GammaVertex) -> int:
     """0 for equal vertices; local Hamming distance when a tersquare is
-    shared (1 or 2); 3 otherwise."""
+    shared, that is when u's x-edge lies in N[e] and its y-edge in N[f]
+    for v's edges e, f (1 or 2); 3 otherwise."""
     if u == v:
         return 0
-    if set(containing_tersquares(u)) & set(containing_tersquares(v)):
+    if (u.wx, u.a) in _closed((v.wx, v.a)) and (u.wy, u.b) in _closed((v.wy, v.b)):
         return (u.a != v.a) + (u.b != v.b)
     return 3
 
@@ -214,11 +221,10 @@ def build_hive(j: Tersquare = ORIGIN) -> Hive:
 
 
 def hive_vertices(h: Hive) -> tuple[GammaVertex, ...]:
-    """All distinct vertices of a hive's member tersquares; 81 of them."""
-    out = set()
-    for t in h.members:
-        out.update(tersquare_vertices(t))
-    return tuple(sorted(out))
+    """All distinct vertices of a hive's member tersquares, sorted: on each
+    axis, the nine tree edges meeting an edge at the center's node; 81."""
+    xs, ys = ({m for e in _edges_at(w) for m in _closed(e)} for w in (h.center.wx, h.center.wy))
+    return tuple(sorted(_vertex(e, f) for e in xs for f in ys))
 
 
 def _induced_graph(vertices) -> Graph:
@@ -271,17 +277,22 @@ def _words_up_to(length: int) -> list[Word]:
     return words
 
 
+def _tersquares_up_to(depth: int) -> list[Tersquare]:
+    """The tersquares with |wx| + |wy| <= depth, unsorted."""
+    return [Tersquare(wx, wy) for wx in _words_up_to(depth)
+            for wy in _words_up_to(depth - len(wx))]
+
+
 def _vertices_up_to(depth: int) -> tuple[GammaVertex, ...]:
     """The canonical vertices with |wx| + |wy| <= depth, sorted; () when
     depth < 0."""
     if depth < 0:
         return ()
     out = []
-    for wx in _words_up_to(depth):
-        xs = [a for a in LETTERS if not wx or wx[-1] != a]
-        for wy in _words_up_to(depth - len(wx)):
-            ys = [b for b in LETTERS if not wy or wy[-1] != b]
-            out.extend(GammaVertex(wx, wy, a, b) for a in xs for b in ys)
+    for wx, wy in _tersquares_up_to(depth):
+        xs = _OTHER_LETTERS[wx[-1]] if wx else LETTERS
+        ys = _OTHER_LETTERS[wy[-1]] if wy else LETTERS
+        out.extend(GammaVertex(wx, wy, a, b) for a in xs for b in ys)
     return tuple(sorted(out))
 
 
@@ -289,11 +300,7 @@ def build_region(level: int) -> Region:
     """Region of all tersquares with |wx| + |wy| <= level."""
     if level < 0:
         raise ValueError("region level must be >= 0")
-    members = []
-    for wx in _words_up_to(level):
-        for wy in _words_up_to(level - len(wx)):
-            members.append(Tersquare(wx, wy))
-    members = tuple(sorted(members))
+    members = tuple(sorted(_tersquares_up_to(level)))
     return Region(level, members, _induced_graph(_vertices_up_to(level)))
 
 
@@ -301,22 +308,16 @@ def build_region(level: int) -> Region:
 # corner partition and the radius-2 code census of a hive
 # ---------------------------------------------------------------------------
 
-def _connecting_letter(w1: Word, w2: Word) -> int:
-    """The glue letter between two adjacent tree nodes."""
-    longer = w1 if len(w1) > len(w2) else w2
-    shorter = w2 if longer is w1 else w1
-    if longer[:-1] != shorter:
-        raise ValueError(f"words {w1} and {w2} are not adjacent")
-    return longer[-1]
-
-
 def external_cycle(h: Hive, corner: Tersquare) -> tuple[GammaVertex, ...]:
     """The four vertices of a corner lying on none of the hive's shared
-    triangles: labels (a, b) avoiding the letters gluing the corner back."""
-    i = _connecting_letter(corner.wx, h.center.wx)
-    j = _connecting_letter(corner.wy, h.center.wy)
-    return tuple(sorted(canonical_vertex(corner, a, b)
-                        for a in LETTERS for b in LETTERS if a != i and b != j))
+    triangles, sorted: on each axis, the two edges at the corner's node
+    that do not lead to the center's node. Raises ValueError for a
+    tersquare that is not one of the hive's corners."""
+    if corner not in h.corners:
+        raise ValueError(f"tersquare {corner} is not a corner of the hive around {h.center}")
+    xs, ys = (set(_edges_at(n)).difference(_edges_at(c))
+              for n, c in ((corner.wx, h.center.wx), (corner.wy, h.center.wy)))
+    return tuple(sorted(_vertex(e, f) for e in xs for f in ys))
 
 
 def corner_partition(h: Hive) -> dict[Tersquare, tuple[GammaVertex, ...]]:
@@ -457,9 +458,6 @@ def no_isolated_pds(h: Hive, budget: float | None = None) -> CoverOutcome:
 # growing codes beyond one hive
 # ---------------------------------------------------------------------------
 
-Edge = tuple[Word, int]  # tree edge: shallow endpoint plus the letter toward the deep one
-
-
 def _edge_code(max_depth: int, rng: random.Random | None) -> set[Edge]:
     """A set of tree edges such that every edge within depth touches
     exactly one chosen edge (efficient edge domination of the 3-regular
@@ -525,10 +523,10 @@ def extend_2ptmc(level: int, seed: int | None = None) -> RegionCode:
     rng = random.Random(seed) if seed is not None else None
     dx = _edge_code(level + 3, rng)
     dy = _edge_code(level + 3, rng)
-    xs = [(wx, a) for (wx, a) in dx if len(wx) <= level]
-    ys = [(wy, b) for (wy, b) in dy if len(wy) <= level]
-    centers = tuple(sorted(GammaVertex(wx, wy, a, b) for (wx, a) in xs for (wy, b) in ys
-                           if len(wx) + len(wy) <= level))
+    xs = [e for e in dx if len(e[0]) <= level]
+    ys = [f for f in dy if len(f[0]) <= level]
+    centers = tuple(sorted(_vertex(e, f) for e in xs for f in ys
+                           if len(e[0]) + len(f[0]) <= level))
     interior = _vertices_up_to(level - 2)
     inside = set(interior)
     rep = verify_partition((local_ball(c) & inside for c in centers), interior, len(interior))

@@ -91,14 +91,8 @@ class Ambient:
 
     def vertex_count(self) -> int:
         if self.is_torus:
-            n = 1
-            for m in self.moduli:
-                n *= m
-            return n
-        n = 1
-        for lo, hi in self.bounds:
-            n *= hi - lo + 1
-        return n
+            return prod(self.moduli)
+        return prod(hi - lo + 1 for lo, hi in self.bounds)
 
     def contains(self, p: Point) -> bool:
         if len(p) != self.dimension:
@@ -110,7 +104,7 @@ class Ambient:
     def wrap(self, p: Point) -> Point:
         """Reduce a raw integer vector to its canonical representative."""
         if self.is_torus:
-            return tuple(x % m for x, m in zip(p, self.moduli))
+            return tuple(map(mod, p, self.moduli))
         return tuple(p)
 
     def diff(self, u: Point, v: Point) -> Point:
@@ -132,7 +126,7 @@ class Ambient:
         return tuple(out)
 
     def translate(self, p: Point, z: Point) -> Point:
-        return self.wrap(tuple(a + b for a, b in zip(p, z)))
+        return self.wrap(tuple(map(add, p, z)))
 
     def vertices(self) -> Iterator[Point]:
         """All vertices in lexicographic order, each exactly once."""

@@ -10,16 +10,7 @@ import random
 from itertools import combinations, product
 
 from ptmc.codes import CodeSet, components_of
-from ptmc.gamma2 import (
-    LETTERS,
-    GammaVertex,
-    RegionCode,
-    _edge_code,
-    canonical_vertex,
-    containing_tersquares,
-    gamma_truncated_distance,
-    local_ball,
-)
+from ptmc.gamma2 import LETTERS, GammaVertex, RegionCode, _edge_code, containing_tersquares
 from ptmc.graphs import Graph
 from ptmc.metric import Ambient
 
@@ -188,6 +179,20 @@ def naive_min_component_separation(code):
     return best
 
 
+def naive_canonical(j, a, b):
+    """The vertex labelled (a, b) in tersquare j by the pop rule: a
+    trailing x-letter equal to a and a trailing y-letter equal to b are
+    dropped from the address."""
+    wx = j.wx[:-1] if j.wx and j.wx[-1] == a else j.wx
+    wy = j.wy[:-1] if j.wy and j.wy[-1] == b else j.wy
+    return GammaVertex(wx, wy, a, b)
+
+
+def naive_grid(t):
+    """A tersquare's nine vertices by the pop rule, keyed by local label."""
+    return {(a, b): naive_canonical(t, a, b) for a in LETTERS for b in LETTERS}
+
+
 def naive_neighbors(v):
     """A compound vertex's neighbours: the same-row and same-column
     vertices of each of its four tersquares, canonicalized, sorted."""
@@ -195,17 +200,52 @@ def naive_neighbors(v):
     for t in containing_tersquares(v):
         for a2 in LETTERS:
             if a2 != v.a:
-                out.add(canonical_vertex(t, a2, v.b))
+                out.add(naive_canonical(t, a2, v.b))
         for b2 in LETTERS:
             if b2 != v.b:
-                out.add(canonical_vertex(t, v.a, b2))
+                out.add(naive_canonical(t, v.a, b2))
     return tuple(sorted(out))
+
+
+def naive_gamma_distance(u, v):
+    """0 for equal vertices; the Hamming distance of the local labels when
+    the two share a tersquare; 3 otherwise."""
+    if u == v:
+        return 0
+    if set(containing_tersquares(u)) & set(containing_tersquares(v)):
+        return (u.a != v.a) + (u.b != v.b)
+    return 3
+
+
+def naive_local_ball(v):
+    """The vertices of the four tersquares containing v."""
+    return frozenset(u for t in containing_tersquares(v) for u in naive_grid(t).values())
 
 
 def naive_gamma_ball(center, vertices):
     """Compound vertices within truncated distance 2 of a center, by a
     distance scan over the given collection."""
-    return frozenset(u for u in vertices if gamma_truncated_distance(u, center) <= 2)
+    return frozenset(u for u in vertices if naive_gamma_distance(u, center) <= 2)
+
+
+def naive_hive_vertices(h):
+    """The union of the hive's 16 member tersquares' 3x3 grids, sorted."""
+    return tuple(sorted({u for t in h.members for u in naive_grid(t).values()}))
+
+
+def naive_external_cycle(h, corner):
+    """A corner's vertices whose labels avoid, on each axis, the letter that
+    glues the corner's word to the center's word; sorted. Raises ValueError
+    when a word is not one letter away from the center's."""
+    letters = []
+    for w, c in ((corner.wx, h.center.wx), (corner.wy, h.center.wy)):
+        longer, shorter = (w, c) if len(w) > len(c) else (c, w)
+        if len(longer) != len(shorter) + 1 or longer[:-1] != shorter:
+            raise ValueError(f"words {w} and {c} are not adjacent")
+        letters.append(longer[-1])
+    i, j = letters
+    return tuple(sorted(naive_canonical(corner, a, b)
+                        for a in LETTERS for b in LETTERS if a != i and b != j))
 
 
 def naive_tersquare_graph(members):
@@ -213,7 +253,7 @@ def naive_tersquare_graph(members):
     a tersquare, vertices sharing a row or a column are adjacent."""
     adj = {}
     for t in members:
-        grid = {(a, b): canonical_vertex(t, a, b) for a in LETTERS for b in LETTERS}
+        grid = naive_grid(t)
         for v in grid.values():
             adj.setdefault(v, set())
         for (a1, b1), (a2, b2) in combinations(grid, 2):
@@ -259,7 +299,7 @@ def naive_region_code(region, seed):
     interior = naive_region_interior(region)
     hits = dict.fromkeys(interior, 0)
     for c in centers:
-        for u in local_ball(c):
+        for u in naive_local_ball(c):
             if u in hits:
                 hits[u] += 1
     bad = ([v for v in interior if hits[v] > 1] or [v for v in interior if hits[v] == 0])

@@ -155,6 +155,13 @@ def test_search_grid_needs_two_values(grid, tmp_path, capsys):
     assert "--grid" in err
 
 
+@pytest.mark.parametrize("argv", [["--grid", "0,4"], ["--grid=-1,3"],
+                                  ["--torus", "0,4"], ["--torus=-2,5"]])
+def test_search_sizes_below_one_name_their_option(argv, tmp_path, capsys):
+    err = usage_error(["search"] + argv, tmp_path, capsys)
+    assert argv[0].split("=")[0] in err
+
+
 def test_search_deep_torus(tmp_path):
     # 1,125 tiles deep: the search must not hit Python's recursion limit
     code, report = run(["search", "--torus", "75,75", "--emit", str(tmp_path / "sol.json")],
@@ -254,6 +261,13 @@ def test_survey(tmp_path):
     rows = {(r["m"], r["n"]): r for r in report["counts"]["table"]}
     assert rows[(4, 4)]["count"] == 2
     assert rows[(3, 3)]["count"] == 0
+
+
+@pytest.mark.parametrize("side", ["3", "0"])
+def test_survey_side_below_4_is_usage_error(side, tmp_path, capsys):
+    # the verdict is about the 4 x 4 grid, which a smaller side never searches
+    err = usage_error(["survey", "--max-side", side], tmp_path, capsys)
+    assert "--max-side" in err
 
 
 def test_survey_budget_bounds_the_whole_survey(tmp_path):
@@ -435,7 +449,7 @@ def test_main_builds_the_parser_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "build_parser", counting_build_parser)
     cli._parser.cache_clear()
-    assert main(["survey", "--max-side", "3", "--out", str(tmp_path / "a.json")]) == 1
+    assert main(["survey", "--max-side", "4", "--out", str(tmp_path / "a.json")]) == 0
     assert main(["gamma", "stats", "--level", "2", "--out", str(tmp_path / "b.json")]) == 0
     assert built == [1]
     assert build_parser() is not build_parser()  # the public builder stays fresh

@@ -1,6 +1,7 @@
 """Tests for the ternary square compound: addresses, hives, codes."""
 
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -26,6 +27,7 @@ from ptmc.gamma2 import (
     hive_graph,
     hive_non_isolated_pds,
     hive_vertices,
+    local_ball,
     neighbors,
     no_isolated_pds,
     parse_vertex_id,
@@ -33,16 +35,26 @@ from ptmc.gamma2 import (
     tersquare_vertices,
     verify_hive_selection,
 )
-from ptmc.gamma2 import _edge_code, _vertices_up_to, ORIGIN
+from ptmc.gamma2 import _edge_code, _tersquares_up_to, _vertices_up_to, ORIGIN
 import ptmc.gamma2
 
 from oracles import (
+    naive_canonical,
+    naive_external_cycle,
     naive_gamma_ball,
+    naive_gamma_distance,
+    naive_grid,
+    naive_hive_vertices,
+    naive_local_ball,
     naive_neighbors,
     naive_region_code,
     naive_region_interior,
     naive_tersquare_graph,
 )
+
+# hive centers of several depths and shapes, for the oracle comparisons
+HIVE_CENTERS = [ORIGIN, Tersquare((0, 1, 2), (1,)), Tersquare((1,), (0, 2)),
+                Tersquare((2, 0, 2, 1), ()), Tersquare((), (1, 0))]
 
 
 def random_tersquare(rng, max_len=4):
@@ -119,6 +131,15 @@ def test_canonical_vertex_idempotent():
         v = canonical_vertex(j, a, b)
         again = canonical_vertex(Tersquare(v.wx, v.wy), v.a, v.b)
         assert again == v
+
+
+def test_canonical_vertex_matches_pop_rule_oracle():
+    # every tersquare up to depth 5, every label
+    for t in _tersquares_up_to(5):
+        grid = naive_grid(t)
+        for (a, b), v in grid.items():
+            assert canonical_vertex(t, a, b) == v
+        assert tersquare_vertices(t) == tuple(sorted(grid.values()))
 
 
 def test_tersquare_vertices_distinct():
@@ -380,6 +401,40 @@ def test_local_balls_match_distance_scan_on_level3_region():
     verts = build_region(3).graph.vertices
     for v in verts:
         assert restricted_ball(v, verts) == naive_gamma_ball(v, verts)
+
+
+def test_local_balls_and_distances_match_tersquare_oracles_on_region_vertices():
+    rng = random.Random(13)
+    verts = _vertices_up_to(4)
+    for v in verts:
+        ball = local_ball(v)
+        assert ball == naive_local_ball(v)
+        # every vertex at distance <= 2, and three random ones, mostly at 3
+        for u in list(ball) + rng.sample(verts, 3):
+            assert gamma_truncated_distance(u, v) == naive_gamma_distance(u, v), (u, v)
+
+
+@pytest.mark.parametrize("center", HIVE_CENTERS)
+def test_hive_structures_match_tersquare_oracles(center):
+    h = build_hive(center)
+    verts = hive_vertices(h)
+    assert verts == naive_hive_vertices(h)
+    for corner in h.corners:
+        assert external_cycle(h, corner) == naive_external_cycle(h, corner)
+    for v in verts:
+        assert restricted_ball(v, verts) == naive_gamma_ball(v, verts)
+        for u in verts:
+            assert gamma_truncated_distance(u, v) == naive_gamma_distance(u, v), (u, v)
+
+
+@pytest.mark.parametrize("center", HIVE_CENTERS[:2])
+def test_external_cycle_rejects_a_tersquare_that_is_no_corner(center):
+    h = build_hive(center)
+    far = glue(glue(h.center, "x", 0), "x", 1)  # two tree steps from the center
+    for t in (h.center, h.subcentral[0], h.subcentral[5], far):
+        assert t not in h.corners
+        with pytest.raises(ValueError, match=re.escape(f"{t} is not a corner")):
+            external_cycle(h, t)
 
 
 def test_hive_census_is_4_to_the_9():
