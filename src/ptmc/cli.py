@@ -44,6 +44,13 @@ def _ints(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _at_least(low: int, what: str, value) -> None:
+    """Refuse an option value below low, or a tuple of values with one
+    below; `what` names the option in the one-line error."""
+    if min(value if isinstance(value, tuple) else (value,)) < low:
+        raise ValueError(f"{what} must be at least {low}, got {value}")
+
+
 def _digest(parts: list) -> str:
     h = hashlib.sha256()
     for p in parts:
@@ -166,6 +173,10 @@ def cmd_verify_domination(check, args) -> tuple[int, dict, dict, list]:
 
 def cmd_construct_box(args) -> tuple[int, dict, dict, list]:
     artifacts: list[str] = []
+    if len(args.c) != len(args.k):
+        raise ValueError(f"--c and --k need equal lengths, got {len(args.c)} and {len(args.k)}")
+    _at_least(2, "--c values", args.c)
+    _at_least(1, "--k values", args.k)
     code, kappa = cons.build_box_code(args.c, args.k)
     rep = codes_mod.verify_kappa_ptmc(code, kappa)
     sep = cons.min_component_separation(code)
@@ -182,6 +193,7 @@ def cmd_construct_square(args) -> tuple[int, dict, dict, list]:
 
 
 def cmd_construct_cube(args) -> tuple[int, dict, dict, list]:
+    _at_least(3, "--n", args.n)
     return _construct_by_template(args, cons.cube_singleton_template(args.n))
 
 
@@ -209,20 +221,18 @@ def cmd_search(args) -> tuple[int, dict, dict, list]:
     artifacts: list[str] = []
     if args.limit is not None and not args.enumerate:
         raise ValueError("--limit needs --enumerate")
-    if args.limit is not None and args.limit < 1:
-        raise ValueError(f"--limit must be at least 1, got {args.limit}")
+    if args.limit is not None:
+        _at_least(1, "--limit", args.limit)
     # the parser lets exactly one source through
     if args.instance is not None:
         inst = _read_json(args.instance, cover_mod.instance_from_json)
     elif args.grid is not None:
         if len(args.grid) != 2:
             raise ValueError(f"--grid takes two values m,n, got {len(args.grid)}")
-        if min(args.grid) < 1:
-            raise ValueError(f"--grid values must be at least 1, got {args.grid}")
+        _at_least(1, "--grid values", args.grid)
         inst = cover_mod.eds_instance(grid_graph(*args.grid))
     elif args.torus is not None:
-        if min(args.torus) < 1:
-            raise ValueError(f"--torus moduli must be at least 1, got {args.torus}")
+        _at_least(1, "--torus moduli", args.torus)
         inst = cover_mod.eds_instance(lattice_graph(Ambient.torus(*args.torus)))
     else:
         inst = cover_mod.eds_instance(_load_graph(args.graph))
@@ -295,6 +305,7 @@ def cmd_gamma_non_isolated(args) -> tuple[int, dict, dict, list]:
 
 def cmd_gamma_extend(args) -> tuple[int, dict, dict, list]:
     artifacts: list[str] = []
+    _at_least(2, "--level", args.level)
     rc = gamma2.extend_2ptmc(args.level, seed=args.seed)
     verdicts = {"interior_verified": rc.passed}
     counts = {"centers": len(rc.centers), "interior": rc.interior_size,
@@ -307,6 +318,7 @@ def cmd_gamma_extend(args) -> tuple[int, dict, dict, list]:
 
 
 def cmd_gamma_stats(args) -> tuple[int, dict, dict, list]:
+    _at_least(0, "--level", args.level)
     h = gamma2.build_hive()
     region = gamma2.build_region(args.level)
     interior = region.interior()
@@ -335,6 +347,7 @@ def cmd_export_hive(args) -> tuple[int, dict, dict, list]:
 
 
 def cmd_export_region(args) -> tuple[int, dict, dict, list]:
+    _at_least(0, "--level", args.level)
     return _export(args, gamma2.export_graph("region", args.format, level=args.level))
 
 
@@ -345,9 +358,8 @@ def _export(args, text: str) -> tuple[int, dict, dict, list]:
 
 
 def cmd_survey(args) -> tuple[int, dict, dict, list]:
-    if args.max_side < 4:
-        # the survey's verdict is about 4 x 4, which a smaller side never searches
-        raise ValueError(f"--max-side must be at least 4, got {args.max_side}")
+    # the survey's verdict is about 4 x 4, which a smaller side never searches
+    _at_least(4, "--max-side", args.max_side)
     table = cover_mod.grid_eds_survey(args.max_side, budget=args.budget)
     rows = []
     only44 = True
@@ -463,6 +475,9 @@ def main(argv: list[str] | None = None) -> int:
     # ValueError covers JSONDecodeError, malformed documents and vertices
     # outside the ambient or the graph; RuntimeError is a bug
     try:
+        budget = getattr(args, "budget", None)
+        if budget is not None and not budget > 0:  # NaN too: it would bound nothing
+            raise ValueError(f"--budget must be positive, got {budget}")
         code, verdicts, counts, artifacts = args.fn(args)
         inputs = {}
         for key in ("code", "graph", "instance"):

@@ -131,21 +131,17 @@ def min_component_separation(code: CodeSet) -> int:
 # ---------------------------------------------------------------------------
 
 def square_singleton_template() -> TemplateSpec:
-    """Radius-1 code of unit squares and singletons in dimension 3.
-
-    Two squares (ball 20) and two singletons (ball 7) per fundamental
-    region of volume 54, on the minimal torus (6, 6, 3).
+    """Radius-1 code of unit squares and singletons in dimension 3: the
+    cube template at n = 3, with two squares (ball 20) and two singletons
+    (ball 7) per fundamental region of volume 54, on the torus (6, 6, 3).
     """
-    square = ((0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0))
-    shapes = (TemplateShape("square", square, 1, 2),
-              TemplateShape("singleton", ((0, 0, 0),), 1, 2))
-    return TemplateSpec(shapes, Ambient.torus(6, 6, 3))
+    return cube_singleton_template(3)
 
 
 def cube_singleton_template(n: int) -> TemplateSpec:
     """(n-1)-cubes of radius 1 plus singletons of radius n-2, two of each.
 
-    Coincides with the square template at n = 3. The torus is (6, ..., 6, 3)
+    At n = 3 this is the square template. The torus is (6, ..., 6, 3)
     and the fundamental region volume is 2 * |ball(cube, 1)| plus
     2 * |ball(vertex, n-2)|.
     """

@@ -95,7 +95,8 @@ def _run_x(inst: ExactCoverInstance, limit: int | None, budget: float | None):
     selected here]. Only its last two entries change once it is pushed; a
     child builds new ints and a new counts list, so backtracking is a pop.
     Every tried candidate counts as a node. The budget starts before the
-    relabelling, so it bounds the set-up too, and is checked at each node.
+    relabelling, so set-up time counts against it, but it is checked only
+    at each node: a set-up that outlasts the budget runs to its end.
     """
     deadline = None if budget is None else time.monotonic() + budget
     ids = [tid for tid, _ in inst.tiles]

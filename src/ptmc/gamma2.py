@@ -5,7 +5,10 @@ pairs along shared triangles, three gluings per axis per tersquare, each
 its own inverse. Per axis the tersquares form the infinite 3-regular tree
 T: a node is a reduced ternary word (no two adjacent equal letters), and
 gluing along triangle s appends s, or pops it from a word ending with s. A
-tersquare is a pair of tree nodes, one per axis.
+tersquare is a pair of tree nodes, one per axis. The region of level L, the
+tersquares with |wx| + |wy| <= L, is the pair of depth-L truncated trees cut
+by that sum: `_levels` walks a truncated tree, and tersquares, region
+vertices and the growth sweep all read it.
 
 The compound is L(T) box L(T). A vertex is a pair (x-tree edge e, y-tree
 edge f), where a tree edge is (shallow node, letter) and its letter is the
@@ -31,7 +34,6 @@ from __future__ import annotations
 
 import json
 import random
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
@@ -263,37 +265,43 @@ class Region:
         return _vertices_up_to(self.level - 2)
 
 
-def _words_up_to(length: int) -> list[Word]:
-    words: list[Word] = [()]
-    frontier: list[Word] = [()]
-    for _ in range(length):
-        nxt = []
-        for w in frontier:
-            for s in LETTERS:
-                if not w or w[-1] != s:
-                    nxt.append(w + (s,))
-        words.extend(nxt)
-        frontier = nxt
-    return words
+def _deeper(w: Word) -> tuple[int, ...]:
+    """The letters of the tree edges from node w down to its children."""
+    return _OTHER_LETTERS[w[-1]] if w else LETTERS
+
+
+def _levels(depth: int) -> list[list[Word]]:
+    """The tree nodes of each depth 0..depth, breadth first: each level
+    holds the children of the one above, in its order."""
+    levels: list[list[Word]] = [[()]]
+    for _ in range(depth):
+        levels.append([w + (s,) for w in levels[-1] for s in _deeper(w)])
+    return levels
+
+
+def _tree_edges(depth: int) -> list[list[Edge]]:
+    """The tree edges (w, a) by the depth of their shallow node w, 0..depth."""
+    return [[(w, a) for w in level for a in _deeper(w)] for level in _levels(depth)]
+
+
+def _cut(depth: int, xs: list[list], ys: list[list]):
+    """The pairs (x, y), x in xs[i] and y in ys[j], with i + j <= depth: the
+    cut-off |wx| + |wy| <= depth that bounds a region, on per-depth lists."""
+    return ((x, y) for i in range(depth + 1) for j in range(depth + 1 - i)
+            for x in xs[i] for y in ys[j])
 
 
 def _tersquares_up_to(depth: int) -> list[Tersquare]:
     """The tersquares with |wx| + |wy| <= depth, unsorted."""
-    return [Tersquare(wx, wy) for wx in _words_up_to(depth)
-            for wy in _words_up_to(depth - len(wx))]
+    levels = _levels(depth)
+    return [Tersquare(wx, wy) for wx, wy in _cut(depth, levels, levels)]
 
 
 def _vertices_up_to(depth: int) -> tuple[GammaVertex, ...]:
     """The canonical vertices with |wx| + |wy| <= depth, sorted; () when
     depth < 0."""
-    if depth < 0:
-        return ()
-    out = []
-    for wx, wy in _tersquares_up_to(depth):
-        xs = _OTHER_LETTERS[wx[-1]] if wx else LETTERS
-        ys = _OTHER_LETTERS[wy[-1]] if wy else LETTERS
-        out.extend(GammaVertex(wx, wy, a, b) for a in xs for b in ys)
-    return tuple(sorted(out))
+    edges = _tree_edges(depth)
+    return tuple(sorted(_vertex(e, f) for e, f in _cut(depth, edges, edges)))
 
 
 def build_region(level: int) -> Region:
@@ -461,31 +469,20 @@ def no_isolated_pds(h: Hive, budget: float | None = None) -> CoverOutcome:
 def _edge_code(max_depth: int, rng: random.Random | None) -> set[Edge]:
     """A set of tree edges such that every edge within depth touches
     exactly one chosen edge (efficient edge domination of the 3-regular
-    tree), built by a breadth-first frontier sweep from the root.
+    tree), built by a breadth-first sweep of the tree's levels.
 
-    At every node whose incoming edge still needs coverage there is a
-    binary choice of which deeper edge joins the code; the rng (or the
-    least letter, when rng is None) resolves it. No root edge is chosen,
-    matching the hive picture where the chosen vertices sit in corners.
+    Level by level, each node whose incoming edge e touches no chosen edge
+    yet (no edge of N[e] is chosen) adds one of its deeper edges to the
+    code; the rng (or the least letter, when rng is None) picks it. No root
+    edge is chosen, matching the hive picture where the chosen vertices
+    sit in corners.
     """
     code: set[Edge] = set()
-    queue: deque[tuple[Word, str]] = deque(((s,), "uncovered") for s in LETTERS)
-    while queue:
-        node, status = queue.popleft()
-        if len(node) > max_depth:
-            continue
-        deeper = [s for s in LETTERS if s != node[-1]]
-        if status == "in_code":
-            for s in deeper:
-                queue.append((node + (s,), "covered"))
-        elif status == "covered":
-            for s in deeper:
-                queue.append((node + (s,), "uncovered"))
-        else:  # uncovered: cover the incoming edge here
-            pick = rng.choice(deeper) if rng is not None else deeper[0]
-            code.add((node, pick))
-            for s in deeper:
-                queue.append((node + (s,), "in_code" if s == pick else "covered"))
+    for level in _levels(max_depth)[1:]:
+        for node in level:
+            if code.isdisjoint(_closed((node[:-1], node[-1]))):
+                deeper = _deeper(node)
+                code.add((node, rng.choice(deeper) if rng is not None else deeper[0]))
     return code
 
 
@@ -507,31 +504,31 @@ def extend_2ptmc(level: int, seed: int | None = None) -> RegionCode:
     """Grow an isolated radius-2 code over the region of a given level.
 
     Hive by hive the construction picks one external vertex per corner; in
-    tree terms that is one efficient edge-dominating set per axis, chosen
-    by a deterministic frontier sweep with seeded choices. Centers are the
-    pairs (wx, a), (wy, b) of chosen x- and y-edges with |wx| + |wy| <=
-    level, whose address tersquare (wx, wy) lies in the region.
+    tree terms that is one efficient edge-dominating set per axis, from
+    `_edge_code`'s seeded level sweep. Centers are the pairs of chosen x-
+    and y-edges (wx, a), (wy, b) with |wx| + |wy| <= level.
 
-    The region is never built as a graph: as in `Region`, its vertices
-    are those with |wx| + |wy| <= level and its interior those with
-    |wx| + |wy| <= level - 2. Truncated 2-balls of the centers partition
-    the interior; boundary vertices (with containing tersquares outside
-    the region) are left unverified; overlaps precede gaps.
+    The region is never built: as in `Region`, its vertices are the pairs
+    of tree edges with |wx| + |wy| <= level, counted off the same cut-off,
+    and its interior those with |wx| + |wy| <= level - 2. Truncated 2-balls
+    of the centers partition the interior; boundary vertices (with
+    containing tersquares outside the region) are left unverified;
+    overlaps precede gaps.
     """
     if level < 2:
         raise ValueError("need a region of level >= 2")
     rng = random.Random(seed) if seed is not None else None
     dx = _edge_code(level + 3, rng)
     dy = _edge_code(level + 3, rng)
-    xs = [e for e in dx if len(e[0]) <= level]
-    ys = [f for f in dy if len(f[0]) <= level]
-    centers = tuple(sorted(_vertex(e, f) for e in xs for f in ys
-                           if len(e[0]) + len(f[0]) <= level))
+    edges = _tree_edges(level)
+    xs, ys = ([[e for e in es if e in code] for es in edges] for code in (dx, dy))
+    centers = tuple(sorted(_vertex(e, f) for e, f in _cut(level, xs, ys)))
     interior = _vertices_up_to(level - 2)
     inside = set(interior)
     rep = verify_partition((local_ball(c) & inside for c in centers), interior, len(interior))
-    return RegionCode(level, seed, centers, len(interior),
-                      len(_vertices_up_to(level)) - len(interior), rep.passed,
+    sizes = [[len(es)] for es in edges]  # one count per depth: the cut-off pairs the counts
+    size = sum(m * n for m, n in _cut(level, sizes, sizes))
+    return RegionCode(level, seed, centers, len(interior), size - len(interior), rep.passed,
                       rep.witness[0] if rep.witness else None)
 
 

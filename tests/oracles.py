@@ -7,10 +7,11 @@ cover.
 """
 
 import random
+from collections import deque
 from itertools import combinations, product
 
 from ptmc.codes import CodeSet, components_of
-from ptmc.gamma2 import LETTERS, GammaVertex, RegionCode, _edge_code, containing_tersquares
+from ptmc.gamma2 import LETTERS, GammaVertex, RegionCode, Tersquare, containing_tersquares
 from ptmc.graphs import Graph
 from ptmc.metric import Ambient
 
@@ -263,6 +264,53 @@ def naive_tersquare_graph(members):
     return Graph(adj)
 
 
+def naive_words(length):
+    """The reduced words over F3 of length at most `length`: every word of
+    each length, kept when no two adjacent letters are equal."""
+    return [w for n in range(length + 1) for w in product(LETTERS, repeat=n)
+            if all(x != y for x, y in zip(w, w[1:]))]
+
+
+def naive_tersquares(depth):
+    """The set of tersquares whose two words' lengths add up to at most depth."""
+    words = naive_words(depth)
+    return {Tersquare(wx, wy) for wx in words for wy in words if len(wx) + len(wy) <= depth}
+
+
+def naive_vertices(depth):
+    """The canonical vertices (no word ends with its own label) whose
+    words' lengths add up to at most depth, sorted."""
+    return tuple(sorted(GammaVertex(t.wx, t.wy, a, b) for t in naive_tersquares(depth)
+                        for a in LETTERS for b in LETTERS
+                        if t.wx[-1:] != (a,) and t.wy[-1:] != (b,)))
+
+
+def naive_edge_code(max_depth, rng):
+    """`_edge_code` by a queue: a breadth-first sweep from the root in
+    which each node carries the status of its incoming edge. An uncovered
+    node puts one deeper edge into the code, picked by the rng or, without
+    one, the least letter."""
+    code = set()
+    queue = deque(((s,), "uncovered") for s in LETTERS)
+    while queue:
+        node, status = queue.popleft()
+        if len(node) > max_depth:
+            continue
+        deeper = [s for s in LETTERS if s != node[-1]]
+        if status == "in_code":
+            for s in deeper:
+                queue.append((node + (s,), "covered"))
+        elif status == "covered":
+            for s in deeper:
+                queue.append((node + (s,), "uncovered"))
+        else:  # uncovered: cover the incoming edge here
+            pick = rng.choice(deeper) if rng is not None else deeper[0]
+            code.add((node, pick))
+            for s in deeper:
+                queue.append((node + (s,), "in_code" if s == pick else "covered"))
+    return code
+
+
 def naive_region_interior(region):
     """A region's interior by a scan of its graph: the vertices all four of
     whose containing tersquares are region members, in vertex order."""
@@ -274,17 +322,17 @@ def naive_region_interior(region):
 def naive_region_code(region, seed):
     """`extend_2ptmc(region.level, seed)` from a built region.
 
-    The same seeded edge codes; a center is a pair of chosen x- and
-    y-edges, both within the level, one of whose containing tersquares is
-    a region member. The interior comes from `naive_region_interior` and
-    the region size from the region's graph. Ball hits are counted per
+    The same seeded edge codes, swept by `naive_edge_code`; a center is a
+    pair of chosen x- and y-edges, both within the level, one of whose
+    containing tersquares is a region member. The interior comes from
+    `naive_region_interior` and the region size from the region's graph. Ball hits are counted per
     interior vertex; the witness is the smallest vertex hit twice, else
     the smallest vertex hit by none.
     """
     level = region.level
     rng = random.Random(seed) if seed is not None else None
-    dx = _edge_code(level + 3, rng)
-    dy = _edge_code(level + 3, rng)
+    dx = naive_edge_code(level + 3, rng)
+    dy = naive_edge_code(level + 3, rng)
     members = frozenset(region.members)
     centers = []
     for (wx, a) in sorted(dx):

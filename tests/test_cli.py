@@ -417,7 +417,37 @@ def test_vertex_outside_torus_is_usage_error(vertex, tmp_path, capsys):
 
 def test_extend_level_too_small_is_usage_error(tmp_path, capsys):
     err = usage_error(["gamma", "extend", "--level", "1"], tmp_path, capsys)
-    assert "level >= 2" in err
+    assert "--level must be at least 2" in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["gamma", "stats", "--level", "-1"], "--level"),
+    (["export", "region", "--level", "-1"], "--level"),
+    (["construct", "cube-singleton", "--n", "2"], "--n"),
+    (["construct", "box", "--c", "0,2", "--k", "1,1"], "--c"),
+    (["construct", "box", "--c", "2,1", "--k", "1,1"], "--c"),
+    (["construct", "box", "--c", "2,2", "--k", "1,0"], "--k"),
+    (["construct", "box", "--c", "2,2", "--k", "1,1,1"], "--c and --k"),
+])
+def test_out_of_range_values_name_their_option(argv, option, tmp_path, capsys):
+    err = usage_error(argv, tmp_path, capsys)
+    assert f"error: {option} " in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["survey", "--max-side", "4"],
+    ["gamma", "count-2ptmc", "--complete"],
+    ["gamma", "no-isolated-pds"],
+    ["search", "--grid", "4,4"],
+    ["construct", "square-singleton"],
+    ["construct", "cube-singleton", "--n", "3"],
+])
+@pytest.mark.parametrize("budget", ["-1", "0", "nan", "-inf"])
+def test_budget_not_above_zero_is_usage_error(argv, budget, tmp_path, capsys):
+    # a budget that bounds nothing or has run out before the start is a usage
+    # error, not a timeout; NaN compares false with everything
+    err = usage_error(argv + [f"--budget={budget}"], tmp_path, capsys)
+    assert "--budget must be positive" in err
 
 
 def test_reports_byte_identical_modulo_timings(tmp_path):

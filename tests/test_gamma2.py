@@ -40,6 +40,7 @@ import ptmc.gamma2
 
 from oracles import (
     naive_canonical,
+    naive_edge_code,
     naive_external_cycle,
     naive_gamma_ball,
     naive_gamma_distance,
@@ -50,6 +51,9 @@ from oracles import (
     naive_region_code,
     naive_region_interior,
     naive_tersquare_graph,
+    naive_tersquares,
+    naive_vertices,
+    naive_words,
 )
 
 # hive centers of several depths and shapes, for the oracle comparisons
@@ -588,18 +592,8 @@ def test_edge_code_covers_every_edge_once():
     for seed in (None, 3):
         rng = random.Random(seed) if seed is not None else None
         code = _edge_code(6, rng)
-        # collect all edges with shallow endpoint within depth 4
-        words = [()]
-        frontier = [()]
-        for _ in range(4):
-            nxt = []
-            for w in frontier:
-                for s in (0, 1, 2):
-                    if not w or w[-1] != s:
-                        nxt.append(w + (s,))
-            words.extend(nxt)
-            frontier = nxt
-        for w in words:
+        # all edges with shallow endpoint within depth 4
+        for w in naive_words(4):
             for s in (0, 1, 2):
                 if w and w[-1] == s:
                     continue
@@ -612,6 +606,35 @@ def test_edge_code_covers_every_edge_once():
                     if {w, deep} & oset:
                         touching += 1
                 assert touching == 1, (edge, touching)
+
+
+def test_edge_code_matches_queue_oracle():
+    for seed in (None, 0, 1, 2, 99, 7340):
+        rng = random.Random(seed) if seed is not None else None
+        ref = random.Random(seed) if seed is not None else None
+        for depth in range(12):
+            # two sweeps share one rng, as extend_2ptmc's x- and y-sweeps do
+            for _ in range(2):
+                assert _edge_code(depth, rng) == naive_edge_code(depth, ref), (seed, depth)
+
+
+def test_naive_words_count_reduced_words():
+    # 1 empty word, then 3 * 2^(n-1) reduced words of each length n >= 1
+    assert len(naive_words(6)) == 1 + sum(3 * 2 ** (n - 1) for n in range(1, 7))
+
+
+@pytest.mark.parametrize("depth", range(7))
+def test_region_enumerations_match_word_filter(depth):
+    tersquares = _tersquares_up_to(depth)
+    assert len(tersquares) == len(set(tersquares))
+    assert set(tersquares) == naive_tersquares(depth)
+    assert _vertices_up_to(depth) == naive_vertices(depth)
+
+
+@pytest.mark.parametrize("level", range(2, 9))
+def test_extend_boundary_is_region_minus_interior(level):
+    rc = extend_2ptmc(level, seed=1)
+    assert rc.boundary_size == len(_vertices_up_to(level)) - rc.interior_size
 
 
 def test_extend_level2_matches_hive_picture():
