@@ -526,8 +526,8 @@ def extend_2ptmc(level: int, seed: int | None = None) -> RegionCode:
     interior = _vertices_up_to(level - 2)
     inside = set(interior)
     rep = verify_partition((local_ball(c) & inside for c in centers), interior, len(interior))
-    sizes = [[len(es)] for es in edges]  # one count per depth: the cut-off pairs the counts
-    size = sum(m * n for m, n in _cut(level, sizes, sizes))
+    size = sum(len(edges[i]) * len(edges[j])
+               for i in range(level + 1) for j in range(level + 1 - i))
     return RegionCode(level, seed, centers, len(interior), size - len(interior), rep.passed,
                       rep.witness[0] if rep.witness else None)
 

@@ -158,11 +158,10 @@ def test_square_singleton_template_arithmetic():
 
 
 def test_cube_template_matches_square_at_dim3():
-    tpl3 = cube_singleton_template(3)
-    sq = square_singleton_template()
-    assert tpl3.fr_volume == sq.fr_volume == 54
-    assert tpl3.torus.moduli == sq.torus.moduli
-    assert {s.radius for s in tpl3.shapes} == {1}
+    square, dot = square_singleton_template().shapes
+    assert square.vertices == ((0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0))
+    assert (square.radius, square.multiplicity) == (1, 2)
+    assert (dot.vertices, dot.radius, dot.multiplicity) == (((0, 0, 0),), 1, 2)
 
 
 def test_cube_template_dim4_arithmetic():
