@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .codes import CodeSet, KappaAssignment, components_of
-from .cover import OutOfTime, solve, tiling_instance
+from .cover import ExactCoverInstance, OutOfTime, solve, tiling_instance
 from .metric import Ambient, Point, truncated_ball
 
 
@@ -187,12 +187,14 @@ def build_by_template(template: TemplateSpec, budget: float | None = None,
     except OutOfTime:
         return TemplateBuild("timeout")
     origin = (0,) * template.torus.dimension
-    tiles = [t for t in inst.tiles
-             if origin not in t[1] or placements[t[0]][3] == origin]
+    # the origin is the first vertex, position 0
+    keep = [r for r, row in enumerate(inst.rows)
+            if 0 not in row or placements[inst.ids[r]][3] == origin]
     if seed is not None:
         rng = random.Random(seed)
-        rng.shuffle(tiles)
-    pinned = type(inst)(inst.universe, tuple(tiles))
+        rng.shuffle(keep)
+    pinned = ExactCoverInstance.from_rows(inst.universe, [inst.ids[r] for r in keep],
+                                          [inst.rows[r] for r in keep])
     left = None if deadline is None else deadline - time.monotonic()
     outcome = solve(pinned, budget=left)
     if outcome.kind != "solution":

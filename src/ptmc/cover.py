@@ -7,15 +7,18 @@ ordering; candidate tiles are tried in instance order. Instances built by
 the constructors in this package list their tiles in sorted id order, so
 runs are reproducible.
 
-The search relabels cells and tiles once, to their positions in the
-universe and the tile list, and turns every set it needs into a Python
-int: a tile's cells, a cell's tiles, the tiles a choice rules out, and the
-per-cell candidate counts as a few bit slices. However costly the callers'
-cells are to hash, a search node is then a handful of int operations, and
-position order is bit order, which is the branching order. The search
-runs as a loop over an explicit stack of frames of ints, so backtracking
-is a pop and search depth is bounded by memory, not by Python's recursion
-limit.
+The search reads one positional form of an instance: each tile's cells as
+their positions in the universe. Tiling instances are built in that form
+directly, translating each ball to every anchor by row-major index
+arithmetic; tuple-celled instances are converted once, when constructed.
+The search turns every set it needs into a Python int: a tile's cells, a
+cell's tiles, the tiles a choice rules out (built the first time that tile
+is chosen), and the per-cell candidate counts as a few bit slices. However
+costly the callers' cells are to hash, a search node is then a handful of
+int operations, and position order is bit order, which is the branching
+order. The search runs as a loop over an explicit stack of frames of ints,
+so backtracking is a pop and search depth is bounded by memory, not by
+Python's recursion limit.
 
 Exhausting the search without a solution is a proof of infeasibility and
 is reported distinctly from running out of time budget.
@@ -25,33 +28,63 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
+from math import prod
+from operator import add
 
 from .codes import verify_partition
 from .graphs import Graph, grid_graph
-from .metric import Ambient, Point, _nearest_ball, truncated_ball
+from .metric import Ambient, DimensionMismatch, Point, _strides, truncated_ball
 
 
-@dataclass(frozen=True)
 class ExactCoverInstance:
-    """An ordered universe of cells plus candidate tiles (id, cell subset)."""
+    """An ordered universe of cells plus candidate tiles (id, cell subset).
 
-    universe: tuple
-    tiles: tuple[tuple[str, frozenset], ...]
+    The search reads the positional form: ids[r] is tile r's id and rows[r]
+    the positions in universe of its cells. The constructor derives it from
+    the tiles, checking them on the way; from_rows takes it as built, and
+    then tiles is made from it on first use.
+    """
 
-    def __post_init__(self) -> None:
-        cells = set(self.universe)
-        if len(cells) != len(self.universe):
+    def __init__(self, universe: tuple, tiles: tuple[tuple[str, frozenset], ...]) -> None:
+        pos = {c: i for i, c in enumerate(universe)}
+        if len(pos) != len(universe):
             raise ValueError("universe has duplicate cells")
-        ids = set()
-        for tid, tcells in self.tiles:
+        ids: set[str] = set()
+        rows = []
+        for tid, tcells in tiles:
             if tid in ids:
                 raise ValueError(f"duplicate tile id {tid!r}")
             ids.add(tid)
             if not tcells:
                 raise ValueError(f"tile {tid!r} is empty")
-            if not tcells <= cells:
-                raise ValueError(f"tile {tid!r} leaves the universe")
+            try:
+                rows.append(tuple(map(pos.__getitem__, tcells)))
+            except KeyError:
+                raise ValueError(f"tile {tid!r} leaves the universe") from None
+        self.universe = universe
+        self.tiles = tiles
+        self.ids = tuple(tid for tid, _ in tiles)
+        self.rows = tuple(rows)
+
+    @classmethod
+    def from_rows(cls, universe: tuple, ids, rows) -> "ExactCoverInstance":
+        """An instance given in positional form, trusted as built: distinct
+        ids and nonempty rows of distinct positions in universe."""
+        inst = cls.__new__(cls)
+        inst.universe, inst.ids, inst.rows = universe, tuple(ids), tuple(rows)
+        return inst
+
+    @cached_property
+    def tiles(self) -> tuple[tuple[str, frozenset], ...]:
+        cell = self.universe.__getitem__
+        return tuple((tid, frozenset(map(cell, row))) for tid, row in zip(self.ids, self.rows))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ExactCoverInstance):
+            return NotImplemented
+        return self.universe == other.universe and self.tiles == other.tiles
 
 
 @dataclass(frozen=True)
@@ -75,12 +108,12 @@ class EnumerateOutcome:
 def _run_x(inst: ExactCoverInstance, limit: int | None, budget: float | None):
     """Core Algorithm X loop. Returns (solutions, exhausted, nodes).
 
-    Cells and tiles are relabelled to their positions in inst.universe and
-    inst.tiles, and sets of them become int masks: cells[r] holds tile r's
-    cells, tiles[c] the tiles containing cell c, and kill[r] the OR of
-    tiles[c] over r's cells, i.e. every tile that clashes with r. A node is
-    (uncovered, live, counts); selecting r leaves uncovered & ~cells[r] and
-    live & ~kill[r].
+    It reads inst.ids and inst.rows, whose positions are bit positions:
+    cells[r] masks tile r's cells, tiles[c] the tiles containing cell c, and
+    kill[r], built the first time r is selected, is the OR of tiles[c] over
+    r's cells, i.e. every tile that clashes with r (0 until then: a tile
+    clashes with itself). A node is (uncovered, live, counts); selecting r
+    leaves uncovered & ~cells[r] and live & ~kill[r].
 
     counts holds, per cell, the number of live tiles containing it as
     bit slices: bit c of counts[j] is bit j of cell c's count. Selecting r
@@ -94,26 +127,26 @@ def _run_x(inst: ExactCoverInstance, limit: int | None, budget: float | None):
     Each stack frame is [uncovered, live, counts, untried candidates, tile
     selected here]. Only its last two entries change once it is pushed; a
     child builds new ints and a new counts list, so backtracking is a pop.
-    Every tried candidate counts as a node. The budget starts before the
-    relabelling, so set-up time counts against it, but it is checked only
-    at each node: a set-up that outlasts the budget runs to its end.
+    Every tried candidate counts as a node. The budget is checked while the
+    masks are built, once per tile and per cell, and then at each node; a
+    budget that runs out during set-up ends the run with 0 nodes.
     """
     deadline = None if budget is None else time.monotonic() + budget
-    ids = [tid for tid, _ in inst.tiles]
-    pos = {c: i for i, c in enumerate(inst.universe)}
-    members = [[pos[c] for c in tcells] for _, tcells in inst.tiles]
-    cells = [_mask(m) for m in members]
+    ids, rows = inst.ids, inst.rows
+    cells = []
     holders: list[list[int]] = [[] for _ in inst.universe]
-    for r, m in enumerate(members):
-        for c in m:
+    for r, row in enumerate(rows):
+        if deadline is not None and time.monotonic() > deadline:
+            return [], False, 0
+        cells.append(_mask(row))
+        for c in row:
             holders[c].append(r)
-    tiles = [_mask(h) for h in holders]
-    kill = []
-    for m in members:
-        k = 0
-        for c in m:
-            k |= tiles[c]
-        kill.append(k)
+    tiles = []
+    for h in holders:
+        if deadline is not None and time.monotonic() > deadline:
+            return [], False, 0
+        tiles.append(_mask(h))
+    kill = [0] * len(ids)
     uncovered = (1 << len(inst.universe)) - 1
     live = (1 << len(ids)) - 1
     counts = _sliced_sum(cells, live)
@@ -148,7 +181,12 @@ def _run_x(inst: ExactCoverInstance, limit: int | None, budget: float | None):
         if deadline is not None and time.monotonic() > deadline:
             return solutions, False, nodes
         uncovered &= ~cells[row]
-        killed = live & kill[row]
+        k = kill[row]
+        if not k:
+            for c in rows[row]:
+                k |= tiles[c]
+            kill[row] = k
+        killed = live & k
         live ^= killed
         if live.bit_count() < killed.bit_count():
             counts = _sliced_sum(cells, live)
@@ -271,8 +309,11 @@ def tiling_instance(a: Ambient, shapes: list[tuple[str, tuple[Point, ...], int]]
 
     Each orientation's ball is enumerated once, on a window that does not
     clip it, for its anchor: the ball vertex of minimal coordinate sum, ties
-    broken lexicographically. The tile anchored at z is the verifier's torus
-    ball (`metric._nearest_ball`) of the shape placed with its anchor at z.
+    broken lexicographically. The tile anchored at z is that ball translated
+    to z, the torus ball of the shape placed with its anchor at z. Torus
+    vertices are listed in row-major order, so the instance is built in
+    positional form: a cell's position is its row-major index, found by
+    `_translates` for every anchor at once.
 
     A ball whose span exceeds a modulus wraps onto itself and comes out
     smaller than its lattice volume. The wrap always creates a vertex with
@@ -280,6 +321,7 @@ def tiling_instance(a: Ambient, shapes: list[tuple[str, tuple[Point, ...], int]]
     and its placements are left out; a translate has the same size, so
     this drops whole orientations.
 
+    A shape of another dimension than the torus raises DimensionMismatch.
     With a deadline (a time.monotonic() value), building raises OutOfTime
     once it has passed.
     """
@@ -287,25 +329,55 @@ def tiling_instance(a: Ambient, shapes: list[tuple[str, tuple[Point, ...], int]]
         raise ValueError("tiling instances are built over tori")
     if any(m < 3 for m in a.moduli):
         raise ValueError("tiling needs all moduli >= 3 (balls would self-wrap)")
+    n = a.dimension
     universe = tuple(a.vertices())
-    tiles = []
+    vertex = universe.__getitem__
+    labels = [",".join(map(str, z)) for z in universe]
+    ids, rows = [], []
     placements = {}
     for name, shape, radius in shapes:
+        if any(len(p) != n for p in shape):
+            raise DimensionMismatch(f"shape {name!r} is not of the torus's dimension {n}")
         for oi, orient in enumerate(shape_orientations(tuple(shape))):
+            if deadline is not None and time.monotonic() > deadline:
+                raise OutOfTime
             ball = truncated_ball(orient, radius, Ambient.around(orient))
             if len(set(map(a.wrap, ball))) < len(ball):
                 continue
             anchor = min(ball, key=lambda p: (sum(p), p))
-            for z in universe:
+            rows += _translates(ball, anchor, a.moduli)
+            tag = f"{name}:{oi}@"
+            # index order is lexicographic order, so sorted indices give
+            # the placed shape sorted, as the universe's own points
+            for z, label, at in zip(universe, labels, _translates(orient, anchor, a.moduli)):
                 if deadline is not None and time.monotonic() > deadline:
                     raise OutOfTime
-                shift = tuple(x - y for x, y in zip(z, anchor))
-                placed = tuple(sorted(a.translate(p, shift) for p in orient))
-                tid = f"{name}:{oi}@{','.join(map(str, z))}"
-                cells = _nearest_ball(placed, radius, a.moduli, [])
-                tiles.append((tid, frozenset(map(universe.__getitem__, cells))))
-                placements[tid] = (name, radius, placed, z)
-    return ExactCoverInstance(universe, tuple(tiles)), placements
+                tid = tag + label
+                ids.append(tid)
+                placements[tid] = (name, radius, tuple(map(vertex, sorted(at))), z)
+    return ExactCoverInstance.from_rows(universe, ids, rows), placements
+
+
+def _translates(points: tuple[Point, ...], anchor: Point,
+                moduli: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """For every torus vertex z in row-major order, the row-major indices
+    of the points moved so that anchor lands on z.
+
+    Per axis i, a table holds each point's index term
+    ((p_i - anchor_i + z_i) mod m_i) * stride_i for every z_i; the sums
+    over the first axes are shared by all anchors that agree on them, and
+    the rows share one int object per index.
+    """
+    tables = []
+    for i, (m, k) in enumerate(zip(moduli, _strides(moduli))):
+        col = [p[i] - anchor[i] for p in points]
+        tables.append([tuple([(x + z) % m * k for x in col]) for z in range(m)])
+    *first, last = tables
+    out = [(0,) * len(points)]
+    for table in first:
+        out = [tuple(map(add, s, t)) for s in out for t in table]
+    index = list(range(prod(moduli))).__getitem__
+    return [tuple(map(index, map(add, s, t))) for s in out for t in last]
 
 
 def _cell_from_json(c):

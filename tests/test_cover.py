@@ -23,7 +23,7 @@ from ptmc.codes import verify_pds
 from ptmc.constructions import build_by_template, cube_singleton_template, square_singleton_template
 from ptmc.gamma2 import build_hive, no_isolated_pds
 from ptmc.graphs import Graph, grid_graph, lattice_graph
-from ptmc.metric import Ambient, truncated_ball
+from ptmc.metric import Ambient, DimensionMismatch, truncated_ball
 
 from oracles import brute_ball, naive_cover_solutions, reference_x
 
@@ -98,14 +98,26 @@ def test_solutions_reverify():
 
 
 def test_instance_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="duplicate cells"):
         inst([1, 1], [])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="is empty"):
         inst([1], [("a", set())])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="leaves the universe"):
         inst([1], [("a", {2})])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="duplicate tile id"):
         inst([1, 2], [("a", {1}), ("a", {2})])
+
+
+def test_instance_positional_form():
+    # tuple-celled tiles are converted once: each row holds the positions
+    # of the tile's cells in the universe, and the tiles stay as given
+    universe = ((0, 1), (1, 0), (1, 1))
+    tiles = (("a", frozenset({(1, 1), (0, 1)})), ("b", frozenset({(1, 0)})))
+    i = ExactCoverInstance(universe, tiles)
+    assert i.ids == ("a", "b")
+    assert [sorted(row) for row in i.rows] == [[0, 2], [1]]
+    assert i.tiles is tiles and i.universe is universe
+    assert ExactCoverInstance.from_rows(universe, i.ids, i.rows) == i
 
 
 def test_oracle_equivalence_random_instances():
@@ -181,6 +193,34 @@ def test_golden_node_counts_pin_branching_order():
         assert build_by_template(cube_singleton_template(4), seed=seed).nodes == nodes
     res = enumerate_covers(eds_instance(grid_graph(7, 7)))
     assert (res.exhaustive, res.solutions, res.nodes) == (True, (), 18)
+
+
+@pytest.mark.parametrize("template, seed", [
+    (square_singleton_template(), 1),
+    (square_singleton_template(), 7),
+    (cube_singleton_template(4), 7),
+])
+def test_core_matches_reference_x_on_pinned_tiling_instances(template, seed, monkeypatch):
+    # the instance build_by_template searches: pinned and seed-shuffled, in
+    # positional form with its tiles made on first use
+    searched = []
+
+    def record(instance, budget=None):
+        searched.append(instance)
+        return solve(instance, budget)
+
+    monkeypatch.setattr("ptmc.constructions.solve", record)
+    assert build_by_template(template, seed=seed).kind == "solution"
+    (i,) = searched
+    for limit in (1, 2):
+        assert _run_x(i, limit, None) == reference_x(i, limit)
+
+
+def test_budget_is_checked_during_set_up():
+    # a budget that has run out ends the run while the masks are built,
+    # before the first node
+    out = solve(eds_instance(lattice_graph(Ambient.torus(75, 75))), budget=0)
+    assert (out.kind, out.tiles, out.nodes) == ("timeout", None, 0)
 
 
 def test_deep_instance_beyond_recursion_limit():
@@ -288,12 +328,25 @@ def test_tiling_instance_matches_naive_placements(a, shapes):
                 else:
                     assert len(ball) < len(full) and tid not in placements
     assert [tid for tid, _ in i.tiles] == expected
+    # the positional form the search reads: each row lists the positions of
+    # its tile's cells
+    assert len(i.rows) == len(i.ids) == len(expected)
+    assert all(sorted(row) == sorted(pos[c] for c in cells[tid])
+               for tid, row in zip(i.ids, i.rows))
 
 
 def test_tiling_instance_stops_at_its_deadline():
     with pytest.raises(OutOfTime):
         tiling_instance(Ambient.torus(6, 6, 3), [("dot", ((0, 0, 0),), 1)],
                         deadline=time.monotonic())
+
+
+@pytest.mark.parametrize("shape", [((0, 0),), ((0, 0, 0, 0),)])
+def test_tiling_rejects_shapes_of_another_dimension(shape):
+    # a 2-d dot on a 3-d torus would place garbage tiles (dot:0@0,0,0
+    # covering (1,2,0)) and the search would report a false "infeasible"
+    with pytest.raises(DimensionMismatch):
+        tiling_instance(Ambient.torus(3, 3, 3), [("dot", shape, 1)])
 
 
 def test_tiling_rejects_degenerate_torus():
