@@ -17,8 +17,9 @@ an endpoint of e with one of f, with the same label (a, b) in each. With
 N[e] for e and the four tree edges meeting it, the vertex has the eight
 neighbours (N[e] - e) x {f} and {e} x (N[f] - f), and its truncated 2-ball
 is N[e] x N[f]. Every local structure here is such a product of one piece
-per axis, and every graph (a hive's, a region's) is the subgraph
-`neighbors` induces on a vertex collection.
+per axis, and every graph (a hive's, a region's) is the subgraph induced
+on a vertex collection by the same rule, read off the rims N[e] - e and
+N[f] - f of each vertex's edges.
 
 Addresses are plain named tuples (`Tersquare`, `GammaVertex`), hashed and
 ordered as tuples of their fields. Code here builds them only from reduced
@@ -60,7 +61,7 @@ def _check_word(w: Word) -> Word:
 
 
 def word_str(w: Word) -> str:
-    return "".join(str(x) for x in w) if w else "-"
+    return "".join(map(str, w)) if w else "-"
 
 
 def parse_word(s: str) -> Word:
@@ -167,7 +168,8 @@ def tersquare_vertices(j: Tersquare) -> tuple[GammaVertex, ...]:
 
 def containing_tersquares(v: GammaVertex) -> tuple[Tersquare, ...]:
     """The four tersquares a vertex lies in: an endpoint of its x-edge with
-    one of its y-edge, the address (wx, wy) first and x varying fastest."""
+    one of its y-edge, the address (wx, wy) first and x varying fastest.
+    Sorted, they read (wx, wy), (wx, wy+b), (wx+a, wy), (wx+a, wy+b)."""
     return tuple(Tersquare(x, y) for y in (v.wy, v.wy + (v.b,)) for x in (v.wx, v.wx + (v.a,)))
 
 
@@ -232,11 +234,19 @@ def hive_vertices(h: Hive) -> tuple[GammaVertex, ...]:
 def _induced_graph(vertices) -> Graph:
     """The subgraph of the compound induced on a vertex collection.
 
-    Neighbors are mapped to the collection's own objects, so each vertex
-    is stored once however many adjacency sets hold it.
+    Each vertex is keyed by its tree-edge pair (e, f), and its neighbours,
+    the pairs (m, f) for m in N[e] - e and (e, m) for m in N[f] - f, are
+    looked up by pair: none is built, so each vertex is stored once however
+    many adjacency sets hold it. Each edge's rim N[e] - e is computed once.
     """
-    own = {v: v for v in vertices}
-    return Graph({v: [own[u] for u in neighbors(v) if u in own] for v in own})
+    own = {((v.wx, v.a), (v.wy, v.b)): v for v in vertices}
+    rims = {x: _closed(x)[1:] for x in {x for pair in own for x in pair}}
+    get = own.get
+    adj = {}
+    for (e, f), v in own.items():
+        ns = [get((m, f)) for m in rims[e]] + [get((e, m)) for m in rims[f]]
+        adj[v] = [u for u in ns if u is not None]
+    return Graph(adj)
 
 
 def hive_graph(h: Hive) -> Graph:
@@ -547,12 +557,18 @@ def _vertex_class(v: GammaVertex, h: Hive) -> str:
 
 def _export_labels(g: Graph, members) -> tuple[dict, dict]:
     """Each vertex's id, and the ids of the member tersquares containing it,
-    sorted. Each tersquare's id is built once."""
-    member_set = set(members)
-    names: dict = {}
-    owners = {v: [names.get(t) or names.setdefault(t, str(t))
-                  for t in sorted(containing_tersquares(v)) if t in member_set]
-              for v in g.vertices}
+    sorted. Each member's id is built once.
+
+    A vertex's four tersquares sort as (wx, wy), (wx, wy+b), (wx+a, wy),
+    (wx+a, wy+b), a word sorting before its extensions; they are looked up
+    as plain word pairs, which hash and compare as the `Tersquare` keys.
+    """
+    names = {t: str(t) for t in members}
+    owners = {}
+    for v in g.vertices:
+        x2, y2 = v.wx + (v.a,), v.wy + (v.b,)
+        owners[v] = [n for n in map(names.get, ((v.wx, v.wy), (v.wx, y2), (x2, v.wy), (x2, y2)))
+                     if n is not None]
     return {v: str(v) for v in g.vertices}, owners
 
 

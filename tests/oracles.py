@@ -11,7 +11,8 @@ from collections import deque
 from itertools import combinations, product
 
 from ptmc.codes import CodeSet, components_of
-from ptmc.gamma2 import LETTERS, GammaVertex, RegionCode, Tersquare, containing_tersquares
+from ptmc.gamma2 import (LETTERS, GammaVertex, RegionCode, Tersquare, containing_tersquares,
+                         neighbors)
 from ptmc.graphs import Graph
 from ptmc.metric import Ambient
 
@@ -262,6 +263,14 @@ def naive_tersquare_graph(members):
                 adj[grid[a1, b1]].add(grid[a2, b2])
                 adj[grid[a2, b2]].add(grid[a1, b1])
     return Graph(adj)
+
+
+def naive_induced_graph(vertices):
+    """The subgraph `neighbors` induces on a vertex collection: each
+    vertex's eight neighbours, built and sorted, kept when in the
+    collection and mapped to its own objects."""
+    own = {v: v for v in vertices}
+    return Graph({v: [own[u] for u in neighbors(v) if u in own] for v in own})
 
 
 def naive_words(length):

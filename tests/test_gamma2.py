@@ -1,5 +1,6 @@
 """Tests for the ternary square compound: addresses, hives, codes."""
 
+import hashlib
 import random
 import re
 from itertools import combinations
@@ -14,6 +15,7 @@ from ptmc.gamma2 import (
     build_hive,
     build_region,
     canonical_vertex,
+    export_graph,
     containing_tersquares,
     corner_partition,
     enumerate_hive_2ptmc,
@@ -35,7 +37,7 @@ from ptmc.gamma2 import (
     tersquare_vertices,
     verify_hive_selection,
 )
-from ptmc.gamma2 import _edge_code, _tersquares_up_to, _vertices_up_to, ORIGIN
+from ptmc.gamma2 import _edge_code, _induced_graph, _tersquares_up_to, _vertices_up_to, ORIGIN
 import ptmc.gamma2
 
 from oracles import (
@@ -46,6 +48,7 @@ from oracles import (
     naive_gamma_distance,
     naive_grid,
     naive_hive_vertices,
+    naive_induced_graph,
     naive_local_ball,
     naive_neighbors,
     naive_region_code,
@@ -170,6 +173,13 @@ def test_every_vertex_in_four_tersquares():
         assert len(set(ts)) == 4
         for t in ts:
             assert v in tersquare_vertices(t)
+
+
+def test_containing_tersquares_sort_in_fixed_order():
+    for v in _vertices_up_to(5):
+        x2, y2 = v.wx + (v.a,), v.wy + (v.b,)
+        fixed = [Tersquare(v.wx, v.wy), Tersquare(v.wx, y2), Tersquare(x2, v.wy), Tersquare(x2, y2)]
+        assert sorted(containing_tersquares(v)) == fixed, v
 
 
 def test_neighbors_eight_and_symmetric():
@@ -310,6 +320,23 @@ def test_region_graph_matches_tersquare_oracle():
     for level in range(6):
         region = build_region(level)
         assert_graph_is_tersquare_union(region.graph, region.members)
+
+
+def test_induced_graph_matches_neighbors_oracle_on_random_subsets():
+    # neither a hive nor a depth cut-off: kept vertices miss some neighbours
+    h1, h2 = build_hive(Tersquare((0, 1, 0), ())), build_hive(Tersquare((0, 1, 2), ()))
+    pools = [_vertices_up_to(4), sorted(set(hive_vertices(h1)) | set(hive_vertices(h2)))]
+    rng = random.Random(15)
+    for pool in pools:
+        for keep in (0.3, 0.6, 0.9):
+            subset = [GammaVertex(*v) for v in pool if rng.random() < keep]
+            g, ref = _induced_graph(subset), naive_induced_graph(subset)
+            assert g.vertices == ref.vertices
+            assert g.edges() == ref.edges()
+            assert any(0 < g.degree(v) < 8 for v in g.vertices)
+            own = {v: v for v in subset}
+            assert all(v is own[v] for v in g.vertices)
+            assert all(u is own[u] for v in g.vertices for u in g.neighbors(v))
 
 
 def test_neighboring_hives_share_four_tersquares():
@@ -722,3 +749,29 @@ def test_region_export_level0():
     import json as _json
     doc = _json.loads(text)
     assert len(doc["vertices"]) == 9
+
+
+# sha256 of the export text at the commit before the rim-based induced
+# graph: any change to ids, owner lists, edge order or JSON layout fails
+EXPORT_SHA256 = {
+    ("hive", "dot", None): "9bde14d359795e63f0e1864dac6e33073e81ddcac7673b02c3fbc026ec13db82",
+    ("region", "dot", 0): "cf93e9f442298f2d889b81eb0b5c18e8f35678b3a7bba48d9f99334ea370c050",
+    ("region", "dot", 1): "ba84a0ef20c0ee9a2ef2531f96e6bc4698ef0ddbeb3ed3408c37a67769bd260d",
+    ("region", "dot", 2): "e116eeadf18e18f5d6eb1f355ef3f46e46f6990f7f3a9edcaa9a22cf26772728",
+    ("region", "dot", 3): "db3d482388235e586b4c81e8851b0dd5391bd5f4f91409bf1199fb938f1aaa5a",
+    ("region", "dot", 4): "42b6d709cd022af3fd07d7f7f9d4ba0c4a65f05b0547d6c249da167486c38a21",
+    ("region", "dot", 5): "3f507564258979b7560a95722aa2868078a8309c70638ee94c0ea1d3b6c588a6",
+    ("hive", "json", None): "bc4656e25e358560a2ca8ab029a5ddb9002ae505fe801883133a6609a4bf799a",
+    ("region", "json", 0): "c4e28237fb8048cac362da27e6e9a2ed6150834c478d6ab59d72362cdc144838",
+    ("region", "json", 1): "8e3435672446d2a6188f40a74436dc8f3c79ed0629803d4ea7aa49b31cd8f559",
+    ("region", "json", 2): "cfa3fc2646c61d1ec0dd53540f372cf2ff1f2eeb0b425f107830b625c2726682",
+    ("region", "json", 3): "a0680d4fbb3e258edd0e78c38bb23ebbe2f700b7bca58e23652f499e46c3b12a",
+    ("region", "json", 4): "fd364212770055de8d63d35f19a91a490ce1c31ad3ed50b2f73dbb38bb989827",
+    ("region", "json", 5): "390bea04542680bbf2079dd0b07aabee2e1744de3f8c0254b5d41592d93bd435",
+}
+
+
+@pytest.mark.parametrize("target, fmt, level", list(EXPORT_SHA256))
+def test_export_bytes_are_pinned(target, fmt, level):
+    text = export_graph(target, fmt) if level is None else export_graph(target, fmt, level=level)
+    assert hashlib.sha256(text.encode()).hexdigest() == EXPORT_SHA256[target, fmt, level]
