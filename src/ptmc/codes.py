@@ -24,7 +24,7 @@ from operator import sub
 from typing import Iterable
 
 from .graphs import Graph
-from .metric import Ambient, Point, _nearest_ball, _point, truncated_ball
+from .metric import Ambient, Point, _integers, _nearest_ball, _point, truncated_ball
 
 ClassKey = tuple[Point, ...]
 
@@ -51,7 +51,7 @@ class CodeSet:
         object.__setattr__(self, "vertices", vs)
         if not _inside(self.ambient, vs):
             for v in vs:  # sorted, so the smallest offender is named
-                if not self.ambient.contains(v):
+                if not self.ambient.contains(_integers(v, f"vertex {v} coordinate")):
                     raise ValueError(f"vertex {v} outside ambient")
 
     def __len__(self) -> int:

@@ -18,7 +18,6 @@ Two families ship here:
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -165,7 +164,7 @@ class TemplateBuild:
     nodes: int = 0
 
 
-def build_by_template(template: TemplateSpec, budget: float | None = None,
+def build_by_template(template: TemplateSpec, deadline: float | None = None,
                       seed: int | None = None) -> TemplateBuild:
     """Search for a code realizing a template by exact cover of its torus.
 
@@ -175,11 +174,10 @@ def build_by_template(template: TemplateSpec, budget: float | None = None,
     the tile covering the origin is anchored at the origin, so tiles that
     cover the origin from elsewhere are dropped. With a seed, the candidate
     order is shuffled deterministically to reach different solutions;
-    without one, tiles stay in lexicographic order. Building the instance
-    counts against the budget and stops once it runs out; the search gets
-    the time left.
+    without one, tiles stay in lexicographic order. The deadline (a
+    time.monotonic() value) is passed unchanged to the instance builder,
+    which stops once it has passed, and then to the search.
     """
-    deadline = None if budget is None else time.monotonic() + budget
     try:
         inst, placements = tiling_instance(
             template.torus,
@@ -195,8 +193,7 @@ def build_by_template(template: TemplateSpec, budget: float | None = None,
         rng.shuffle(keep)
     pinned = ExactCoverInstance.from_rows(inst.universe, [inst.ids[r] for r in keep],
                                           [inst.rows[r] for r in keep])
-    left = None if deadline is None else deadline - time.monotonic()
-    outcome = solve(pinned, budget=left)
+    outcome = solve(pinned, deadline=deadline)
     if outcome.kind != "solution":
         return TemplateBuild(outcome.kind, nodes=outcome.nodes)
     verts: list[Point] = []

@@ -21,7 +21,7 @@ so backtracking is a pop and search depth is bounded by memory, not by
 Python's recursion limit.
 
 Exhausting the search without a solution is a proof of infeasibility and
-is reported distinctly from running out of time budget.
+is reported distinctly from passing the deadline, a time.monotonic() value.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from math import prod
 from operator import add
 
 from .codes import verify_partition
-from .graphs import Graph, grid_graph
+from .graphs import Graph, _str_id, grid_graph
 from .metric import Ambient, DimensionMismatch, Point, _strides, truncated_ball
 
 
@@ -105,7 +105,7 @@ class EnumerateOutcome:
     nodes: int
 
 
-def _run_x(inst: ExactCoverInstance, limit: int | None, budget: float | None):
+def _run_x(inst: ExactCoverInstance, limit: int | None, deadline: float | None):
     """Core Algorithm X loop. Returns (solutions, exhausted, nodes).
 
     It reads inst.ids and inst.rows, whose positions are bit positions:
@@ -127,11 +127,10 @@ def _run_x(inst: ExactCoverInstance, limit: int | None, budget: float | None):
     Each stack frame is [uncovered, live, counts, untried candidates, tile
     selected here]. Only its last two entries change once it is pushed; a
     child builds new ints and a new counts list, so backtracking is a pop.
-    Every tried candidate counts as a node. The budget is checked while the
-    masks are built, once per tile and per cell, and then at each node; a
-    budget that runs out during set-up ends the run with 0 nodes.
+    Every tried candidate counts as a node. The deadline is checked while the
+    masks are built, once per tile and per cell, and then at each node; one
+    passed before the first node, even before the call, gives 0 nodes.
     """
-    deadline = None if budget is None else time.monotonic() + budget
     ids, rows = inst.ids, inst.rows
     cells = []
     holders: list[list[int]] = [[] for _ in inst.universe]
@@ -231,13 +230,13 @@ def _sliced_sum(cells: list[int], chosen: int) -> list[int]:
     return counts
 
 
-def solve(inst: ExactCoverInstance, budget: float | None = None) -> CoverOutcome:
+def solve(inst: ExactCoverInstance, deadline: float | None = None) -> CoverOutcome:
     """First exact cover under the deterministic branching order.
 
     infeasible is only reported after the whole tree has been searched;
-    hitting the budget yields timeout instead.
+    passing the deadline (a time.monotonic() value) yields timeout instead.
     """
-    sols, exhausted, nodes = _run_x(inst, limit=1, budget=budget)
+    sols, exhausted, nodes = _run_x(inst, limit=1, deadline=deadline)
     if sols:
         return CoverOutcome("solution", sols[0], nodes)
     if exhausted:
@@ -246,9 +245,9 @@ def solve(inst: ExactCoverInstance, budget: float | None = None) -> CoverOutcome
 
 
 def enumerate_covers(inst: ExactCoverInstance, limit: int | None = None,
-                     budget: float | None = None) -> EnumerateOutcome:
+                     deadline: float | None = None) -> EnumerateOutcome:
     """All exact covers, canonically ordered, up to an optional cap."""
-    sols, exhausted, nodes = _run_x(inst, limit=limit, budget=budget)
+    sols, exhausted, nodes = _run_x(inst, limit=limit, deadline=deadline)
     return EnumerateOutcome(tuple(sorted(sols)), exhausted, nodes)
 
 
@@ -386,25 +385,23 @@ def _cell_from_json(c):
 
 def instance_from_json(doc: dict) -> ExactCoverInstance:
     universe = tuple(_cell_from_json(c) for c in doc["universe"])
-    tiles = tuple((tid, frozenset(_cell_from_json(c) for c in cells))
+    tiles = tuple((_str_id(tid), frozenset(_cell_from_json(c) for c in cells))
                   for tid, cells in doc["tiles"])
     return ExactCoverInstance(universe, tiles)
 
 
-def grid_eds_survey(max_side: int, budget: float | None = None) -> dict:
+def grid_eds_survey(max_side: int, deadline: float | None = None) -> dict:
     """Exhaustive EDS existence and count for grids P_m box P_n.
 
     Surveys 3 <= m, n <= max_side. In this range an efficient dominating
-    set is known to exist only at (4, 4). The budget bounds the whole
-    survey: each grid gets the time left, and a grid that runs out of it
-    is reported with exists and count None.
+    set is known to exist only at (4, 4). One deadline (a time.monotonic()
+    value) bounds the whole survey: a grid whose search it ends is reported
+    with exists and count None.
     """
-    deadline = None if budget is None else time.monotonic() + budget
     out = {}
     for m in range(3, max_side + 1):
         for n in range(3, max_side + 1):
-            left = None if deadline is None else deadline - time.monotonic()
-            res = enumerate_covers(eds_instance(grid_graph(m, n)), budget=left)
+            res = enumerate_covers(eds_instance(grid_graph(m, n)), deadline=deadline)
             if not res.exhaustive:
                 out[(m, n)] = {"exists": None, "count": None, "exhaustive": False}
             else:

@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 from .codes import VerifyReport, verify_partition
 from .cover import CoverOutcome, ExactCoverInstance, eds_instance, enumerate_covers, solve
-from .graphs import Graph
+from .graphs import Graph, _str_id
 
 Word = tuple[int, ...]
 Edge = tuple[Word, int]  # tree edge: shallow endpoint plus the letter toward the deep one
@@ -381,7 +381,7 @@ def verify_hive_selection(h: Hive, centers) -> VerifyReport:
     return VerifyReport(True, independent=True)
 
 
-def enumerate_hive_2ptmc_complete(h: Hive, budget: float | None = None):
+def enumerate_hive_2ptmc_complete(h: Hive, deadline: float | None = None):
     """Totality check: enumerate every exact cover of the hive by the
     restricted 2-balls of all 81 vertices, not just the corner externals.
 
@@ -396,7 +396,7 @@ def enumerate_hive_2ptmc_complete(h: Hive, budget: float | None = None):
     verts = hive_vertices(h)
     tiles = tuple((str(v), restricted_ball(v, verts)) for v in verts)
     inst = ExactCoverInstance(tuple(verts), tiles)
-    res = enumerate_covers(inst, budget=budget)
+    res = enumerate_covers(inst, deadline=deadline)
     return len(res.solutions), res.exhaustive, res.nodes
 
 
@@ -462,14 +462,14 @@ def hive_non_isolated_pds() -> tuple[GammaVertex, ...]:
     return out
 
 
-def no_isolated_pds(h: Hive, budget: float | None = None) -> CoverOutcome:
+def no_isolated_pds(h: Hive, deadline: float | None = None) -> CoverOutcome:
     """Exhaustive proof that the hive has no efficient dominating set.
 
     Solves the closed-neighborhood exact cover of the hive graph to
     exhaustion; the outcome must be infeasible, and a timeout is reported
     as such (never silently treated as a proof).
     """
-    return solve(eds_instance(hive_graph(h)), budget=budget)
+    return solve(eds_instance(hive_graph(h)), deadline=deadline)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +584,7 @@ def graph_to_json(g: Graph, members) -> dict:
 
 
 def graph_from_json(doc: dict) -> Graph:
-    adj: dict = {e["id"]: set() for e in doc["vertices"]}
+    adj: dict = {_str_id(e["id"]): set() for e in doc["vertices"]}
     for u, v in doc["edges"]:
         adj[u].add(v)
         adj[v].add(u)

@@ -55,6 +55,13 @@ class Graph:
         return sum(len(ns) for ns in self._adj.values()) // 2
 
 
+def _str_id(x) -> str:
+    """x, checked to be a str: graph and instance files name things by string ids."""
+    if not isinstance(x, str):
+        raise TypeError(f"id {x!r} is not a string")
+    return x
+
+
 def lattice_graph(a: Ambient) -> Graph:
     """Grid graph of an ambient: one edge per unit step in one axis.
 

@@ -34,6 +34,14 @@ class DimensionMismatch(ValueError):
     """Operands live in different dimensions or ambient spaces."""
 
 
+def _integers(values, what: str):
+    """The values, refusing by name one that is not an int, as a float or bool."""
+    for x in values:
+        if type(x) is not int:
+            raise ValueError(f"{what} {x!r} is not an integer")
+    return values
+
+
 @dataclass(frozen=True)
 class Ambient:
     """A finite slice of Z^n: either a coordinate window or a torus.
@@ -64,11 +72,12 @@ class Ambient:
 
     @classmethod
     def torus(cls, *moduli: int) -> "Ambient":
-        return cls(kind="torus", moduli=tuple(int(m) for m in moduli))
+        return cls(kind="torus", moduli=_integers(moduli, "torus modulus"))
 
     @classmethod
     def window(cls, *bounds: tuple[int, int]) -> "Ambient":
-        return cls(kind="window", bounds=tuple((int(a), int(b)) for a, b in bounds))
+        return cls(kind="window",
+                   bounds=tuple(_integers((a, b), "window bound") for a, b in bounds))
 
     @classmethod
     def around(cls, points: tuple[Point, ...]) -> "Ambient":

@@ -93,7 +93,7 @@ def test_criterion_03_square_singleton_reproduction():
     template = square_singleton_template()
     assert 2 * 20 + 2 * 7 == 54 == template.fr_volume
     assert template.torus.vertex_count() // 54 == 2
-    build = build_by_template(template, budget=600)
+    build = build_by_template(template, deadline=time.monotonic() + 600)
     assert build.kind == "solution"
     assert verify_kappa_ptmc(build.code, build.kappa).passed
     kinds = {}
@@ -118,7 +118,7 @@ def test_criterion_04_cube_singleton_dim4():
     assert verify_kappa_ptmc(code, kappa).passed
     # best effort: a fresh solver run; timeout would be acceptable, but a
     # proof of infeasibility would contradict the construction
-    build = build_by_template(template, budget=300)
+    build = build_by_template(template, deadline=time.monotonic() + 300)
     assert build.kind in ("solution", "timeout")
     if build.kind == "solution":
         assert verify_kappa_ptmc(build.code, build.kappa).passed
@@ -217,7 +217,7 @@ def test_criterion_11_components_are_boxes():
                     spec = box_hull_check(comp)
                     assert spec is not None
                     assert spec.extents == tuple(ci - 1 for ci in c)
-    build = build_by_template(square_singleton_template(), budget=600)
+    build = build_by_template(square_singleton_template(), deadline=time.monotonic() + 600)
     assert build.kind == "solution"
     for comp in components_of(build.code):
         assert box_hull_check(comp) is not None

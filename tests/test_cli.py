@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from ptmc import cli
 from ptmc.cli import build_parser, main
 from ptmc.codes import code_to_json
 from ptmc.constructions import build_box_code
+from ptmc.cover import eds_instance
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -126,6 +128,24 @@ def test_search_timeout_exit_code(tmp_path):
                         "--enumerate", "--budget", "0.02"], tmp_path)
     assert code == 3
     assert report["verdicts"]["exhaustive"] is False
+
+
+@pytest.mark.parametrize("argv, slowed", [
+    (["search", "--torus", "10,10", "--budget", "0.1"], "ptmc.cover.eds_instance"),
+    (["gamma", "no-isolated-pds", "--budget", "0.1"], "ptmc.gamma2.eds_instance"),
+])
+def test_budget_counts_from_the_command_start(argv, slowed, tmp_path, monkeypatch):
+    # building the EDS instance never checks the clock, so it runs to the end
+    # and takes the whole budget; the search then stops before its first node
+    def slow_eds_instance(g):
+        time.sleep(0.2)
+        return eds_instance(g)
+
+    monkeypatch.setattr(slowed, slow_eds_instance)
+    code, report = run(argv, tmp_path)
+    assert code == 3
+    assert report["verdicts"] == {"outcome": "timeout"}
+    assert report["counts"]["nodes"] == 0
 
 
 def test_search_limit_exit_codes(tmp_path):
@@ -381,6 +401,9 @@ def test_malformed_code_json_is_usage_error(tmp_path, capsys):
     ({}, ["search", "--instance"]),
     ({"vertices": [{"id": "a"}], "edges": [["a", "b"]]}, ["search", "--graph"]),
     ({"vertices": [{"id": "a"}]}, ["search", "--graph"]),
+    # both formats name tiles and vertices by string ids
+    ({"universe": [[0], [1]], "tiles": [[1, [[0]]], ["a", [[1]]]]}, ["search", "--instance"]),
+    ({"vertices": [{"id": 1}, {"id": "a"}], "edges": [[1, "a"]]}, ["search", "--graph"]),
 ])
 def test_malformed_document_is_usage_error(doc, argv, tmp_path, capsys):
     # valid JSON of the wrong shape is bad input, not a failed verification
@@ -388,6 +411,26 @@ def test_malformed_document_is_usage_error(doc, argv, tmp_path, capsys):
     path.write_text(json.dumps(doc))
     err = usage_error(argv + [str(path)], tmp_path, capsys)
     assert "input.json: malformed document" in err
+
+
+@pytest.mark.parametrize("vertex, moduli, bad", [
+    ([1.5, 1], [3, 3], "1.5"),
+    ([True, 1], [3, 3], "True"),
+    ([1, 1], [3.9, 3], "3.9"),
+    ([1, 1], [3, False], "False"),
+])
+def test_non_integer_coordinates_and_moduli_are_usage_errors(vertex, moduli, bad, tmp_path,
+                                                             capsys):
+    # int() would round them, and the code would verify as if they were ints
+    code_file = tmp_path / "box.json"
+    assert main(["construct", "box", "--c", "2,2", "--k", "1,1", "--emit", str(code_file),
+                 "--out", str(tmp_path / "built.json")]) == 0
+    doc = json.loads(code_file.read_text())
+    assert (doc["vertices"], doc["ambient"]["moduli"]) == ([[1, 1]], [3, 3])
+    doc["vertices"], doc["ambient"]["moduli"] = [vertex], moduli
+    code_file.write_text(json.dumps(doc))
+    err = usage_error(["verify", "ptmc", "--code", str(code_file), "--t", "2"], tmp_path, capsys)
+    assert f"{bad} is not an integer" in err
 
 
 def test_incomplete_kappa_is_usage_error_unless_t_given(tmp_path, capsys):
@@ -451,14 +494,17 @@ def test_budget_not_above_zero_is_usage_error(argv, budget, tmp_path, capsys):
 
 
 def test_reports_byte_identical_modulo_timings(tmp_path):
-    _, r1 = run(["gamma", "stats", "--level", "2"], tmp_path, "a.json")
-    _, r2 = run(["gamma", "stats", "--level", "2"], tmp_path, "b.json")
-    r1.pop("timings")
-    r2.pop("timings")
-    # the command echo differs only in the --out path, which is part of it
-    r1["command"] = [c for c in r1["command"] if "a.json" not in c]
-    r2["command"] = [c for c in r2["command"] if "b.json" not in c]
-    assert r1 == r2
+    # a budget's deadline is read off the clock, so it stays out of the digest
+    for argv in (["survey", "--max-side", "4", "--budget", "600"],
+                 ["gamma", "stats", "--level", "2"]):
+        _, r1 = run(argv, tmp_path, "a.json")
+        _, r2 = run(argv, tmp_path, "b.json")
+        r1.pop("timings")
+        r2.pop("timings")
+        # the command echo differs only in the --out path, which is part of it
+        r1["command"] = [c for c in r1["command"] if "a.json" not in c]
+        r2["command"] = [c for c in r2["command"] if "b.json" not in c]
+        assert r1 == r2
     _, r3 = run(["gamma", "stats", "--level", "3"], tmp_path, "c.json")
     assert r3["inputs"]["digest"] != r1["inputs"]["digest"]
 

@@ -3,6 +3,7 @@
 import json
 import random
 import re
+import time
 
 import pytest
 
@@ -68,6 +69,17 @@ def test_components_empty():
 def test_vertex_outside_ambient_raises(ambient, vertices, bad):
     with pytest.raises(ValueError, match=re.escape(f"vertex {bad} outside ambient")):
         CodeSet(ambient, vertices)
+
+
+@pytest.mark.parametrize("vertices, bad", [
+    (((0, 0), (1.5, 1)), "1.5"),
+    (((True, 1),), "True"),
+    (((0, 0), (1, 2.0)), "2.0"),
+])
+def test_non_integer_coordinates_are_refused(vertices, bad):
+    # each is within the ambient's range, where it would pass as an int
+    with pytest.raises(ValueError, match=re.escape(f"coordinate {bad} is not an integer")):
+        CodeSet(torus(3, 3), vertices)
 
 
 def test_codeset_sorts_and_dedups_keeping_first_occurrence():
@@ -303,7 +315,7 @@ def test_t1_ptmc_coincides_with_pds():
         code = CodeSet(torus(4, 4, 3), verts)
         g = lattice_graph(code.ambient)
         assert verify_t_ptmc(code, 1).passed == verify_pds(code.vertices, g).passed
-    build = build_by_template(square_singleton_template(), budget=60)
+    build = build_by_template(square_singleton_template(), deadline=time.monotonic() + 60)
     assert build.kind == "solution"
     assert verify_t_ptmc(build.code, 1).passed
     assert verify_pds(build.code.vertices, lattice_graph(build.code.ambient)).passed
@@ -431,7 +443,7 @@ def test_inflate_identity():
 
 
 def test_inflate_square_singleton_code():
-    build = build_by_template(square_singleton_template(), budget=60)
+    build = build_by_template(square_singleton_template(), deadline=time.monotonic() + 60)
     assert build.kind == "solution"
     big = inflate_code(build.code, (1, 1, 2))
     assert big.ambient.moduli == (6, 6, 6)

@@ -193,7 +193,7 @@ def test_template_requires_divisibility():
 # ---------------------------------------------------------------------------
 
 def test_build_square_singleton_code():
-    build = build_by_template(square_singleton_template(), budget=120)
+    build = build_by_template(square_singleton_template(), deadline=time.monotonic() + 120)
     assert build.kind == "solution"
     rep = verify_kappa_ptmc(build.code, build.kappa)
     assert rep.passed, rep
@@ -202,24 +202,25 @@ def test_build_square_singleton_code():
 
 def test_build_is_deterministic_per_seed():
     tpl = square_singleton_template()
-    first = build_by_template(tpl, budget=120)
-    again = build_by_template(tpl, budget=120)
+    first = build_by_template(tpl, deadline=time.monotonic() + 120)
+    again = build_by_template(tpl, deadline=time.monotonic() + 120)
     assert first.tiles == again.tiles
-    seeded = build_by_template(tpl, budget=120, seed=7)
-    seeded2 = build_by_template(tpl, budget=120, seed=7)
+    seeded = build_by_template(tpl, deadline=time.monotonic() + 120, seed=7)
+    seeded2 = build_by_template(tpl, deadline=time.monotonic() + 120, seed=7)
     assert seeded.tiles == seeded2.tiles
     assert seeded.kind == "solution"
     assert verify_kappa_ptmc(seeded.code, seeded.kappa).passed
 
 
 def test_build_budget_covers_instance_building(monkeypatch):
-    # instance building that outlasts the budget leaves the search no time
+    # instance building that outlasts the deadline leaves the search no time
     def slow_tiling_instance(*args):
         time.sleep(0.2)
         return tiling_instance(*args)
 
     monkeypatch.setattr("ptmc.constructions.tiling_instance", slow_tiling_instance)
-    assert build_by_template(square_singleton_template(), budget=0.1).kind == "timeout"
+    build = build_by_template(square_singleton_template(), deadline=time.monotonic() + 0.1)
+    assert build.kind == "timeout"
 
 
 def test_build_budget_stops_instance_building():
@@ -227,13 +228,13 @@ def test_build_budget_stops_instance_building():
     assert build_by_template(cube_singleton_template(4)).kind == "solution"
     full_s = time.monotonic() - started
     started = time.monotonic()
-    build = build_by_template(cube_singleton_template(4), budget=1e-3)
+    build = build_by_template(cube_singleton_template(4), deadline=time.monotonic() + 1e-3)
     assert (build.kind, build.nodes) == ("timeout", 0)
     assert time.monotonic() - started < full_s / 4
 
 
 def test_build_radii_follow_shapes():
-    build = build_by_template(square_singleton_template(), budget=120)
+    build = build_by_template(square_singleton_template(), deadline=time.monotonic() + 120)
     for comp in components_of(build.code):
         t = build.kappa.radius_for(comp.class_key)
         assert t == 1

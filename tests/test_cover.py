@@ -80,9 +80,9 @@ def test_timeout_is_distinct_from_infeasible():
             for c in range(b + 1, 24):
                 tiles.append((f"t{a}.{b}.{c}", {a, b, c}))
     big = inst(universe, tiles)
-    res = enumerate_covers(big, budget=0.02)
+    res = enumerate_covers(big, deadline=time.monotonic() + 0.02)
     assert not res.exhaustive
-    out = solve(inst([1], []), budget=10)
+    out = solve(inst([1], []), deadline=time.monotonic() + 10)
     assert out.kind == "infeasible"  # fast exhaustion is not a timeout
 
 
@@ -205,9 +205,9 @@ def test_core_matches_reference_x_on_pinned_tiling_instances(template, seed, mon
     # positional form with its tiles made on first use
     searched = []
 
-    def record(instance, budget=None):
+    def record(instance, deadline=None):
         searched.append(instance)
-        return solve(instance, budget)
+        return solve(instance, deadline)
 
     monkeypatch.setattr("ptmc.constructions.solve", record)
     assert build_by_template(template, seed=seed).kind == "solution"
@@ -217,9 +217,9 @@ def test_core_matches_reference_x_on_pinned_tiling_instances(template, seed, mon
 
 
 def test_budget_is_checked_during_set_up():
-    # a budget that has run out ends the run while the masks are built,
+    # a deadline that has passed ends the run while the masks are built,
     # before the first node
-    out = solve(eds_instance(lattice_graph(Ambient.torus(75, 75))), budget=0)
+    out = solve(eds_instance(lattice_graph(Ambient.torus(75, 75))), deadline=time.monotonic())
     assert (out.kind, out.tiles, out.nodes) == ("timeout", None, 0)
 
 

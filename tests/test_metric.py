@@ -1,6 +1,7 @@
 """Tests for the truncated metric, balls and ambient arithmetic."""
 
 import random
+import re
 
 import pytest
 
@@ -132,6 +133,18 @@ def test_wrapped_difference_tie_is_positive():
     assert t.diff((0, 0), (2, 0)) == (2, 0)
     assert t.diff((2, 0), (0, 0)) == (2, 0)
     assert t.diff((0, 0), (3, 0)) == (1, 0)
+
+
+@pytest.mark.parametrize("kind, values, bad", [
+    ("torus", (3.9, 3), "3.9"),
+    ("torus", (3, True), "True"),
+    ("window", ((0, 2), (0, 1.5)), "1.5"),
+    ("window", ((False, 2),), "False"),
+])
+def test_non_integer_moduli_and_bounds_are_refused(kind, values, bad):
+    # int() would round them: a (3.9, 3) torus would pass as a (3, 3) one
+    with pytest.raises(ValueError, match=re.escape(f"{bad} is not an integer")):
+        getattr(Ambient, kind)(*values)
 
 
 def test_ambient_validation():
