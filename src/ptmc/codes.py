@@ -458,5 +458,5 @@ def code_from_json(doc: dict) -> tuple[CodeSet, KappaAssignment | None]:
         h = class_key_hash(comp.class_key)
         if h not in by_hash:
             raise MissingRadiusError(f"kappa entry {h} missing for class of {comp.min_vertex}")
-        by_class[comp.class_key] = int(by_hash[h])
+        (by_class[comp.class_key],) = _integers((by_hash[h],), f"kappa entry {h} radius")
     return code, KappaAssignment(by_class=by_class)

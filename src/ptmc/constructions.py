@@ -168,41 +168,43 @@ def build_by_template(template: TemplateSpec, deadline: float | None = None,
                       seed: int | None = None) -> TemplateBuild:
     """Search for a code realizing a template by exact cover of its torus.
 
-    Tiles are the placements of tiling_instance: the truncated balls of
-    every oriented, translated shape copy that does not wrap onto itself.
+    Tiles are those of tiling_instance: the truncated balls of every
+    oriented, translated shape copy that does not wrap onto itself, tile r
+    anchored at the vertex at position r % N of the N-vertex universe.
     Symmetry is broken by pinning: every solution has a translate in which
-    the tile covering the origin is anchored at the origin, so tiles that
-    cover the origin from elsewhere are dropped. With a seed, the candidate
+    the tile covering the origin, position 0, is anchored there, so tiles
+    anchored elsewhere that cover it are dropped. With a seed, the candidate
     order is shuffled deterministically to reach different solutions;
-    without one, tiles stay in lexicographic order. The deadline (a
+    without one, tiles stay in instance order. The deadline (a
     time.monotonic() value) is passed unchanged to the instance builder,
     which stops once it has passed, and then to the search.
     """
+    a = template.torus
     try:
-        inst, placements = tiling_instance(
-            template.torus,
-            [(s.name, s.vertices, s.radius) for s in template.shapes], deadline)
+        inst, blocks = tiling_instance(
+            a, [(s.name, s.vertices, s.radius) for s in template.shapes], deadline)
     except OutOfTime:
         return TemplateBuild("timeout")
-    origin = (0,) * template.torus.dimension
-    # the origin is the first vertex, position 0
-    keep = [r for r, row in enumerate(inst.rows)
-            if 0 not in row or placements[inst.ids[r]][3] == origin]
+    universe = inst.universe
+    n = len(universe)
+    keep = [r for r, row in enumerate(inst.rows) if r % n == 0 or 0 not in row]
     if seed is not None:
         rng = random.Random(seed)
         rng.shuffle(keep)
-    pinned = ExactCoverInstance.from_rows(inst.universe, [inst.ids[r] for r in keep],
+    pinned = ExactCoverInstance.from_rows(universe, [inst.ids[r] for r in keep],
                                           [inst.rows[r] for r in keep])
     outcome = solve(pinned, deadline=deadline)
     if outcome.kind != "solution":
         return TemplateBuild(outcome.kind, nodes=outcome.nodes)
-    verts: list[Point] = []
-    radii: dict[tuple[Point, ...], int] = {}
-    for tid in outcome.tiles:
-        verts.extend(placements[tid][2])
-    code = CodeSet(template.torus, tuple(verts))
-    placed_sets = {frozenset(placements[t][2]): placements[t][1] for t in outcome.tiles}
-    for comp in components_of(code):
-        radii[comp.class_key] = placed_sets[frozenset(comp.vertices)]
+    chosen = set(outcome.tiles)
+    placed_sets: dict[frozenset, int] = {}
+    for r, tid in zip(keep, pinned.ids):
+        if tid in chosen:
+            _, radius, orient, anchor = blocks[r // n]
+            shift = tuple(z - y for z, y in zip(universe[r % n], anchor))
+            placed_sets[frozenset(a.translate(p, shift) for p in orient)] = radius
+    code = CodeSet(a, tuple(v for placed in placed_sets for v in placed))
+    radii = {comp.class_key: placed_sets[frozenset(comp.vertices)]
+             for comp in components_of(code)}
     return TemplateBuild("solution", code, KappaAssignment(by_class=radii),
                          outcome.tiles, outcome.nodes)

@@ -9,8 +9,9 @@ runs are reproducible.
 
 The search reads one positional form of an instance: each tile's cells as
 their positions in the universe. Tiling instances are built in that form
-directly, translating each ball to every anchor by row-major index
-arithmetic; tuple-celled instances are converted once, when constructed.
+directly, one block per shape orientation: its ball translated to every
+anchor by row-major index arithmetic, so a tile's position is its
+placement; tuple-celled instances are converted once, when constructed.
 The search turns every set it needs into a Python int: a tile's cells, a
 cell's tiles, the tiles a choice rules out (built the first time that tile
 is chosen), and the per-cell candidate counts as a few bit slices. However
@@ -304,7 +305,6 @@ def tiling_instance(a: Ambient, shapes: list[tuple[str, tuple[Point, ...], int]]
     shapes is a list of (name, vertex set, radius); every orientation under
     coordinate permutations and every torus translation yields one tile.
     Tile ids encode shape, orientation and anchor, e.g. "sq:1@0,3,2".
-    Returns the instance plus a placement table keyed by tile id.
 
     Each orientation's ball is enumerated once, on a window that does not
     clip it, for its anchor: the ball vertex of minimal coordinate sum, ties
@@ -316,13 +316,17 @@ def tiling_instance(a: Ambient, shapes: list[tuple[str, tuple[Point, ...], int]]
 
     A ball whose span exceeds a modulus wraps onto itself and comes out
     smaller than its lattice volume. The wrap always creates a vertex with
-    two nearest center vertices, so no verified code can use such a ball,
-    and its placements are left out; a translate has the same size, so
-    this drops whole orientations.
+    two nearest center vertices, so no verified code can use such a ball;
+    a translate has the same size, so the whole orientation is left out.
+
+    Returns the instance plus one block (name, radius, orientation, anchor)
+    per orientation kept, in instance order, each of N = len(universe)
+    tiles: tile r is block r // N with its anchor at universe[r % N], its
+    placed shape the orientation translated by universe[r % N] - anchor.
 
     A shape of another dimension than the torus raises DimensionMismatch.
     With a deadline (a time.monotonic() value), building raises OutOfTime
-    once it has passed.
+    once it has passed; it is checked once per orientation.
     """
     if not a.is_torus:
         raise ValueError("tiling instances are built over tori")
@@ -330,10 +334,8 @@ def tiling_instance(a: Ambient, shapes: list[tuple[str, tuple[Point, ...], int]]
         raise ValueError("tiling needs all moduli >= 3 (balls would self-wrap)")
     n = a.dimension
     universe = tuple(a.vertices())
-    vertex = universe.__getitem__
     labels = [",".join(map(str, z)) for z in universe]
-    ids, rows = [], []
-    placements = {}
+    ids, rows, blocks = [], [], []
     for name, shape, radius in shapes:
         if any(len(p) != n for p in shape):
             raise DimensionMismatch(f"shape {name!r} is not of the torus's dimension {n}")
@@ -346,15 +348,9 @@ def tiling_instance(a: Ambient, shapes: list[tuple[str, tuple[Point, ...], int]]
             anchor = min(ball, key=lambda p: (sum(p), p))
             rows += _translates(ball, anchor, a.moduli)
             tag = f"{name}:{oi}@"
-            # index order is lexicographic order, so sorted indices give
-            # the placed shape sorted, as the universe's own points
-            for z, label, at in zip(universe, labels, _translates(orient, anchor, a.moduli)):
-                if deadline is not None and time.monotonic() > deadline:
-                    raise OutOfTime
-                tid = tag + label
-                ids.append(tid)
-                placements[tid] = (name, radius, tuple(map(vertex, sorted(at))), z)
-    return ExactCoverInstance.from_rows(universe, ids, rows), placements
+            ids += [tag + label for label in labels]
+            blocks.append((name, radius, orient, anchor))
+    return ExactCoverInstance.from_rows(universe, ids, rows), blocks
 
 
 def _translates(points: tuple[Point, ...], anchor: Point,

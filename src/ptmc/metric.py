@@ -8,9 +8,9 @@ here work on two finite ambient spaces:
 
   * a window: an axis-aligned box of Z^n, used for enumeration and debug;
   * a torus: Z^n quotiented by per-axis moduli, used for exact verification
-    of periodic codes. All torus arithmetic lives here, including the
-    row-major vertex index (`_strides`, which the tiling-instance builder
-    also uses) and its ball routine `_nearest_ball`, the verifier's.
+    of periodic codes. Torus arithmetic lives here, with the row-major
+    vertex index (`_strides`) that the verifier's ball routine
+    `_nearest_ball` and the tiling-instance builder's `cover._translates` use.
 
 Coordinate differences on a torus are wrapped to the representative of
 minimal absolute value; a tie (even modulus, offset exactly half) picks the

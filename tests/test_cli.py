@@ -433,6 +433,30 @@ def test_non_integer_coordinates_and_moduli_are_usage_errors(vertex, moduli, bad
     assert f"{bad} is not an integer" in err
 
 
+@pytest.mark.parametrize("radius", [2.9, True])
+def test_non_integer_kappa_radius_is_usage_error(radius, tmp_path, capsys):
+    # int() would round 2.9 down to a radius that verifies, and read True as 1
+    code_file = tmp_path / "box.json"
+    assert main(["construct", "box", "--c", "2,2", "--k", "1,1", "--emit", str(code_file),
+                 "--out", str(tmp_path / "built.json")]) == 0
+    doc = json.loads(code_file.read_text())
+    (h,) = doc["kappa"]
+    doc["kappa"][h] = radius
+    code_file.write_text(json.dumps(doc))
+    err = usage_error(["verify", "ptmc", "--code", str(code_file)], tmp_path, capsys)
+    assert f"kappa entry {h} radius {radius} is not an integer" in err
+
+
+def test_non_string_vertex_list_id_is_usage_error(tmp_path, capsys):
+    # str() would turn the id 1 into the graph's vertex "1" and pass
+    graph_file, code_file = tmp_path / "g.json", tmp_path / "input.json"
+    graph_file.write_text(json.dumps({"vertices": [{"id": "1"}], "edges": []}))
+    code_file.write_text(json.dumps({"vertices": [1]}))
+    err = usage_error(["verify", "pds", "--code", str(code_file), "--graph", str(graph_file)],
+                      tmp_path, capsys)
+    assert "input.json: malformed document" in err
+
+
 def test_incomplete_kappa_is_usage_error_unless_t_given(tmp_path, capsys):
     code_file = tmp_path / "code.json"
     code_file.write_text(json.dumps({

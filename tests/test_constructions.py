@@ -12,6 +12,7 @@ from ptmc.codes import (
     KappaAssignment,
     box_hull_check,
     code_from_json,
+    code_to_json,
     components_of,
     verify_kappa_ptmc,
     verify_t_ptmc,
@@ -238,6 +239,13 @@ def test_build_radii_follow_shapes():
     for comp in components_of(build.code):
         t = build.kappa.radius_for(comp.class_key)
         assert t == 1
+
+
+def test_dim4_build_reproduces_fixture():
+    # the unseeded search finds exactly the frozen file, byte for byte
+    build = build_by_template(cube_singleton_template(4))
+    text = (FIXTURES / "cube_singleton_dim4.json").read_text()
+    assert json.dumps(code_to_json(build.code, build.kappa)) == text
 
 
 def test_dim4_fixture_verifies():

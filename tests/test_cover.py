@@ -273,9 +273,24 @@ def test_shape_orientations():
     assert len(shape_orientations(cube4)) == 4
 
 
+def placements_of(i, blocks, a):
+    """Each tile's (name, radius, placed shape, anchor vertex), read off its
+    position: tile r is block r // N anchored at universe[r % N]."""
+    n = len(i.universe)
+    assert len(blocks) * n == len(i.ids)
+    out = {}
+    for r, tid in enumerate(i.ids):
+        name, radius, orient, anchor = blocks[r // n]
+        z = i.universe[r % n]
+        shift = tuple(x - y for x, y in zip(z, anchor))
+        out[tid] = (name, radius, tuple(sorted(a.translate(p, shift) for p in orient)), z)
+    return out
+
+
 def test_tiling_instance_full_radius_singletons():
     a = Ambient.torus(3, 3)
-    i, placements = tiling_instance(a, [("dot", ((0, 0),), 2)])
+    i, blocks = tiling_instance(a, [("dot", ((0, 0),), 2)])
+    assert blocks == [("dot", 2, ((0, 0),), (-1, -1))]
     assert len(i.tiles) == 9
     assert all(len(cells) == 9 for _, cells in i.tiles)
     out = solve(i)
@@ -285,7 +300,7 @@ def test_tiling_instance_full_radius_singletons():
 def test_tiling_instance_square_singleton_counts():
     a = Ambient.torus(6, 6, 3)
     square = ((0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0))
-    i, placements = tiling_instance(a, [("square", square, 1), ("dot", ((0, 0, 0),), 1)])
+    i, blocks = tiling_instance(a, [("square", square, 1), ("dot", ((0, 0, 0),), 1)])
     squares = [t for t in i.tiles if t[0].startswith("square")]
     dots = [t for t in i.tiles if t[0].startswith("dot")]
     # squares raised into the modulus-3 axis wrap onto themselves and are
@@ -294,7 +309,10 @@ def test_tiling_instance_square_singleton_counts():
     assert all(len(cells) == 20 for _, cells in squares)
     assert len(dots) == 108
     assert all(len(cells) == 7 for _, cells in dots)
-    assert set(placements) == {tid for tid, _ in i.tiles}
+    # one block of 108 tiles per orientation kept, in instance order
+    assert [(name, orient) for name, _, orient, _ in blocks] == [("square", square),
+                                                                 ("dot", ((0, 0, 0),))]
+    assert placements_of(i, blocks, a).keys() == {tid for tid, _ in i.tiles}
 
 
 @pytest.mark.parametrize("a, shapes", [
@@ -306,16 +324,18 @@ def test_tiling_instance_square_singleton_counts():
 def test_tiling_instance_matches_naive_placements(a, shapes):
     # every placement, from the definition: anchor the orientation's window
     # ball at z and take the torus ball of the placed shape
-    i, placements = tiling_instance(a, shapes)
+    i, blocks = tiling_instance(a, shapes)
+    placements = placements_of(i, blocks, a)
     cells = dict(i.tiles)
     # each cell is the universe's own tuple at that position, not a copy
     pos = {v: k for k, v in enumerate(i.universe)}
     assert all(c is i.universe[pos[c]] for _, tile in i.tiles for c in tile)
-    expected = []
+    expected, kept = [], []
     for name, shape, radius in shapes:
         for oi, orient in enumerate(shape_orientations(shape)):
             full = brute_ball(list(orient), radius, -1, 3)
             anchor = min(full, key=lambda p: (sum(p), p))
+            before = len(expected)
             for z in a.vertices():
                 placed = tuple(sorted(
                     a.wrap(tuple(x - y + w for x, y, w in zip(p, anchor, z))) for p in orient))
@@ -327,7 +347,11 @@ def test_tiling_instance_matches_naive_placements(a, shapes):
                     assert placements[tid] == (name, radius, placed, z)
                 else:
                     assert len(ball) < len(full) and tid not in placements
+            if len(expected) > before:
+                kept.append((name, radius, orient, anchor))
     assert [tid for tid, _ in i.tiles] == expected
+    # one block per orientation with a placement, none for self-wrapped ones
+    assert blocks == kept
     # the positional form the search reads: each row lists the positions of
     # its tile's cells
     assert len(i.rows) == len(i.ids) == len(expected)
