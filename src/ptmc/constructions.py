@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .codes import CodeSet, KappaAssignment, components_of
-from .cover import ExactCoverInstance, OutOfTime, solve, tiling_instance
+from .cover import OutOfTime, _positions, _repeat, solve, tiling_instance
 from .metric import Ambient, Point, truncated_ball
 
 
@@ -172,8 +172,10 @@ def build_by_template(template: TemplateSpec, deadline: float | None = None,
     oriented, translated shape copy that does not wrap onto itself, tile r
     anchored at the vertex at position r % N of the N-vertex universe.
     Symmetry is broken by pinning: every solution has a translate in which
-    the tile covering the origin, position 0, is anchored there, so tiles
-    anchored elsewhere that cover it are dropped. With a seed, the candidate
+    the tile covering the origin, position 0, is anchored there, so the
+    tiles that hold the origin's bit but are not at a position o * N are
+    dropped, read off the instance's mask of the origin's tiles. The search
+    runs on the kept tiles over the same masks. With a seed, the candidate
     order is shuffled deterministically to reach different solutions;
     without one, tiles stay in instance order. The deadline (a
     time.monotonic() value) is passed unchanged to the instance builder,
@@ -187,12 +189,13 @@ def build_by_template(template: TemplateSpec, deadline: float | None = None,
         return TemplateBuild("timeout")
     universe = inst.universe
     n = len(universe)
-    keep = [r for r, row in enumerate(inst.rows) if r % n == 0 or 0 not in row]
+    # the origin's tiles, less the bits o * N of those anchored there
+    dropped = set(_positions(inst._masks[2][0] & ~_repeat(1, n, len(blocks))))
+    keep = [r for r in range(len(inst.ids)) if r not in dropped]
     if seed is not None:
         rng = random.Random(seed)
         rng.shuffle(keep)
-    pinned = ExactCoverInstance.from_rows(universe, [inst.ids[r] for r in keep],
-                                          [inst.rows[r] for r in keep])
+    pinned = inst.restrict(keep)
     outcome = solve(pinned, deadline=deadline)
     if outcome.kind != "solution":
         return TemplateBuild(outcome.kind, nodes=outcome.nodes)

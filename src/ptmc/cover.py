@@ -4,17 +4,21 @@ Algorithm X (Knuth, "Dancing Links", arXiv cs/0011047) over int bitmasks.
 Branching is deterministic: always the uncovered cell with the fewest
 candidate tiles, ties broken by the cell's position in the universe
 ordering; candidate tiles are tried in instance order. Instances built by
-the constructors in this package list their tiles in sorted id order, so
-runs are reproducible.
+the constructors in this package list their tiles in a fixed order, so
+runs are reproducible: tiling instances in orientation blocks, each with
+its anchors in row-major order (not sorted id order once a modulus
+exceeds 10: "dot:0@9,2" comes before "dot:0@10,0"), the others in the
+order of their graph's vertices or their file's tiles.
 
-The search reads one positional form of an instance: each tile's cells as
-their positions in the universe. Tiling instances are built in that form
-directly, one block per shape orientation: its ball translated to every
-anchor by row-major index arithmetic, so a tile's position is its
-placement; tuple-celled instances are converted once, when constructed.
 The search turns every set it needs into a Python int: a tile's cells, a
 cell's tiles, the tiles a choice rules out (built the first time that tile
-is chosen), and the per-cell candidate counts as a few bit slices. However
+is chosen), and the per-cell candidate counts as a few bit slices.
+Tuple-celled instances are converted to positions once, when constructed,
+and the search builds their masks from those rows. Tiling instances are
+built as masks directly: on a torus listed in row-major order, translating
+a tile by one step along an axis is one masked rotation of its cell mask,
+so every placement of an orientation, and every cell's mask of tiles, is
+its predecessor rotated once; their rows are made only on demand. However
 costly the callers' cells are to hash, a search node is then a handful of
 int operations, and position order is bit order, which is the branching
 order. The search runs as a loop over an explicit stack of frames of ints,
@@ -32,7 +36,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
 from math import prod
-from operator import add
 
 from .codes import verify_partition
 from .graphs import Graph, _str_id, grid_graph
@@ -42,11 +45,19 @@ from .metric import Ambient, DimensionMismatch, Point, _strides, truncated_ball
 class ExactCoverInstance:
     """An ordered universe of cells plus candidate tiles (id, cell subset).
 
-    The search reads the positional form: ids[r] is tile r's id and rows[r]
-    the positions in universe of its cells. The constructor derives it from
-    the tiles, checking them on the way; from_rows takes it as built, and
-    then tiles is made from it on first use.
+    ids[r] is tile r's id and rows[r] the positions in universe of its
+    cells. The constructor derives them from the tiles, checking them on
+    the way, and the search builds its masks from the rows.
+
+    A tiling instance (see tiling_instance) holds the search's masks
+    instead, trusted as built, as _masks = (names, cells, holders) over
+    bits b: tile names[b] has the cell mask cells[b], and holders[c] masks
+    the bits whose tiles hold cell c. Its tiles are the bits _order, in
+    that order, and restrict makes another instance on the same masks. Its
+    rows and tiles are made from the masks on first use.
     """
+
+    _masks = None
 
     def __init__(self, universe: tuple, tiles: tuple[tuple[str, frozenset], ...]) -> None:
         pos = {c: i for i, c in enumerate(universe)}
@@ -70,12 +81,21 @@ class ExactCoverInstance:
         self.rows = tuple(rows)
 
     @classmethod
-    def from_rows(cls, universe: tuple, ids, rows) -> "ExactCoverInstance":
-        """An instance given in positional form, trusted as built: distinct
-        ids and nonempty rows of distinct positions in universe."""
+    def _from_masks(cls, universe: tuple, masks: tuple, order) -> "ExactCoverInstance":
         inst = cls.__new__(cls)
-        inst.universe, inst.ids, inst.rows = universe, tuple(ids), tuple(rows)
+        inst.universe, inst._masks, inst._order = universe, masks, tuple(order)
+        inst.ids = tuple(map(masks[0].__getitem__, inst._order))
         return inst
+
+    def restrict(self, keep) -> "ExactCoverInstance":
+        """The tiles at positions keep of this tiling instance, in keep's
+        order, as an instance on the same masks."""
+        return self._from_masks(self.universe, self._masks, map(self._order.__getitem__, keep))
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        cells = self._masks[1]
+        return tuple(tuple(_positions(cells[b])) for b in self._order)
 
     @cached_property
     def tiles(self) -> tuple[tuple[str, frozenset], ...]:
@@ -109,53 +129,69 @@ class EnumerateOutcome:
 def _run_x(inst: ExactCoverInstance, limit: int | None, deadline: float | None):
     """Core Algorithm X loop. Returns (solutions, exhausted, nodes).
 
-    It reads inst.ids and inst.rows, whose positions are bit positions:
-    cells[r] masks tile r's cells, tiles[c] the tiles containing cell c, and
-    kill[r], built the first time r is selected, is the OR of tiles[c] over
-    r's cells, i.e. every tile that clashes with r (0 until then: a tile
-    clashes with itself). A node is (uncovered, live, counts); selecting r
-    leaves uncovered & ~cells[r] and live & ~kill[r].
+    It reads int masks over bit positions: cells[b] masks tile b's cells,
+    tiles[c] the tiles containing cell c, and kill[b], built the first time
+    b is selected, is the OR of tiles[c] over b's cells, i.e. every tile
+    that clashes with b (0 until then: a tile clashes with itself). A
+    tuple-celled instance's masks are built here from inst.rows, bit r
+    being tile r, and kill reads its cells there; a tiling instance brings
+    its own masks, kill reads its cells off the bits of cells[b], and its
+    live tiles are the bits of its order. A node is (uncovered, live, counts);
+    selecting b leaves uncovered & ~cells[b] and live & ~kill[b].
 
     counts holds, per cell, the number of live tiles containing it as
-    bit slices: bit c of counts[j] is bit j of cell c's count. Selecting r
+    bit slices: bit c of counts[j] is bit j of cell c's count. Selecting b
     subtracts the killed tiles' cells masks from it, or sums the live
     tiles' masks afresh when fewer tiles stay live than were killed.
     Narrowing uncovered from the top slice down leaves the cells of
     minimum count; the lowest of them is the branching cell, so ties go to
-    the earliest cell, and its candidates tiles[c] & live are tried lowest
-    bit first, in instance order.
+    the earliest cell, and its candidates tiles[c] & live are tried in
+    instance order: lowest bit first, unless a tiling instance's order is
+    not ascending, when they are sorted by their rank in it.
 
     Each stack frame is [uncovered, live, counts, untried candidates, tile
     selected here]. Only its last two entries change once it is pushed; a
     child builds new ints and a new counts list, so backtracking is a pop.
     Every tried candidate counts as a node. The deadline is checked while the
-    masks are built, once per tile and per cell, and then at each node; one
-    passed before the first node, even before the call, gives 0 nodes.
+    masks are built, once per tile and per cell, at the end of the set-up
+    and then at each node; one passed before the first node, even before
+    the call, gives 0 nodes.
     """
-    ids, rows = inst.ids, inst.rows
-    cells = []
-    holders: list[list[int]] = [[] for _ in inst.universe]
-    for r, row in enumerate(rows):
-        if deadline is not None and time.monotonic() > deadline:
-            return [], False, 0
-        cells.append(_mask(row))
-        for c in row:
-            holders[c].append(r)
-    tiles = []
-    for h in holders:
-        if deadline is not None and time.monotonic() > deadline:
-            return [], False, 0
-        tiles.append(_mask(h))
-    kill = [0] * len(ids)
+    rank = None
+    if inst._masks is None:
+        names, rows = inst.ids, inst.rows
+        cells = []
+        holders: list[list[int]] = [[] for _ in inst.universe]
+        for r, row in enumerate(rows):
+            if deadline is not None and time.monotonic() > deadline:
+                return [], False, 0
+            cells.append(_mask(row))
+            for c in row:
+                holders[c].append(r)
+        tiles = []
+        for h in holders:
+            if deadline is not None and time.monotonic() > deadline:
+                return [], False, 0
+            tiles.append(_mask(h))
+        live = (1 << len(names)) - 1
+    else:
+        names, cells, tiles = inst._masks
+        rows = None
+        order = inst._order
+        live = ((1 << len(cells)) - 1) ^ _mask(set(range(len(cells))).difference(order))
+        if any(b > c for b, c in zip(order, order[1:])):
+            rank = dict(zip(order, range(len(order))))
+    kill = [0] * len(cells)
     uncovered = (1 << len(inst.universe)) - 1
-    live = (1 << len(ids)) - 1
     counts = _sliced_sum(cells, live)
+    if deadline is not None and time.monotonic() > deadline:
+        return [], False, 0
     solutions: list[tuple[str, ...]] = []
     stack: list[list] = []
     nodes = 0
     while True:
         if not uncovered:
-            solutions.append(tuple(sorted(ids[f[4]] for f in stack)))
+            solutions.append(tuple(sorted(names[f[4]] for f in stack)))
             if limit is not None and len(solutions) >= limit:
                 return solutions, False, nodes
         else:
@@ -166,6 +202,9 @@ def _run_x(inst: ExactCoverInstance, limit: int | None, deadline: float | None):
                     least = narrowed
             candidates = tiles[(least & -least).bit_length() - 1] & live
             if candidates:
+                if rank is not None:  # a list, next candidate last
+                    candidates = sorted(_positions(candidates), key=rank.__getitem__,
+                                        reverse=True)
                 stack.append([uncovered, live, counts, candidates, -1])
         # backtrack to the next untried candidate, then descend into it
         while stack and not stack[-1][3]:
@@ -174,16 +213,19 @@ def _run_x(inst: ExactCoverInstance, limit: int | None, deadline: float | None):
             return solutions, True, nodes
         frame = stack[-1]
         uncovered, live, counts, candidates, _ = frame
-        low = candidates & -candidates
-        frame[3] = candidates ^ low
-        row = frame[4] = low.bit_length() - 1
+        if rank is None:
+            low = candidates & -candidates
+            frame[3] = candidates ^ low
+            row = frame[4] = low.bit_length() - 1
+        else:
+            row = frame[4] = candidates.pop()
         nodes += 1
         if deadline is not None and time.monotonic() > deadline:
             return solutions, False, nodes
         uncovered &= ~cells[row]
         k = kill[row]
         if not k:
-            for c in rows[row]:
+            for c in _positions(cells[row]) if rows is None else rows[row]:
                 k |= tiles[c]
             kill[row] = k
         killed = live & k
@@ -211,6 +253,18 @@ def _mask(positions) -> int:
     for p in positions:
         m |= 1 << p
     return m
+
+
+def _positions(m: int) -> list[int]:
+    """The bit positions set in m, ascending: found in its binary digits,
+    so a sparse mask costs one pass over its length, not one per bit."""
+    digits = bin(m)[:1:-1]
+    out = []
+    p = digits.find("1")
+    while p >= 0:
+        out.append(p)
+        p = digits.find("1", p + 1)
+    return out
 
 
 def _sliced_sum(cells: list[int], chosen: int) -> list[int]:
@@ -310,9 +364,12 @@ def tiling_instance(a: Ambient, shapes: list[tuple[str, tuple[Point, ...], int]]
     clip it, for its anchor: the ball vertex of minimal coordinate sum, ties
     broken lexicographically. The tile anchored at z is that ball translated
     to z, the torus ball of the shape placed with its anchor at z. Torus
-    vertices are listed in row-major order, so the instance is built in
-    positional form: a cell's position is its row-major index, found by
-    `_translates` for every anchor at once.
+    vertices are listed in row-major order, and a cell's position is its
+    row-major index, so the instance is built as the search's masks: the
+    cell masks of one orientation are its ball's mask at anchor 0 swept over
+    the anchors (`_sweep`), and the masks of each cell's tiles are one sweep
+    of the masks of the negated balls, set side by side, one block of N =
+    len(universe) bits per orientation. Rows are made only on demand.
 
     A ball whose span exceeds a modulus wraps onto itself and comes out
     smaller than its lattice volume. The wrap always creates a vertex with
@@ -320,22 +377,27 @@ def tiling_instance(a: Ambient, shapes: list[tuple[str, tuple[Point, ...], int]]
     a translate has the same size, so the whole orientation is left out.
 
     Returns the instance plus one block (name, radius, orientation, anchor)
-    per orientation kept, in instance order, each of N = len(universe)
-    tiles: tile r is block r // N with its anchor at universe[r % N], its
-    placed shape the orientation translated by universe[r % N] - anchor.
+    per orientation kept, in instance order, each of N tiles: tile r is
+    block r // N with its anchor at universe[r % N], its placed shape the
+    orientation translated by universe[r % N] - anchor.
 
     A shape of another dimension than the torus raises DimensionMismatch.
     With a deadline (a time.monotonic() value), building raises OutOfTime
-    once it has passed; it is checked once per orientation.
+    once it has passed; it is checked before each sweep.
     """
     if not a.is_torus:
         raise ValueError("tiling instances are built over tori")
     if any(m < 3 for m in a.moduli):
         raise ValueError("tiling needs all moduli >= 3 (balls would self-wrap)")
-    n = a.dimension
+    n, moduli = a.dimension, a.moduli
     universe = tuple(a.vertices())
     labels = [",".join(map(str, z)) for z in universe]
-    ids, rows, blocks = [], [], []
+    axes = tuple(zip(moduli, _strides(moduli)))
+
+    def index(d):
+        return sum(x % m * k for x, (m, k) in zip(d, axes))
+
+    ids, cells, starts, blocks = [], [], [], []
     for name, shape, radius in shapes:
         if any(len(p) != n for p in shape):
             raise DimensionMismatch(f"shape {name!r} is not of the torus's dimension {n}")
@@ -346,33 +408,49 @@ def tiling_instance(a: Ambient, shapes: list[tuple[str, tuple[Point, ...], int]]
             if len(set(map(a.wrap, ball))) < len(ball):
                 continue
             anchor = min(ball, key=lambda p: (sum(p), p))
-            rows += _translates(ball, anchor, a.moduli)
+            offsets = [tuple(x - y for x, y in zip(p, anchor)) for p in ball]
+            cells += _sweep(_mask(map(index, offsets)), moduli, 1)
+            starts.append(_mask(index([-x for x in d]) for d in offsets))
             tag = f"{name}:{oi}@"
             ids += [tag + label for label in labels]
             blocks.append((name, radius, orient, anchor))
-    return ExactCoverInstance.from_rows(universe, ids, rows), blocks
+    if deadline is not None and time.monotonic() > deadline:
+        raise OutOfTime
+    size = len(universe)
+    holders = _sweep(sum(m << o * size for o, m in enumerate(starts)), moduli, len(starts))
+    return ExactCoverInstance._from_masks(universe, (ids, cells, holders), range(len(ids))), blocks
 
 
-def _translates(points: tuple[Point, ...], anchor: Point,
-                moduli: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """For every torus vertex z in row-major order, the row-major indices
-    of the points moved so that anchor lands on z.
+def _sweep(start: int, moduli: tuple[int, ...], copies: int) -> list[int]:
+    """start translated to every torus vertex z, in row-major order: the
+    masks with bit index(x + z) for each bit index(x) of start, index being
+    the row-major one. start may hold copies blocks of N = prod(moduli)
+    bits side by side; each is translated on its own.
 
-    Per axis i, a table holds each point's index term
-    ((p_i - anchor_i + z_i) mod m_i) * stride_i for every z_i; the sums
-    over the first axes are shared by all anchors that agree on them, and
-    the rows share one int object per index.
+    Translating by +1 along axis i is one masked rotation,
+    ((m & ~H) << s) | ((m & H) >> (m_i - 1) s): the cells with x_i < m_i - 1
+    move up by the stride s, and those with x_i = m_i - 1, marked by H,
+    wrap down to x_i = 0. The masks come from the last axis to the first:
+    each axis's run of m_i translates of all masks so far, so every mask
+    but start costs one rotation.
     """
-    tables = []
-    for i, (m, k) in enumerate(zip(moduli, _strides(moduli))):
-        col = [p[i] - anchor[i] for p in points]
-        tables.append([tuple([(x + z) % m * k for x in col]) for z in range(m)])
-    *first, last = tables
-    out = [(0,) * len(points)]
-    for table in first:
-        out = [tuple(map(add, s, t)) for s in out for t in table]
-    index = list(range(prod(moduli))).__getitem__
-    return [tuple(map(index, map(add, s, t))) for s in out for t in last]
+    size = prod(moduli)
+    out = [start]
+    for m, s in zip(reversed(moduli), reversed(_strides(moduli))):
+        period = m * s
+        top = _repeat(((1 << s) - 1) << (m - 1) * s, period, size * copies // period)
+        rest = ((1 << size * copies) - 1) ^ top
+        down = (m - 1) * s
+        runs = [out]
+        for _ in range(m - 1):
+            runs.append([(x & rest) << s | (x & top) >> down for x in runs[-1]])
+        out = [x for run in runs for x in run]
+    return out
+
+
+def _repeat(block: int, width: int, times: int) -> int:
+    """block's bits (block < 2**width) repeated times times, width apart."""
+    return block * (((1 << width * times) - 1) // ((1 << width) - 1))
 
 
 def _cell_from_json(c):

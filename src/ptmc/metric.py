@@ -10,7 +10,7 @@ here work on two finite ambient spaces:
   * a torus: Z^n quotiented by per-axis moduli, used for exact verification
     of periodic codes. Torus arithmetic lives here, with the row-major
     vertex index (`_strides`) that the verifier's ball routine
-    `_nearest_ball` and the tiling-instance builder's `cover._translates` use.
+    `_nearest_ball` and the tiling-instance mask sweep `cover._sweep` use.
 
 Coordinate differences on a torus are wrapped to the representative of
 minimal absolute value; a tie (even modulus, offset exactly half) picks the

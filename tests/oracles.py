@@ -9,6 +9,7 @@ cover.
 import random
 from collections import deque
 from itertools import combinations, product
+from operator import add, mod, sub
 
 from ptmc.codes import CodeSet, components_of
 from ptmc.gamma2 import (LETTERS, GammaVertex, RegionCode, Tersquare, containing_tersquares,
@@ -390,6 +391,41 @@ def naive_cover_solutions(universe, tiles):
             if ok and acc == want and total == len(want):
                 sols.append(tuple(sorted(ids[i] for i in combo)))
     return sorted(sols)
+
+
+def naive_tiling_masks(a, shapes, orientations):
+    """A tiling instance's blocks, rows and masks, one placement at a time.
+
+    For each shape orientation (orientations(shape) lists them) whose window
+    ball does not wrap onto itself on the torus a, and each vertex z in
+    lexicographic order, the window ball is moved so that its anchor (least
+    coordinate sum, then least) lands on z. Returns the blocks (name,
+    radius, orientation, anchor), each placement's sorted row-major
+    positions, each placement's cell mask, and each cell's mask of the
+    placements that hold it, every mask a sum of distinct powers of 2.
+    """
+    verts = list(a.vertices())
+    pos = {v: k for k, v in enumerate(verts)}
+    blocks, rows = [], []
+    for name, shape, radius in shapes:
+        for orient in orientations(shape):
+            lo = min(min(p) for p in orient) - 1
+            hi = max(max(p) for p in orient) + 1
+            ball = brute_ball(list(orient), radius, lo, hi)
+            if len({a.wrap(p) for p in ball}) < len(ball):
+                continue
+            anchor = min(ball, key=lambda p: (sum(p), p))
+            blocks.append((name, radius, orient, anchor))
+            offsets = [tuple(map(sub, p, anchor)) for p in ball]
+            for z in verts:
+                rows.append(sorted(pos[tuple(map(mod, map(add, d, z), a.moduli))]
+                                   for d in offsets))
+    holders = [[] for _ in verts]
+    for r, row in enumerate(rows):
+        for c in row:
+            holders[c].append(r)
+    cells = [sum(1 << c for c in row) for row in rows]
+    return blocks, rows, cells, [sum(1 << r for r in h) for h in holders]
 
 
 def reference_x(inst, limit=None):

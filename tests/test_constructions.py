@@ -234,6 +234,21 @@ def test_build_budget_stops_instance_building():
     assert time.monotonic() - started < full_s / 4
 
 
+def test_build_with_a_passed_deadline_times_out_at_once():
+    build = build_by_template(square_singleton_template(), deadline=time.monotonic() - 1)
+    assert (build.kind, build.tiles, build.nodes) == ("timeout", None, 0)
+
+
+def test_seeded_builds_keep_their_tiles():
+    # the chosen tile ids and node counts of the square (n = 3), cube-4 and
+    # cube-5 templates, unseeded and seeded, as first recorded: pinning and
+    # the seeded candidate order must not move them
+    for case in json.loads((FIXTURES / "template_tiles.json").read_text()):
+        build = build_by_template(cube_singleton_template(case["n"]), seed=case["seed"])
+        assert build.kind == "solution"
+        assert (build.nodes, list(build.tiles)) == (case["nodes"], case["tiles"]), case["seed"]
+
+
 def test_build_radii_follow_shapes():
     build = build_by_template(square_singleton_template(), deadline=time.monotonic() + 120)
     for comp in components_of(build.code):

@@ -25,7 +25,7 @@ from ptmc.gamma2 import build_hive, no_isolated_pds
 from ptmc.graphs import Graph, grid_graph, lattice_graph
 from ptmc.metric import Ambient, DimensionMismatch, truncated_ball
 
-from oracles import brute_ball, naive_cover_solutions, reference_x
+from oracles import brute_ball, naive_cover_solutions, naive_tiling_masks, reference_x
 
 
 def inst(universe, tiles):
@@ -117,7 +117,6 @@ def test_instance_positional_form():
     assert i.ids == ("a", "b")
     assert [sorted(row) for row in i.rows] == [[0, 2], [1]]
     assert i.tiles is tiles and i.universe is universe
-    assert ExactCoverInstance.from_rows(universe, i.ids, i.rows) == i
 
 
 def test_oracle_equivalence_random_instances():
@@ -357,6 +356,65 @@ def test_tiling_instance_matches_naive_placements(a, shapes):
     assert len(i.rows) == len(i.ids) == len(expected)
     assert all(sorted(row) == sorted(pos[c] for c in cells[tid])
                for tid, row in zip(i.ids, i.rows))
+
+
+def _template_case(n):
+    template = cube_singleton_template(n)
+    return template.torus, [(s.name, s.vertices, s.radius) for s in template.shapes]
+
+
+def _random_torus_case(seed):
+    # 2 or 3 axes, one modulus above 10 so that row-major order is not id
+    # order, and a random pick of the dot, Lee-sphere and unit-square shapes
+    rng = random.Random(seed)
+    n = rng.choice((2, 3))
+    moduli = [rng.randint(3, 9) for _ in range(n)]
+    moduli[rng.randrange(n)] = rng.randint(11, 14)
+    dot = ((0,) * n,)
+    lee = dot + tuple(tuple(s * (i == j) for j in range(n)) for i in range(n) for s in (1, -1))
+    square = tuple(p + (0,) * (n - 2) for p in product((0, 1), repeat=2))
+    shapes = [("dot", dot, rng.randint(0, n)), ("lee", lee, rng.randint(0, 1)),
+              ("square", square, rng.randint(0, n))]
+    return Ambient.torus(*moduli), rng.sample(shapes, rng.randint(1, 3))
+
+
+@pytest.mark.parametrize("a, shapes", [_template_case(n) for n in (3, 4, 5)]
+                         + [_random_torus_case(seed) for seed in range(8)])
+def test_tiling_masks_match_naive_placements(a, shapes):
+    # the swept masks equal, bit for bit, the masks of every placement made
+    # one at a time, and so do the rows made from them on demand
+    i, blocks = tiling_instance(a, shapes)
+    want_blocks, rows, cells, holders = naive_tiling_masks(a, shapes, shape_orientations)
+    names, got_cells, got_holders = i._masks
+    assert blocks == want_blocks
+    assert len(names) == len(i.ids) == len(rows) == len(blocks) * len(i.universe)
+    assert got_cells == cells
+    assert got_holders == holders
+    assert [list(row) for row in i.rows] == rows
+
+
+def test_tiling_instance_checks_its_deadline_before_each_sweep(monkeypatch):
+    # one check per shape orientation (kept or not) and one before the sweep
+    # of the cells' tile masks; a deadline that passes at any of them stops
+    # the build
+    a = Ambient.torus(6, 6, 3)
+    shapes = [("square", ((0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)), 1),
+              ("dot", ((0, 0, 0),), 1)]
+    checks = 3 + 1 + 1  # the square's 3 orientations, the dot's 1, the tile-mask sweep
+    for passes_at in range(1, checks + 2):
+        reads = []
+
+        def clock():
+            reads.append(None)
+            return float(len(reads) >= passes_at)
+
+        monkeypatch.setattr("ptmc.cover.time.monotonic", clock)
+        if passes_at <= checks:
+            with pytest.raises(OutOfTime):
+                tiling_instance(a, shapes, deadline=0.5)
+        else:
+            tiling_instance(a, shapes, deadline=0.5)
+        assert len(reads) == min(passes_at, checks)
 
 
 def test_tiling_instance_stops_at_its_deadline():
