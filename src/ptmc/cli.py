@@ -322,14 +322,14 @@ def cmd_gamma_stats(args) -> tuple[int, dict, dict, list]:
     h = gamma2.build_hive()
     region = gamma2.build_region(args.level)
     interior = region.interior()
-    degs = sorted({region.graph.degree(v) for v in interior})
+    degs = sorted(set(region.interior_degrees()))
     owners = sorted({len(set(gamma2.containing_tersquares(v))) for v in interior})
     counts = {
         "hive_members": len(h.members),
         "hive_vertices": len(gamma2.hive_vertices(h)),
         "region_level": args.level,
         "region_tersquares": len(region.members),
-        "region_vertices": len(region.graph),
+        "region_vertices": len(region.vertices),
         "interior_vertices": len(interior),
         "interior_degrees": degs,
         "interior_containing_tersquares": owners,

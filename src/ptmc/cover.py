@@ -307,10 +307,19 @@ def enumerate_covers(inst: ExactCoverInstance, limit: int | None = None,
 
 
 def verify_cover(inst: ExactCoverInstance, tile_ids: tuple[str, ...]) -> bool:
-    """Independent re-check that chosen tiles partition the universe."""
-    cells = dict(inst.tiles)
-    chosen = [cells[t] for t in tile_ids]  # an unknown id raises KeyError
-    return verify_partition(chosen, inst.universe, len(inst.universe)).passed
+    """Independent re-check that chosen tiles partition the universe.
+
+    Only the chosen tiles' cells are read: a tiling instance's off their
+    masks, any other's from its tiles; no other tile is made.
+    """
+    at = {tid: r for r, tid in enumerate(inst.ids)}
+    chosen = [at[t] for t in tile_ids]  # an unknown id raises KeyError
+    if inst._masks is None:
+        blocks = [inst.tiles[r][1] for r in chosen]
+    else:
+        cells, cell = inst._masks[1], inst.universe.__getitem__
+        blocks = [frozenset(map(cell, _positions(cells[inst._order[r]]))) for r in chosen]
+    return verify_partition(blocks, inst.universe, len(inst.universe)).passed
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,11 @@ neighbours (N[e] - e) x {f} and {e} x (N[f] - f), and its truncated 2-ball
 is N[e] x N[f]. Every local structure here is such a product of one piece
 per axis, and every graph (a hive's, a region's) is the subgraph induced
 on a vertex collection by the same rule, read off the rims N[e] - e and
-N[f] - f of each vertex's edges.
+N[f] - f of each vertex's edges. `_rim_positions` numbers the tree edges
+of a collection once and finds each vertex's neighbours as positions in
+it by int lookups; the DOT and JSON exports and a region's interior
+degrees read those positions directly, and only `hive_graph` and
+`Region.graph` build a `Graph` from them.
 
 Addresses are plain named tuples (`Tersquare`, `GammaVertex`), hashed and
 ordered as tuples of their fields. Code here builds them only from reduced
@@ -36,6 +40,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple
 
@@ -231,22 +236,40 @@ def hive_vertices(h: Hive) -> tuple[GammaVertex, ...]:
     return tuple(sorted(_vertex(e, f) for e in xs for f in ys))
 
 
+def _rim_positions(vertices) -> list[list[int]]:
+    """For each position of a vertex sequence, the positions of that
+    vertex's neighbours in it.
+
+    Each tree edge the vertices use is numbered once, in order of first
+    use, so a vertex (e, f) has the int key x * n + y from its edges'
+    numbers x and y, n edges in all. Each edge's rim N[e] - e is numbered
+    once too, less the edges no vertex uses; the neighbours of (x, y) are
+    then the keys m * n + y over the rim of x and x * n + m over the rim of
+    y, looked up as ints. Each list follows that order, x's rim first.
+    """
+    num: dict = {}
+    keys = [(num.setdefault((v.wx, v.a), len(num)), num.setdefault((v.wy, v.b), len(num)))
+            for v in vertices]
+    n = len(num)
+    rims = [[k for k in map(num.get, _closed(e)[1:]) if k is not None] for e in num]
+    get = {x * n + y: i for i, (x, y) in enumerate(keys)}.get
+    out = []
+    for x, y in keys:
+        xn = x * n
+        found = [get(m * n + y) for m in rims[x]] + [get(xn + m) for m in rims[y]]
+        out.append([i for i in found if i is not None])
+    return out
+
+
 def _induced_graph(vertices) -> Graph:
     """The subgraph of the compound induced on a vertex collection.
 
-    Each vertex is keyed by its tree-edge pair (e, f), and its neighbours,
-    the pairs (m, f) for m in N[e] - e and (e, m) for m in N[f] - f, are
-    looked up by pair: none is built, so each vertex is stored once however
-    many adjacency sets hold it. Each edge's rim N[e] - e is computed once.
+    Its adjacency is `_rim_positions` read back into the collection, so
+    each neighbour is the collection's own object however many adjacency
+    sets hold it, and no vertex is built or hashed to find one.
     """
-    own = {((v.wx, v.a), (v.wy, v.b)): v for v in vertices}
-    rims = {x: _closed(x)[1:] for x in {x for pair in own for x in pair}}
-    get = own.get
-    adj = {}
-    for (e, f), v in own.items():
-        ns = [get((m, f)) for m in rims[e]] + [get((e, m)) for m in rims[f]]
-        adj[v] = [u for u in ns if u is not None]
-    return Graph(adj)
+    verts = tuple(vertices)
+    return Graph({v: map(verts.__getitem__, ns) for v, ns in zip(verts, _rim_positions(verts))})
 
 
 def hive_graph(h: Hive) -> Graph:
@@ -255,17 +278,27 @@ def hive_graph(h: Hive) -> Graph:
 
 @dataclass(frozen=True)
 class Region:
-    """All tersquares of bounded address depth, with the graph their
-    vertices induce.
+    """All tersquares of bounded address depth, with the vertices they hold
+    and the graph those induce, each made on first use.
 
     Its vertices are the canonical vertices with |wx| + |wy| <= level: a
     vertex's address is one of its own tersquares, and every vertex of a
-    tersquare has an address at most as deep.
+    tersquare has an address at most as deep. Two regions are equal when
+    their level and members are.
     """
 
     level: int
     members: tuple[Tersquare, ...]
-    graph: Graph
+
+    @cached_property
+    def vertices(self) -> tuple[GammaVertex, ...]:
+        """The region's vertices, sorted."""
+        return _vertices_up_to(self.level)
+
+    @cached_property
+    def graph(self) -> Graph:
+        """The subgraph of the compound the vertices induce."""
+        return _induced_graph(self.vertices)
 
     def interior(self) -> tuple[GammaVertex, ...]:
         """Vertices all of whose containing tersquares lie in the region,
@@ -273,6 +306,13 @@ class Region:
         than the address, so these are the vertices with |wx| + |wy| <=
         level - 2."""
         return _vertices_up_to(self.level - 2)
+
+    def interior_degrees(self) -> list[int]:
+        """The degree in the region's graph of each interior vertex, in
+        order: the length of its `_rim_positions` entry, no graph built."""
+        depth = self.level - 2
+        return [len(ns) for v, ns in zip(self.vertices, _rim_positions(self.vertices))
+                if len(v.wx) + len(v.wy) <= depth]
 
 
 def _deeper(w: Word) -> tuple[int, ...]:
@@ -319,7 +359,7 @@ def build_region(level: int) -> Region:
     if level < 0:
         raise ValueError("region level must be >= 0")
     members = tuple(sorted(_tersquares_up_to(level)))
-    return Region(level, members, _induced_graph(_vertices_up_to(level)))
+    return Region(level, members)
 
 
 # ---------------------------------------------------------------------------
@@ -555,32 +595,77 @@ def _vertex_class(v: GammaVertex, h: Hive) -> str:
     return "corner"
 
 
-def _export_labels(g: Graph, members) -> tuple[dict, dict]:
-    """Each vertex's id, and the ids of the member tersquares containing it,
-    sorted. Each member's id is built once.
+_CLASS_COLORS = {"center": "white", "subcentral": "lightblue", "corner": "lightgray"}
+
+
+def _owners(vertices, names: dict) -> list[list[str]]:
+    """For each vertex, the names of the member tersquares containing it,
+    given as names[member], in sorted tersquare order.
 
     A vertex's four tersquares sort as (wx, wy), (wx, wy+b), (wx+a, wy),
     (wx+a, wy+b), a word sorting before its extensions; they are looked up
     as plain word pairs, which hash and compare as the `Tersquare` keys.
     """
-    names = {t: str(t) for t in members}
-    owners = {}
-    for v in g.vertices:
+    get = names.get
+    out = []
+    for v in vertices:
         x2, y2 = v.wx + (v.a,), v.wy + (v.b,)
-        owners[v] = [n for n in map(names.get, ((v.wx, v.wy), (v.wx, y2), (x2, v.wy), (x2, y2)))
-                     if n is not None]
-    return {v: str(v) for v in g.vertices}, owners
+        out.append([n for n in map(get, ((v.wx, v.wy), (v.wx, y2), (x2, v.wy), (x2, y2)))
+                    if n is not None])
+    return out
 
 
-_CLASS_COLORS = {"center": "white", "subcentral": "lightblue", "corner": "lightgray"}
+def _json_array(items: list[str], pad: str) -> str:
+    """A JSON array as json.dumps(indent=2) lays it out at indent pad, of
+    items already written for the indent pad plus two spaces; [] if empty."""
+    if not items:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
 
 
-def graph_to_json(g: Graph, members) -> dict:
-    """JSON adjacency with stable string ids and membership in `members`."""
-    ids, owners = _export_labels(g, members)
-    verts = [{"id": ids[v], "tersquares": owners[v]} for v in g.vertices]
-    edges = [[ids[u], ids[v]] for u, v in g.edges()]
-    return {"vertices": verts, "edges": sorted(edges)}
+def _export_json(vertices, members, adj: list[list[int]]) -> str:
+    """The text json.dumps(doc, indent=2, sort_keys=True) gives for the doc
+    {"edges": [[u, v], ...], "vertices": [{"id": v, "tersquares": [...]},
+    ...]}, written directly: each string is escaped as json.dumps escapes
+    it, by the json module's C escaper, and the layout is fixed.
+
+    The vertices are sorted, so an edge [u, v] has u at the lower position.
+    The edges sort by u's id, then v's: ranking the positions by id once,
+    they come out in that order, each vertex's higher neighbours ranked.
+    """
+    quote = json.encoder.encode_basestring_ascii
+    ids = list(map(str, vertices))
+    q = list(map(quote, ids))
+    by_id = sorted(range(len(ids)), key=ids.__getitem__)
+    rank = [0] * len(ids)
+    for r, i in enumerate(by_id):
+        rank[i] = r
+    edges = [f"[\n      {q[i]},\n      {q[j]}\n    ]"
+             for i in by_id for j in sorted([j for j in adj[i] if j > i], key=rank.__getitem__)]
+    owners = _owners(vertices, {t: quote(str(t)) for t in members})
+    verts = [f'{{\n      "id": {qi},\n      "tersquares": {_json_array(ts, "      ")}\n    }}'
+             for qi, ts in zip(q, owners)]
+    return f'{{\n  "edges": {_json_array(edges, "  ")},\n  "vertices": {_json_array(verts, "  ")}\n}}'
+
+
+def _export_dot(vertices, members, adj: list[list[int]], hive: Hive | None) -> str:
+    """DOT text with membership in `members`; a hive's vertices are colored.
+    Edges come in position order, which is sorted pair order."""
+    ids = list(map(str, vertices))
+    owners = _owners(vertices, {t: str(t) for t in members})
+    lines = ["graph gamma2 {", '  node [shape=circle, style=filled];']
+    for v, vid, ts in zip(vertices, ids, owners):
+        attrs = ""
+        if hive is not None:
+            cls = _vertex_class(v, hive)
+            attrs = f'fillcolor="{_CLASS_COLORS[cls]}", class="{cls}", '
+        lines.append(f'  "{vid}" [{attrs}tersquares="{";".join(ts)}"];')
+    for i, ns in enumerate(adj):
+        u = ids[i]
+        lines.extend(f'  "{u}" -- "{ids[j]}";' for j in sorted(ns) if j > i)
+    lines.append("}")
+    return "\n".join(lines)
 
 
 def graph_from_json(doc: dict) -> Graph:
@@ -591,42 +676,26 @@ def graph_from_json(doc: dict) -> Graph:
     return Graph(adj)
 
 
-def graph_to_dot(g: Graph, members, hive: Hive | None = None) -> str:
-    """DOT text with membership in `members`; a hive's vertices are colored."""
-    lines = ["graph gamma2 {", '  node [shape=circle, style=filled];']
-    ids, owners = _export_labels(g, members)
-    for v in g.vertices:
-        attrs = []
-        if hive is not None:
-            cls = _vertex_class(v, hive)
-            attrs.append(f'fillcolor="{_CLASS_COLORS[cls]}"')
-            attrs.append(f'class="{cls}"')
-        attrs.append(f'tersquares="{";".join(owners[v])}"')
-        lines.append(f'  "{ids[v]}" [{", ".join(attrs)}];')
-    lines.extend(f'  "{ids[u]}" -- "{ids[v]}";' for u, v in g.edges())
-    lines.append("}")
-    return "\n".join(lines)
-
-
 def export_graph(target: str, fmt: str, level: int = 2) -> str:
     """Render the hive or a region as DOT or JSON text.
 
-    target is "hive" or "region"; level applies to regions only.
+    target is "hive" or "region"; level applies to regions only. The
+    sorted vertex tuple and its `_rim_positions` give the edges; no
+    `Graph` is built.
     """
-    if target == "hive":
-        h = build_hive()
-        g = hive_graph(h)
-        members = h.members
-        hive = h
-    elif target == "region":
-        region = build_region(level)
-        g = region.graph
-        members = region.members
-        hive = None
-    else:
+    if target not in ("hive", "region"):
         raise ValueError(f"unknown export target {target!r}")
+    if fmt not in ("dot", "json"):
+        raise ValueError(f"unknown format {fmt!r}")
+    if target == "hive":
+        hive = build_hive()
+        vertices, members = hive_vertices(hive), hive.members
+    else:
+        if level < 0:
+            raise ValueError("region level must be >= 0")
+        hive = None
+        vertices, members = _vertices_up_to(level), _tersquares_up_to(level)
+    adj = _rim_positions(vertices)
     if fmt == "dot":
-        return graph_to_dot(g, members, hive=hive)
-    if fmt == "json":
-        return json.dumps(graph_to_json(g, members), indent=2, sort_keys=True)
-    raise ValueError(f"unknown format {fmt!r}")
+        return _export_dot(vertices, members, adj, hive)
+    return _export_json(vertices, members, adj)

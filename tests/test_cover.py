@@ -97,6 +97,22 @@ def test_solutions_reverify():
         verify_cover(i, ("a", "z"))
 
 
+def test_verify_cover_reads_a_tiling_instance_off_its_masks():
+    # a cover, an overlap and a gap on the cube n = 5 instance: only the
+    # chosen tiles' cells are read, and its rows and tiles are never made
+    i, _ = tiling_instance(*_template_case(5))
+    chosen = build_by_template(cube_singleton_template(5)).tiles
+    assert verify_cover(i, chosen)
+    extra = next(t for t in i.ids if t not in chosen)
+    assert not verify_cover(i, chosen + (extra,))
+    assert not verify_cover(i, chosen[1:])
+    # a restricted instance lists its tiles in its own order
+    assert verify_cover(i.restrict(range(len(i.ids) - 1, -1, -1)), chosen)
+    with pytest.raises(KeyError):
+        verify_cover(i, chosen[:1] + ("no-such-tile",))
+    assert "tiles" not in i.__dict__ and "rows" not in i.__dict__
+
+
 def test_instance_validation():
     with pytest.raises(ValueError, match="duplicate cells"):
         inst([1, 1], [])

@@ -1,6 +1,7 @@
 """Tests for the ternary square compound: addresses, hives, codes."""
 
 import hashlib
+import json
 import random
 import re
 from itertools import combinations
@@ -24,8 +25,6 @@ from ptmc.gamma2 import (
     gamma_truncated_distance,
     glue,
     graph_from_json,
-    graph_to_dot,
-    graph_to_json,
     hive_graph,
     hive_non_isolated_pds,
     hive_vertices,
@@ -357,6 +356,10 @@ def test_region_interior_structure():
     region = build_region(4)
     interior = region.interior()
     assert interior
+    # interior degrees come off the rim positions: the graph is not built
+    degrees = region.interior_degrees()
+    assert "graph" not in region.__dict__
+    assert degrees == [region.graph.degree(v) for v in interior]
     for v in interior:
         assert region.graph.degree(v) == 8
         assert len(set(containing_tersquares(v))) == 4
@@ -723,18 +726,15 @@ def test_extend_rejects_small_level():
 # ---------------------------------------------------------------------------
 
 def test_dot_export_hive():
-    h = build_hive()
-    text = graph_to_dot(hive_graph(h), hive=h, members=h.members)
+    text = export_graph("hive", "dot")
     assert text.count('fillcolor') == 81
     assert 'class="center"' in text and 'class="corner"' in text
     assert text.strip().endswith("}")
 
 
 def test_json_export_round_trip():
-    h = build_hive()
-    g = hive_graph(h)
-    doc = graph_to_json(g, members=h.members)
-    back = graph_from_json(doc)
+    g = hive_graph(build_hive())
+    back = graph_from_json(json.loads(export_graph("hive", "json")))
     assert len(back) == len(g)
     assert back.edge_count() == g.edge_count()
     ids = {str(v) for v in g.vertices}
@@ -744,15 +744,29 @@ def test_json_export_round_trip():
 
 
 def test_region_export_level0():
-    from ptmc.gamma2 import export_graph
     text = export_graph("region", "json", level=0)
-    import json as _json
-    doc = _json.loads(text)
+    doc = json.loads(text)
     assert len(doc["vertices"]) == 9
 
 
+@pytest.mark.parametrize("target, level", [("hive", None)] + [("region", L) for L in range(7)])
+def test_json_export_has_the_json_module_layout(target, level):
+    # the hand-written text is what json.dumps writes for the same document
+    text = export_graph(target, "json") if level is None else export_graph(target, "json", level=level)
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("target, fmt, level", [
+    ("region", "json", -1), ("region", "dot", -1), ("tersquare", "json", 2), ("hive", "svg", 2),
+    ("region", "svg", 2)])
+def test_export_rejects_bad_requests(target, fmt, level):
+    with pytest.raises(ValueError):
+        export_graph(target, fmt, level=level)
+
+
 # sha256 of the export text at the commit before the rim-based induced
-# graph: any change to ids, owner lists, edge order or JSON layout fails
+# graph, and for level 6 at the one before the hand-written JSON layout:
+# any change to ids, owner lists, edge order or JSON layout fails
 EXPORT_SHA256 = {
     ("hive", "dot", None): "9bde14d359795e63f0e1864dac6e33073e81ddcac7673b02c3fbc026ec13db82",
     ("region", "dot", 0): "cf93e9f442298f2d889b81eb0b5c18e8f35678b3a7bba48d9f99334ea370c050",
@@ -761,6 +775,7 @@ EXPORT_SHA256 = {
     ("region", "dot", 3): "db3d482388235e586b4c81e8851b0dd5391bd5f4f91409bf1199fb938f1aaa5a",
     ("region", "dot", 4): "42b6d709cd022af3fd07d7f7f9d4ba0c4a65f05b0547d6c249da167486c38a21",
     ("region", "dot", 5): "3f507564258979b7560a95722aa2868078a8309c70638ee94c0ea1d3b6c588a6",
+    ("region", "dot", 6): "5ca9ff2194dbc5aba721fa76197e25c9f840ba6f3348a6dd9abbb6a58700cc18",
     ("hive", "json", None): "bc4656e25e358560a2ca8ab029a5ddb9002ae505fe801883133a6609a4bf799a",
     ("region", "json", 0): "c4e28237fb8048cac362da27e6e9a2ed6150834c478d6ab59d72362cdc144838",
     ("region", "json", 1): "8e3435672446d2a6188f40a74436dc8f3c79ed0629803d4ea7aa49b31cd8f559",
@@ -768,6 +783,7 @@ EXPORT_SHA256 = {
     ("region", "json", 3): "a0680d4fbb3e258edd0e78c38bb23ebbe2f700b7bca58e23652f499e46c3b12a",
     ("region", "json", 4): "fd364212770055de8d63d35f19a91a490ce1c31ad3ed50b2f73dbb38bb989827",
     ("region", "json", 5): "390bea04542680bbf2079dd0b07aabee2e1744de3f8c0254b5d41592d93bd435",
+    ("region", "json", 6): "847b517d4b266ad86aff6bdbd2b6400fe2e7d37560c73c9422a00f58cdfb22ad",
 }
 
 
