@@ -28,7 +28,7 @@ from . import constructions as cons
 from . import cover as cover_mod
 from . import gamma2
 from .codes import CodeSet, KappaAssignment, MissingRadiusError, code_from_json, code_to_json
-from .graphs import Graph, _str_id, grid_graph, lattice_graph
+from .graphs import Graph, _array, _str_id, grid_graph, lattice_graph
 from .metric import Ambient
 
 EXIT_PASS = 0
@@ -117,7 +117,7 @@ def _code_or_vertex_ids(doc):
     """A code file with an ambient as a CodeSet, else its vertex id list."""
     if "ambient" in doc:
         return code_from_json(doc)[0]
-    return [_str_id(v) for v in doc["vertices"]]
+    return [_str_id(v) for v in _array(doc["vertices"])]
 
 
 def _verify_outcome(args, rep: codes_mod.VerifyReport,

@@ -23,7 +23,7 @@ from itertools import product
 from operator import sub
 from typing import Iterable
 
-from .graphs import Graph
+from .graphs import Graph, _array
 from .metric import Ambient, Point, _integers, _nearest_ball, _point, truncated_ball
 
 ClassKey = tuple[Point, ...]
@@ -446,8 +446,8 @@ def code_from_json(doc: dict) -> tuple[CodeSet, KappaAssignment | None]:
     if amb["kind"] == "torus":
         a = Ambient.torus(*amb["moduli"])
     else:
-        a = Ambient.window(*(tuple(b) for b in amb["bounds"]))
-    code = CodeSet(a, tuple(tuple(v) for v in doc["vertices"]))
+        a = Ambient.window(*(tuple(_array(b, 2)) for b in _array(amb["bounds"])))
+    code = CodeSet(a, tuple(tuple(v) for v in _array(doc["vertices"])))
     if "kappa" not in doc:
         return code, None
     by_hash = dict(doc["kappa"])

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .codes import CodeSet, KappaAssignment, components_of
-from .cover import OutOfTime, _positions, _repeat, solve, tiling_instance
+from .cover import OutOfTime, solve, tiling_instance
 from .metric import Ambient, Point, truncated_ball
 
 
@@ -173,13 +173,12 @@ def build_by_template(template: TemplateSpec, deadline: float | None = None,
     anchored at the vertex at position r % N of the N-vertex universe.
     Symmetry is broken by pinning: every solution has a translate in which
     the tile covering the origin, position 0, is anchored there, so the
-    tiles that hold the origin's bit but are not at a position o * N are
-    dropped, read off the instance's mask of the origin's tiles. The search
-    runs on the kept tiles over the same masks. With a seed, the candidate
-    order is shuffled deterministically to reach different solutions;
-    without one, tiles stay in instance order. The deadline (a
-    time.monotonic() value) is passed unchanged to the instance builder,
-    which stops once it has passed, and then to the search.
+    tiles that hold the origin but are not at a position o * N are
+    dropped. The search runs on the kept tiles over the same masks. With a
+    seed, the candidate order is shuffled deterministically to reach
+    different solutions; without one, tiles stay in instance order. The
+    deadline (a time.monotonic() value) is passed unchanged to the instance
+    builder, which stops once it has passed, and then to the search.
     """
     a = template.torus
     try:
@@ -189,12 +188,10 @@ def build_by_template(template: TemplateSpec, deadline: float | None = None,
         return TemplateBuild("timeout")
     universe = inst.universe
     n = len(universe)
-    # the origin's tiles, less the bits o * N of those anchored there
-    dropped = set(_positions(inst._masks[2][0] & ~_repeat(1, n, len(blocks))))
+    dropped = {r for r in inst.holding(0) if r % n}
     keep = [r for r in range(len(inst.ids)) if r not in dropped]
     if seed is not None:
-        rng = random.Random(seed)
-        rng.shuffle(keep)
+        random.Random(seed).shuffle(keep)
     pinned = inst.restrict(keep)
     outcome = solve(pinned, deadline=deadline)
     if outcome.kind != "solution":

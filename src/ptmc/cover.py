@@ -12,18 +12,17 @@ order of their graph's vertices or their file's tiles.
 
 The search turns every set it needs into a Python int: a tile's cells, a
 cell's tiles, the tiles a choice rules out (built the first time that tile
-is chosen), and the per-cell candidate counts as a few bit slices.
-Tuple-celled instances are converted to positions once, when constructed,
-and the search builds their masks from those rows. Tiling instances are
-built as masks directly: on a torus listed in row-major order, translating
-a tile by one step along an axis is one masked rotation of its cell mask,
-so every placement of an orientation, and every cell's mask of tiles, is
-its predecessor rotated once; their rows are made only on demand. However
-costly the callers' cells are to hash, a search node is then a handful of
-int operations, and position order is bit order, which is the branching
-order. The search runs as a loop over an explicit stack of frames of ints,
-so backtracking is a pop and search depth is bounded by memory, not by
-Python's recursion limit.
+is chosen), and the per-cell candidate counts as a few bit slices, read
+through ExactCoverInstance.masks. Tile-listed instances build them from
+the cell positions found when constructed. Tiling instances are built as
+masks directly: on a torus listed in row-major order, translating a tile
+by one step along an axis is one masked rotation of its cell mask, so
+every placement of an orientation, and every cell's mask of tiles, is its
+predecessor rotated once. However costly the callers' cells are to hash, a
+search node is then a handful of int operations, and position order is bit
+order, which is the branching order. The search runs as a loop over an
+explicit stack of frames of ints, so backtracking is a pop and search
+depth is bounded by memory, not by Python's recursion limit.
 
 Exhausting the search without a solution is a proof of infeasibility and
 is reported distinctly from passing the deadline, a time.monotonic() value.
@@ -38,23 +37,30 @@ from itertools import permutations
 from math import prod
 
 from .codes import verify_partition
-from .graphs import Graph, _str_id, grid_graph
+from .graphs import Graph, _array, _str_id, grid_graph
 from .metric import Ambient, DimensionMismatch, Point, _strides, truncated_ball
+
+
+class OutOfTime(Exception):
+    """An instance builder passed its deadline before it finished."""
+
+
+def _check_clock(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise OutOfTime
 
 
 class ExactCoverInstance:
     """An ordered universe of cells plus candidate tiles (id, cell subset).
 
     ids[r] is tile r's id and rows[r] the positions in universe of its
-    cells. The constructor derives them from the tiles, checking them on
-    the way, and the search builds its masks from the rows.
-
-    A tiling instance (see tiling_instance) holds the search's masks
-    instead, trusted as built, as _masks = (names, cells, holders) over
-    bits b: tile names[b] has the cell mask cells[b], and holders[c] masks
-    the bits whose tiles hold cell c. Its tiles are the bits _order, in
-    that order, and restrict makes another instance on the same masks. Its
-    rows and tiles are made from the masks on first use.
+    cells. The search reads masks(): (names, cells, holders) over bits b,
+    where tile names[b] has the cell mask cells[b] and holders[c] masks the
+    bits whose tiles hold cell c; the tiles are the bits in _order. The
+    constructor checks the tiles and makes the rows, from which masks()
+    builds the masks at each call, keeping none. A tiling instance (see
+    tiling_instance) holds its masks, trusted as built, as _masks, and makes
+    its rows and tiles from them on first use, as does one from restrict.
     """
 
     _masks = None
@@ -79,6 +85,7 @@ class ExactCoverInstance:
         self.tiles = tiles
         self.ids = tuple(tid for tid, _ in tiles)
         self.rows = tuple(rows)
+        self._order = range(len(rows))
 
     @classmethod
     def _from_masks(cls, universe: tuple, masks: tuple, order) -> "ExactCoverInstance":
@@ -87,14 +94,36 @@ class ExactCoverInstance:
         inst.ids = tuple(map(masks[0].__getitem__, inst._order))
         return inst
 
+    def masks(self, deadline: float | None = None) -> tuple:
+        """(names, cells, holders); a tile-listed instance's are built afresh,
+        raising OutOfTime past the deadline, checked per tile and per cell."""
+        if self._masks is not None:
+            return self._masks
+        cells = []
+        holders: list[list[int]] = [[] for _ in self.universe]
+        for r, row in enumerate(self.rows):
+            _check_clock(deadline)
+            cells.append(_mask(row))
+            for c in row:
+                holders[c].append(r)
+        tiles = []
+        for h in holders:
+            _check_clock(deadline)
+            tiles.append(_mask(h))
+        return self.ids, cells, tiles
+
     def restrict(self, keep) -> "ExactCoverInstance":
-        """The tiles at positions keep of this tiling instance, in keep's
-        order, as an instance on the same masks."""
-        return self._from_masks(self.universe, self._masks, map(self._order.__getitem__, keep))
+        """The tiles at positions keep, in keep's order, on the same masks."""
+        return self._from_masks(self.universe, self.masks(), map(self._order.__getitem__, keep))
+
+    def holding(self, c: int) -> list[int]:
+        """The positions, ascending, of the tiles holding cell position c."""
+        bits = set(_positions(self.masks()[2][c]))
+        return [r for r, b in enumerate(self._order) if b in bits]
 
     @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        cells = self._masks[1]
+        cells = self.masks()[1]
         return tuple(tuple(_positions(cells[b])) for b in self._order)
 
     @cached_property
@@ -129,15 +158,13 @@ class EnumerateOutcome:
 def _run_x(inst: ExactCoverInstance, limit: int | None, deadline: float | None):
     """Core Algorithm X loop. Returns (solutions, exhausted, nodes).
 
-    It reads int masks over bit positions: cells[b] masks tile b's cells,
-    tiles[c] the tiles containing cell c, and kill[b], built the first time
-    b is selected, is the OR of tiles[c] over b's cells, i.e. every tile
-    that clashes with b (0 until then: a tile clashes with itself). A
-    tuple-celled instance's masks are built here from inst.rows, bit r
-    being tile r, and kill reads its cells there; a tiling instance brings
-    its own masks, kill reads its cells off the bits of cells[b], and its
-    live tiles are the bits of its order. A node is (uncovered, live, counts);
-    selecting b leaves uncovered & ~cells[b] and live & ~kill[b].
+    It reads inst.masks(deadline) over bit positions, the live tiles first
+    being the bits of inst._order: cells[b] masks tile b's cells, tiles[c]
+    the tiles containing cell c, and kill[b], built the first time b is
+    selected, is the OR of tiles[c] over the bits c of cells[b], i.e. every
+    tile that clashes with b (0 until then: a tile clashes with itself). A
+    node is (uncovered, live, counts); selecting b leaves uncovered &
+    ~cells[b] and live & ~kill[b].
 
     counts holds, per cell, the number of live tiles containing it as
     bit slices: bit c of counts[j] is bit j of cell c's count. Selecting b
@@ -146,46 +173,29 @@ def _run_x(inst: ExactCoverInstance, limit: int | None, deadline: float | None):
     Narrowing uncovered from the top slice down leaves the cells of
     minimum count; the lowest of them is the branching cell, so ties go to
     the earliest cell, and its candidates tiles[c] & live are tried in
-    instance order: lowest bit first, unless a tiling instance's order is
-    not ascending, when they are sorted by their rank in it.
+    instance order: lowest bit first, unless the order is not ascending,
+    when they are sorted by their rank in it.
 
     Each stack frame is [uncovered, live, counts, untried candidates, tile
     selected here]. Only its last two entries change once it is pushed; a
     child builds new ints and a new counts list, so backtracking is a pop.
-    Every tried candidate counts as a node. The deadline is checked while the
-    masks are built, once per tile and per cell, at the end of the set-up
-    and then at each node; one passed before the first node, even before
-    the call, gives 0 nodes.
+    Every tried candidate counts as a node. The deadline is checked while
+    masks() builds, at the end of the set-up and then at each node; one
+    passed before the first node, even before the call, gives 0 nodes.
     """
-    rank = None
-    if inst._masks is None:
-        names, rows = inst.ids, inst.rows
-        cells = []
-        holders: list[list[int]] = [[] for _ in inst.universe]
-        for r, row in enumerate(rows):
-            if deadline is not None and time.monotonic() > deadline:
-                return [], False, 0
-            cells.append(_mask(row))
-            for c in row:
-                holders[c].append(r)
-        tiles = []
-        for h in holders:
-            if deadline is not None and time.monotonic() > deadline:
-                return [], False, 0
-            tiles.append(_mask(h))
-        live = (1 << len(names)) - 1
-    else:
-        names, cells, tiles = inst._masks
-        rows = None
+    try:
+        names, cells, tiles = inst.masks(deadline)
         order = inst._order
         live = ((1 << len(cells)) - 1) ^ _mask(set(range(len(cells))).difference(order))
-        if any(b > c for b, c in zip(order, order[1:])):
-            rank = dict(zip(order, range(len(order))))
+        counts = _sliced_sum(cells, live)
+        _check_clock(deadline)
+    except OutOfTime:
+        return [], False, 0
+    rank = None
+    if any(b > c for b, c in zip(order, order[1:])):
+        rank = dict(zip(order, range(len(order))))
     kill = [0] * len(cells)
     uncovered = (1 << len(inst.universe)) - 1
-    counts = _sliced_sum(cells, live)
-    if deadline is not None and time.monotonic() > deadline:
-        return [], False, 0
     solutions: list[tuple[str, ...]] = []
     stack: list[list] = []
     nodes = 0
@@ -225,8 +235,11 @@ def _run_x(inst: ExactCoverInstance, limit: int | None, deadline: float | None):
         uncovered &= ~cells[row]
         k = kill[row]
         if not k:
-            for c in _positions(cells[row]) if rows is None else rows[row]:
-                k |= tiles[c]
+            m = cells[row]
+            while m:  # a tile's few cells, lowest bit first
+                low = m & -m
+                m ^= low
+                k |= tiles[low.bit_length() - 1]
             kill[row] = k
         killed = live & k
         live ^= killed
@@ -301,7 +314,9 @@ def solve(inst: ExactCoverInstance, deadline: float | None = None) -> CoverOutco
 
 def enumerate_covers(inst: ExactCoverInstance, limit: int | None = None,
                      deadline: float | None = None) -> EnumerateOutcome:
-    """All exact covers, canonically ordered, up to an optional cap."""
+    """All exact covers, canonically ordered, up to an optional cap >= 1."""
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     sols, exhausted, nodes = _run_x(inst, limit=limit, deadline=deadline)
     return EnumerateOutcome(tuple(sorted(sols)), exhausted, nodes)
 
@@ -309,16 +324,12 @@ def enumerate_covers(inst: ExactCoverInstance, limit: int | None = None,
 def verify_cover(inst: ExactCoverInstance, tile_ids: tuple[str, ...]) -> bool:
     """Independent re-check that chosen tiles partition the universe.
 
-    Only the chosen tiles' cells are read: a tiling instance's off their
-    masks, any other's from its tiles; no other tile is made.
+    Only the chosen tiles' cells are read, off the instance's masks; no
+    other tile is made.
     """
-    at = {tid: r for r, tid in enumerate(inst.ids)}
-    chosen = [at[t] for t in tile_ids]  # an unknown id raises KeyError
-    if inst._masks is None:
-        blocks = [inst.tiles[r][1] for r in chosen]
-    else:
-        cells, cell = inst._masks[1], inst.universe.__getitem__
-        blocks = [frozenset(map(cell, _positions(cells[inst._order[r]]))) for r in chosen]
+    at = dict(zip(inst.ids, inst._order))  # tile id -> bit; an unknown id raises KeyError
+    cells, cell = inst.masks()[1], inst.universe.__getitem__
+    blocks = [frozenset(map(cell, _positions(cells[at[t]]))) for t in tile_ids]
     return verify_partition(blocks, inst.universe, len(inst.universe)).passed
 
 
@@ -355,10 +366,6 @@ def shape_orientations(shape: tuple[Point, ...]) -> list[tuple[Point, ...]]:
             seen.add(norm)
             out.append(norm)
     return sorted(out)
-
-
-class OutOfTime(Exception):
-    """An instance builder passed its deadline before it finished."""
 
 
 def tiling_instance(a: Ambient, shapes: list[tuple[str, tuple[Point, ...], int]],
@@ -411,8 +418,7 @@ def tiling_instance(a: Ambient, shapes: list[tuple[str, tuple[Point, ...], int]]
         if any(len(p) != n for p in shape):
             raise DimensionMismatch(f"shape {name!r} is not of the torus's dimension {n}")
         for oi, orient in enumerate(shape_orientations(tuple(shape))):
-            if deadline is not None and time.monotonic() > deadline:
-                raise OutOfTime
+            _check_clock(deadline)
             ball = truncated_ball(orient, radius, Ambient.around(orient))
             if len(set(map(a.wrap, ball))) < len(ball):
                 continue
@@ -423,8 +429,7 @@ def tiling_instance(a: Ambient, shapes: list[tuple[str, tuple[Point, ...], int]]
             tag = f"{name}:{oi}@"
             ids += [tag + label for label in labels]
             blocks.append((name, radius, orient, anchor))
-    if deadline is not None and time.monotonic() > deadline:
-        raise OutOfTime
+    _check_clock(deadline)
     size = len(universe)
     holders = _sweep(sum(m << o * size for o, m in enumerate(starts)), moduli, len(starts))
     return ExactCoverInstance._from_masks(universe, (ids, cells, holders), range(len(ids))), blocks
@@ -467,10 +472,12 @@ def _cell_from_json(c):
 
 
 def instance_from_json(doc: dict) -> ExactCoverInstance:
-    universe = tuple(_cell_from_json(c) for c in doc["universe"])
-    tiles = tuple((_str_id(tid), frozenset(_cell_from_json(c) for c in cells))
-                  for tid, cells in doc["tiles"])
-    return ExactCoverInstance(universe, tiles)
+    universe = tuple(_cell_from_json(c) for c in _array(doc["universe"]))
+    tiles = []
+    for entry in _array(doc["tiles"]):
+        tid, cells = _array(entry, 2)
+        tiles.append((_str_id(tid), frozenset(_cell_from_json(c) for c in _array(cells))))
+    return ExactCoverInstance(universe, tuple(tiles))
 
 
 def grid_eds_survey(max_side: int, deadline: float | None = None) -> dict:

@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 from .codes import VerifyReport, verify_partition
 from .cover import CoverOutcome, ExactCoverInstance, eds_instance, enumerate_covers, solve
-from .graphs import Graph, _str_id
+from .graphs import Graph, _array, _str_id
 
 Word = tuple[int, ...]
 Edge = tuple[Word, int]  # tree edge: shallow endpoint plus the letter toward the deep one
@@ -669,8 +669,9 @@ def _export_dot(vertices, members, adj: list[list[int]], hive: Hive | None) -> s
 
 
 def graph_from_json(doc: dict) -> Graph:
-    adj: dict = {_str_id(e["id"]): set() for e in doc["vertices"]}
-    for u, v in doc["edges"]:
+    adj: dict = {_str_id(e["id"]): set() for e in _array(doc["vertices"])}
+    for edge in _array(doc["edges"]):
+        u, v = _array(edge, 2)
         adj[u].add(v)
         adj[v].add(u)
     return Graph(adj)

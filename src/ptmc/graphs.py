@@ -62,6 +62,15 @@ def _str_id(x) -> str:
     return x
 
 
+def _array(x, size: int | None = None) -> list:
+    """x, checked to be a JSON array, of size items if given: in input files
+    a string or an object would otherwise be read as a list of its
+    characters or keys."""
+    if not isinstance(x, list) or size is not None and len(x) != size:
+        raise TypeError(f"{x!r} is not an array" + ("" if size is None else f" of {size} items"))
+    return x
+
+
 def lattice_graph(a: Ambient) -> Graph:
     """Grid graph of an ambient: one edge per unit step in one axis.
 

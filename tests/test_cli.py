@@ -404,6 +404,20 @@ def test_malformed_code_json_is_usage_error(tmp_path, capsys):
     # both formats name tiles and vertices by string ids
     ({"universe": [[0], [1]], "tiles": [[1, [[0]]], ["a", [[1]]]]}, ["search", "--instance"]),
     ({"vertices": [{"id": 1}, {"id": "a"}], "edges": [[1, "a"]]}, ["search", "--graph"]),
+    # arrays given as strings or objects, which would unpack as characters or keys
+    ({"universe": ["b"], "tiles": {"ab": 0}}, ["search", "--instance"]),
+    ({"universe": "xy", "tiles": [["t", ["x", "y"]]]}, ["search", "--instance"]),
+    ({"universe": ["x", "y"], "tiles": [["t", "yx"]]}, ["search", "--instance"]),
+    ({"vertices": [{"id": "a"}, {"id": "b"}], "edges": {"ab": 1}}, ["search", "--graph"]),
+    ({"vertices": "ab"}, ["verify", "pds", "--code"]),
+    ({"ambient": {"kind": "torus", "moduli": [3, 3]}, "vertices": "ab"},
+     ["verify", "ptmc", "--t", "1", "--code"]),
+    # tile entries, edges and window bounds have exactly two items
+    ({"universe": ["a"], "tiles": [["a"]]}, ["search", "--instance"]),
+    ({"universe": ["a"], "tiles": [["a", ["a"], "b"]]}, ["search", "--instance"]),
+    ({"vertices": [{"id": "a"}, {"id": "b"}], "edges": [["a", "b", "a"]]}, ["search", "--graph"]),
+    ({"ambient": {"kind": "window", "bounds": [[0]]}, "vertices": []},
+     ["verify", "ptmc", "--t", "1", "--code"]),
 ])
 def test_malformed_document_is_usage_error(doc, argv, tmp_path, capsys):
     # valid JSON of the wrong shape is bad input, not a failed verification

@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+import ptmc.cover
 from ptmc.cover import (
     ExactCoverInstance,
     OutOfTime,
@@ -70,6 +71,10 @@ def test_enumerate_limit_not_exhaustive():
     res = enumerate_covers(i, limit=1)
     assert len(res.solutions) == 1
     assert not res.exhaustive
+    # a cap below 1 would still stop at the first solution found
+    for limit in (0, -1):
+        with pytest.raises(ValueError, match="limit must be at least 1"):
+            enumerate_covers(i, limit=limit)
 
 
 def test_timeout_is_distinct_from_infeasible():
@@ -236,6 +241,60 @@ def test_budget_is_checked_during_set_up():
     # before the first node
     out = solve(eds_instance(lattice_graph(Ambient.torus(75, 75))), deadline=time.monotonic())
     assert (out.kind, out.tiles, out.nodes) == ("timeout", None, 0)
+
+
+def test_budget_is_checked_while_tile_listed_masks_are_built(monkeypatch):
+    # the clock is read once per tile, then once per cell, each read before
+    # that tile's or cell's mask is made; a deadline passing at any read
+    # stops the build there, with 0 nodes
+    i = eds_instance(lattice_graph(Ambient.torus(5, 5)))  # 25 tiles over 25 cells
+    make_mask = ptmc.cover._mask
+    for passes_at in range(1, 25 + 25 + 1):
+        reads, masks = [], []
+
+        def clock():
+            reads.append(None)
+            return float(len(reads) >= passes_at)
+
+        def mask(positions):
+            masks.append(None)
+            return make_mask(positions)
+
+        monkeypatch.setattr("ptmc.cover.time.monotonic", clock)
+        monkeypatch.setattr("ptmc.cover._mask", mask)
+        out = solve(i, deadline=0.5)
+        assert (out.kind, out.tiles, out.nodes) == ("timeout", None, 0)
+        assert (len(reads), len(masks)) == (passes_at, passes_at - 1)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_tile_listed_and_tiling_forms_search_alike(n):
+    # the same tiles listed one by one search as the swept masks do, in
+    # instance order and in a shuffled order made by restrict; the listed
+    # instance keeps no masks once searched
+    i, _ = tiling_instance(*_template_case(n))
+    keep = list(range(len(i.ids)))
+    random.Random(n).shuffle(keep)
+    for tiling in (i, i.restrict(keep)):
+        listed = ExactCoverInstance(tiling.universe, tiling.tiles)
+        for limit in (1, 2):
+            assert _run_x(listed, limit, None) == _run_x(tiling, limit, None)
+        assert "_masks" not in vars(listed)
+
+
+def test_restrict_on_a_tile_listed_instance_matches_reference_x():
+    rng = random.Random(11)
+    for trial in range(60):
+        ncells = rng.randint(2, 10)
+        universe = list(range(ncells))
+        tiles = [(f"t{t:02d}", rng.sample(universe, rng.randint(1, max(1, ncells // 2))))
+                 for t in range(rng.randint(1, 20))]
+        i = inst(universe, tiles)
+        keep = rng.sample(range(len(tiles)), rng.randint(0, len(tiles)))
+        r = i.restrict(keep)
+        assert r.tiles == tuple(i.tiles[k] for k in keep)
+        for limit in (1, 3, None):
+            assert _run_x(r, limit, None) == reference_x(r, limit)
 
 
 def test_deep_instance_beyond_recursion_limit():
