@@ -12,7 +12,6 @@ from .codes import (
     CodeSet,
     Component,
     KappaAssignment,
-    TruncatedSphere,
     VerifyReport,
     box_hull_check,
     code_from_json,
@@ -50,8 +49,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Ambient", "Point", "ball_size_formula", "truncated_ball", "truncated_distance",
-    "BoxSpec", "CodeSet", "Component", "KappaAssignment", "TruncatedSphere",
-    "VerifyReport", "box_hull_check", "code_from_json",
+    "BoxSpec", "CodeSet", "Component", "KappaAssignment", "VerifyReport",
+    "box_hull_check", "code_from_json",
     "code_to_json", "components_of", "inflate_code", "verify_kappa_ptmc",
     "verify_non_isolated_pds", "verify_pds", "verify_t_ptmc",
     "CoverOutcome", "EnumerateOutcome", "ExactCoverInstance", "eds_instance",

@@ -236,7 +236,7 @@ def cmd_search(args) -> tuple[int, dict, dict, list]:
         inst = cover_mod.eds_instance(lattice_graph(Ambient.torus(*args.torus)))
     else:
         inst = cover_mod.eds_instance(_load_graph(args.graph))
-    counts = {"cells": len(inst.universe), "tiles": len(inst.tiles)}
+    counts = {"cells": len(inst.universe), "tiles": len(inst.ids)}
     if args.enumerate:
         res = cover_mod.enumerate_covers(inst, limit=args.limit, deadline=args._deadline)
         counts["solutions"] = len(res.solutions)

@@ -21,9 +21,10 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import product
 from operator import sub
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .graphs import Graph, _array
+# truncated_ball is called nowhere here: perfbench/spans.py wraps this binding, which a test checks
 from .metric import Ambient, Point, _integers, _nearest_ball, _point, truncated_ball
 
 ClassKey = tuple[Point, ...]
@@ -56,9 +57,6 @@ class CodeSet:
 
     def __len__(self) -> int:
         return len(self.vertices)
-
-    def translate(self, z: Point) -> "CodeSet":
-        return CodeSet(self.ambient, tuple(self.ambient.translate(v, z) for v in self.vertices))
 
     @cached_property
     def _components(self) -> tuple[Component, ...]:
@@ -126,24 +124,10 @@ class KappaAssignment:
 
 
 @dataclass(frozen=True)
-class TruncatedSphere:
-    """A component together with its radius and truncated ball."""
-
-    center: Component
-    radius: int
-    ball: tuple[Point, ...]
-
-
-@dataclass(frozen=True)
 class BoxSpec:
     """Per-axis vertex extents of a full integer box component."""
 
     extents: tuple[int, ...]
-
-    @property
-    def r(self) -> int:
-        """Number of axes with more than one vertex (the box dimension)."""
-        return sum(1 for e in self.extents if e > 1)
 
 
 @dataclass(frozen=True)
@@ -259,13 +243,13 @@ def box_hull_check(comp: Component) -> BoxSpec | None:
 # PTMC verifiers
 # ---------------------------------------------------------------------------
 
-def verify_partition(balls: Iterable, vertices: Iterable, size: int) -> VerifyReport:
-    """Check that balls, each inside a vertex set of the given size, partition it.
+def verify_partition(balls: Iterable, vertices: Collection) -> VerifyReport:
+    """Check that balls, each inside a vertex collection, partition it.
 
     A ball (a set, a dict, a tuple) lists each vertex once. An overlap is
     reported before a gap: the witness is the smallest vertex in two balls,
     else the first vertex of `vertices` in none. `vertices` is only scanned
-    when the balls cover fewer than `size` vertices.
+    when the balls cover fewer than len(vertices) vertices.
     """
     covered: set = set()
     overlap = None
@@ -277,20 +261,11 @@ def verify_partition(balls: Iterable, vertices: Iterable, size: int) -> VerifyRe
         covered.update(ball)
     if overlap is not None:
         return _fail("overlap", (overlap,), "vertex covered by two balls")
-    if len(covered) != size:
+    if len(covered) != len(vertices):
         for v in vertices:
             if v not in covered:
                 return _fail("gap", (v,), "vertex covered by no ball")
     return VerifyReport(passed=True)
-
-
-def spheres_of(code: CodeSet, kappa: KappaAssignment) -> list[TruncatedSphere]:
-    """The truncated spheres of a code under a radius assignment."""
-    out = []
-    for comp in components_of(code):
-        t = kappa.radius_for(comp.class_key)
-        out.append(TruncatedSphere(comp, t, truncated_ball(comp.vertices, t, code.ambient)))
-    return out
 
 
 def verify_kappa_ptmc(code: CodeSet, kappa: KappaAssignment) -> VerifyReport:
@@ -332,8 +307,7 @@ def verify_kappa_ptmc(code: CodeSet, kappa: KappaAssignment) -> VerifyReport:
             return _fail("bad-radius", (comp.min_vertex,), f"radius {t} outside [1, {n}]")
     ties: list[tuple[int, int]] = []
     balls = (_nearest_ball(c.vertices, t, a.moduli, ties) for c, t in zip(comps, radii))
-    size = a.vertex_count()
-    rep = verify_partition(balls, range(size), size)
+    rep = verify_partition(balls, range(a.vertex_count()))
     if not rep.passed:
         return _fail(rep.kind, (_point(rep.witness[0], a.moduli),), rep.detail)
     if ties:
@@ -424,7 +398,7 @@ def class_key_hash(key: ClassKey) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def code_to_json(code: CodeSet, kappa: KappaAssignment | None = None) -> dict:
+def code_to_json(code: CodeSet, kappa: KappaAssignment) -> dict:
     """Canonical JSON document for a code set; diff-stable ordering."""
     a = code.ambient
     ambient = {"kind": a.kind}
@@ -432,13 +406,11 @@ def code_to_json(code: CodeSet, kappa: KappaAssignment | None = None) -> dict:
         ambient["moduli"] = list(a.moduli)
     else:
         ambient["bounds"] = [list(b) for b in a.bounds]
-    doc = {"ambient": ambient, "vertices": [list(v) for v in code.vertices]}
-    if kappa is not None:
-        # one hash per class, not per component
-        radii = {class_key_hash(key): kappa.radius_for(key)
-                 for key in dict.fromkeys(c.class_key for c in components_of(code))}
-        doc["kappa"] = {h: radii[h] for h in sorted(radii)}
-    return doc
+    # one hash per class, not per component
+    radii = {class_key_hash(key): kappa.radius_for(key)
+             for key in dict.fromkeys(c.class_key for c in components_of(code))}
+    return {"ambient": ambient, "vertices": [list(v) for v in code.vertices],
+            "kappa": {h: radii[h] for h in sorted(radii)}}
 
 
 def code_from_json(doc: dict) -> tuple[CodeSet, KappaAssignment | None]:

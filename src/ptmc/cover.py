@@ -57,10 +57,12 @@ class ExactCoverInstance:
     cells. The search reads masks(): (names, cells, holders) over bits b,
     where tile names[b] has the cell mask cells[b] and holders[c] masks the
     bits whose tiles hold cell c; the tiles are the bits in _order. The
-    constructor checks the tiles and makes the rows, from which masks()
-    builds the masks at each call, keeping none. A tiling instance (see
-    tiling_instance) holds its masks, trusted as built, as _masks, and makes
-    its rows and tiles from them on first use, as does one from restrict.
+    constructor checks the tiles and keeps only their ids and rows, from
+    which masks() builds the masks at each call, keeping none. A tiling
+    instance (see tiling_instance) holds its masks, trusted as built, as
+    _masks, and makes its rows from them on first use, as does one from
+    restrict. Either form makes tiles, the (id, frozenset of cells) pairs,
+    from its ids and rows on first use.
     """
 
     _masks = None
@@ -82,7 +84,6 @@ class ExactCoverInstance:
             except KeyError:
                 raise ValueError(f"tile {tid!r} leaves the universe") from None
         self.universe = universe
-        self.tiles = tiles
         self.ids = tuple(tid for tid, _ in tiles)
         self.rows = tuple(rows)
         self._order = range(len(rows))
@@ -130,11 +131,6 @@ class ExactCoverInstance:
     def tiles(self) -> tuple[tuple[str, frozenset], ...]:
         cell = self.universe.__getitem__
         return tuple((tid, frozenset(map(cell, row))) for tid, row in zip(self.ids, self.rows))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExactCoverInstance):
-            return NotImplemented
-        return self.universe == other.universe and self.tiles == other.tiles
 
 
 @dataclass(frozen=True)
@@ -330,7 +326,7 @@ def verify_cover(inst: ExactCoverInstance, tile_ids: tuple[str, ...]) -> bool:
     at = dict(zip(inst.ids, inst._order))  # tile id -> bit; an unknown id raises KeyError
     cells, cell = inst.masks()[1], inst.universe.__getitem__
     blocks = [frozenset(map(cell, _positions(cells[at[t]]))) for t in tile_ids]
-    return verify_partition(blocks, inst.universe, len(inst.universe)).passed
+    return verify_partition(blocks, inst.universe).passed
 
 
 # ---------------------------------------------------------------------------

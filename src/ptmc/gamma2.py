@@ -82,10 +82,6 @@ class Tersquare(NamedTuple):
     def __str__(self) -> str:
         return f"{word_str(self.wx)}|{word_str(self.wy)}"
 
-    @property
-    def depth(self) -> int:
-        return len(self.wx) + len(self.wy)
-
 
 ORIGIN = Tersquare()
 
@@ -387,7 +383,7 @@ def corner_partition(h: Hive) -> dict[Tersquare, tuple[GammaVertex, ...]]:
     """
     blocks = {c: tersquare_vertices(c) for c in h.corners}
     verts = hive_vertices(h)
-    rep = verify_partition(blocks.values(), verts, len(verts))
+    rep = verify_partition(blocks.values(), verts)
     if not rep.passed:
         raise RuntimeError(f"corner blocks: {rep.kind} at {rep.witness[0]}")
     return blocks
@@ -408,7 +404,7 @@ def verify_hive_selection(h: Hive, centers) -> VerifyReport:
     pairwise non-adjacent (not implied by the partition for outer centers)."""
     verts = hive_vertices(h)
     centers = sorted(centers)
-    rep = verify_partition((restricted_ball(c, verts) for c in centers), verts, len(verts))
+    rep = verify_partition((restricted_ball(c, verts) for c in centers), verts)
     if not rep.passed:
         return rep
     for v in verts:
@@ -575,7 +571,7 @@ def extend_2ptmc(level: int, seed: int | None = None) -> RegionCode:
     centers = tuple(sorted(_vertex(e, f) for e, f in _cut(level, xs, ys)))
     interior = _vertices_up_to(level - 2)
     inside = set(interior)
-    rep = verify_partition((local_ball(c) & inside for c in centers), interior, len(interior))
+    rep = verify_partition((local_ball(c) & inside for c in centers), interior)
     size = sum(len(edges[i]) * len(edges[j])
                for i in range(level + 1) for j in range(level + 1 - i))
     return RegionCode(level, seed, centers, len(interior), size - len(interior), rep.passed,
@@ -669,7 +665,14 @@ def _export_dot(vertices, members, adj: list[list[int]], hive: Hive | None) -> s
 
 
 def graph_from_json(doc: dict) -> Graph:
-    adj: dict = {_str_id(e["id"]): set() for e in _array(doc["vertices"])}
+    """The graph of a {"vertices": [{"id": ...}], "edges": [[u, v]]} document;
+    a vertex id listed twice raises ValueError."""
+    adj: dict = {}
+    for e in _array(doc["vertices"]):
+        vid = _str_id(e["id"])
+        if vid in adj:
+            raise ValueError(f"duplicate vertex id {vid!r}")
+        adj[vid] = set()
     for edge in _array(doc["edges"]):
         u, v = _array(edge, 2)
         adj[u].add(v)

@@ -47,10 +47,6 @@ class Graph:
     def has_edge(self, u, v) -> bool:
         return v in self._adj.get(u, ())
 
-    def edges(self) -> list:
-        """Each undirected edge once, as a sorted pair, in sorted order."""
-        return sorted((v, u) for v, ns in self._adj.items() for u in ns if v < u)
-
     def edge_count(self) -> int:
         return sum(len(ns) for ns in self._adj.values()) // 2
 

@@ -427,6 +427,25 @@ def test_malformed_document_is_usage_error(doc, argv, tmp_path, capsys):
     assert "input.json: malformed document" in err
 
 
+@pytest.mark.parametrize("doc, argv, named", [
+    # read as a dict, the second "x" would merge into the first and the
+    # two-vertex graph would have a solution
+    ({"vertices": [{"id": "x"}, {"id": "x"}, {"id": "y"}], "edges": []},
+     ["search", "--graph"], "duplicate vertex id 'x'"),
+    ({"vertices": [{"id": "x"}, {"id": "y"}, {"id": "x"}], "edges": [["x", "y"]]},
+     ["verify", "pds", "--code", "CODE", "--graph"], "duplicate vertex id 'x'"),
+    ({"universe": ["a", "b"], "tiles": [["t", ["a"]], ["t", ["b"]]]},
+     ["search", "--instance"], "duplicate tile id 't'"),
+])
+def test_id_listed_twice_is_usage_error(doc, argv, named, tmp_path, capsys):
+    path, code_file = tmp_path / "input.json", tmp_path / "code.json"
+    path.write_text(json.dumps(doc))
+    code_file.write_text(json.dumps({"vertices": ["x"]}))
+    argv = [str(code_file) if a == "CODE" else a for a in argv]
+    err = usage_error(argv + [str(path)], tmp_path, capsys)
+    assert named in err
+
+
 @pytest.mark.parametrize("vertex, moduli, bad", [
     ([1.5, 1], [3, 3], "1.5"),
     ([True, 1], [3, 3], "True"),

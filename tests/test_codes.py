@@ -18,7 +18,6 @@ from ptmc.codes import (
     code_to_json,
     components_of,
     inflate_code,
-    spheres_of,
     verify_kappa_ptmc,
     verify_non_isolated_pds,
     verify_partition,
@@ -29,7 +28,7 @@ from ptmc.constructions import build_box_code, square_singleton_template, build_
 from ptmc.cover import eds_instance, solve
 from ptmc.gamma2 import build_hive, hive_graph, hive_non_isolated_pds
 from ptmc.graphs import Graph, grid_graph, lattice_graph
-from ptmc.metric import Ambient
+from ptmc.metric import Ambient, truncated_ball
 
 from oracles import (
     naive_components,
@@ -41,6 +40,16 @@ from oracles import (
 
 def torus(*m):
     return Ambient.torus(*m)
+
+
+def translated(code, z):
+    return CodeSet(code.ambient, tuple(code.ambient.translate(v, z) for v in code.vertices))
+
+
+def balls_of(code, kappa):
+    """The truncated ball of each component, in component order."""
+    return [truncated_ball(c.vertices, kappa.radius_for(c.class_key), code.ambient)
+            for c in components_of(code)]
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +126,7 @@ def test_class_key_translation_invariant():
     key = components_of(base)[0].class_key
     for _ in range(10):
         z = (rng.randrange(7), rng.randrange(7))
-        moved = base.translate(z)
+        moved = translated(base, z)
         assert components_of(moved)[0].class_key == key
 
 
@@ -154,7 +163,6 @@ def test_box_hull_square():
     comp = components_of(CodeSet(torus(6, 6), ((0, 0), (0, 1), (1, 0), (1, 1))))[0]
     spec = box_hull_check(comp)
     assert spec.extents == (2, 2)
-    assert spec.r == 2
 
 
 def test_box_hull_l_triomino_fails():
@@ -166,7 +174,6 @@ def test_box_hull_singleton():
     comp = components_of(CodeSet(torus(6, 6), ((2, 3),)))[0]
     spec = box_hull_check(comp)
     assert spec.extents == (1, 1)
-    assert spec.r == 0
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +192,7 @@ def test_gap_reported_with_witness():
     assert not rep.passed
     assert rep.kind == "gap"
     w = rep.witness[0]
-    ball = spheres_of(code, KappaAssignment.uniform(2))[0].ball
+    ball = balls_of(code, KappaAssignment.uniform(2))[0]
     assert w not in ball  # witness is recheckable
 
 
@@ -195,7 +202,7 @@ def test_adjacent_pair_is_one_component_and_gaps():
     assert len(comps) == 1
     rep = verify_t_ptmc(code, 1)
     assert not rep.passed and rep.kind == "gap"
-    assert len(spheres_of(code, KappaAssignment.uniform(1))[0].ball) == 8
+    assert len(balls_of(code, KappaAssignment.uniform(1))[0]) == 8
 
 
 def test_overlap_reported():
@@ -207,15 +214,15 @@ def test_overlap_reported():
 
 def test_partition_reports_overlap_before_smaller_gap():
     verts = [(0,), (1,), (2,), (3,)]
-    rep = verify_partition([{(1,), (2,)}, {(2,), (3,)}], verts, 4)
+    rep = verify_partition([{(1,), (2,)}, {(2,), (3,)}], verts)
     assert (rep.kind, rep.witness) == ("overlap", ((2,),))  # not the gap at (0,)
-    rep = verify_partition([{(3,)}, {(1,)}], verts, 4)
+    rep = verify_partition([{(3,)}, {(1,)}], verts)
     assert (rep.kind, rep.witness) == ("gap", ((0,),))
-    assert verify_partition([{(3,), (1,)}, {(0,), (2,)}], verts, 4).passed
+    assert verify_partition([{(3,), (1,)}, {(0,), (2,)}], verts).passed
     # balls of every kind the callers pass (dicts, tuples, sets); the witness
     # is the smallest vertex in two balls, though (3,) is found first
     balls = [{(3,): 0, (0,): 1}, ((2,),), frozenset({(3,), (1,)}), {(1,), (2,)}]
-    rep = verify_partition(balls, verts, 4)
+    rep = verify_partition(balls, verts)
     assert (rep.kind, rep.witness) == ("overlap", ((1,),))
 
 
@@ -283,7 +290,7 @@ def test_missing_kappa_entry_raises():
 def test_box_code_passes_and_translates_pass():
     code, kappa = build_box_code((2, 2), (2, 2))
     assert verify_t_ptmc(code, 2).passed
-    assert verify_t_ptmc(code.translate((1, 1)), 2).passed
+    assert verify_t_ptmc(translated(code, (1, 1)), 2).passed
     assert not verify_t_ptmc(code, 1).passed
 
 
@@ -294,7 +301,7 @@ def test_verdict_translation_invariant_on_failures():
         code = CodeSet(torus(5, 5), verts)
         base = verify_t_ptmc(code, 1)
         z = (rng.randrange(5), rng.randrange(5))
-        moved = verify_t_ptmc(code.translate(z), 1)
+        moved = verify_t_ptmc(translated(code, z), 1)
         assert base.passed == moved.passed
 
 
@@ -302,7 +309,7 @@ def test_counting_identity_on_pass():
     code, kappa = build_box_code((3, 2), (2, 2))
     rep = verify_kappa_ptmc(code, kappa)
     assert rep.passed
-    total = sum(len(s.ball) for s in spheres_of(code, kappa))
+    total = sum(map(len, balls_of(code, kappa)))
     assert total == code.ambient.vertex_count()
 
 
@@ -339,7 +346,7 @@ def test_lattice_graph_matches_step_oracle():
               Ambient.window((-2, 1), (3, 8))):
         g, ref = lattice_graph(a), naive_lattice_graph(a)
         assert g.vertices == ref.vertices
-        assert g.edges() == ref.edges()
+        assert all(g.neighbors(v) == ref.neighbors(v) for v in g.vertices)
 
 
 def test_pds_on_grid_4x4():
