@@ -27,7 +27,7 @@ from . import codes as codes_mod
 from . import constructions as cons
 from . import cover as cover_mod
 from . import gamma2
-from .codes import CodeSet, KappaAssignment, MissingRadiusError, code_from_json, code_to_json
+from .codes import CodeSet, KappaAssignment, code_from_json, code_to_json
 from .graphs import Graph, _array, _str_id, grid_graph, lattice_graph
 from .metric import Ambient
 
@@ -83,13 +83,15 @@ def _write_report(args, report: dict) -> None:
         print(text)
 
 
-def _emit(args, text: str, artifacts: list[str]) -> None:
+def _emit(args, text: str) -> list[str]:
+    """Write text to --emit, else print it; return the report's artifacts,
+    [the --emit path] or []."""
     if args.emit:
         with open(args.emit, "w") as f:
             f.write(text if text.endswith("\n") else text + "\n")
-        artifacts.append(args.emit)
-    else:
-        print(text)
+        return [args.emit]
+    print(text)
+    return []
 
 
 def _read_json(path: str, parse):
@@ -103,8 +105,6 @@ def _read_json(path: str, parse):
         doc = json.load(f)
     try:
         return parse(doc)
-    except MissingRadiusError:
-        raise
     except (KeyError, TypeError, AttributeError) as e:
         raise ValueError(f"{path}: malformed document ({type(e).__name__}: {e})") from e
 
@@ -172,7 +172,6 @@ def cmd_verify_domination(check, args) -> tuple[int, dict, dict, list]:
 
 
 def cmd_construct_box(args) -> tuple[int, dict, dict, list]:
-    artifacts: list[str] = []
     if len(args.c) != len(args.k):
         raise ValueError(f"--c and --k need equal lengths, got {len(args.c)} and {len(args.k)}")
     _at_least(2, "--c values", args.c)
@@ -183,9 +182,9 @@ def cmd_construct_box(args) -> tuple[int, dict, dict, list]:
     verdicts = {"verified": rep.passed, "separation": sep}
     counts = {"vertices": code.ambient.vertex_count(), "code": len(code),
               "components": len(codes_mod.components_of(code))}
-    _emit(args, json.dumps(code_to_json(code, kappa), indent=2), artifacts)
+    emitted = _emit(args, json.dumps(code_to_json(code, kappa), indent=2))
     ok = rep.passed and sep == 3
-    return (EXIT_PASS if ok else EXIT_FAIL), verdicts, counts, artifacts
+    return (EXIT_PASS if ok else EXIT_FAIL), verdicts, counts, emitted
 
 
 def cmd_construct_square(args) -> tuple[int, dict, dict, list]:
@@ -198,7 +197,6 @@ def cmd_construct_cube(args) -> tuple[int, dict, dict, list]:
 
 
 def _construct_by_template(args, template: cons.TemplateSpec) -> tuple[int, dict, dict, list]:
-    artifacts: list[str] = []
     build = cons.build_by_template(template, deadline=args._deadline, seed=args.seed)
     counts = {"nodes": build.nodes, "fr_volume": template.fr_volume,
               "fr_count": template.fr_count}
@@ -212,13 +210,12 @@ def _construct_by_template(args, template: cons.TemplateSpec) -> tuple[int, dict
     verdicts = {"outcome": "solution", "verified": rep.passed}
     counts["code"] = len(build.code)
     counts["components"] = len(codes_mod.components_of(build.code))
-    _emit(args, json.dumps(code_to_json(build.code, build.kappa), indent=2), artifacts)
+    emitted = _emit(args, json.dumps(code_to_json(build.code, build.kappa), indent=2))
     print(f"construct {args.family}: solution, verified={rep.passed}")
-    return (EXIT_PASS if rep.passed else EXIT_FAIL), verdicts, counts, artifacts
+    return (EXIT_PASS if rep.passed else EXIT_FAIL), verdicts, counts, emitted
 
 
 def cmd_search(args) -> tuple[int, dict, dict, list]:
-    artifacts: list[str] = []
     if args.limit is not None and not args.enumerate:
         raise ValueError("--limit needs --enumerate")
     if args.limit is not None:
@@ -242,20 +239,17 @@ def cmd_search(args) -> tuple[int, dict, dict, list]:
         counts["solutions"] = len(res.solutions)
         counts["nodes"] = res.nodes
         verdicts = {"exhaustive": res.exhaustive}
-        _emit(args, json.dumps({"solutions": [list(s) for s in res.solutions],
-                                "exhaustive": res.exhaustive}, indent=2), artifacts)
+        emitted = _emit(args, json.dumps({"solutions": [list(s) for s in res.solutions],
+                                          "exhaustive": res.exhaustive}, indent=2))
         done = res.exhaustive or (args.limit is not None and len(res.solutions) >= args.limit)
-        code = EXIT_PASS if done else EXIT_TIMEOUT
-        return code, verdicts, counts, artifacts
+        return (EXIT_PASS if done else EXIT_TIMEOUT), verdicts, counts, emitted
     out = cover_mod.solve(inst, deadline=args._deadline)
     counts["nodes"] = out.nodes
-    verdicts = {"outcome": out.kind}
-    if out.kind == "solution":
-        _emit(args, json.dumps({"tiles": list(out.tiles)}, indent=2), artifacts)
+    emitted = (_emit(args, json.dumps({"tiles": list(out.tiles)}, indent=2))
+               if out.kind == "solution" else [])
     print(f"search: {out.kind}")
-    if out.kind == "timeout":
-        return EXIT_TIMEOUT, verdicts, counts, artifacts
-    return EXIT_PASS, verdicts, counts, artifacts
+    code = EXIT_TIMEOUT if out.kind == "timeout" else EXIT_PASS
+    return code, {"outcome": out.kind}, counts, emitted
 
 
 def cmd_gamma_count(args) -> tuple[int, dict, dict, list]:
@@ -291,30 +285,28 @@ def cmd_gamma_no_isolated(args) -> tuple[int, dict, dict, list]:
 
 
 def cmd_gamma_non_isolated(args) -> tuple[int, dict, dict, list]:
-    artifacts: list[str] = []
     s = gamma2.hive_non_isolated_pds()
     g = gamma2.hive_graph(gamma2.build_hive())
     rep = codes_mod.verify_non_isolated_pds(s, g)
     iso = codes_mod.verify_pds(s, g)
     verdicts = {"non_isolated_pass": rep.passed, "isolated_pass": iso.passed}
-    _emit(args, json.dumps({"vertices": [str(v) for v in s]}, indent=2), artifacts)
+    emitted = _emit(args, json.dumps({"vertices": [str(v) for v in s]}, indent=2))
     print(f"18-vertex set: non-isolated={rep.passed}, isolated={iso.passed}")
     ok = rep.passed and not iso.passed
-    return (EXIT_PASS if ok else EXIT_FAIL), verdicts, {"size": len(s)}, artifacts
+    return (EXIT_PASS if ok else EXIT_FAIL), verdicts, {"size": len(s)}, emitted
 
 
 def cmd_gamma_extend(args) -> tuple[int, dict, dict, list]:
-    artifacts: list[str] = []
     _at_least(2, "--level", args.level)
     rc = gamma2.extend_2ptmc(args.level, seed=args.seed)
     verdicts = {"interior_verified": rc.passed}
     counts = {"centers": len(rc.centers), "interior": rc.interior_size,
               "boundary_unverified": rc.boundary_size}
-    _emit(args, json.dumps({"centers": [str(c) for c in rc.centers],
-                            "level": rc.level, "seed": rc.seed}, indent=2), artifacts)
+    emitted = _emit(args, json.dumps({"centers": [str(c) for c in rc.centers],
+                                      "level": rc.level, "seed": rc.seed}, indent=2))
     print(f"extend level={args.level}: interior partition "
           f"{'pass' if rc.passed else 'FAIL'} ({rc.interior_size} vertices)")
-    return (EXIT_PASS if rc.passed else EXIT_FAIL), verdicts, counts, artifacts
+    return (EXIT_PASS if rc.passed else EXIT_FAIL), verdicts, counts, emitted
 
 
 def cmd_gamma_stats(args) -> tuple[int, dict, dict, list]:
@@ -352,9 +344,7 @@ def cmd_export_region(args) -> tuple[int, dict, dict, list]:
 
 
 def _export(args, text: str) -> tuple[int, dict, dict, list]:
-    artifacts: list[str] = []
-    _emit(args, text, artifacts)
-    return EXIT_PASS, {"format": args.format}, {"bytes": len(text)}, artifacts
+    return EXIT_PASS, {"format": args.format}, {"bytes": len(text)}, _emit(args, text)
 
 
 def cmd_survey(args) -> tuple[int, dict, dict, list]:
@@ -488,7 +478,7 @@ def main(argv: list[str] | None = None) -> int:
                 inputs[key] = path
         report = _report(args, verdicts, counts, artifacts, inputs, started)
         _write_report(args, report)
-    except (OSError, ValueError, MissingRadiusError) as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     return code

@@ -30,9 +30,8 @@ from .metric import Ambient, Point, _integers, _nearest_ball, _point, truncated_
 ClassKey = tuple[Point, ...]
 
 
-class MissingRadiusError(KeyError):
+class MissingRadiusError(ValueError):
     """A component's translation class has no radius assigned."""
-    __str__ = Exception.__str__  # the bare message, not KeyError's repr
 
 
 class ComponentWrapsTorus(ValueError):
@@ -142,15 +141,10 @@ class VerifyReport:
     passed: bool
     kind: str | None = None
     witness: tuple = ()
-    detail: str = ""
     independent: bool | None = None
 
     def __bool__(self) -> bool:
         return self.passed
-
-
-def _fail(kind: str, witness: tuple = (), detail: str = "") -> VerifyReport:
-    return VerifyReport(passed=False, kind=kind, witness=witness, detail=detail)
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +254,11 @@ def verify_partition(balls: Iterable, vertices: Collection) -> VerifyReport:
                 overlap = twice
         covered.update(ball)
     if overlap is not None:
-        return _fail("overlap", (overlap,), "vertex covered by two balls")
+        return VerifyReport(False, "overlap", (overlap,))
     if len(covered) != len(vertices):
         for v in vertices:
             if v not in covered:
-                return _fail("gap", (v,), "vertex covered by no ball")
+                return VerifyReport(False, "gap", (v,))
     return VerifyReport(passed=True)
 
 
@@ -297,23 +291,20 @@ def verify_kappa_ptmc(code: CodeSet, kappa: KappaAssignment) -> VerifyReport:
     """
     a = code.ambient
     if a.degenerate:
-        return _fail("degenerate-ambient", (),
-                     "PTMC verification needs a torus with all moduli >= 3")
+        return VerifyReport(False, "degenerate-ambient")
     n = a.dimension
     comps = components_of(code)
     radii = [kappa.radius_for(c.class_key) for c in comps]
     for comp, t in zip(comps, radii):
         if not 1 <= t <= n:
-            return _fail("bad-radius", (comp.min_vertex,), f"radius {t} outside [1, {n}]")
-    ties: list[tuple[int, int]] = []
+            return VerifyReport(False, "bad-radius", (comp.min_vertex,))
+    ties: list[int] = []
     balls = (_nearest_ball(c.vertices, t, a.moduli, ties) for c, t in zip(comps, radii))
     rep = verify_partition(balls, range(a.vertex_count()))
     if not rep.passed:
-        return _fail(rep.kind, (_point(rep.witness[0], a.moduli),), rep.detail)
+        return VerifyReport(False, rep.kind, (_point(rep.witness[0], a.moduli),))
     if ties:
-        i, d = min(ties)
-        return _fail("nonunique-nearest", (_point(i, a.moduli),),
-                     f"two vertices of the center at distance {d}")
+        return VerifyReport(False, "nonunique-nearest", (_point(min(ties), a.moduli),))
     return VerifyReport(passed=True)
 
 
@@ -322,7 +313,7 @@ def verify_t_ptmc(code: CodeSet, t: int) -> VerifyReport:
     return verify_kappa_ptmc(code, KappaAssignment.uniform(t))
 
 
-def _dominate(s: Iterable, g: Graph, accepts, detail: str) -> tuple[set, VerifyReport]:
+def _dominate(s: Iterable, g: Graph, accepts) -> tuple[set, VerifyReport]:
     """S as a set, and the report of the domination scan behind the PDS
     verifiers. The first vertex of S, in the order given, that is not in g
     raises ValueError. The report fails at the first vertex of g outside S
@@ -337,7 +328,7 @@ def _dominate(s: Iterable, g: Graph, accepts, detail: str) -> tuple[set, VerifyR
         if v not in sset:
             seen = g.neighbors(v) & sset
             if not accepts(seen):
-                return sset, _fail("overlap" if seen else "gap", (v,), detail)
+                return sset, VerifyReport(False, "overlap" if seen else "gap", (v,))
     return sset, VerifyReport(passed=True)
 
 
@@ -348,8 +339,7 @@ def verify_pds(s: Iterable, g: Graph) -> VerifyReport:
     The report's `independent` flag states whether S induces no edges
     (an isolated PDS, also known as an efficient dominating set).
     """
-    sset, rep = _dominate(s, g, lambda seen: len(seen) == 1,
-                          "vertex dominated zero or several times")
+    sset, rep = _dominate(s, g, lambda seen: len(seen) == 1)
     return replace(rep, independent=all(sset.isdisjoint(g.neighbors(v)) for v in sset))
 
 
@@ -359,8 +349,7 @@ def verify_non_isolated_pds(s: Iterable, g: Graph) -> VerifyReport:
     Pass iff every vertex outside S is adjacent either to exactly one
     vertex of S, or to exactly two vertices of S joined by an edge.
     """
-    return _dominate(s, g, lambda seen: len(seen) == 1 or len(seen) == 2 and g.has_edge(*seen),
-                     "vertex not dominated by one vertex or one edge of S")[1]
+    return _dominate(s, g, lambda seen: len(seen) == 1 or len(seen) == 2 and g.has_edge(*seen))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -414,12 +403,24 @@ def code_to_json(code: CodeSet, kappa: KappaAssignment) -> dict:
 
 
 def code_from_json(doc: dict) -> tuple[CodeSet, KappaAssignment | None]:
+    """The code and radius map (None without "kappa") of a code document.
+    An ambient kind other than torus or window, or a vertex listed twice,
+    raises ValueError."""
     amb = doc["ambient"]
     if amb["kind"] == "torus":
         a = Ambient.torus(*amb["moduli"])
-    else:
+    elif amb["kind"] == "window":
         a = Ambient.window(*(tuple(_array(b, 2)) for b in _array(amb["bounds"])))
-    code = CodeSet(a, tuple(tuple(v) for v in _array(doc["vertices"])))
+    else:
+        raise ValueError(f"unknown ambient kind {amb['kind']!r}")
+    verts = [tuple(v) for v in _array(doc["vertices"])]
+    code = CodeSet(a, tuple(verts))
+    if len(code) != len(verts):  # CodeSet keeps one of each repeat
+        seen = set()
+        for v in verts:
+            if v in seen:
+                raise ValueError(f"duplicate vertex {v}")
+            seen.add(v)
     if "kappa" not in doc:
         return code, None
     by_hash = dict(doc["kappa"])

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
 from math import prod
+from typing import Iterable
 
 from .codes import verify_partition
 from .graphs import Graph, _array, _str_id, grid_graph
@@ -67,16 +68,16 @@ class ExactCoverInstance:
 
     _masks = None
 
-    def __init__(self, universe: tuple, tiles: tuple[tuple[str, frozenset], ...]) -> None:
+    def __init__(self, universe: tuple, tiles: Iterable[tuple[str, frozenset]]) -> None:
         pos = {c: i for i, c in enumerate(universe)}
         if len(pos) != len(universe):
             raise ValueError("universe has duplicate cells")
-        ids: set[str] = set()
+        ids: dict[str, None] = {}  # in tile order: tiles are read once
         rows = []
         for tid, tcells in tiles:
             if tid in ids:
                 raise ValueError(f"duplicate tile id {tid!r}")
-            ids.add(tid)
+            ids[tid] = None
             if not tcells:
                 raise ValueError(f"tile {tid!r} is empty")
             try:
@@ -84,7 +85,7 @@ class ExactCoverInstance:
             except KeyError:
                 raise ValueError(f"tile {tid!r} leaves the universe") from None
         self.universe = universe
-        self.ids = tuple(tid for tid, _ in tiles)
+        self.ids = tuple(ids)
         self.rows = tuple(rows)
         self._order = range(len(rows))
 

@@ -413,7 +413,7 @@ def verify_hive_selection(h: Hive, centers) -> VerifyReport:
             return VerifyReport(False, "nonunique-nearest", (v,))
     for c1, c2 in combinations(centers, 2):
         if gamma_truncated_distance(c1, c2) == 1:
-            return VerifyReport(False, "overlap", (c1, c2), "centers adjacent")
+            return VerifyReport(False, "overlap", (c1, c2))
     return VerifyReport(True, independent=True)
 
 

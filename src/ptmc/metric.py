@@ -212,7 +212,7 @@ def _nearest_ball(center: tuple[Point, ...], t: int, moduli: tuple[int, ...],
     There rho(p, s) is the weight of the unique d in {-1,0,1}^n with
     p = s + d, so walking center vertices x offsets in order of weight hits
     every vertex first at its nearest distance. A second hit at that same
-    weight comes from another center vertex: (index, distance) goes to ties.
+    weight comes from another center vertex: its index goes to ties.
     """
     strides = _strides(moduli)
     starts = [(sum(map(mul, s, strides)),
@@ -227,7 +227,7 @@ def _nearest_ball(center: tuple[Point, ...], t: int, moduli: tuple[int, ...],
                 if p not in ball:
                     ball[p] = w
                 elif ball[p] == w:
-                    ties.append((p, w))
+                    ties.append(p)
     return ball
 
 

@@ -118,7 +118,7 @@ def naive_lattice_graph(a):
 
 
 def naive_domination(s, g, relaxed):
-    """(passed, kind, witness, detail, independent) of a PDS verifier by
+    """(passed, kind, witness, independent) of a PDS verifier by
     literal loops over S.
 
     A vertex outside S is dominated when exactly one vertex of S is its
@@ -143,14 +143,12 @@ def naive_domination(s, g, relaxed):
             continue
         bad.append((v, "overlap" if doms else "gap"))
     independent = None
-    detail = "vertex not dominated by one vertex or one edge of S"
     if not relaxed:
         independent = not any(g.has_edge(u, w) for u, w in combinations(members, 2))
-        detail = "vertex dominated zero or several times"
     if not bad:
-        return True, None, (), "", independent
+        return True, None, (), independent
     v, kind = min(bad)
-    return False, kind, (v,), detail, independent
+    return False, kind, (v,), independent
 
 
 def naive_min_component_separation(code):

@@ -436,6 +436,11 @@ def test_malformed_document_is_usage_error(doc, argv, tmp_path, capsys):
      ["verify", "pds", "--code", "CODE", "--graph"], "duplicate vertex id 'x'"),
     ({"universe": ["a", "b"], "tiles": [["t", ["a"]], ["t", ["b"]]]},
      ["search", "--instance"], "duplicate tile id 't'"),
+    # a code file's set would keep one (0, 0): a one-vertex code that passes
+    ({"ambient": {"kind": "torus", "moduli": [3, 3]}, "vertices": [[0, 0], [0, 0]]},
+     ["verify", "ptmc", "--t", "2", "--code"], "duplicate vertex (0, 0)"),
+    ({"ambient": {"kind": "torus", "moduli": [3, 3]}, "vertices": [[1, 1], [0, 0], [1, 1]]},
+     ["verify", "pds", "--code"], "duplicate vertex (1, 1)"),
 ])
 def test_id_listed_twice_is_usage_error(doc, argv, named, tmp_path, capsys):
     path, code_file = tmp_path / "input.json", tmp_path / "code.json"
@@ -488,6 +493,26 @@ def test_non_string_vertex_list_id_is_usage_error(tmp_path, capsys):
     err = usage_error(["verify", "pds", "--code", str(code_file), "--graph", str(graph_file)],
                       tmp_path, capsys)
     assert "input.json: malformed document" in err
+
+
+@pytest.mark.parametrize("argv", [["verify", "ptmc", "--t", "1"], ["verify", "pds"]])
+def test_unknown_ambient_kind_is_usage_error(argv, tmp_path, capsys):
+    # read as a window, it would fail as a degenerate ambient or with a gap
+    code_file = tmp_path / "code.json"
+    code_file.write_text(json.dumps({"ambient": {"kind": "sphere", "bounds": [[0, 2], [0, 2]]},
+                                     "vertices": [[1, 1]]}))
+    err = usage_error(argv + ["--code", str(code_file)], tmp_path, capsys)
+    assert "unknown ambient kind 'sphere'" in err
+
+
+def test_incomplete_kappa_error_line_is_the_bare_message(tmp_path, capsys):
+    # no KeyError repr quotes and no malformed-document wrapper
+    from ptmc.codes import class_key_hash
+    code_file = tmp_path / "code.json"
+    code_file.write_text(json.dumps({"ambient": {"kind": "torus", "moduli": [3, 3]},
+                                     "vertices": [[0, 0]], "kappa": {}}))
+    err = usage_error(["verify", "ptmc", "--code", str(code_file)], tmp_path, capsys)
+    assert err == f"error: kappa entry {class_key_hash(((0, 0),))} missing for class of (0, 0)\n"
 
 
 def test_incomplete_kappa_is_usage_error_unless_t_given(tmp_path, capsys):

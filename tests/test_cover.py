@@ -144,6 +144,14 @@ def test_instance_positional_form():
     assert "tiles" in vars(i)
 
 
+def test_instance_reads_its_tiles_once():
+    # a generator of tiles gives the ids as a tuple does
+    tiles = [("a", {1, 2}), ("b", {2}), ("c", {1})]
+    i = ExactCoverInstance((1, 2), (t for t in tiles))
+    assert (i.ids, i.rows) == (("a", "b", "c"), ((0, 1), (1,), (0,)))
+    assert solve(i).tiles == ("a",)
+
+
 def test_oracle_equivalence_random_instances():
     rng = random.Random(42)
     for trial in range(50):
