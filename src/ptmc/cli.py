@@ -223,19 +223,26 @@ def cmd_search(args) -> tuple[int, dict, dict, list]:
     # the parser lets exactly one source through
     if args.instance is not None:
         inst = _read_json(args.instance, cover_mod.instance_from_json)
-    elif args.grid is not None:
-        if len(args.grid) != 2:
-            raise ValueError(f"--grid takes two values m,n, got {len(args.grid)}")
-        _at_least(1, "--grid values", args.grid)
-        inst = cover_mod.eds_instance(grid_graph(*args.grid))
-    elif args.torus is not None:
-        _at_least(1, "--torus moduli", args.torus)
-        inst = cover_mod.eds_instance(lattice_graph(Ambient.torus(*args.torus)))
+        counts = {"cells": len(inst.universe), "tiles": len(inst.ids)}
     else:
-        inst = cover_mod.eds_instance(_load_graph(args.graph))
-    counts = {"cells": len(inst.universe), "tiles": len(inst.ids)}
+        if args.grid is not None:
+            if len(args.grid) != 2:
+                raise ValueError(f"--grid takes two values m,n, got {len(args.grid)}")
+            _at_least(1, "--grid values", args.grid)
+            g = grid_graph(*args.grid)
+        elif args.torus is not None:
+            _at_least(1, "--torus moduli", args.torus)
+            g = lattice_graph(Ambient.torus(*args.torus))
+        else:
+            g = _load_graph(args.graph)
+        counts = {"cells": len(g), "tiles": len(g)}
+        try:
+            inst = cover_mod.eds_instance(g, deadline=args._deadline)
+        except cover_mod.OutOfTime:
+            inst = None  # the budget ended the build: a search that made no node
     if args.enumerate:
-        res = cover_mod.enumerate_covers(inst, limit=args.limit, deadline=args._deadline)
+        res = (cover_mod.EnumerateOutcome((), False, 0) if inst is None else
+               cover_mod.enumerate_covers(inst, limit=args.limit, deadline=args._deadline))
         counts["solutions"] = len(res.solutions)
         counts["nodes"] = res.nodes
         verdicts = {"exhaustive": res.exhaustive}
@@ -243,7 +250,8 @@ def cmd_search(args) -> tuple[int, dict, dict, list]:
                                           "exhaustive": res.exhaustive}, indent=2))
         done = res.exhaustive or (args.limit is not None and len(res.solutions) >= args.limit)
         return (EXIT_PASS if done else EXIT_TIMEOUT), verdicts, counts, emitted
-    out = cover_mod.solve(inst, deadline=args._deadline)
+    out = (cover_mod.CoverOutcome("timeout", None, 0) if inst is None else
+           cover_mod.solve(inst, deadline=args._deadline))
     counts["nodes"] = out.nodes
     emitted = (_emit(args, json.dumps({"tiles": list(out.tiles)}, indent=2))
                if out.kind == "solution" else [])

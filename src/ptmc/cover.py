@@ -13,12 +13,15 @@ order of their graph's vertices or their file's tiles.
 The search turns every set it needs into a Python int: a tile's cells, a
 cell's tiles, the tiles a choice rules out (built the first time that tile
 is chosen), and the per-cell candidate counts as a few bit slices, read
-through ExactCoverInstance.masks. Tile-listed instances build them from
-the cell positions found when constructed. Tiling instances are built as
-masks directly: on a torus listed in row-major order, translating a tile
-by one step along an axis is one masked rotation of its cell mask, so
-every placement of an orientation, and every cell's mask of tiles, is its
-predecessor rotated once. However costly the callers' cells are to hash, a
+through ExactCoverInstance.masks. Only instance files and explicit tile
+lists are tile-listed; such an instance builds them from the cell
+positions found when constructed. The builders here make masks directly.
+An efficient-domination instance has one mask per vertex, its closed
+neighborhood, serving as both its tile's cells and its cell's tiles. On a
+torus listed in row-major order, translating a tile by one step along an
+axis is one masked rotation of its cell mask, so every placement of a
+tiling orientation, and every cell's mask of tiles, is its predecessor
+rotated once. However costly the callers' cells are to hash, a
 search node is then a handful of int operations, and position order is bit
 order, which is the branching order. The search runs as a loop over an
 explicit stack of frames of ints, so backtracking is a pop and search
@@ -59,8 +62,10 @@ class ExactCoverInstance:
     where tile names[b] has the cell mask cells[b] and holders[c] masks the
     bits whose tiles hold cell c; the tiles are the bits in _order. The
     constructor checks the tiles and keeps only their ids and rows, from
-    which masks() builds the masks at each call, keeping none. A tiling
-    instance (see tiling_instance) holds its masks, trusted as built, as
+    which masks() builds the masks at each call, keeping none; it serves
+    instance files and explicit tile lists. A tiling or efficient-
+    domination instance (see tiling_instance and eds_instance, the latter
+    one shared mask per vertex) holds its masks, trusted as built, as
     _masks, and makes its rows from them on first use, as does one from
     restrict. Either form makes tiles, the (id, frozenset of cells) pairs,
     from its ids and rows on first use.
@@ -91,8 +96,11 @@ class ExactCoverInstance:
 
     @classmethod
     def _from_masks(cls, universe: tuple, masks: tuple, order) -> "ExactCoverInstance":
+        """An instance on masks, its tiles the bits in order: a range is
+        kept as one, and must then be every bit, ascending."""
         inst = cls.__new__(cls)
-        inst.universe, inst._masks, inst._order = universe, masks, tuple(order)
+        inst.universe, inst._masks = universe, masks
+        inst._order = order if isinstance(order, range) else tuple(order)
         inst.ids = tuple(map(masks[0].__getitem__, inst._order))
         return inst
 
@@ -183,13 +191,15 @@ def _run_x(inst: ExactCoverInstance, limit: int | None, deadline: float | None):
     try:
         names, cells, tiles = inst.masks(deadline)
         order = inst._order
-        live = ((1 << len(cells)) - 1) ^ _mask(set(range(len(cells))).difference(order))
+        live = (1 << len(cells)) - 1
+        if not isinstance(order, range):  # a range is every bit, ascending
+            live ^= _mask(set(range(len(cells))).difference(order))
         counts = _sliced_sum(cells, live)
         _check_clock(deadline)
     except OutOfTime:
         return [], False, 0
     rank = None
-    if any(b > c for b, c in zip(order, order[1:])):
+    if not isinstance(order, range) and any(b > c for b, c in zip(order, order[1:])):
         rank = dict(zip(order, range(len(order))))
     kill = [0] * len(cells)
     uncovered = (1 << len(inst.universe)) - 1
@@ -334,15 +344,32 @@ def verify_cover(inst: ExactCoverInstance, tile_ids: tuple[str, ...]) -> bool:
 # instance builders
 # ---------------------------------------------------------------------------
 
-def eds_instance(g: Graph) -> ExactCoverInstance:
+def eds_instance(g: Graph, deadline: float | None = None) -> ExactCoverInstance:
     """Efficient domination as exact cover by closed neighborhoods.
 
     A vertex subset S dominates every vertex exactly once iff the closed
     neighborhoods N[v], v in S, partition V(G). Tile ids are str(vertex).
+
+    Built as masks: vertex i of g.vertices is tile i and cell i, and its
+    one mask, N[v] over positions, is both the tile's cells and the cell's
+    holders, one list serving as both, as adjacency is symmetric. With a
+    deadline (a time.monotonic() value), building raises OutOfTime once it
+    has passed; it is checked before each vertex's mask.
     """
     universe = g.vertices
-    tiles = tuple((str(v), frozenset(g.neighbors(v) | {v})) for v in universe)
-    return ExactCoverInstance(universe, tiles)
+    ids = tuple(map(str, universe))
+    if len(set(ids)) != len(ids):
+        seen = set()
+        for tid in ids:
+            if tid in seen:
+                raise ValueError(f"duplicate tile id {tid!r}")
+            seen.add(tid)
+    pos = {v: i for i, v in enumerate(universe)}
+    masks = []
+    for i, v in enumerate(universe):
+        _check_clock(deadline)
+        masks.append(_mask(map(pos.__getitem__, g.neighbors(v))) | 1 << i)
+    return ExactCoverInstance._from_masks(universe, (ids, masks, masks), range(len(ids)))
 
 
 def shape_orientations(shape: tuple[Point, ...]) -> list[tuple[Point, ...]]:
@@ -488,7 +515,10 @@ def grid_eds_survey(max_side: int, deadline: float | None = None) -> dict:
     out = {}
     for m in range(3, max_side + 1):
         for n in range(3, max_side + 1):
-            res = enumerate_covers(eds_instance(grid_graph(m, n)), deadline=deadline)
+            try:
+                res = enumerate_covers(eds_instance(grid_graph(m, n), deadline), deadline=deadline)
+            except OutOfTime:
+                res = EnumerateOutcome((), False, 0)
             if not res.exhaustive:
                 out[(m, n)] = {"exists": None, "count": None, "exhaustive": False}
             else:

@@ -45,7 +45,8 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .codes import VerifyReport, verify_partition
-from .cover import CoverOutcome, ExactCoverInstance, eds_instance, enumerate_covers, solve
+from .cover import (CoverOutcome, ExactCoverInstance, OutOfTime, eds_instance, enumerate_covers,
+                    solve)
 from .graphs import Graph, _array, _str_id
 
 Word = tuple[int, ...]
@@ -505,7 +506,11 @@ def no_isolated_pds(h: Hive, deadline: float | None = None) -> CoverOutcome:
     exhaustion; the outcome must be infeasible, and a timeout is reported
     as such (never silently treated as a proof).
     """
-    return solve(eds_instance(hive_graph(h)), deadline=deadline)
+    try:
+        inst = eds_instance(hive_graph(h), deadline=deadline)
+    except OutOfTime:
+        return CoverOutcome("timeout", None, 0)
+    return solve(inst, deadline=deadline)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .metric import Ambient
+from .metric import Ambient, _strides
 
 
 class Graph:
@@ -72,19 +72,28 @@ def lattice_graph(a: Ambient) -> Graph:
 
     On a torus the steps wrap; note that moduli 1 and 2 collapse or double
     edges away (a modulus-2 axis yields a single edge, not two).
+
+    The vertices are listed in row-major order, so along an axis of extent
+    m and stride s they fall into blocks of m * s, within which the +1
+    neighbours are the block shifted by s: its last s vertices wrap round
+    to the first s on a torus and have none (None) on a window. The -1
+    neighbours are the shift the other way.
     """
-    # (axis, step, modulus); a window's modulus 0 means no wrapping
-    moves = [(i, step, a.moduli[i] if a.is_torus else 0)
-             for i in range(a.dimension) for step in (1, -1)]
-    own = {v: v for v in a.vertices()}  # maps a built tuple to the ambient's own
-    adj: dict = {}
-    for v in own:
-        ns = set()
-        for i, step, m in moves:
-            x = v[i] + step
-            u = own.get(v[:i] + ((x % m if m else x),) + v[i + 1:])
-            if u is not None and u != v:
-                ns.add(u)
+    verts = list(a.vertices())
+    extents = a.moduli if a.is_torus else tuple(hi - lo + 1 for lo, hi in a.bounds)
+    steps = []
+    for m, s in zip(extents, _strides(extents)):
+        up, down = [], []
+        for k in range(0, len(verts), m * s):
+            block = verts[k:k + m * s]
+            up += block[s:] + (block[:s] if a.is_torus else [None] * s)
+            down += (block[-s:] if a.is_torus else [None] * s) + block[:-s]
+        steps += (up, down)
+    adj = {}
+    for v, *ns in zip(verts, *steps):
+        ns = set(ns)
+        ns.discard(None)
+        ns.discard(v)
         adj[v] = ns
     return Graph(adj)
 

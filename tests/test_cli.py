@@ -135,17 +135,43 @@ def test_search_timeout_exit_code(tmp_path):
     (["gamma", "no-isolated-pds", "--budget", "0.1"], "ptmc.gamma2.eds_instance"),
 ])
 def test_budget_counts_from_the_command_start(argv, slowed, tmp_path, monkeypatch):
-    # building the EDS instance never checks the clock, so it runs to the end
-    # and takes the whole budget; the search then stops before its first node
-    def slow_eds_instance(g):
+    # the stub sleeps through the whole budget before the build, which reads
+    # the clock before each vertex's mask and stops at the first; the command
+    # reports a timeout in which no search node was made
+    def slow_eds_instance(g, deadline=None):
         time.sleep(0.2)
-        return eds_instance(g)
+        return eds_instance(g, deadline)
 
     monkeypatch.setattr(slowed, slow_eds_instance)
     code, report = run(argv, tmp_path)
     assert code == 3
     assert report["verdicts"] == {"outcome": "timeout"}
     assert report["counts"]["nodes"] == 0
+
+
+@pytest.mark.parametrize("extra, verdicts", [
+    ([], {"outcome": "timeout"}),
+    (["--enumerate"], {"exhaustive": False}),
+])
+def test_budget_passing_during_the_eds_build_is_a_timeout(extra, verdicts, tmp_path,
+                                                          monkeypatch):
+    # the budget passes while the 5,625 masks are built: the build stops at
+    # its next clock read, and the search is never started
+    made = []
+
+    def mask(positions):
+        made.append(None)
+        if len(made) == 100:
+            time.sleep(0.3)
+        return make_mask(positions)
+
+    make_mask = ptmc.cover._mask
+    monkeypatch.setattr("ptmc.cover._mask", mask)
+    code, report = run(["search", "--torus", "75,75", "--budget", "0.2"] + extra, tmp_path)
+    assert code == 3
+    assert report["verdicts"] == verdicts
+    assert report["counts"]["nodes"] == 0
+    assert len(made) == 100
 
 
 def test_search_limit_exit_codes(tmp_path):

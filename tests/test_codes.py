@@ -340,9 +340,19 @@ def triangle():
 
 
 def test_lattice_graph_matches_step_oracle():
-    # moduli 1 and 2 collapse a step onto the vertex or both steps onto one edge
-    for a in (Ambient.torus(1, 3), Ambient.torus(2, 5), Ambient.torus(3, 5, 2),
-              Ambient.window((-2, 1), (3, 8))):
+    # moduli 1 and 2 collapse a step onto the vertex or both steps onto one
+    # edge; random tori and windows of dimension 1-4, moduli or extents 1-6
+    rng = random.Random(5)
+    ambients = [Ambient.torus(1, 3), Ambient.torus(2, 5), Ambient.torus(3, 5, 2),
+                Ambient.window((-2, 1), (3, 8))]
+    for _ in range(60):
+        extents = [rng.randint(1, 6) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.5:
+            ambients.append(Ambient.torus(*extents))
+        else:
+            lows = [rng.randint(-3, 3) for _ in extents]
+            ambients.append(Ambient.window(*((lo, lo + e - 1) for lo, e in zip(lows, extents))))
+    for a in ambients:
         g, ref = lattice_graph(a), naive_lattice_graph(a)
         assert g.vertices == ref.vertices
         assert all(g.neighbors(v) == ref.neighbors(v) for v in g.vertices)

@@ -2,7 +2,7 @@
 
 import random
 import time
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -22,7 +22,7 @@ from ptmc.cover import (
 )
 from ptmc.codes import verify_pds
 from ptmc.constructions import build_by_template, cube_singleton_template, square_singleton_template
-from ptmc.gamma2 import build_hive, no_isolated_pds
+from ptmc.gamma2 import build_hive, hive_graph, no_isolated_pds
 from ptmc.graphs import Graph, grid_graph, lattice_graph
 from ptmc.metric import Ambient, DimensionMismatch, truncated_ball
 
@@ -259,7 +259,8 @@ def test_budget_is_checked_while_tile_listed_masks_are_built(monkeypatch):
     # the clock is read once per tile, then once per cell, each read before
     # that tile's or cell's mask is made; a deadline passing at any read
     # stops the build there, with 0 nodes
-    i = eds_instance(lattice_graph(Ambient.torus(5, 5)))  # 25 tiles over 25 cells
+    g = lattice_graph(Ambient.torus(5, 5))  # 25 tiles over 25 cells
+    i = ExactCoverInstance(g.vertices, [(str(v), g.neighbors(v) | {v}) for v in g.vertices])
     make_mask = ptmc.cover._mask
     for passes_at in range(1, 25 + 25 + 1):
         reads, masks = [], []
@@ -277,6 +278,75 @@ def test_budget_is_checked_while_tile_listed_masks_are_built(monkeypatch):
         out = solve(i, deadline=0.5)
         assert (out.kind, out.tiles, out.nodes) == ("timeout", None, 0)
         assert (len(reads), len(masks)) == (passes_at, passes_at - 1)
+
+
+def test_eds_instance_reads_the_clock_once_per_vertex(monkeypatch):
+    # each read comes before that vertex's mask is made; a deadline passing
+    # at any read stops the build there
+    g = lattice_graph(Ambient.torus(5, 5))
+    for passes_at in range(1, 25 + 2):
+        reads = []
+
+        def clock():
+            reads.append(None)
+            return float(len(reads) >= passes_at)
+
+        monkeypatch.setattr("ptmc.cover.time.monotonic", clock)
+        if passes_at <= 25:
+            with pytest.raises(OutOfTime):
+                eds_instance(g, deadline=0.5)
+        else:
+            eds_instance(g, deadline=0.5)
+        assert len(reads) == min(passes_at, 25)
+
+
+def closed_neighbourhood_graphs():
+    """Grids, tori with moduli 1-6 (which collapse or double steps), the
+    hive graph and random small graphs."""
+    graphs = [grid_graph(1, 1), grid_graph(3, 5), grid_graph(4, 4),
+              hive_graph(build_hive()), Graph({})]
+    graphs += [lattice_graph(Ambient.torus(m, n)) for m in range(1, 7) for n in (1, 2, 5, 6)]
+    graphs += [lattice_graph(Ambient.torus(2, 3, 1)), lattice_graph(Ambient.torus(4))]
+    rng = random.Random(23)
+    for _ in range(40):
+        n = rng.randint(1, 12)
+        adj = {v: set() for v in range(n)}
+        for u, v in combinations(range(n), 2):
+            if rng.random() < 0.3:
+                adj[u].add(v)
+                adj[v].add(u)
+        graphs.append(Graph(adj))
+    return graphs
+
+
+def test_eds_masks_match_the_tile_listed_closed_neighbourhoods():
+    # one mask per vertex, the same list serving as the tiles' cells and the
+    # cells' holders, equal to the masks of the tiles listed one by one
+    for g in closed_neighbourhood_graphs():
+        i = eds_instance(g)
+        listed = ExactCoverInstance(g.vertices,
+                                    [(str(v), g.neighbors(v) | {v}) for v in g.vertices])
+        names, cells, holders = i.masks()
+        assert cells is holders
+        assert (names, cells, holders) == listed.masks()
+        assert (i.ids, i.tiles) == (listed.ids, listed.tiles)
+
+
+def test_eds_instance_refuses_a_repeated_tile_id():
+    class Named:
+        # distinct vertices that print alike
+        def __init__(self, k):
+            self.k = k
+
+        def __lt__(self, other):
+            return self.k < other.k
+
+        def __str__(self):
+            return "v"
+
+    a, b = Named(0), Named(1)
+    with pytest.raises(ValueError, match="duplicate tile id 'v'"):
+        eds_instance(Graph({a: {b}, b: {a}}))
 
 
 @pytest.mark.parametrize("n", [3, 4])
