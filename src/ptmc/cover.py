@@ -25,7 +25,13 @@ rotated once. However costly the callers' cells are to hash, a
 search node is then a handful of int operations, and position order is bit
 order, which is the branching order. The search runs as a loop over an
 explicit stack of frames of ints, so backtracking is a pop and search
-depth is bounded by memory, not by Python's recursion limit.
+depth is bounded by memory, not by Python's recursion limit. A subtree
+depends on its uncovered cells alone, so the search keeps a memo with one
+key, the uncovered mask, per finished subtree, and a descent into a state
+already finished counts its nodes and lists its covers without searching
+it again (Knuth, TAOCP 4B, 7.2.2.1; Nishino et al., "Dancing with Decision
+Diagrams", AAAI 2017). Reported nodes are the nodes of the search tree,
+replayed subtrees included, the same as a search without the memo.
 
 Exhausting the search without a solution is a proof of infeasibility and
 is reported distinctly from passing the deadline, a time.monotonic() value.
@@ -68,7 +74,8 @@ class ExactCoverInstance:
     one shared mask per vertex) holds its masks, trusted as built, as
     _masks, and makes its rows from them on first use, as does one from
     restrict. Either form makes tiles, the (id, frozenset of cells) pairs,
-    from its ids and rows on first use.
+    from its ids and rows on first use; row(r) reads one tile's positions
+    and makes no other tile's.
     """
 
     _masks = None
@@ -126,6 +133,13 @@ class ExactCoverInstance:
         """The tiles at positions keep, in keep's order, on the same masks."""
         return self._from_masks(self.universe, self.masks(), map(self._order.__getitem__, keep))
 
+    def row(self, r: int) -> tuple[int, ...]:
+        """The positions in universe of tile r's cells: read off its mask,
+        or its row if tile-listed, so no other tile's masks are made."""
+        if self._masks is None:
+            return self.rows[r]
+        return tuple(_positions(self._masks[1][self._order[r]]))
+
     def holding(self, c: int) -> list[int]:
         """The positions, ascending, of the tiles holding cell position c."""
         bits = set(_positions(self.masks()[2][c]))
@@ -181,12 +195,25 @@ def _run_x(inst: ExactCoverInstance, limit: int | None, deadline: float | None):
     instance order: lowest bit first, unless the order is not ascending,
     when they are sorted by their rank in it.
 
+    The live tiles are exactly the tiles of inst._order inside uncovered,
+    so the subtree below a node, its branching, nodes and covers, depends
+    on uncovered alone. memo holds one entry per finished subtree, keyed by
+    its uncovered mask: (nodes below, covers below, branches), where
+    branches lists (tile bit, child entry) for each tile tried there with
+    covers below it, in search order. A dead end is (0, 0, ()) and the
+    covered state 0 is (0, 1, ()). A descent into a memoised state adds its
+    nodes and lists its covers (_replay) instead of pushing it, unless its
+    covers would reach the limit: it is then searched, so the limit stops
+    the search where it would stop without the memo.
+
     Each stack frame is [uncovered, live, counts, untried candidates, tile
-    selected here]. Only its last two entries change once it is pushed; a
-    child builds new ints and a new counts list, so backtracking is a pop.
-    Every tried candidate counts as a node. The deadline is checked while
-    masks() builds, at the end of the set-up and then at each node; one
-    passed before the first node, even before the call, gives 0 nodes.
+    selected here, nodes and solutions when pushed, branches]. A child
+    builds new ints and a new counts list, so backtracking is a pop, which
+    stores the frame's memo entry. Every tried candidate counts as a node:
+    nodes counts the nodes of the search tree, replayed subtrees included.
+    The deadline is checked while masks() builds, at the end of the
+    set-up, then at each node and at each cover a replay lists; one passed
+    before the first node, even before the call, gives 0 nodes.
     """
     try:
         names, cells, tiles = inst.masks(deadline)
@@ -205,9 +232,10 @@ def _run_x(inst: ExactCoverInstance, limit: int | None, deadline: float | None):
     uncovered = (1 << len(inst.universe)) - 1
     solutions: list[tuple[str, ...]] = []
     stack: list[list] = []
+    memo = {0: (0, 1, ())}
     nodes = 0
     while True:
-        if not uncovered:
+        if not uncovered:  # the empty universe, or a cover that reaches the limit
             solutions.append(tuple(sorted(names[f[4]] for f in stack)))
             if limit is not None and len(solutions) >= limit:
                 return solutions, False, nodes
@@ -222,24 +250,42 @@ def _run_x(inst: ExactCoverInstance, limit: int | None, deadline: float | None):
                 if rank is not None:  # a list, next candidate last
                     candidates = sorted(_positions(candidates), key=rank.__getitem__,
                                         reverse=True)
-                stack.append([uncovered, live, counts, candidates, -1])
-        # backtrack to the next untried candidate, then descend into it
-        while stack and not stack[-1][3]:
-            stack.pop()
-        if not stack:
-            return solutions, True, nodes
-        frame = stack[-1]
-        uncovered, live, counts, candidates, _ = frame
-        if rank is None:
-            low = candidates & -candidates
-            frame[3] = candidates ^ low
-            row = frame[4] = low.bit_length() - 1
-        else:
-            row = frame[4] = candidates.pop()
-        nodes += 1
-        if deadline is not None and time.monotonic() > deadline:
-            return solutions, False, nodes
-        uncovered &= ~cells[row]
+                stack.append([uncovered, live, counts, candidates, -1, nodes, len(solutions), []])
+            else:
+                memo[uncovered] = (0, 0, ())
+        while True:  # backtrack to the next untried candidate, replaying memoised ones
+            while stack and not stack[-1][3]:
+                done = stack.pop()
+                found = len(solutions) - done[6]
+                memo[done[0]] = entry = (nodes - done[5], found, done[7] if found else ())
+                if found and stack:
+                    stack[-1][7].append((stack[-1][4], entry))
+            if not stack:
+                return solutions, True, nodes
+            frame = stack[-1]
+            candidates = frame[3]
+            if rank is None:
+                low = candidates & -candidates
+                frame[3] = candidates ^ low
+                row = frame[4] = low.bit_length() - 1
+            else:
+                row = frame[4] = candidates.pop()
+            nodes += 1
+            if deadline is not None and time.monotonic() > deadline:
+                return solutions, False, nodes
+            uncovered = frame[0] & ~cells[row]
+            entry = memo.get(uncovered)
+            if entry is None or (entry[1] and limit is not None
+                                 and len(solutions) + entry[1] >= limit):
+                break
+            nodes += entry[0]
+            if entry[1]:
+                branch = (row, entry)
+                frame[7].append(branch)
+                above = [names[f[4]] for f in stack[:-1]]
+                if not _replay((branch,), above, names, solutions, deadline):
+                    return solutions, False, nodes
+        live, counts = frame[1], frame[2]
         k = kill[row]
         if not k:
             m = cells[row]
@@ -265,6 +311,29 @@ def _run_x(inst: ExactCoverInstance, limit: int | None, deadline: float | None):
                         break
             while counts and not counts[-1]:
                 counts.pop()
+
+
+def _replay(branches, path: list[str], names, out: list, deadline: float | None) -> bool:
+    """Appends to out, in search order, the covers below memo branches:
+    path, the ids selected above them, plus the ids along each path of
+    branches down to the covered state, whose branches are empty. False
+    once the deadline, checked at each cover, has passed."""
+    walk = [iter(branches)]
+    while walk:
+        for row, (_, _, below) in walk[-1]:
+            path.append(names[row])
+            if below:
+                walk.append(iter(below))
+                break
+            out.append(tuple(sorted(path)))
+            path.pop()
+            if deadline is not None and time.monotonic() > deadline:
+                return False
+        else:
+            walk.pop()
+            if walk:
+                path.pop()
+    return True
 
 
 def _mask(positions) -> int:
@@ -331,12 +400,12 @@ def enumerate_covers(inst: ExactCoverInstance, limit: int | None = None,
 def verify_cover(inst: ExactCoverInstance, tile_ids: tuple[str, ...]) -> bool:
     """Independent re-check that chosen tiles partition the universe.
 
-    Only the chosen tiles' cells are read, off the instance's masks; no
-    other tile is made.
+    Only the chosen tiles' cells are read, through ExactCoverInstance.row;
+    no other tile is made.
     """
-    at = dict(zip(inst.ids, inst._order))  # tile id -> bit; an unknown id raises KeyError
-    cells, cell = inst.masks()[1], inst.universe.__getitem__
-    blocks = [frozenset(map(cell, _positions(cells[at[t]]))) for t in tile_ids]
+    at = {tid: r for r, tid in enumerate(inst.ids)}  # an unknown id raises KeyError
+    cell = inst.universe.__getitem__
+    blocks = [frozenset(map(cell, inst.row(at[t]))) for t in tile_ids]
     return verify_partition(blocks, inst.universe).passed
 
 

@@ -27,6 +27,14 @@ class Graph:
             if v in ns:
                 raise ValueError(f"self-loop at {v!r}")
 
+    @classmethod
+    def _unchecked(cls, adjacency: dict) -> "Graph":
+        """A graph on frozenset adjacency that is symmetric and loop-free by
+        construction, taken as it is."""
+        g = cls.__new__(cls)
+        g._adj = adjacency
+        return g
+
     @cached_property
     def vertices(self) -> tuple:
         """The vertices in sorted order, sorted once per graph."""
@@ -77,7 +85,9 @@ def lattice_graph(a: Ambient) -> Graph:
     m and stride s they fall into blocks of m * s, within which the +1
     neighbours are the block shifted by s: its last s vertices wrap round
     to the first s on a torus and have none (None) on a window. The -1
-    neighbours are the shift the other way.
+    neighbours are the shift the other way. Steps are symmetric and a
+    vertex is dropped from its own neighbours, so the graph is built
+    without Graph's checks.
     """
     verts = list(a.vertices())
     extents = a.moduli if a.is_torus else tuple(hi - lo + 1 for lo, hi in a.bounds)
@@ -94,8 +104,8 @@ def lattice_graph(a: Ambient) -> Graph:
         ns = set(ns)
         ns.discard(None)
         ns.discard(v)
-        adj[v] = ns
-    return Graph(adj)
+        adj[v] = frozenset(ns)
+    return Graph._unchecked(adj)
 
 
 def grid_graph(m: int, n: int) -> Graph:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import ptmc.cover
 from ptmc.codes import (
     CodeSet,
     KappaAssignment,
@@ -224,14 +225,24 @@ def test_build_budget_covers_instance_building(monkeypatch):
     assert build.kind == "timeout"
 
 
-def test_build_budget_stops_instance_building():
-    started = time.monotonic()
+def test_build_budget_stops_instance_building(monkeypatch):
+    # a deadline that passes once the first orientation has been swept stops
+    # the cube-4 build there: no further sweep, and no search
+    sweep = ptmc.cover._sweep
+    sweeps = []
+
+    def counted_sweep(*args):
+        sweeps.append(None)
+        return sweep(*args)
+
+    monkeypatch.setattr("ptmc.cover._sweep", counted_sweep)
     assert build_by_template(cube_singleton_template(4)).kind == "solution"
-    full_s = time.monotonic() - started
-    started = time.monotonic()
-    build = build_by_template(cube_singleton_template(4), deadline=time.monotonic() + 1e-3)
+    assert len(sweeps) > 2
+    sweeps.clear()
+    monkeypatch.setattr("ptmc.cover.time.monotonic", lambda: float(len(sweeps)))
+    build = build_by_template(cube_singleton_template(4), deadline=0.5)
     assert (build.kind, build.nodes) == ("timeout", 0)
-    assert time.monotonic() - started < full_s / 4
+    assert len(sweeps) == 1
 
 
 def test_build_with_a_passed_deadline_times_out_at_once():

@@ -22,7 +22,8 @@ from ptmc.cover import (
 )
 from ptmc.codes import verify_pds
 from ptmc.constructions import build_by_template, cube_singleton_template, square_singleton_template
-from ptmc.gamma2 import build_hive, hive_graph, no_isolated_pds
+from ptmc.gamma2 import (build_hive, external_cycle, hive_graph, hive_vertices, no_isolated_pds,
+                         restricted_ball)
 from ptmc.graphs import Graph, grid_graph, lattice_graph
 from ptmc.metric import Ambient, DimensionMismatch, truncated_ball
 
@@ -116,6 +117,26 @@ def test_verify_cover_reads_a_tiling_instance_off_its_masks():
     with pytest.raises(KeyError):
         verify_cover(i, chosen[:1] + ("no-such-tile",))
     assert "tiles" not in i.__dict__ and "rows" not in i.__dict__
+
+
+def test_verify_cover_reads_a_tile_listed_instance_through_its_rows(monkeypatch):
+    # a cover, an overlap, a gap and an unknown id get the verdicts of the
+    # masks form of the same instance, and masks() is never called
+    masked = eds_instance(lattice_graph(Ambient.torus(10, 10)))
+    listed = ExactCoverInstance(masked.universe, masked.tiles)
+    chosen = solve(masked).tiles
+    extra = next(t for t in masked.ids if t not in chosen)
+
+    def no_masks(self, deadline=None):
+        raise AssertionError("masks() called")
+
+    monkeypatch.setattr(ExactCoverInstance, "masks", no_masks)
+    for picked, verdict in ((chosen, True), (chosen[::-1], True),
+                            (chosen + (extra,), False), (chosen[1:], False)):
+        assert verify_cover(listed, picked) is verify_cover(masked, picked) is verdict
+    for i in (listed, masked):
+        with pytest.raises(KeyError):
+            verify_cover(i, chosen[:1] + ("no-such-tile",))
 
 
 def test_instance_validation():
@@ -246,6 +267,97 @@ def test_core_matches_reference_x_on_pinned_tiling_instances(template, seed, mon
     (i,) = searched
     for limit in (1, 2):
         assert _run_x(i, limit, None) == reference_x(i, limit)
+
+
+def _totality_subtree(pinned):
+    # enumerate_hive_2ptmc_complete's instance below the first external
+    # centre of each of the first `pinned` corners, as hive-cover runs it
+    h = build_hive()
+    verts = hive_vertices(h)
+    balls = {v: restricted_ball(v, verts) for v in verts}
+    covered = frozenset().union(*(balls[external_cycle(h, c)[0]] for c in h.corners[:pinned]))
+    return ExactCoverInstance(tuple(v for v in verts if v not in covered),
+                              tuple((str(v), balls[v]) for v in verts if not balls[v] & covered))
+
+
+def test_memo_replays_the_totality_subtree_as_searched():
+    i = _totality_subtree(2)
+    sols, exhausted, nodes = _run_x(i, None, None)
+    assert (len(sols), len(set(sols)), exhausted) == (4 ** 7, 4 ** 7, True)
+    assert (sols, exhausted, nodes) == reference_x(i)
+
+
+def test_memo_on_disjoint_blocks_matches_reference_x_at_every_limit(monkeypatch):
+    # in a union of disjoint blocks the same uncovered blocks recur under
+    # many choices, so most subtrees are replayed; a limit inside a
+    # memoised subtree stops where the memo-free search stops
+    replay = ptmc.cover._replay
+    replays = []
+
+    def counted_replay(*args):
+        replays.append(None)
+        return replay(*args)
+
+    monkeypatch.setattr("ptmc.cover._replay", counted_replay)
+    rng = random.Random(23)
+    for trial in range(40):
+        universe, tiles = [], []
+        for b in range(rng.randint(2, 4)):
+            cells = [(b, c) for c in range(rng.randint(1, 3))]
+            universe += cells
+            tiles += [(f"b{b}t{k}", rng.sample(cells, rng.randint(1, len(cells))))
+                      for k in range(rng.randint(1, 4))]
+        rng.shuffle(tiles)
+        i = inst(universe, tiles)
+        total = len(reference_x(i)[0])
+        for limit in (*range(1, total + 2), None):
+            assert _run_x(i, limit, None) == reference_x(i, limit)
+    assert len(replays) > 100
+
+
+def test_memo_matches_reference_x_at_every_limit_and_shuffled_order():
+    rng = random.Random(31)
+    for trial in range(80):
+        ncells = rng.randint(1, 10)
+        universe = list(range(ncells))
+        tiles = [(f"t{t:02d}", rng.sample(universe, rng.randint(1, max(1, ncells // 3))))
+                 for t in range(rng.randint(1, 16))]
+        i = inst(universe, tiles)
+        keep = list(range(len(tiles)))
+        rng.shuffle(keep)
+        for j in (i, i.restrict(keep)):
+            total = len(reference_x(j)[0])
+            for limit in (*range(1, total + 2), None):
+                assert _run_x(j, limit, None) == reference_x(j, limit)
+    for limit in (1, 2, None):  # the empty universe has one cover, the empty one
+        assert _run_x(inst([], []), limit, None) == reference_x(inst([], []), limit)
+
+
+def test_deadline_passing_during_a_replay_keeps_a_prefix(monkeypatch):
+    # the clock is read at each cover a replay lists; a deadline passing at
+    # the third cover of a replay ends the run there, with the covers listed
+    # so far in search order
+    i = _totality_subtree(3)
+    full, _, _ = _run_x(i, None, None)
+    replay = ptmc.cover._replay
+    reads, listed = [], []
+
+    def clock():
+        reads.append(None)
+        return float(len(reads) >= 3)
+
+    def replay_on_the_clock(branches, path, names, out, deadline):
+        if not listed and sum(entry[1] for _, entry in branches) > 3:
+            listed.append(len(out))
+            monkeypatch.setattr("ptmc.cover.time.monotonic", clock)
+        return replay(branches, path, names, out, deadline)
+
+    monkeypatch.setattr("ptmc.cover.time.monotonic", lambda: 0.0)
+    monkeypatch.setattr("ptmc.cover._replay", replay_on_the_clock)
+    sols, exhausted, _ = _run_x(i, None, 0.5)
+    assert not exhausted
+    assert (len(reads), len(sols)) == (3, listed[0] + 3)
+    assert sols == full[:len(sols)]
 
 
 def test_budget_is_checked_during_set_up():

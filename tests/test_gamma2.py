@@ -502,11 +502,11 @@ def test_hive_census_rejects_close_cross_corner_candidates(monkeypatch):
         enumerate_hive_2ptmc(h)
 
 
-@pytest.mark.slow
 def test_hive_census_is_complete():
     # exhaustive totality check over balls of all 81 candidate centers:
     # the one-per-corner selections are the only isolated radius-2 codes;
-    # the search tree's size pins the branching order on dataclass cells
+    # the search tree's size, most of it replayed from the memo, pins the
+    # branching order on dataclass cells
     total, exhaustive, nodes = ptmc.gamma2.enumerate_hive_2ptmc_complete(build_hive())
     assert (total, exhaustive, nodes) == (4**9, True, 357_889)
 
