@@ -99,10 +99,13 @@ def _read_json(path: str, parse):
 
     A document of the wrong shape (a missing key, a list where an object
     belongs, an edge to an unknown vertex) is bad input, a ValueError,
-    like a file that is not JSON at all.
+    like a file that is not JSON at all or nests too deeply to parse.
     """
     with open(path) as f:
-        doc = json.load(f)
+        try:
+            doc = json.load(f)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
     try:
         return parse(doc)
     except (KeyError, TypeError, AttributeError) as e:
@@ -168,7 +171,7 @@ def cmd_verify_domination(check, args) -> tuple[int, dict, dict, list]:
         s = code
     else:
         raise ValueError("vertex-list codes need --graph")
-    return _verify_outcome(args, check(s, g), {"graph_vertices": len(g), "code": len(s)})
+    return _verify_outcome(args, check(s, g), {"graph_vertices": len(g), "code": len(set(s))})
 
 
 def cmd_construct_box(args) -> tuple[int, dict, dict, list]:
@@ -222,8 +225,9 @@ def cmd_search(args) -> tuple[int, dict, dict, list]:
         _at_least(1, "--limit", args.limit)
     # the parser lets exactly one source through
     if args.instance is not None:
-        inst = _read_json(args.instance, cover_mod.instance_from_json)
-        counts = {"cells": len(inst.universe), "tiles": len(inst.ids)}
+        universe, tiles = _read_json(args.instance, cover_mod.instance_from_json)
+        counts = {"cells": len(universe), "tiles": len(tiles)}
+        build = partial(cover_mod.ExactCoverInstance, universe, tiles)
     else:
         if args.grid is not None:
             if len(args.grid) != 2:
@@ -236,10 +240,11 @@ def cmd_search(args) -> tuple[int, dict, dict, list]:
         else:
             g = _load_graph(args.graph)
         counts = {"cells": len(g), "tiles": len(g)}
-        try:
-            inst = cover_mod.eds_instance(g, deadline=args._deadline)
-        except cover_mod.OutOfTime:
-            inst = None  # the budget ended the build: a search that made no node
+        build = partial(cover_mod.eds_instance, g)
+    try:
+        inst = build(deadline=args._deadline)
+    except cover_mod.OutOfTime:
+        inst = None  # the budget ended the build: a search that made no node
     if args.enumerate:
         res = (cover_mod.EnumerateOutcome((), False, 0) if inst is None else
                cover_mod.enumerate_covers(inst, limit=args.limit, deadline=args._deadline))

@@ -405,7 +405,7 @@ def code_to_json(code: CodeSet, kappa: KappaAssignment) -> dict:
 def code_from_json(doc: dict) -> tuple[CodeSet, KappaAssignment | None]:
     """The code and radius map (None without "kappa") of a code document.
     An ambient kind other than torus or window, or a vertex listed twice,
-    raises ValueError."""
+    raises ValueError; a "kappa" that is not an object, TypeError."""
     amb = doc["ambient"]
     if amb["kind"] == "torus":
         a = Ambient.torus(*amb["moduli"])
@@ -423,7 +423,9 @@ def code_from_json(doc: dict) -> tuple[CodeSet, KappaAssignment | None]:
             seen.add(v)
     if "kappa" not in doc:
         return code, None
-    by_hash = dict(doc["kappa"])
+    by_hash = doc["kappa"]
+    if not isinstance(by_hash, dict):
+        raise TypeError(f"kappa {by_hash!r} is not an object")
     by_class = {}
     for comp in components_of(code):
         if comp.class_key in by_class:

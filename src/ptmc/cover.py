@@ -13,15 +13,15 @@ order of their graph's vertices or their file's tiles.
 The search turns every set it needs into a Python int: a tile's cells, a
 cell's tiles, the tiles a choice rules out (built the first time that tile
 is chosen), and the per-cell candidate counts as a few bit slices, read
-through ExactCoverInstance.masks. Only instance files and explicit tile
-lists are tile-listed; such an instance builds them from the cell
-positions found when constructed. The builders here make masks directly.
-An efficient-domination instance has one mask per vertex, its closed
-neighborhood, serving as both its tile's cells and its cell's tiles. On a
-torus listed in row-major order, translating a tile by one step along an
-axis is one masked rotation of its cell mask, so every placement of a
-tiling orientation, and every cell's mask of tiles, is its predecessor
-rotated once. However costly the callers' cells are to hash, a
+through ExactCoverInstance.masks, which every instance holds from its
+construction: one given as a tile list (an instance file, say) builds
+them once, from its tiles' cell positions; the builders here make them
+directly. An efficient-domination instance has one mask per vertex, its
+closed neighborhood, serving as both its tile's cells and its cell's
+tiles. On a torus listed in row-major order, translating a tile by one
+step along an axis is one masked rotation of its cell mask, so every
+placement of a tiling orientation, and every cell's mask of tiles, is its
+predecessor rotated once. However costly the callers' cells are to hash, a
 search node is then a handful of int operations, and position order is bit
 order, which is the branching order. The search runs as a loop over an
 explicit stack of frames of ints, so backtracking is a pop and search
@@ -63,24 +63,22 @@ def _check_clock(deadline: float | None) -> None:
 class ExactCoverInstance:
     """An ordered universe of cells plus candidate tiles (id, cell subset).
 
-    ids[r] is tile r's id and rows[r] the positions in universe of its
-    cells. The search reads masks(): (names, cells, holders) over bits b,
-    where tile names[b] has the cell mask cells[b] and holders[c] masks the
-    bits whose tiles hold cell c; the tiles are the bits in _order. The
-    constructor checks the tiles and keeps only their ids and rows, from
-    which masks() builds the masks at each call, keeping none; it serves
-    instance files and explicit tile lists. A tiling or efficient-
+    ids[r] is tile r's id. The search reads masks, (names, cells, holders)
+    over bits b, where tile names[b] has the cell mask cells[b] and
+    holders[c] masks the bits whose tiles hold cell c; the tiles are the
+    bits in _order. The constructor checks the tiles, then builds the masks
+    from the positions in universe of their cells; with a deadline (a
+    time.monotonic() value) it raises OutOfTime once that has passed,
+    checked before each tile's mask and each cell's. A tiling or efficient-
     domination instance (see tiling_instance and eds_instance, the latter
-    one shared mask per vertex) holds its masks, trusted as built, as
-    _masks, and makes its rows from them on first use, as does one from
-    restrict. Either form makes tiles, the (id, frozenset of cells) pairs,
-    from its ids and rows on first use; row(r) reads one tile's positions
-    and makes no other tile's.
+    one shared mask per vertex), and one from restrict, is made on masks
+    built elsewhere, trusted as built. row(r) reads one tile's positions off
+    its mask; tiles, the (id, frozenset of cells) pairs, is made from the
+    rows on first use.
     """
 
-    _masks = None
-
-    def __init__(self, universe: tuple, tiles: Iterable[tuple[str, frozenset]]) -> None:
+    def __init__(self, universe: tuple, tiles: Iterable[tuple[str, frozenset]],
+                 deadline: float | None = None) -> None:
         pos = {c: i for i, c in enumerate(universe)}
         if len(pos) != len(universe):
             raise ValueError("universe has duplicate cells")
@@ -96,64 +94,49 @@ class ExactCoverInstance:
                 rows.append(tuple(map(pos.__getitem__, tcells)))
             except KeyError:
                 raise ValueError(f"tile {tid!r} leaves the universe") from None
+        cells = []
+        holders: list = [[] for _ in universe]  # positions, then masks
+        for r, row in enumerate(rows):
+            _check_clock(deadline)
+            cells.append(_mask(row))
+            for c in row:
+                holders[c].append(r)
+        for c, h in enumerate(holders):
+            _check_clock(deadline)
+            holders[c] = _mask(h)
         self.universe = universe
         self.ids = tuple(ids)
-        self.rows = tuple(rows)
-        self._order = range(len(rows))
+        self.masks = (self.ids, cells, holders)
+        self._order = range(len(cells))
 
     @classmethod
     def _from_masks(cls, universe: tuple, masks: tuple, order) -> "ExactCoverInstance":
         """An instance on masks, its tiles the bits in order: a range is
         kept as one, and must then be every bit, ascending."""
         inst = cls.__new__(cls)
-        inst.universe, inst._masks = universe, masks
+        inst.universe, inst.masks = universe, masks
         inst._order = order if isinstance(order, range) else tuple(order)
         inst.ids = tuple(map(masks[0].__getitem__, inst._order))
         return inst
 
-    def masks(self, deadline: float | None = None) -> tuple:
-        """(names, cells, holders); a tile-listed instance's are built afresh,
-        raising OutOfTime past the deadline, checked per tile and per cell."""
-        if self._masks is not None:
-            return self._masks
-        cells = []
-        holders: list[list[int]] = [[] for _ in self.universe]
-        for r, row in enumerate(self.rows):
-            _check_clock(deadline)
-            cells.append(_mask(row))
-            for c in row:
-                holders[c].append(r)
-        tiles = []
-        for h in holders:
-            _check_clock(deadline)
-            tiles.append(_mask(h))
-        return self.ids, cells, tiles
-
     def restrict(self, keep) -> "ExactCoverInstance":
         """The tiles at positions keep, in keep's order, on the same masks."""
-        return self._from_masks(self.universe, self.masks(), map(self._order.__getitem__, keep))
+        return self._from_masks(self.universe, self.masks, map(self._order.__getitem__, keep))
 
     def row(self, r: int) -> tuple[int, ...]:
-        """The positions in universe of tile r's cells: read off its mask,
-        or its row if tile-listed, so no other tile's masks are made."""
-        if self._masks is None:
-            return self.rows[r]
-        return tuple(_positions(self._masks[1][self._order[r]]))
+        """The positions in universe, ascending, of tile r's cells, read off
+        its mask, so no other tile's are made."""
+        return tuple(_positions(self.masks[1][self._order[r]]))
 
     def holding(self, c: int) -> list[int]:
         """The positions, ascending, of the tiles holding cell position c."""
-        bits = set(_positions(self.masks()[2][c]))
+        bits = set(_positions(self.masks[2][c]))
         return [r for r, b in enumerate(self._order) if b in bits]
-
-    @cached_property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        cells = self.masks()[1]
-        return tuple(tuple(_positions(cells[b])) for b in self._order)
 
     @cached_property
     def tiles(self) -> tuple[tuple[str, frozenset], ...]:
         cell = self.universe.__getitem__
-        return tuple((tid, frozenset(map(cell, row))) for tid, row in zip(self.ids, self.rows))
+        return tuple((tid, frozenset(map(cell, self.row(r)))) for r, tid in enumerate(self.ids))
 
 
 @dataclass(frozen=True)
@@ -177,7 +160,7 @@ class EnumerateOutcome:
 def _run_x(inst: ExactCoverInstance, limit: int | None, deadline: float | None):
     """Core Algorithm X loop. Returns (solutions, exhausted, nodes).
 
-    It reads inst.masks(deadline) over bit positions, the live tiles first
+    It reads inst.masks over bit positions, the live tiles first
     being the bits of inst._order: cells[b] masks tile b's cells, tiles[c]
     the tiles containing cell c, and kill[b], built the first time b is
     selected, is the OR of tiles[c] over the bits c of cells[b], i.e. every
@@ -211,19 +194,17 @@ def _run_x(inst: ExactCoverInstance, limit: int | None, deadline: float | None):
     builds new ints and a new counts list, so backtracking is a pop, which
     stores the frame's memo entry. Every tried candidate counts as a node:
     nodes counts the nodes of the search tree, replayed subtrees included.
-    The deadline is checked while masks() builds, at the end of the
-    set-up, then at each node and at each cover a replay lists; one passed
-    before the first node, even before the call, gives 0 nodes.
+    The deadline is checked at the end of the set-up, then at each node
+    and at each cover a replay lists; one passed before the first node,
+    even before the call, gives 0 nodes.
     """
-    try:
-        names, cells, tiles = inst.masks(deadline)
-        order = inst._order
-        live = (1 << len(cells)) - 1
-        if not isinstance(order, range):  # a range is every bit, ascending
-            live ^= _mask(set(range(len(cells))).difference(order))
-        counts = _sliced_sum(cells, live)
-        _check_clock(deadline)
-    except OutOfTime:
+    names, cells, tiles = inst.masks
+    order = inst._order
+    live = (1 << len(cells)) - 1
+    if not isinstance(order, range):  # a range is every bit, ascending
+        live ^= _mask(set(range(len(cells))).difference(order))
+    counts = _sliced_sum(cells, live)
+    if deadline is not None and time.monotonic() > deadline:
         return [], False, 0
     rank = None
     if not isinstance(order, range) and any(b > c for b, c in zip(order, order[1:])):
@@ -564,13 +545,15 @@ def _cell_from_json(c):
     return tuple(c) if isinstance(c, list) else c
 
 
-def instance_from_json(doc: dict) -> ExactCoverInstance:
+def instance_from_json(doc: dict) -> tuple[tuple, list[tuple[str, frozenset]]]:
+    """The universe and tiles of an instance document, for ExactCoverInstance."""
     universe = tuple(_cell_from_json(c) for c in _array(doc["universe"]))
+    hash(universe)  # a cell that cannot be hashed is a malformed document: TypeError
     tiles = []
     for entry in _array(doc["tiles"]):
         tid, cells = _array(entry, 2)
         tiles.append((_str_id(tid), frozenset(_cell_from_json(c) for c in _array(cells))))
-    return ExactCoverInstance(universe, tuple(tiles))
+    return universe, tiles
 
 
 def grid_eds_survey(max_side: int, deadline: float | None = None) -> dict:

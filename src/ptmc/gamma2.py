@@ -432,7 +432,10 @@ def enumerate_hive_2ptmc_complete(h: Hive, deadline: float | None = None):
     """
     verts = hive_vertices(h)
     tiles = tuple((str(v), restricted_ball(v, verts)) for v in verts)
-    inst = ExactCoverInstance(tuple(verts), tiles)
+    try:
+        inst = ExactCoverInstance(tuple(verts), tiles, deadline)
+    except OutOfTime:
+        return 0, False, 0
     res = enumerate_covers(inst, deadline=deadline)
     return len(res.solutions), res.exhaustive, res.nodes
 

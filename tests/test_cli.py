@@ -16,6 +16,8 @@ from ptmc.cli import build_parser, main
 from ptmc.codes import code_to_json
 from ptmc.constructions import build_box_code
 from ptmc.cover import eds_instance
+from ptmc.graphs import lattice_graph
+from ptmc.metric import Ambient
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -174,6 +176,40 @@ def test_budget_passing_during_the_eds_build_is_a_timeout(extra, verdicts, tmp_p
     assert len(made) == 100
 
 
+@pytest.mark.parametrize("extra, verdicts", [
+    ([], {"outcome": "timeout"}),
+    (["--enumerate"], {"exhaustive": False}),
+])
+def test_budget_passing_during_an_instance_file_build_is_a_timeout(extra, verdicts, tmp_path,
+                                                                   monkeypatch):
+    # the budget passes while the instance's tile masks are built: the build
+    # stops at its next clock read, the search is never started, and the
+    # report keeps the file's counts
+    g = lattice_graph(Ambient.torus(10, 10))
+    inst_file = tmp_path / "torus.json"
+    inst_file.write_text(json.dumps({
+        "universe": [list(v) for v in g.vertices],
+        "tiles": [[str(v), [list(u) for u in sorted(g.neighbors(v) | {v})]]
+                  for v in g.vertices]}))
+    made = []
+
+    def mask(positions):
+        made.append(None)
+        if len(made) == 10:
+            time.sleep(0.3)
+        return make_mask(positions)
+
+    make_mask = ptmc.cover._mask
+    monkeypatch.setattr("ptmc.cover._mask", mask)
+    code, report = run(["search", "--instance", str(inst_file), "--budget", "0.2"] + extra,
+                       tmp_path)
+    assert code == 3
+    assert report["verdicts"] == verdicts
+    assert (report["counts"]["cells"], report["counts"]["tiles"]) == (100, 100)
+    assert report["counts"]["nodes"] == 0
+    assert len(made) == 10
+
+
 def test_search_limit_exit_codes(tmp_path):
     inst_file = dense_instance_file(tmp_path)
     # reaching the limit is success
@@ -231,6 +267,20 @@ def test_gamma_count_complete_records_nodes(tmp_path):
     assert report["counts"]["complete_nodes"] > 0
 
 
+def test_gamma_count_complete_budget_ending_the_build(tmp_path, monkeypatch):
+    # the budget passes while the totality instance is built: no search node
+    def mask(positions):
+        time.sleep(0.6)
+        return make_mask(positions)
+
+    make_mask = ptmc.cover._mask
+    monkeypatch.setattr("ptmc.cover._mask", mask)
+    code, report = run(["gamma", "count-2ptmc", "--complete", "--budget", "0.5"], tmp_path)
+    assert code == 3
+    assert report["verdicts"]["complete_exhaustive"] is False
+    assert (report["counts"]["complete_count"], report["counts"]["complete_nodes"]) == (0, 0)
+
+
 def test_gamma_no_isolated_pds(tmp_path):
     code, report = run(["gamma", "no-isolated-pds"], tmp_path)
     assert code == 0
@@ -283,6 +333,18 @@ def test_verify_gamma_pds_against_exported_graph(tmp_path):
     code, report = run(["verify", "pds", "--code", str(pds_file),
                         "--graph", str(hive_file)], tmp_path, "r5.json")
     assert code == 1 and report["verdicts"]["passed"] is False
+
+
+def test_verify_pds_counts_distinct_code_vertices(tmp_path):
+    # a vertex-list code may repeat an id; the code is the set it lists
+    graph_file, code_file = tmp_path / "g.json", tmp_path / "code.json"
+    graph_file.write_text(json.dumps({"vertices": [{"id": "x"}], "edges": []}))
+    code_file.write_text(json.dumps({"vertices": ["x", "x"]}))
+    for what in ("pds", "nipds"):
+        code, report = run(["verify", what, "--code", str(code_file), "--graph", str(graph_file)],
+                           tmp_path, f"{what}.json")
+        assert code == 0
+        assert report["counts"] == {"graph_vertices": 1, "code": 1}
 
 
 def test_export_dot_and_json(tmp_path):
@@ -444,6 +506,13 @@ def test_malformed_code_json_is_usage_error(tmp_path, capsys):
     ({"vertices": [{"id": "a"}, {"id": "b"}], "edges": [["a", "b", "a"]]}, ["search", "--graph"]),
     ({"ambient": {"kind": "window", "bounds": [[0]]}, "vertices": []},
      ["verify", "ptmc", "--t", "1", "--code"]),
+    # a radius map is an object: pairs would be read as one, or fail to
+    ({"ambient": {"kind": "torus", "moduli": [3, 3]}, "vertices": [[0, 0]],
+      "kappa": [["b0d317a3ada5", 1]]}, ["verify", "ptmc", "--code"]),
+    ({"ambient": {"kind": "torus", "moduli": [3, 3]}, "vertices": [[0, 0]],
+      "kappa": [["h", 1, 2]]}, ["verify", "ptmc", "--code"]),
+    # an instance cell must be hashable: an array inside a cell array is not
+    ({"universe": [[0, [1]]], "tiles": []}, ["search", "--instance"]),
 ])
 def test_malformed_document_is_usage_error(doc, argv, tmp_path, capsys):
     # valid JSON of the wrong shape is bad input, not a failed verification
@@ -451,6 +520,24 @@ def test_malformed_document_is_usage_error(doc, argv, tmp_path, capsys):
     path.write_text(json.dumps(doc))
     err = usage_error(argv + [str(path)], tmp_path, capsys)
     assert "input.json: malformed document" in err
+
+
+@pytest.mark.parametrize("depth", [5_000, 100_000])
+@pytest.mark.parametrize("argv", [
+    ["verify", "ptmc", "--t", "1", "--code", "DEEP"],
+    ["verify", "pds", "--code", "DEEP"],
+    ["verify", "pds", "--code", "CODE", "--graph", "DEEP"],
+    ["search", "--instance", "DEEP"],
+    ["search", "--graph", "DEEP"],
+])
+def test_deeply_nested_json_is_usage_error(argv, depth, tmp_path, capsys):
+    # the parser's recursion limit is bad input, not a crash
+    deep, code_file = tmp_path / "deep.json", tmp_path / "code.json"
+    deep.write_text("[" * depth + "]" * depth)
+    code_file.write_text(json.dumps({"vertices": ["x"]}))
+    names = {"DEEP": str(deep), "CODE": str(code_file)}
+    err = usage_error([names.get(a, a) for a in argv], tmp_path, capsys)
+    assert "deep.json: JSON nested too deeply" in err
 
 
 @pytest.mark.parametrize("doc, argv, named", [

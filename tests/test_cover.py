@@ -116,21 +116,16 @@ def test_verify_cover_reads_a_tiling_instance_off_its_masks():
     assert verify_cover(i.restrict(range(len(i.ids) - 1, -1, -1)), chosen)
     with pytest.raises(KeyError):
         verify_cover(i, chosen[:1] + ("no-such-tile",))
-    assert "tiles" not in i.__dict__ and "rows" not in i.__dict__
+    assert "tiles" not in i.__dict__
 
 
-def test_verify_cover_reads_a_tile_listed_instance_through_its_rows(monkeypatch):
+def test_verify_cover_reads_a_tile_listed_instance_through_its_rows():
     # a cover, an overlap, a gap and an unknown id get the verdicts of the
-    # masks form of the same instance, and masks() is never called
+    # same instance built by eds_instance
     masked = eds_instance(lattice_graph(Ambient.torus(10, 10)))
     listed = ExactCoverInstance(masked.universe, masked.tiles)
     chosen = solve(masked).tiles
     extra = next(t for t in masked.ids if t not in chosen)
-
-    def no_masks(self, deadline=None):
-        raise AssertionError("masks() called")
-
-    monkeypatch.setattr(ExactCoverInstance, "masks", no_masks)
     for picked, verdict in ((chosen, True), (chosen[::-1], True),
                             (chosen + (extra,), False), (chosen[1:], False)):
         assert verify_cover(listed, picked) is verify_cover(masked, picked) is verdict
@@ -158,7 +153,8 @@ def test_instance_positional_form():
     tiles = (("a", frozenset({(1, 1), (0, 1)})), ("b", frozenset({(1, 0)})))
     i = ExactCoverInstance(universe, tiles)
     assert i.ids == ("a", "b")
-    assert [sorted(row) for row in i.rows] == [[0, 2], [1]]
+    assert [i.row(r) for r in range(2)] == [(0, 2), (1,)]
+    assert i.masks == (("a", "b"), [0b101, 0b010], [0b01, 0b10, 0b01])
     assert i.universe is universe
     assert "tiles" not in vars(i)
     assert i.tiles == tiles
@@ -169,7 +165,7 @@ def test_instance_reads_its_tiles_once():
     # a generator of tiles gives the ids as a tuple does
     tiles = [("a", {1, 2}), ("b", {2}), ("c", {1})]
     i = ExactCoverInstance((1, 2), (t for t in tiles))
-    assert (i.ids, i.rows) == (("a", "b", "c"), ((0, 1), (1,), (0,)))
+    assert (i.ids, [i.row(r) for r in range(3)]) == (("a", "b", "c"), [(0, 1), (1,), (0,)])
     assert solve(i).tiles == ("a",)
 
 
@@ -368,13 +364,13 @@ def test_budget_is_checked_during_set_up():
 
 
 def test_budget_is_checked_while_tile_listed_masks_are_built(monkeypatch):
-    # the clock is read once per tile, then once per cell, each read before
-    # that tile's or cell's mask is made; a deadline passing at any read
-    # stops the build there, with 0 nodes
+    # the constructor reads the clock once per tile, then once per cell,
+    # each read before that tile's or cell's mask is made; a deadline
+    # passing at any read stops the build there
     g = lattice_graph(Ambient.torus(5, 5))  # 25 tiles over 25 cells
-    i = ExactCoverInstance(g.vertices, [(str(v), g.neighbors(v) | {v}) for v in g.vertices])
+    tiles = [(str(v), g.neighbors(v) | {v}) for v in g.vertices]
     make_mask = ptmc.cover._mask
-    for passes_at in range(1, 25 + 25 + 1):
+    for passes_at in range(1, 25 + 25 + 2):
         reads, masks = [], []
 
         def clock():
@@ -387,9 +383,13 @@ def test_budget_is_checked_while_tile_listed_masks_are_built(monkeypatch):
 
         monkeypatch.setattr("ptmc.cover.time.monotonic", clock)
         monkeypatch.setattr("ptmc.cover._mask", mask)
-        out = solve(i, deadline=0.5)
-        assert (out.kind, out.tiles, out.nodes) == ("timeout", None, 0)
-        assert (len(reads), len(masks)) == (passes_at, passes_at - 1)
+        if passes_at <= 50:
+            with pytest.raises(OutOfTime):
+                ExactCoverInstance(g.vertices, tiles, deadline=0.5)
+            assert (len(reads), len(masks)) == (passes_at, passes_at - 1)
+        else:
+            ExactCoverInstance(g.vertices, tiles, deadline=0.5)
+            assert (len(reads), len(masks)) == (50, 50)
 
 
 def test_eds_instance_reads_the_clock_once_per_vertex(monkeypatch):
@@ -438,9 +438,9 @@ def test_eds_masks_match_the_tile_listed_closed_neighbourhoods():
         i = eds_instance(g)
         listed = ExactCoverInstance(g.vertices,
                                     [(str(v), g.neighbors(v) | {v}) for v in g.vertices])
-        names, cells, holders = i.masks()
+        names, cells, holders = i.masks
         assert cells is holders
-        assert (names, cells, holders) == listed.masks()
+        assert (names, cells, holders) == listed.masks
         assert (i.ids, i.tiles) == (listed.ids, listed.tiles)
 
 
@@ -464,8 +464,7 @@ def test_eds_instance_refuses_a_repeated_tile_id():
 @pytest.mark.parametrize("n", [3, 4])
 def test_tile_listed_and_tiling_forms_search_alike(n):
     # the same tiles listed one by one search as the swept masks do, in
-    # instance order and in a shuffled order made by restrict; the listed
-    # instance keeps no masks once searched
+    # instance order and in a shuffled order made by restrict
     i, _ = tiling_instance(*_template_case(n))
     keep = list(range(len(i.ids)))
     random.Random(n).shuffle(keep)
@@ -473,7 +472,6 @@ def test_tile_listed_and_tiling_forms_search_alike(n):
         listed = ExactCoverInstance(tiling.universe, tiling.tiles)
         for limit in (1, 2):
             assert _run_x(listed, limit, None) == _run_x(tiling, limit, None)
-        assert "_masks" not in vars(listed)
 
 
 def test_restrict_on_a_tile_listed_instance_matches_reference_x():
@@ -622,9 +620,9 @@ def test_tiling_instance_matches_naive_placements(a, shapes):
     assert blocks == kept
     # the positional form the search reads: each row lists the positions of
     # its tile's cells
-    assert len(i.rows) == len(i.ids) == len(expected)
-    assert all(sorted(row) == sorted(pos[c] for c in cells[tid])
-               for tid, row in zip(i.ids, i.rows))
+    assert len(i.ids) == len(expected)
+    assert all(i.row(r) == tuple(sorted(pos[c] for c in cells[tid]))
+               for r, tid in enumerate(i.ids))
 
 
 def _template_case(n):
@@ -654,12 +652,12 @@ def test_tiling_masks_match_naive_placements(a, shapes):
     # one at a time, and so do the rows made from them on demand
     i, blocks = tiling_instance(a, shapes)
     want_blocks, rows, cells, holders = naive_tiling_masks(a, shapes, shape_orientations)
-    names, got_cells, got_holders = i._masks
+    names, got_cells, got_holders = i.masks
     assert blocks == want_blocks
     assert len(names) == len(i.ids) == len(rows) == len(blocks) * len(i.universe)
     assert got_cells == cells
     assert got_holders == holders
-    assert [list(row) for row in i.rows] == rows
+    assert [list(i.row(r)) for r in range(len(i.ids))] == rows
 
 
 def test_tiling_instance_checks_its_deadline_before_each_sweep(monkeypatch):
@@ -709,7 +707,7 @@ def test_instance_json_round_trip():
     # JSON has no tuples: list-valued cells come back as tuple cells
     doc = {"universe": [[0, 0], [0, 1]],
            "tiles": [["a", [[0, 0]]], ["b", [[0, 1]]], ["c", [[0, 0], [0, 1]]]]}
-    back = instance_from_json(doc)
+    back = ExactCoverInstance(*instance_from_json(doc))
     i = inst([(0, 0), (0, 1)], [("a", {(0, 0)}), ("b", {(0, 1)}), ("c", {(0, 0), (0, 1)})])
     assert (back.universe, back.tiles) == (i.universe, i.tiles)
 
