@@ -48,7 +48,8 @@ from typing import Iterable
 
 from .codes import verify_partition
 from .graphs import Graph, _array, _str_id, grid_graph
-from .metric import Ambient, DimensionMismatch, Point, _strides, truncated_ball
+from .metric import (Ambient, DimensionMismatch, Point, _mask, _rotate, _strides, _top_rows,
+                     truncated_ball)
 
 
 class OutOfTime(Exception):
@@ -317,14 +318,6 @@ def _replay(branches, path: list[str], names, out: list, deadline: float | None)
     return True
 
 
-def _mask(positions) -> int:
-    """The int with exactly the given bit positions set."""
-    m = 0
-    for p in positions:
-        m |= 1 << p
-    return m
-
-
 def _positions(m: int) -> list[int]:
     """The bit positions set in m, ascending: found in its binary digits,
     so a sparse mask costs one pass over its length, not one per bit."""
@@ -515,30 +508,22 @@ def _sweep(start: int, moduli: tuple[int, ...], copies: int) -> list[int]:
     the row-major one. start may hold copies blocks of N = prod(moduli)
     bits side by side; each is translated on its own.
 
-    Translating by +1 along axis i is one masked rotation,
-    ((m & ~H) << s) | ((m & H) >> (m_i - 1) s): the cells with x_i < m_i - 1
-    move up by the stride s, and those with x_i = m_i - 1, marked by H,
-    wrap down to x_i = 0. The masks come from the last axis to the first:
+    Translating by +1 along axis i is one masked rotation (`_rotate`): the
+    cells with x_i < m_i - 1 move up by the stride s, and those with x_i =
+    m_i - 1, marked by `_top_rows`, wrap down to x_i = 0. The masks come
+    from the last axis to the first:
     each axis's run of m_i translates of all masks so far, so every mask
     but start costs one rotation.
     """
-    size = prod(moduli)
+    size = prod(moduli) * copies
     out = [start]
     for m, s in zip(reversed(moduli), reversed(_strides(moduli))):
-        period = m * s
-        top = _repeat(((1 << s) - 1) << (m - 1) * s, period, size * copies // period)
-        rest = ((1 << size * copies) - 1) ^ top
-        down = (m - 1) * s
+        top, down = _top_rows(m, s, 1, size), (m - 1) * s
         runs = [out]
         for _ in range(m - 1):
-            runs.append([(x & rest) << s | (x & top) >> down for x in runs[-1]])
+            runs.append([_rotate(x, top, s, down) for x in runs[-1]])
         out = [x for run in runs for x in run]
     return out
-
-
-def _repeat(block: int, width: int, times: int) -> int:
-    """block's bits (block < 2**width) repeated times times, width apart."""
-    return block * (((1 << width * times) - 1) // ((1 << width) - 1))
 
 
 def _cell_from_json(c):

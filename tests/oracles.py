@@ -64,6 +64,51 @@ def naive_components(code):
     return sorted(comps)
 
 
+def reference_components(code):
+    """(vertices, class key, wrapped) per component, by a BFS over vertex
+    tuples that lifts each component to Z^n one tuple per step; a lift
+    conflict means the component wraps an axis, and it then gets the least
+    translate that moves one of its vertices to the origin as its key."""
+    a = code.ambient
+    n = a.dimension
+    # (axis, step, modulus); a window's modulus 0 means no wrapping
+    moves = [(i, step, a.moduli[i] if a.is_torus else 0) for i in range(n) for step in (1, -1)]
+    member = set(code.vertices)
+    seen = set()
+    out = []
+    for root in code.vertices:
+        if root in seen:
+            continue
+        lift = {root: (0,) * n}
+        queue = [root]
+        seen.add(root)
+        wrapped = False
+        while queue:
+            v = queue.pop()
+            lv = lift[v]
+            for i, step, m in moves:
+                x = v[i] + step
+                u = v[:i] + ((x % m if m else x),) + v[i + 1:]
+                if u not in member:
+                    continue
+                lu = lv[:i] + (lv[i] + step,) + lv[i + 1:]
+                if u in lift:
+                    if lift[u] != lu:
+                        wrapped = True
+                    continue
+                lift[u] = lu
+                seen.add(u)
+                queue.append(u)
+        verts = tuple(sorted(lift))
+        if wrapped:
+            key = min(tuple(sorted(a.wrap(tuple(map(sub, u, v))) for u in verts)) for v in verts)
+        else:
+            mins = tuple(map(min, zip(*lift.values())))
+            key = tuple(sorted(tuple(map(sub, p, mins)) for p in lift.values()))
+        out.append((verts, key, wrapped))
+    return out
+
+
 def naive_verify_kappa_ptmc(code, kappa):
     """(passed, kind, witness) of the PTMC check by distance scans.
 

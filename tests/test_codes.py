@@ -4,8 +4,13 @@ import json
 import random
 import re
 import time
+import tracemalloc
+from collections import Counter
+from operator import add
 
 import pytest
+
+import ptmc.codes
 
 from ptmc.codes import (
     CodeSet,
@@ -28,13 +33,14 @@ from ptmc.constructions import build_box_code, square_singleton_template, build_
 from ptmc.cover import eds_instance, solve
 from ptmc.gamma2 import build_hive, hive_graph, hive_non_isolated_pds
 from ptmc.graphs import Graph, grid_graph, lattice_graph
-from ptmc.metric import Ambient, truncated_ball
+from ptmc.metric import Ambient, _nearest_ball, truncated_ball
 
 from oracles import (
     naive_components,
     naive_domination,
     naive_lattice_graph,
     naive_verify_kappa_ptmc,
+    reference_components,
 )
 
 
@@ -144,6 +150,34 @@ def test_components_found_once_per_code():
     fresh = CodeSet(code.ambient, code.vertices)
     assert code == fresh and hash(code) == hash(fresh)
     assert components_of(fresh) == first
+
+
+def test_components_match_the_reference_bfs():
+    # tori of dimension 1-4 with moduli 1-7, where at moduli 1 and 2 the
+    # steps +1 and -1 meet, and windows of the same sizes
+    rng = random.Random(21)
+    wrapped = moduli_met = 0
+    for _ in range(200):
+        extents = [rng.randint(1, 7) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.7:
+            a = torus(*extents)
+        else:
+            lows = [rng.randint(-3, 3) for _ in extents]
+            a = Ambient.window(*((lo, lo + e - 1) for lo, e in zip(lows, extents)))
+        verts = list(a.vertices())
+        code = CodeSet(a, tuple(rng.sample(verts, rng.randint(0, len(verts) * rng.choice((1, 3)) // 4))))
+        comps = components_of(code)
+        assert [(c.vertices, c.class_key, c.wrapped) for c in comps] == reference_components(code)
+        own = {v: v for v in code.vertices}
+        keys = {}
+        for c in comps:
+            assert all(own[v] is v for v in c.vertices)
+            assert keys.setdefault(c.class_key, c.class_key) is c.class_key
+            assert c.vertices == tuple(sorted(a.wrap(tuple(map(add, c.anchor, k)))
+                                              for k in c.class_key))
+        wrapped += any(c.wrapped for c in comps)
+        moduli_met += a.is_torus and min(a.moduli) < 3 and len(code) > 1
+    assert wrapped > 20 and moduli_met > 20
 
 
 def test_wrapped_component_flagged():
@@ -260,14 +294,26 @@ def test_nonunique_nearest_reports_smallest_witness():
     assert (rep.kind, rep.witness) == ("nonunique-nearest", ((0, 2),))
 
 
+@pytest.mark.parametrize("swept", [True, False])
+def test_nonunique_nearest_witness_on_either_path(swept, monkeypatch):
+    # the class swept as masks, or translated ball by ball
+    monkeypatch.setattr("ptmc.codes._swept", lambda *args: swept)
+    test_nonunique_nearest_reports_smallest_witness()
+
+
 def test_verifier_matches_naive_oracle_on_random_tori():
+    # up to n = 4 and up to a third of the torus, so that wrapped components,
+    # balls that wrap onto themselves (modulus 3) and classes of many
+    # components all occur
     rng = random.Random(17)
     kinds = set()
+    wrapped = self_wrapped = crowded = 0
     for _ in range(400):
-        n = rng.randint(1, 3)
-        a = torus(*(rng.randint(3, 6) for _ in range(n)))
+        n = rng.randint(1, 4)
+        a = torus(*(rng.randint(3, 6 if n < 4 else 4) for _ in range(n)))
         verts = list(a.vertices())
-        code = CodeSet(a, tuple(rng.sample(verts, rng.randint(1, min(6, len(verts) // 3 + 1)))))
+        most = rng.choice((min(6, len(verts) // 3 + 1), len(verts) // 3))
+        code = CodeSet(a, tuple(rng.sample(verts, rng.randint(1, most))))
         comps = components_of(code)
         assert [c.vertices for c in comps] == naive_components(code)
         if rng.random() < 0.5:
@@ -277,7 +323,123 @@ def test_verifier_matches_naive_oracle_on_random_tori():
         rep = verify_kappa_ptmc(code, kappa)
         assert (rep.passed, rep.kind, rep.witness) == naive_verify_kappa_ptmc(code, kappa)
         kinds.add(rep.kind)
+        wrapped += any(c.wrapped for c in comps)
+        # a ball spans its component's lift plus one vertex either side
+        self_wrapped += any(not c.wrapped and kappa.radius_for(c.class_key) >= 1
+                            and any(max(x) - min(x) + 3 > m
+                                    for x, m in zip(zip(*c.class_key), a.moduli))
+                            for c in comps)
+        crowded += max(Counter(c.class_key for c in comps).values(), default=0) >= 4
     assert kinds == {None, "bad-radius", "overlap", "gap", "nonunique-nearest"}
+    assert wrapped > 10 and self_wrapped > 10 and crowded > 10
+
+
+@pytest.mark.parametrize("swept", [True, False])
+def test_verifier_paths_match_naive_oracle_on_random_tori(swept, monkeypatch):
+    # every class swept as masks, or every class translated ball by ball
+    monkeypatch.setattr("ptmc.codes._swept", lambda *args: swept)
+    test_verifier_matches_naive_oracle_on_random_tori()
+
+
+def test_verifier_paths_agree_where_both_are_chosen(monkeypatch):
+    # on 8,000 vertices a class is swept as masks once it has 8 anchors or
+    # ball vertices, so sparse codes mix both paths
+    chosen = []
+    swept = ptmc.codes._swept
+
+    def recorded(*args):
+        chosen.append(swept(*args))
+        return chosen[-1]
+
+    rng = random.Random(5)
+    a = torus(20, 20, 20)
+    verts = list(a.vertices())
+    kinds = set()
+    for count in (1, 3, 40, 400, 1600):
+        for t in (1, 2, 3):
+            code = CodeSet(a, tuple(rng.sample(verts, count)))
+            reports = []
+            for rule in (recorded, lambda *args: True, lambda *args: False):
+                monkeypatch.setattr("ptmc.codes._swept", rule)
+                reports.append(verify_t_ptmc(code, t))
+            assert reports[0] == reports[1] == reports[2]
+            kinds.add(reports[0].kind)
+    assert True in chosen and False in chosen
+    assert {"overlap", "gap"} <= kinds
+    build = build_by_template(square_singleton_template(), seed=3)
+    code = inflate_code(build.code, (4, 4, 4))
+    for rule in (swept, lambda *args: True, lambda *args: False):
+        monkeypatch.setattr("ptmc.codes._swept", rule)
+        assert verify_kappa_ptmc(code, build.kappa).passed
+
+
+def test_verifier_finds_overlaps_between_swept_and_unswept_classes():
+    # 27,000 vertices: the class of 1,000 singletons (7-vertex balls) is
+    # swept as masks, the one pair (a 12-vertex ball) is not; the pair's
+    # ball meets the balls of (0, 0, 0) and (0, 0, 3) and nothing else
+    swept = ptmc.codes._swept
+    assert swept(1000, 7, 27000) and not swept(1, 12, 27000)
+    assert swept(1, 27, 27000)  # a large ball alone is enough
+    lattice = [(x, y, z) for x in range(0, 30, 3) for y in range(0, 30, 3) for z in range(0, 30, 3)]
+    code = CodeSet(torus(30, 30, 30), tuple(lattice) + ((1, 0, 1), (1, 0, 2)))
+    rep = verify_t_ptmc(code, 1)
+    assert (rep.kind, rep.witness) == ("overlap", ((0, 0, 1),))
+    assert verify_t_ptmc(CodeSet(code.ambient, tuple(lattice)), 1).kind == "gap"
+
+
+def test_verifier_translates_at_most_twice_per_component(monkeypatch):
+    # per class of A components, a ball of B vertices and T tied vertices:
+    # min(A, B) translates for the balls and min(A, T) for the ties when
+    # it is swept as masks, none when it is translated ball by ball
+    calls = []
+    translate = ptmc.codes._translate
+
+    def counted(*args):
+        calls.append(args[1])
+        return translate(*args)
+
+    monkeypatch.setattr("ptmc.codes._translate", counted)
+    rng = random.Random(2)
+    a = torus(9, 7, 8)
+    build = build_by_template(square_singleton_template(), seed=3)
+    cases = [build_box_code((2, 3, 2), (3, 2, 4)),
+             (inflate_code(build.code, (2, 1, 3)), build.kappa),
+             (CodeSet(a, tuple(rng.sample(list(a.vertices()), 150))), KappaAssignment.uniform(2)),
+             (CodeSet(torus(3, 6), ((0, 0), (1, 0), (1, 3), (2, 3))), KappaAssignment.uniform(2))]
+    # 27,000 vertices: singletons are swept, the few pairs and triples not
+    big = torus(30, 30, 30)
+    cases.append((CodeSet(big, tuple(rng.sample(list(big.vertices()), 300))),
+                  KappaAssignment.uniform(1)))
+    paths = set()
+    for code, kappa in cases:
+        comps = components_of(code)
+        classes = Counter(c.class_key for c in comps)
+        expect = 0
+        for key, count in classes.items():
+            ties = []
+            ball = _nearest_ball([code.ambient.wrap(k) for k in key], kappa.radius_for(key),
+                                 code.ambient.moduli, ties)
+            swept = ptmc.codes._swept(count, len(ball), code.ambient.vertex_count())
+            paths.add(swept)
+            if swept:
+                expect += min(count, len(ball)) + min(count, len(set(ties)))
+        del calls[:]
+        verify_kappa_ptmc(code, kappa)
+        assert len(calls) == expect <= 2 * len(comps)
+    assert paths == {True, False}
+
+
+def test_verifier_on_a_large_torus_holds_few_masks():
+    # 8,000,000 vertices; masks of N bits take 1 MB each
+    code = CodeSet(torus(400, 400, 50), ((200, 200, 25),))
+    tracemalloc.start()
+    try:
+        rep = verify_t_ptmc(code, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.kind, rep.witness) == ("gap", ((0, 0, 0),))
+    assert peak < 64 << 20
 
 
 def test_missing_kappa_entry_raises():

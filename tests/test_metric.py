@@ -8,6 +8,12 @@ import pytest
 from ptmc.metric import (
     Ambient,
     DimensionMismatch,
+    _mask,
+    _point,
+    _repeat,
+    _shifted,
+    _strides,
+    _translate,
     ball_size_formula,
     truncated_ball,
     truncated_distance,
@@ -154,3 +160,57 @@ def test_ambient_validation():
         Ambient.window((2, 1))
     with pytest.raises(ValueError):
         Ambient(kind="blob", moduli=(3,))
+
+
+def test_repeat_matches_the_repunit_product():
+    rng = random.Random(4)
+    for _ in range(300):
+        width = rng.randint(1, 40)
+        times = rng.randint(1, 300)
+        block = rng.getrandbits(width)
+        assert _repeat(block, width, times) == block * ((2 ** (width * times) - 1) // (2 ** width - 1))
+
+
+def test_mask_sets_exactly_the_positions():
+    rng = random.Random(6)
+    for count in (0, 1, 8, 9, 200):  # both sides of the switch to a bytearray
+        positions = [rng.randrange(5000) for _ in range(count)]
+        assert _mask(positions) == sum(1 << p for p in set(positions))
+        assert _mask(iter(positions)) == _mask(positions)
+
+
+def test_translate_moves_every_bit_by_the_vector():
+    rng = random.Random(8)
+    for _ in range(150):
+        moduli = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 4)))
+        size = moduli[0] * _strides(moduli)[0]
+        positions = rng.sample(range(size), rng.randint(0, size))
+        z = tuple(rng.randrange(m) for m in moduli)
+        moved = [sum(((x + y) % m) * k for x, y, m, k in zip(_point(p, moduli), z, moduli,
+                                                              _strides(moduli)))
+                 for p in positions]
+        tops = {}
+        assert _translate(_mask(positions), z, moduli, tops) == _mask(moved)
+        assert _translate(_mask(positions), z, moduli, tops) == _mask(moved)  # from the cache
+
+
+def test_shifted_moves_every_index_by_each_vector():
+    rng = random.Random(9)
+    for _ in range(150):
+        moduli = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 4)))
+        size = moduli[0] * _strides(moduli)[0]
+        positions = rng.sample(range(size), rng.randint(0, size))
+        zs = [tuple(rng.randrange(m) for m in moduli) for _ in range(rng.randint(0, 3))]
+        want = [[sum(((x + y) % m) * k for x, y, m, k in zip(_point(p, moduli), z, moduli,
+                                                             _strides(moduli)))
+                 for p in positions] for z in zs]
+        assert list(_shifted(positions, zs, moduli)) == want
+
+
+def test_translate_keeps_few_row_masks_on_a_large_torus():
+    # 8,000,000 vertices: the cache of wrapping rows is capped at 2**25 bits
+    moduli, tops, x = (400, 400, 50), {}, 1
+    for c in range(1, 8):
+        x = _translate(x, (c, c, c), moduli, tops)
+        assert len(tops) <= 4
+    assert x == 1 << 28 * 20000 + 28 * 50 + 28
