@@ -7,8 +7,12 @@ T: a node is a reduced ternary word (no two adjacent equal letters), and
 gluing along triangle s appends s, or pops it from a word ending with s. A
 tersquare is a pair of tree nodes, one per axis. The region of level L, the
 tersquares with |wx| + |wy| <= L, is the pair of depth-L truncated trees cut
-by that sum: `_levels` walks a truncated tree, and tersquares, region
-vertices and the growth sweep all read it.
+by that sum. `_words` lists a truncated tree in lexicographic order, where
+a word comes before its extensions, which is how tuples of words sort: so
+the pairs of its words under the cut-off, x-word outer and y-word inner,
+come out sorted, and tersquares, region vertices and a grown code's
+centres are generated in order, not sorted after. The growth sweep reads
+the same listing a level at a time.
 
 The compound is L(T) box L(T). A vertex is a pair (x-tree edge e, y-tree
 edge f), where a tree edge is (shallow node, letter) and its letter is the
@@ -19,11 +23,14 @@ neighbours (N[e] - e) x {f} and {e} x (N[f] - f), and its truncated 2-ball
 is N[e] x N[f]. Every local structure here is such a product of one piece
 per axis, and every graph (a hive's, a region's) is the subgraph induced
 on a vertex collection by the same rule, read off the rims N[e] - e and
-N[f] - f of each vertex's edges. `_rim_positions` numbers the tree edges
-of a collection once and finds each vertex's neighbours as positions in
-it by int lookups; the DOT and JSON exports and a region's interior
-degrees read those positions directly, and only `hive_graph` and
-`Region.graph` build a `Graph` from them.
+N[f] - f of each vertex's edges. The words of a collection are numbered
+once, so that edges, vertices and tersquares become ints:
+`_rim_positions` finds each vertex's neighbours as positions in the
+collection, and `_owners` its member tersquares, by int lookups, with no
+word tuple hashed per vertex. The DOT and JSON exports and a region's
+interior degrees read those positions directly, and only `hive_graph` and
+`Region.graph` build a `Graph` from them. Export ids and tersquare names
+are written from each word's text, made once per word.
 
 Addresses are plain named tuples (`Tersquare`, `GammaVertex`), hashed and
 ordered as tuples of their fields. Code here builds them only from reduced
@@ -41,7 +48,8 @@ import json
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
+from operator import add, itemgetter
 from typing import NamedTuple
 
 from .codes import VerifyReport, verify_partition
@@ -172,7 +180,9 @@ def containing_tersquares(v: GammaVertex) -> tuple[Tersquare, ...]:
     """The four tersquares a vertex lies in: an endpoint of its x-edge with
     one of its y-edge, the address (wx, wy) first and x varying fastest.
     Sorted, they read (wx, wy), (wx, wy+b), (wx+a, wy), (wx+a, wy+b)."""
-    return tuple(Tersquare(x, y) for y in (v.wy, v.wy + (v.b,)) for x in (v.wx, v.wx + (v.a,)))
+    wx, wy, a, b = v
+    x2, y2 = wx + (a,), wy + (b,)
+    return Tersquare(wx, wy), Tersquare(x2, wy), Tersquare(wx, y2), Tersquare(x2, y2)
 
 
 def neighbors(v: GammaVertex) -> tuple[GammaVertex, ...]:
@@ -235,27 +245,53 @@ def hive_vertices(h: Hive) -> tuple[GammaVertex, ...]:
 
 def _rim_positions(vertices) -> list[list[int]]:
     """For each position of a vertex sequence, the positions of that
-    vertex's neighbours in it.
+    vertex's neighbours in it, in no set order.
 
-    Each tree edge the vertices use is numbered once, in order of first
-    use, so a vertex (e, f) has the int key x * n + y from its edges'
-    numbers x and y, n edges in all. Each edge's rim N[e] - e is numbered
-    once too, less the edges no vertex uses; the neighbours of (x, y) are
-    then the keys m * n + y over the rim of x and x * n + m over the rim of
-    y, looked up as ints. Each list follows that order, x's rim first.
+    `_edge_numbers` turns each vertex into two edge ints, x and y, and each
+    edge's rim N[e] - e becomes a list of edge ints, made once per word
+    and letter, less the edges of words no vertex uses. With n edge ints
+    in all, the vertex (x, y) is keyed by the int x * n + y, and its
+    neighbours are the keys m * n + y over the rim of x and x * n + m over
+    the rim of y: one loop of int lookups per vertex. The lookup table
+    holds one entry per vertex, not one per pair of edges.
     """
-    num: dict = {}
-    keys = [(num.setdefault((v.wx, v.a), len(num)), num.setdefault((v.wy, v.b), len(num)))
-            for v in vertices]
-    n = len(num)
-    rims = [[k for k in map(num.get, _closed(e)[1:]) if k is not None] for e in num]
-    get = {x * n + y: i for i, (x, y) in enumerate(keys)}.get
+    if not vertices:
+        return []
+    base, xs, ys = _edge_numbers(vertices)
+    n = 3 * len(base)
+    rims: list = [()] * n
+    for w, k in base.items():
+        for a in _deeper(w):
+            rims[k + a] = [base[u] + s for u, s in _closed((w, a))[1:] if u in base]
+    x_rims = [[m * n for m in rim] for rim in rims]
+    get = dict(zip([x * n + y for x, y in zip(xs, ys)], range(len(xs)))).get
     out = []
-    for x, y in keys:
+    for x, y in zip(xs, ys):
+        found = []
+        for k in x_rims[x]:
+            i = get(k + y)
+            if i is not None:
+                found.append(i)
         xn = x * n
-        found = [get(m * n + y) for m in rims[x]] + [get(xn + m) for m in rims[y]]
-        out.append([i for i in found if i is not None])
+        for m in rims[y]:
+            i = get(xn + m)
+            if i is not None:
+                found.append(i)
+        out.append(found)
     return out
+
+
+def _edge_numbers(vertices) -> tuple[dict, list[int], list[int]]:
+    """The words of a nonempty vertex sequence numbered in order of first
+    use, and each vertex's x- and y-edge (w, a) as the int 3k + a, k the
+    number of w: a dict from each word to its 3k, then the x- and y-edge
+    ints in the vertices' order. Each vertex's words are hashed once."""
+    wxs, wys, las, lbs = zip(*vertices)
+    base = dict.fromkeys(wxs + wys)
+    for k, w in enumerate(base):
+        base[w] = 3 * k
+    get = base.__getitem__
+    return base, list(map(add, map(get, wxs), las)), list(map(add, map(get, wys), lbs))
 
 
 def _induced_graph(vertices) -> Graph:
@@ -317,46 +353,74 @@ def _deeper(w: Word) -> tuple[int, ...]:
     return _OTHER_LETTERS[w[-1]] if w else LETTERS
 
 
-def _levels(depth: int) -> list[list[Word]]:
-    """The tree nodes of each depth 0..depth, breadth first: each level
-    holds the children of the one above, in its order."""
-    levels: list[list[Word]] = [[()]]
-    for _ in range(depth):
-        levels.append([w + (s,) for w in levels[-1] for s in _deeper(w)])
-    return levels
+_SUFFIXES = tuple(((s,), (t,)) for s, t in _OTHER_LETTERS)  # _deeper, as suffixes
 
 
-def _tree_edges(depth: int) -> list[list[Edge]]:
-    """The tree edges (w, a) by the depth of their shallow node w, 0..depth."""
-    return [[(w, a) for w in level for a in _deeper(w)] for level in _levels(depth)]
+def _words(depth: int) -> list[Word]:
+    """The reduced words of length at most depth, in lexicographic order
+    (a word before its extensions): the depth-truncated tree in preorder,
+    each node's children by letter; [] when depth < 0.
+
+    Paired x-word outer, y-word inner under |wx| + |wy| <= depth, the
+    words list tersquares and vertices in sorted order. Each depth's words
+    come in the order of their parents, so by stable sort on length this
+    is also the breadth-first order that `_edge_code` sweeps.
+    """
+    if depth < 0:
+        return []
+    out = [()]
+    stack = [(2,), (1,), (0,)] if depth else []
+    while stack:
+        w = stack.pop()
+        out.append(w)
+        if len(w) < depth:
+            s, t = _SUFFIXES[w[-1]]
+            stack += (w + t, w + s)
+    return out
 
 
-def _cut(depth: int, xs: list[list], ys: list[list]):
-    """The pairs (x, y), x in xs[i] and y in ys[j], with i + j <= depth: the
-    cut-off |wx| + |wy| <= depth that bounds a region, on per-depth lists."""
-    return ((x, y) for i in range(depth + 1) for j in range(depth + 1 - i)
-            for x in xs[i] for y in ys[j])
+def _bounded(depth: int, nodes: list) -> list[list]:
+    """For k = 0..depth, the entries (word, ...) of a lexicographic list
+    whose words have length <= k, in order: those a word of length
+    depth - k pairs with under the cut-off |wx| + |wy| <= depth."""
+    return [[e for e in nodes if len(e[0]) <= k] for k in range(depth + 1)]
 
 
-def _tersquares_up_to(depth: int) -> list[Tersquare]:
-    """The tersquares with |wx| + |wy| <= depth, unsorted."""
-    levels = _levels(depth)
-    return [Tersquare(wx, wy) for wx, wy in _cut(depth, levels, levels)]
+def _tree_edges(depth: int) -> list[tuple[Word, tuple[int, ...]]]:
+    """Each node of `_words(depth)` with the letters of its edges down."""
+    return [(w, _deeper(w)) for w in _words(depth)]
+
+
+def _cut(depth: int, xs: list, ys: list) -> tuple[GammaVertex, ...]:
+    """The vertices (wx, wy, a, b) with (wx, letters a) from xs and (wy,
+    letters b) from ys and |wx| + |wy| <= depth, sorted: the entries list
+    their words lexicographically, each with its letters in order, and
+    no word in xs is longer than depth."""
+    # tuple.__new__ skips the named tuple's Python-level __new__
+    new, ys = tuple.__new__, _bounded(depth, ys)
+    return tuple([new(GammaVertex, (wx, wy, a, b)) for wx, la in xs
+                  for wy, lb in ys[depth - len(wx)] for a in la for b in lb])
+
+
+def _tersquares_up_to(depth: int) -> tuple[Tersquare, ...]:
+    """The tersquares with |wx| + |wy| <= depth, sorted."""
+    nodes = _tree_edges(depth)
+    new, ys = tuple.__new__, _bounded(depth, nodes)
+    return tuple([new(Tersquare, (wx, wy)) for wx, _ in nodes for wy, _ in ys[depth - len(wx)]])
 
 
 def _vertices_up_to(depth: int) -> tuple[GammaVertex, ...]:
     """The canonical vertices with |wx| + |wy| <= depth, sorted; () when
     depth < 0."""
     edges = _tree_edges(depth)
-    return tuple(sorted(_vertex(e, f) for e, f in _cut(depth, edges, edges)))
+    return _cut(depth, edges, edges)
 
 
 def build_region(level: int) -> Region:
     """Region of all tersquares with |wx| + |wy| <= level."""
     if level < 0:
         raise ValueError("region level must be >= 0")
-    members = tuple(sorted(_tersquares_up_to(level)))
-    return Region(level, members)
+    return Region(level, _tersquares_up_to(level))
 
 
 # ---------------------------------------------------------------------------
@@ -525,18 +589,18 @@ def _edge_code(max_depth: int, rng: random.Random | None) -> set[Edge]:
     exactly one chosen edge (efficient edge domination of the 3-regular
     tree), built by a breadth-first sweep of the tree's levels.
 
-    Level by level, each node whose incoming edge e touches no chosen edge
+    Level by level, in lexicographic order within a level (`_words` sorted
+    by length), each node whose incoming edge e touches no chosen edge
     yet (no edge of N[e] is chosen) adds one of its deeper edges to the
     code; the rng (or the least letter, when rng is None) picks it. No root
     edge is chosen, matching the hive picture where the chosen vertices
     sit in corners.
     """
     code: set[Edge] = set()
-    for level in _levels(max_depth)[1:]:
-        for node in level:
-            if code.isdisjoint(_closed((node[:-1], node[-1]))):
-                deeper = _deeper(node)
-                code.add((node, rng.choice(deeper) if rng is not None else deeper[0]))
+    for node in sorted(_words(max_depth), key=len)[1:]:
+        if code.isdisjoint(_closed((node[:-1], node[-1]))):
+            deeper = _deeper(node)
+            code.add((node, rng.choice(deeper) if rng is not None else deeper[0]))
     return code
 
 
@@ -575,13 +639,15 @@ def extend_2ptmc(level: int, seed: int | None = None) -> RegionCode:
     dx = _edge_code(level + 3, rng)
     dy = _edge_code(level + 3, rng)
     edges = _tree_edges(level)
-    xs, ys = ([[e for e in es if e in code] for es in edges] for code in (dx, dy))
-    centers = tuple(sorted(_vertex(e, f) for e, f in _cut(level, xs, ys)))
+    xs, ys = ([(w, [a for a in ls if (w, a) in code]) for w, ls in edges] for code in (dx, dy))
+    centers = _cut(level, xs, ys)
     interior = _vertices_up_to(level - 2)
     inside = set(interior)
     rep = verify_partition((local_ball(c) & inside for c in centers), interior)
-    size = sum(len(edges[i]) * len(edges[j])
-               for i in range(level + 1) for j in range(level + 1 - i))
+    per_depth = [0] * (level + 1)
+    for w, ls in edges:
+        per_depth[len(w)] += len(ls)
+    size = sum(per_depth[i] * per_depth[j] for i in range(level + 1) for j in range(level + 1 - i))
     return RegionCode(level, seed, centers, len(interior), size - len(interior), rep.passed,
                       rep.witness[0] if rep.witness else None)
 
@@ -607,16 +673,48 @@ def _owners(vertices, names: dict) -> list[list[str]]:
     given as names[member], in sorted tersquare order.
 
     A vertex's four tersquares sort as (wx, wy), (wx, wy+b), (wx+a, wy),
-    (wx+a, wy+b), a word sorting before its extensions; they are looked up
-    as plain word pairs, which hash and compare as the `Tersquare` keys.
+    (wx+a, wy+b), a word sorting before its extensions. The members' words
+    are numbered after the vertices' (`_edge_numbers`), and each edge int
+    3k + s gets child[3k + s], the 3k' of the word w + s, or `none` (the
+    3k' of no word) when w + s is not numbered. A member (u, v) is keyed
+    by the int 3k_u * row + 3k_v, row > none, so a vertex's four are int
+    lookups from its edge ints x, y: their words' bases x - x % 3 and
+    y - y % 3, and child[x], child[y].
     """
-    get = names.get
+    if not vertices:
+        return []
+    base, xs, ys = _edge_numbers(vertices)
+    for t in names:
+        base.setdefault(t.wx, 3 * len(base))
+        base.setdefault(t.wy, 3 * len(base))
+    none = 3 * len(base)
+    row = none + 1
+    child = [none] * none
+    for w, k in base.items():
+        for s in _deeper(w):
+            child[k + s] = base.get(w + (s,), none)
+    get = {base[t.wx] * row + base[t.wy]: name for t, name in names.items()}.get
     out = []
-    for v in vertices:
-        x2, y2 = v.wx + (v.a,), v.wy + (v.b,)
-        out.append([n for n in map(get, ((v.wx, v.wy), (v.wx, y2), (x2, v.wy), (x2, y2)))
-                    if n is not None])
+    for x, y in zip(xs, ys):
+        x1, x2 = (x - x % 3) * row, child[x] * row
+        y1, y2 = y - y % 3, child[y]
+        found = []
+        for key in (x1 + y1, x1 + y2, x2 + y1, x2 + y2):
+            name = get(key)
+            if name is not None:
+                found.append(name)
+        out.append(found)
     return out
+
+
+def _texts(vertices, members) -> tuple[list[str], dict]:
+    """Each vertex's id str(v), and each member tersquare's name str(t) keyed
+    by the member, written from their words' text, made once per word."""
+    words = {*chain.from_iterable(members), *map(itemgetter(0), vertices),
+             *map(itemgetter(1), vertices)}
+    text = {w: word_str(w) for w in words}
+    return ([f"{text[wx]}|{text[wy]}|{a}|{b}" for wx, wy, a, b in vertices],
+            {t: f"{text[t[0]]}|{text[t[1]]}" for t in members})
 
 
 def _json_array(items: list[str], pad: str) -> str:
@@ -639,7 +737,7 @@ def _export_json(vertices, members, adj: list[list[int]]) -> str:
     they come out in that order, each vertex's higher neighbours ranked.
     """
     quote = json.encoder.encode_basestring_ascii
-    ids = list(map(str, vertices))
+    ids, names = _texts(vertices, members)
     q = list(map(quote, ids))
     by_id = sorted(range(len(ids)), key=ids.__getitem__)
     rank = [0] * len(ids)
@@ -647,7 +745,8 @@ def _export_json(vertices, members, adj: list[list[int]]) -> str:
         rank[i] = r
     edges = [f"[\n      {q[i]},\n      {q[j]}\n    ]"
              for i in by_id for j in sorted([j for j in adj[i] if j > i], key=rank.__getitem__)]
-    owners = _owners(vertices, {t: quote(str(t)) for t in members})
+    names = {t: quote(name) for t, name in names.items()}
+    owners = _owners(vertices, names)
     verts = [f'{{\n      "id": {qi},\n      "tersquares": {_json_array(ts, "      ")}\n    }}'
              for qi, ts in zip(q, owners)]
     return f'{{\n  "edges": {_json_array(edges, "  ")},\n  "vertices": {_json_array(verts, "  ")}\n}}'
@@ -656,8 +755,8 @@ def _export_json(vertices, members, adj: list[list[int]]) -> str:
 def _export_dot(vertices, members, adj: list[list[int]], hive: Hive | None) -> str:
     """DOT text with membership in `members`; a hive's vertices are colored.
     Edges come in position order, which is sorted pair order."""
-    ids = list(map(str, vertices))
-    owners = _owners(vertices, {t: str(t) for t in members})
+    ids, names = _texts(vertices, members)
+    owners = _owners(vertices, names)
     lines = ["graph gamma2 {", '  node [shape=circle, style=filled];']
     for v, vid, ts in zip(vertices, ids, owners):
         attrs = ""
@@ -665,9 +764,7 @@ def _export_dot(vertices, members, adj: list[list[int]], hive: Hive | None) -> s
             cls = _vertex_class(v, hive)
             attrs = f'fillcolor="{_CLASS_COLORS[cls]}", class="{cls}", '
         lines.append(f'  "{vid}" [{attrs}tersquares="{";".join(ts)}"];')
-    for i, ns in enumerate(adj):
-        u = ids[i]
-        lines.extend(f'  "{u}" -- "{ids[j]}";' for j in sorted(ns) if j > i)
+    lines.extend(f'  "{ids[i]}" -- "{ids[j]}";' for i, ns in enumerate(adj) for j in sorted(ns) if j > i)
     lines.append("}")
     return "\n".join(lines)
 

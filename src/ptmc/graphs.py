@@ -18,11 +18,13 @@ class Graph:
 
     def __init__(self, adjacency: dict):
         self._adj = {v: frozenset(ns) for v, ns in adjacency.items()}
+        get = self._adj.get
         for v, ns in self._adj.items():
             for u in ns:
-                if u not in self._adj:
+                back = get(u)
+                if back is None:
                     raise ValueError(f"edge endpoint {u!r} missing from vertex set")
-                if v not in self._adj[u]:
+                if v not in back:
                     raise ValueError(f"asymmetric edge {v!r}->{u!r}")
             if v in ns:
                 raise ValueError(f"self-loop at {v!r}")

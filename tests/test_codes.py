@@ -520,6 +520,23 @@ def test_lattice_graph_matches_step_oracle():
         assert all(g.neighbors(v) == ref.neighbors(v) for v in g.vertices)
 
 
+@pytest.mark.parametrize("adjacency, message", [
+    ({0: {1}}, "edge endpoint 1 missing from vertex set"),
+    ({0: {1}, 1: set()}, "asymmetric edge 0->1"),
+    ({0: {0}}, "self-loop at 0"),
+    # vertices in order, each one's neighbours in order, its loop after them
+    ({0: {1, 2}, 1: set()}, "asymmetric edge 0->1"),
+    ({0: {1, 2}, 2: {0}}, "edge endpoint 1 missing from vertex set"),
+    ({0: {0, 5}}, "edge endpoint 5 missing from vertex set"),
+    ({0: {0, 1}, 1: set()}, "asymmetric edge 0->1"),
+    ({0: {0}, 1: {2}}, "self-loop at 0"),
+    ({0: {1}, 1: {0, 2}}, "edge endpoint 2 missing from vertex set"),
+])
+def test_graph_rejects_malformed_adjacency(adjacency, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Graph(adjacency)
+
+
 def test_pds_on_grid_4x4():
     g = grid_graph(4, 4)
     out = solve(eds_instance(g))

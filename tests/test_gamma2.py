@@ -36,7 +36,8 @@ from ptmc.gamma2 import (
     tersquare_vertices,
     verify_hive_selection,
 )
-from ptmc.gamma2 import _edge_code, _induced_graph, _tersquares_up_to, _vertices_up_to, ORIGIN
+from ptmc.gamma2 import (_edge_code, _induced_graph, _owners, _tersquares_up_to, _texts,
+                         _vertices_up_to, ORIGIN)
 import ptmc.gamma2
 
 from oracles import (
@@ -655,10 +656,15 @@ def test_naive_words_count_reduced_words():
 
 @pytest.mark.parametrize("depth", range(7))
 def test_region_enumerations_match_word_filter(depth):
-    tersquares = _tersquares_up_to(depth)
-    assert len(tersquares) == len(set(tersquares))
-    assert set(tersquares) == naive_tersquares(depth)
+    # both come out sorted, generated in order rather than sorted after
+    assert _tersquares_up_to(depth) == tuple(sorted(naive_tersquares(depth)))
+    assert build_region(depth).members == tuple(sorted(naive_tersquares(depth)))
     assert _vertices_up_to(depth) == naive_vertices(depth)
+
+
+def test_region_enumerations_are_empty_below_depth_0():
+    assert _vertices_up_to(-1) == ()
+    assert _tersquares_up_to(-1) == ()
 
 
 @pytest.mark.parametrize("level", range(2, 9))
@@ -762,6 +768,29 @@ def test_json_export_has_the_json_module_layout(target, level):
 def test_export_rejects_bad_requests(target, fmt, level):
     with pytest.raises(ValueError):
         export_graph(target, fmt, level=level)
+
+
+@pytest.mark.parametrize("center", [None] + HIVE_CENTERS)
+def test_export_ids_and_owners_match_str_and_sorted_tersquares(center):
+    # random subsets of the level-5 region (center None) or of a hive, in
+    # shuffled order, against members that only partly hold them
+    if center is None:
+        vertices, members = _vertices_up_to(5), _tersquares_up_to(5)
+    else:
+        h = build_hive(center)
+        vertices, members = hive_vertices(h), h.members
+    rng = random.Random(27)
+    for keep in (0.0, 0.2, 0.6, 1.0):
+        vs = [v for v in vertices if rng.random() < keep]
+        if keep < 1:
+            rng.shuffle(vs)
+        ms = [t for t in members if rng.random() < keep] + [random_tersquare(rng) for _ in range(5)]
+        ids, names = _texts(vs, ms)
+        assert ids == list(map(str, vs))
+        assert names == {t: str(t) for t in ms}
+        names = {t: f"member {i}" for i, t in enumerate(ms)}
+        assert _owners(vs, names) == [[names[t] for t in sorted(containing_tersquares(v)) if t in names]
+                                      for v in vs]
 
 
 # sha256 of the export text at the commit before the rim-based induced
