@@ -6,10 +6,11 @@ radius assignment maps each translation class of components to a radius.
 The main verifier checks that the truncated balls of the components
 partition the ambient and that every vertex has a unique nearest code
 vertex inside the component whose ball covers it. Every component of a
-class is its key translated to the component's anchor, so the verifier
-builds one ball per class and translates it to the other anchors: as
-masks over the row-major vertex index (see `ptmc.metric`) when the class
-has many anchors or a large ball, else index by index into a set.
+class is its key translated to the component's anchor, so when the class
+has many anchors or a large ball the verifier builds one ball and
+translates it to the other anchors as masks over the row-major vertex
+index (see `ptmc.metric`); else it builds each component's own ball into
+a set.
 `verify_partition` checks balls given as vertex sets, for the hive, the
 compound region and `verify_cover`.
 
@@ -25,14 +26,14 @@ import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain, product
+from itertools import product
 from operator import add, mod, mul, sub
 from typing import Collection, Iterable
 
 from .graphs import Graph, _array
 # truncated_ball is called nowhere here: perfbench/spans.py wraps this binding, which a test checks
-from .metric import (Ambient, Point, _integers, _mask, _nearest_ball, _point, _shifted,
-                     _strides, _translate, truncated_ball)
+from .metric import (Ambient, Point, _integers, _mask, _nearest_ball, _point, _strides,
+                     _translate, truncated_ball)
 
 ClassKey = tuple[Point, ...]
 
@@ -321,17 +322,17 @@ def verify_kappa_ptmc(code: CodeSet, kappa: KappaAssignment) -> VerifyReport:
     constructions are perfect, so that is what is checked.
 
     Every radius is checked against [1, n] before any ball is built. Then
-    each translation class is checked as a whole: its components are the
-    translates of its first one by the differences of their anchors, so
-    their balls are the translates of the first one's ball, ties and all.
-    A class is checked whichever of two ways costs less (`_swept`): as
-    row-major masks of N = prod(moduli) bits, the smaller of the shift list
-    and that ball translated by each point of the other; or ball by ball,
-    each shift added to the ball's indices (`_shifted`) into a set, as
-    `verify_partition` does. A vertex in two balls, of one class or two, is
-    an overlap; the ties are translated the same way. The verifier holds a
-    bounded number of masks of N bits at a time, and the set of vertices
-    in the balls of the classes checked ball by ball.
+    each translation class is checked whichever of two ways costs less
+    (`_swept`, judged from its first component's ball). Swept as row-major
+    masks of N = prod(moduli) bits: its components are the translates of
+    its first one by the differences of their anchors, so their balls are
+    the translates of that ball, ties and all, and the smaller of the shift
+    list and that ball is translated by each point of the other. Else ball
+    by ball: each component's own ball (`_nearest_ball`) goes into a set,
+    as `verify_partition` does. A vertex in two balls, of one class or two,
+    is an overlap. The verifier holds a bounded number of masks of N bits
+    at a time, and the set of vertices in the balls of the classes checked
+    ball by ball.
 
     Failures are checked in this order: degenerate ambient, bad radius
     (the first component in min-vertex order), overlap, gap, nonunique
@@ -344,28 +345,29 @@ def verify_kappa_ptmc(code: CodeSet, kappa: KappaAssignment) -> VerifyReport:
     if a.degenerate:
         return VerifyReport(False, "degenerate-ambient")
     n, moduli, size = a.dimension, a.moduli, a.vertex_count()
-    # radius, first component and each component's shift from it, per class
-    classes: dict[ClassKey, tuple[int, Component, list[Point]]] = {}
+    # radius, components and each one's shift from the first, per class
+    classes: dict[ClassKey, tuple[int, list[Component], list[Point]]] = {}
     for c in components_of(code):
         group = classes.get(c.class_key)
         if group is None:
-            group = classes[c.class_key] = (kappa.radius_for(c.class_key), c, [])
-        group[2].append(tuple(map(mod, map(sub, c.anchor, group[1].anchor), moduli)))
-    for t, first, _ in classes.values():
+            group = classes[c.class_key] = (kappa.radius_for(c.class_key), [], [])
+        group[1].append(c)
+        group[2].append(tuple(map(mod, map(sub, c.anchor, group[1][0].anchor), moduli)))
+    for t, comps, _ in classes.values():
         if not 1 <= t <= n:
-            return VerifyReport(False, "bad-radius", (first.min_vertex,))
+            return VerifyReport(False, "bad-radius", (comps[0].min_vertex,))
     strides = _strides(moduli)
     tops: dict = {}
     # masks of the classes swept as masks, and their overlaps and ties
     covered = overlap = tied = 0
-    # the vertices of the classes translated ball by ball, the least vertex
+    # the vertices of the classes checked ball by ball, the least vertex
     # of each ball's overlap with them, and their ties
     loose: set[int] = set()
     twice: list[int] = []
     ties_at: list[int] = []
-    for t, first, shifts in classes.values():
+    for t, comps, shifts in classes.values():
         ties: list[int] = []
-        ball = list(_nearest_ball(first.vertices, t, moduli, ties))
+        ball = list(_nearest_ball(comps[0].vertices, t, moduli, ties))
         ties = list(dict.fromkeys(ties))
         if _swept(len(shifts), len(ball), size):
             at = [sum(map(mul, z, strides)) for z in shifts]
@@ -375,13 +377,13 @@ def verify_kappa_ptmc(code: CodeSet, kappa: KappaAssignment) -> VerifyReport:
             if ties:
                 tied |= _sum_masks(at, ties, moduli, tops)[0]
             continue
-        # shifts[0] is the first component's own, zero
-        for moved in chain([ball], _shifted(ball, shifts[1:], moduli)):
-            if not loose.isdisjoint(moved):
-                twice.append(min(loose.intersection(moved)))
-            loose.update(moved)
-        for moved in chain([ties], _shifted(ties, shifts[1:], moduli)):
-            ties_at += moved
+        ties_at += ties
+        for c in comps:
+            if c is not comps[0]:  # the first one's ball is built above
+                ball = _nearest_ball(c.vertices, t, moduli, ties_at)
+            if not loose.isdisjoint(ball):
+                twice.append(min(loose.intersection(ball)))
+            loose.update(ball)
     spread = _mask(loose)
     w = _least(overlap | covered & spread, twice)
     if w is not None:
@@ -398,11 +400,14 @@ def verify_kappa_ptmc(code: CodeSet, kappa: KappaAssignment) -> VerifyReport:
 def _swept(anchors: int, ball: int, size: int) -> bool:
     """Whether a class of that many anchors and ball vertices is checked as
     masks of size bits rather than ball by ball. Masks cost min(anchors,
-    ball) translates of size bits, ball by ball anchors * ball index steps,
-    and one step took about as long as a masked translate of 1,000-1,500
-    bits (n = 3, tori of 24,000 to 2,400,000 vertices, keys of 1-512
-    vertices, 1-1,024 anchors): masks win once the longer list has
-    size / 1024 entries."""
+    ball) translates of size bits; ball by ball builds anchors balls, each
+    from every key vertex's offsets. Per ball vertex that took as long as a
+    masked translate of about 1,000 bits for 1-vertex keys, 2,000 for
+    4-vertex keys and 3,300-4,000 for keys of 16-64 vertices (medians, best
+    of 5; n = 3, tori of 24,000 to 2,400,000 vertices, 1-1,024 anchors,
+    radius 1 and 3): masks win once the longer list has size / 1024
+    entries for single vertices, and up to 4 times sooner for larger keys,
+    which this rule still checks ball by ball."""
     return max(anchors, ball) << 10 >= size
 
 

@@ -49,7 +49,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
-from operator import add, itemgetter
+from operator import add
 from typing import NamedTuple
 
 from .codes import VerifyReport, verify_partition
@@ -243,21 +243,20 @@ def hive_vertices(h: Hive) -> tuple[GammaVertex, ...]:
     return tuple(sorted(_vertex(e, f) for e in xs for f in ys))
 
 
-def _rim_positions(vertices) -> list[list[int]]:
+def _rim_positions(numbers) -> list[list[int]]:
     """For each position of a vertex sequence, the positions of that
-    vertex's neighbours in it, in no set order.
+    vertex's neighbours in it, in no set order, read from the sequence's
+    `_edge_numbers`.
 
-    `_edge_numbers` turns each vertex into two edge ints, x and y, and each
-    edge's rim N[e] - e becomes a list of edge ints, made once per word
-    and letter, less the edges of words no vertex uses. With n edge ints
-    in all, the vertex (x, y) is keyed by the int x * n + y, and its
-    neighbours are the keys m * n + y over the rim of x and x * n + m over
-    the rim of y: one loop of int lookups per vertex. The lookup table
-    holds one entry per vertex, not one per pair of edges.
+    Each vertex is two edge ints there, x and y, and each edge's rim
+    N[e] - e becomes a list of edge ints, made once per word and letter,
+    less the edges of words not numbered. With n edge ints in all, the
+    vertex (x, y) is keyed by the int x * n + y, and its neighbours are the
+    keys m * n + y over the rim of x and x * n + m over the rim of y: one
+    loop of int lookups per vertex. The lookup table holds one entry per
+    vertex, not one per pair of edges.
     """
-    if not vertices:
-        return []
-    base, xs, ys = _edge_numbers(vertices)
+    base, xs, ys = numbers
     n = 3 * len(base)
     rims: list = [()] * n
     for w, k in base.items():
@@ -281,13 +280,14 @@ def _rim_positions(vertices) -> list[list[int]]:
     return out
 
 
-def _edge_numbers(vertices) -> tuple[dict, list[int], list[int]]:
-    """The words of a nonempty vertex sequence numbered in order of first
-    use, and each vertex's x- and y-edge (w, a) as the int 3k + a, k the
-    number of w: a dict from each word to its 3k, then the x- and y-edge
-    ints in the vertices' order. Each vertex's words are hashed once."""
-    wxs, wys, las, lbs = zip(*vertices)
-    base = dict.fromkeys(wxs + wys)
+def _edge_numbers(vertices, members) -> tuple[dict, list[int], list[int]]:
+    """The words of a vertex sequence, then those of some tersquares,
+    numbered in order of first use, and each vertex's x- and y-edge (w, a)
+    as the int 3k + a, k the number of w: a dict from each word to its 3k,
+    then the x- and y-edge ints in the vertices' order. Each vertex's and
+    tersquare's words are hashed once."""
+    wxs, wys, las, lbs = tuple(zip(*vertices)) or ((),) * 4
+    base = dict.fromkeys(chain(wxs, wys, chain.from_iterable(members)))
     for k, w in enumerate(base):
         base[w] = 3 * k
     get = base.__getitem__
@@ -299,10 +299,14 @@ def _induced_graph(vertices) -> Graph:
 
     Its adjacency is `_rim_positions` read back into the collection, so
     each neighbour is the collection's own object however many adjacency
-    sets hold it, and no vertex is built or hashed to find one.
+    sets hold it, and no vertex is built or hashed to find one. The rims
+    are symmetric and hold no edge's own vertex, so the graph is built
+    without `Graph`'s checks.
     """
     verts = tuple(vertices)
-    return Graph({v: map(verts.__getitem__, ns) for v, ns in zip(verts, _rim_positions(verts))})
+    rims = _rim_positions(_edge_numbers(verts, ()))
+    return Graph._unchecked({v: frozenset(map(verts.__getitem__, ns))
+                             for v, ns in zip(verts, rims)})
 
 
 def hive_graph(h: Hive) -> Graph:
@@ -344,7 +348,8 @@ class Region:
         """The degree in the region's graph of each interior vertex, in
         order: the length of its `_rim_positions` entry, no graph built."""
         depth = self.level - 2
-        return [len(ns) for v, ns in zip(self.vertices, _rim_positions(self.vertices))
+        rims = _rim_positions(_edge_numbers(self.vertices, ()))
+        return [len(ns) for v, ns in zip(self.vertices, rims)
                 if len(v.wx) + len(v.wy) <= depth]
 
 
@@ -668,25 +673,20 @@ def _vertex_class(v: GammaVertex, h: Hive) -> str:
 _CLASS_COLORS = {"center": "white", "subcentral": "lightblue", "corner": "lightgray"}
 
 
-def _owners(vertices, names: dict) -> list[list[str]]:
+def _owners(numbers, names: dict) -> list[list[str]]:
     """For each vertex, the names of the member tersquares containing it,
-    given as names[member], in sorted tersquare order.
+    given as names[member], in sorted tersquare order, from the
+    `_edge_numbers` of the vertices and members.
 
     A vertex's four tersquares sort as (wx, wy), (wx, wy+b), (wx+a, wy),
-    (wx+a, wy+b), a word sorting before its extensions. The members' words
-    are numbered after the vertices' (`_edge_numbers`), and each edge int
+    (wx+a, wy+b), a word sorting before its extensions. Each edge int
     3k + s gets child[3k + s], the 3k' of the word w + s, or `none` (the
     3k' of no word) when w + s is not numbered. A member (u, v) is keyed
     by the int 3k_u * row + 3k_v, row > none, so a vertex's four are int
     lookups from its edge ints x, y: their words' bases x - x % 3 and
     y - y % 3, and child[x], child[y].
     """
-    if not vertices:
-        return []
-    base, xs, ys = _edge_numbers(vertices)
-    for t in names:
-        base.setdefault(t.wx, 3 * len(base))
-        base.setdefault(t.wy, 3 * len(base))
+    base, xs, ys = numbers
     none = 3 * len(base)
     row = none + 1
     child = [none] * none
@@ -707,14 +707,14 @@ def _owners(vertices, names: dict) -> list[list[str]]:
     return out
 
 
-def _texts(vertices, members) -> tuple[list[str], dict]:
+def _texts(numbers, members) -> tuple[list[str], dict]:
     """Each vertex's id str(v), and each member tersquare's name str(t) keyed
-    by the member, written from their words' text, made once per word."""
-    words = {*chain.from_iterable(members), *map(itemgetter(0), vertices),
-             *map(itemgetter(1), vertices)}
-    text = {w: word_str(w) for w in words}
-    return ([f"{text[wx]}|{text[wy]}|{a}|{b}" for wx, wy, a, b in vertices],
-            {t: f"{text[t[0]]}|{text[t[1]]}" for t in members})
+    by the member, written from the text of each word the vertices' and
+    members' `_edge_numbers` number, made once per word."""
+    base, xs, ys = numbers
+    text = list(map(word_str, base))
+    return ([f"{text[x // 3]}|{text[y // 3]}|{x % 3}|{y % 3}" for x, y in zip(xs, ys)],
+            {t: f"{text[base[t.wx] // 3]}|{text[base[t.wy] // 3]}" for t in members})
 
 
 def _json_array(items: list[str], pad: str) -> str:
@@ -726,7 +726,7 @@ def _json_array(items: list[str], pad: str) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
 
 
-def _export_json(vertices, members, adj: list[list[int]]) -> str:
+def _export_json(numbers, members, adj: list[list[int]]) -> str:
     """The text json.dumps(doc, indent=2, sort_keys=True) gives for the doc
     {"edges": [[u, v], ...], "vertices": [{"id": v, "tersquares": [...]},
     ...]}, written directly: each string is escaped as json.dumps escapes
@@ -737,7 +737,7 @@ def _export_json(vertices, members, adj: list[list[int]]) -> str:
     they come out in that order, each vertex's higher neighbours ranked.
     """
     quote = json.encoder.encode_basestring_ascii
-    ids, names = _texts(vertices, members)
+    ids, names = _texts(numbers, members)
     q = list(map(quote, ids))
     by_id = sorted(range(len(ids)), key=ids.__getitem__)
     rank = [0] * len(ids)
@@ -746,17 +746,17 @@ def _export_json(vertices, members, adj: list[list[int]]) -> str:
     edges = [f"[\n      {q[i]},\n      {q[j]}\n    ]"
              for i in by_id for j in sorted([j for j in adj[i] if j > i], key=rank.__getitem__)]
     names = {t: quote(name) for t, name in names.items()}
-    owners = _owners(vertices, names)
+    owners = _owners(numbers, names)
     verts = [f'{{\n      "id": {qi},\n      "tersquares": {_json_array(ts, "      ")}\n    }}'
              for qi, ts in zip(q, owners)]
     return f'{{\n  "edges": {_json_array(edges, "  ")},\n  "vertices": {_json_array(verts, "  ")}\n}}'
 
 
-def _export_dot(vertices, members, adj: list[list[int]], hive: Hive | None) -> str:
+def _export_dot(vertices, numbers, members, adj: list[list[int]], hive: Hive | None) -> str:
     """DOT text with membership in `members`; a hive's vertices are colored.
     Edges come in position order, which is sorted pair order."""
-    ids, names = _texts(vertices, members)
-    owners = _owners(vertices, names)
+    ids, names = _texts(numbers, members)
+    owners = _owners(numbers, names)
     lines = ["graph gamma2 {", '  node [shape=circle, style=filled];']
     for v, vid, ts in zip(vertices, ids, owners):
         attrs = ""
@@ -789,8 +789,9 @@ def export_graph(target: str, fmt: str, level: int = 2) -> str:
     """Render the hive or a region as DOT or JSON text.
 
     target is "hive" or "region"; level applies to regions only. The
-    sorted vertex tuple and its `_rim_positions` give the edges; no
-    `Graph` is built.
+    sorted vertex tuple and the member tersquares are numbered once
+    (`_edge_numbers`), and that numbering gives the edges
+    (`_rim_positions`), the ids and the owners; no `Graph` is built.
     """
     if target not in ("hive", "region"):
         raise ValueError(f"unknown export target {target!r}")
@@ -804,7 +805,8 @@ def export_graph(target: str, fmt: str, level: int = 2) -> str:
             raise ValueError("region level must be >= 0")
         hive = None
         vertices, members = _vertices_up_to(level), _tersquares_up_to(level)
-    adj = _rim_positions(vertices)
+    numbers = _edge_numbers(vertices, members)
+    adj = _rim_positions(numbers)
     if fmt == "dot":
-        return _export_dot(vertices, members, adj, hive)
-    return _export_json(vertices, members, adj)
+        return _export_dot(vertices, numbers, members, adj, hive)
+    return _export_json(numbers, members, adj)

@@ -14,8 +14,8 @@ here work on two finite ambient spaces:
     A vertex set is then an int mask over that index, and translating it
     by a torus vector is one masked rotation per axis (`_rotate`, with the
     wrapping rows from `_top_rows`); the sweep and the verifier's
-    per-class translates (`_translate`) share that rule. A short list of
-    indices is translated index by index instead (`_shifted`).
+    per-class translates (`_translate`) share that rule, the one
+    translation rule here.
 
 Coordinate differences on a torus are wrapped to the representative of
 minimal absolute value; a tie (even modulus, offset exactly half) picks the
@@ -299,24 +299,6 @@ def _translate(x: int, z: Point, moduli: tuple[int, ...], tops: dict) -> int:
                 top = tops[i, c] = _top_rows(m, s, c, size)
             x = _rotate(x, top, c * s, (m - c) * s)
     return x
-
-
-def _shifted(ps: list[int], zs: list[Point], moduli: tuple[int, ...]) -> Iterator[list[int]]:
-    """The row-major torus indices ps translated by each torus vector of zs
-    in turn, one list per vector, by per-axis index arithmetic: a translate
-    costs O(n len(ps)), however large the torus."""
-    if not zs:
-        return
-    columns = []  # the points' coordinates, axis by axis, last axis first
-    for m in reversed(moduli):
-        columns.append([p % m for p in ps])
-        ps = [p // m for p in ps]
-    columns.reverse()
-    for z in zs:
-        out = [0] * len(ps)
-        for xs, c, m, s in zip(columns, z, moduli, _strides(moduli)):
-            out = list(map(add, out, [(x + c) % m * s for x in xs]))
-        yield out
 
 
 def _point(i: int, moduli: tuple[int, ...]) -> Point:

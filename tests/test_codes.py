@@ -389,16 +389,22 @@ def test_verifier_finds_overlaps_between_swept_and_unswept_classes():
 
 def test_verifier_translates_at_most_twice_per_component(monkeypatch):
     # per class of A components, a ball of B vertices and T tied vertices:
-    # min(A, B) translates for the balls and min(A, T) for the ties when
-    # it is swept as masks, none when it is translated ball by ball
-    calls = []
-    translate = ptmc.codes._translate
+    # min(A, B) translates for the balls and min(A, T) for the ties, and
+    # one ball built, when it is swept as masks; no translate and A balls
+    # built, each component's own, when it is checked ball by ball
+    calls, built = [], []
+    translate, nearest_ball = ptmc.codes._translate, ptmc.codes._nearest_ball
 
     def counted(*args):
         calls.append(args[1])
         return translate(*args)
 
+    def counted_ball(*args):
+        built.append(args[0])
+        return nearest_ball(*args)
+
     monkeypatch.setattr("ptmc.codes._translate", counted)
+    monkeypatch.setattr("ptmc.codes._nearest_ball", counted_ball)
     rng = random.Random(2)
     a = torus(9, 7, 8)
     build = build_by_template(square_singleton_template(), seed=3)
@@ -414,18 +420,22 @@ def test_verifier_translates_at_most_twice_per_component(monkeypatch):
     for code, kappa in cases:
         comps = components_of(code)
         classes = Counter(c.class_key for c in comps)
-        expect = 0
+        expect, expect_built = 0, []
         for key, count in classes.items():
             ties = []
             ball = _nearest_ball([code.ambient.wrap(k) for k in key], kappa.radius_for(key),
                                  code.ambient.moduli, ties)
             swept = ptmc.codes._swept(count, len(ball), code.ambient.vertex_count())
             paths.add(swept)
+            mine = [c.vertices for c in comps if c.class_key == key]
             if swept:
                 expect += min(count, len(ball)) + min(count, len(set(ties)))
-        del calls[:]
+                mine = mine[:1]
+            expect_built += mine
+        del calls[:], built[:]
         verify_kappa_ptmc(code, kappa)
         assert len(calls) == expect <= 2 * len(comps)
+        assert built == expect_built
     assert paths == {True, False}
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from ptmc.codes import verify_non_isolated_pds, verify_pds
 from ptmc.cover import enumerate_covers, eds_instance
+from ptmc.graphs import Graph
 from ptmc.gamma2 import (
     GammaVertex,
     Tersquare,
@@ -36,8 +37,8 @@ from ptmc.gamma2 import (
     tersquare_vertices,
     verify_hive_selection,
 )
-from ptmc.gamma2 import (_edge_code, _induced_graph, _owners, _tersquares_up_to, _texts,
-                         _vertices_up_to, ORIGIN)
+from ptmc.gamma2 import (_edge_code, _edge_numbers, _induced_graph, _owners, _tersquares_up_to,
+                         _texts, _vertices_up_to, ORIGIN)
 import ptmc.gamma2
 
 from oracles import (
@@ -337,6 +338,27 @@ def test_induced_graph_matches_neighbors_oracle_on_random_subsets():
             own = {v: v for v in subset}
             assert all(v is own[v] for v in g.vertices)
             assert all(u is own[u] for v in g.vertices for u in g.neighbors(v))
+
+
+def test_induced_graph_passes_graph_checks_and_matches_tersquare_oracle():
+    # built without Graph's checks: a checked Graph of the same adjacency
+    # accepts it, and the adjacency is the union of the tersquares meeting
+    # the vertices, induced on them (on hives and regions, the members')
+    cases = [(hive_vertices(h), h.members) for h in map(build_hive, HIVE_CENTERS)]
+    cases += [(r.vertices, r.members) for r in map(build_region, range(7))]
+    rng = random.Random(31)
+    for pool in (_vertices_up_to(5), hive_vertices(build_hive(HIVE_CENTERS[1]))):
+        for keep in (0.2, 0.5, 0.8):
+            subset = [v for v in pool if rng.random() < keep]
+            cases.append((subset, {t for v in subset for t in containing_tersquares(v)}))
+    for vertices, members in cases:
+        g = _induced_graph(vertices)
+        checked = Graph({v: g.neighbors(v) for v in vertices})
+        ref, kept = naive_tersquare_graph(members), set(vertices)
+        assert g.vertices == checked.vertices == tuple(sorted(vertices))
+        for v in g.vertices:
+            assert type(g.neighbors(v)) is frozenset
+            assert g.neighbors(v) == checked.neighbors(v) == ref.neighbors(v) & kept
 
 
 def test_neighboring_hives_share_four_tersquares():
@@ -785,12 +807,13 @@ def test_export_ids_and_owners_match_str_and_sorted_tersquares(center):
         if keep < 1:
             rng.shuffle(vs)
         ms = [t for t in members if rng.random() < keep] + [random_tersquare(rng) for _ in range(5)]
-        ids, names = _texts(vs, ms)
+        numbers = _edge_numbers(vs, ms)
+        ids, names = _texts(numbers, ms)
         assert ids == list(map(str, vs))
         assert names == {t: str(t) for t in ms}
         names = {t: f"member {i}" for i, t in enumerate(ms)}
-        assert _owners(vs, names) == [[names[t] for t in sorted(containing_tersquares(v)) if t in names]
-                                      for v in vs]
+        assert _owners(numbers, names) == [
+            [names[t] for t in sorted(containing_tersquares(v)) if t in names] for v in vs]
 
 
 # sha256 of the export text at the commit before the rim-based induced

@@ -11,7 +11,6 @@ from ptmc.metric import (
     _mask,
     _point,
     _repeat,
-    _shifted,
     _strides,
     _translate,
     ball_size_formula,
@@ -192,19 +191,6 @@ def test_translate_moves_every_bit_by_the_vector():
         tops = {}
         assert _translate(_mask(positions), z, moduli, tops) == _mask(moved)
         assert _translate(_mask(positions), z, moduli, tops) == _mask(moved)  # from the cache
-
-
-def test_shifted_moves_every_index_by_each_vector():
-    rng = random.Random(9)
-    for _ in range(150):
-        moduli = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 4)))
-        size = moduli[0] * _strides(moduli)[0]
-        positions = rng.sample(range(size), rng.randint(0, size))
-        zs = [tuple(rng.randrange(m) for m in moduli) for _ in range(rng.randint(0, 3))]
-        want = [[sum(((x + y) % m) * k for x, y, m, k in zip(_point(p, moduli), z, moduli,
-                                                             _strides(moduli)))
-                 for p in positions] for z in zs]
-        assert list(_shifted(positions, zs, moduli)) == want
 
 
 def test_translate_keeps_few_row_masks_on_a_large_torus():
