@@ -442,22 +442,25 @@ def verify_t_ptmc(code: CodeSet, t: int) -> VerifyReport:
 
 
 def _dominate(s: Iterable, g: Graph, accepts) -> tuple[set, VerifyReport]:
-    """S as a set, and the report of the domination scan behind the PDS
-    verifiers. The first vertex of S, in the order given, that is not in g
-    raises ValueError. The report fails at the first vertex of g outside S
-    whose neighbours in S `accepts` rejects: a gap if it has none, else an
-    overlap."""
-    sset = set()
+    """The positions in g.vertices of S, as a set, and the report of the
+    domination scan behind the PDS verifiers. The first vertex of S, in the
+    order given, that is not in g raises ValueError. The scan reads
+    neighbours by position; the report fails at the first vertex of g
+    outside S whose neighbour positions in S, a list, `accepts` rejects: a
+    gap if it has none, else an overlap."""
+    pos = g._pos
+    inside = set()
     for v in s:
-        if v not in g:
+        i = pos.get(v)
+        if i is None:
             raise ValueError(f"code vertex {v!r} not in graph")
-        sset.add(v)
-    for v in g.vertices:
-        if v not in sset:
-            seen = g.neighbors(v) & sset
+        inside.add(i)
+    for i, ns in enumerate(g._nbrs):
+        if i not in inside:
+            seen = [j for j in ns if j in inside]
             if not accepts(seen):
-                return sset, VerifyReport(False, "overlap" if seen else "gap", (v,))
-    return sset, VerifyReport(passed=True)
+                return inside, VerifyReport(False, "overlap" if seen else "gap", (g.vertices[i],))
+    return inside, VerifyReport(passed=True)
 
 
 def verify_pds(s: Iterable, g: Graph) -> VerifyReport:
@@ -467,8 +470,8 @@ def verify_pds(s: Iterable, g: Graph) -> VerifyReport:
     The report's `independent` flag states whether S induces no edges
     (an isolated PDS, also known as an efficient dominating set).
     """
-    sset, rep = _dominate(s, g, lambda seen: len(seen) == 1)
-    return replace(rep, independent=all(sset.isdisjoint(g.neighbors(v)) for v in sset))
+    inside, rep = _dominate(s, g, lambda seen: len(seen) == 1)
+    return replace(rep, independent=all(inside.isdisjoint(g._nbrs[i]) for i in inside))
 
 
 def verify_non_isolated_pds(s: Iterable, g: Graph) -> VerifyReport:
@@ -477,7 +480,9 @@ def verify_non_isolated_pds(s: Iterable, g: Graph) -> VerifyReport:
     Pass iff every vertex outside S is adjacent either to exactly one
     vertex of S, or to exactly two vertices of S joined by an edge.
     """
-    return _dominate(s, g, lambda seen: len(seen) == 1 or len(seen) == 2 and g.has_edge(*seen))[1]
+    nbrs = g._nbrs
+    return _dominate(s, g, lambda seen: len(seen) == 1
+                     or len(seen) == 2 and seen[1] in nbrs[seen[0]])[1]
 
 
 # ---------------------------------------------------------------------------

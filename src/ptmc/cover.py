@@ -170,9 +170,12 @@ def _run_x(inst: ExactCoverInstance, limit: int | None, deadline: float | None):
     ~cells[b] and live & ~kill[b].
 
     counts holds, per cell, the number of live tiles containing it as
-    bit slices: bit c of counts[j] is bit j of cell c's count. Selecting b
-    subtracts the killed tiles' cells masks from it, or sums the live
-    tiles' masks afresh when fewer tiles stay live than were killed.
+    bit slices: bit c of counts[j] is bit j of cell c's count. The first
+    counts are read off the cells' holders (`_counted`), one popcount per
+    cell, as at the root every tile is live. Selecting b subtracts the
+    killed tiles' cells masks from it, or sums the live tiles' masks
+    afresh (`_sliced_sum`) when fewer tiles stay live than were killed:
+    a sum over those few tiles costs less than a pass over every cell.
     Narrowing uncovered from the top slice down leaves the cells of
     minimum count; the lowest of them is the branching cell, so ties go to
     the earliest cell, and its candidates tiles[c] & live are tried in
@@ -204,7 +207,7 @@ def _run_x(inst: ExactCoverInstance, limit: int | None, deadline: float | None):
     live = (1 << len(cells)) - 1
     if not isinstance(order, range):  # a range is every bit, ascending
         live ^= _mask(set(range(len(cells))).difference(order))
-    counts = _sliced_sum(cells, live)
+    counts = _counted(tiles, live)
     if deadline is not None and time.monotonic() > deadline:
         return [], False, 0
     rank = None
@@ -348,6 +351,24 @@ def _sliced_sum(cells: list[int], chosen: int) -> list[int]:
     return counts
 
 
+_BIT_DIGITS = [(b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j) for j in range(8)]
+
+
+def _counted(holders: list[int], chosen: int) -> list[int]:
+    """Per-cell counts of the chosen bits in each cell's holders mask, as
+    bit slices: _sliced_sum(cells, chosen) read the other way round. The
+    counts are popcounts, laid out a byte per cell, 8 bits of them at a
+    time; bytes.translate turns each byte into the digit of one bit, so a
+    slice is one int() of a binary string, cell 0 its last digit."""
+    counts = [(h & chosen).bit_count() for h in holders]
+    width = max(counts, default=0).bit_length()
+    out = []
+    for shift in range(0, width, 8):
+        row = bytes([c >> shift & 255 for c in counts]) if width > 8 else bytes(counts)
+        out += [int(row.translate(_BIT_DIGITS[j])[::-1], 2) for j in range(min(8, width - shift))]
+    return out
+
+
 def solve(inst: ExactCoverInstance, deadline: float | None = None) -> CoverOutcome:
     """First exact cover under the deterministic branching order.
 
@@ -394,8 +415,10 @@ def eds_instance(g: Graph, deadline: float | None = None) -> ExactCoverInstance:
     neighborhoods N[v], v in S, partition V(G). Tile ids are str(vertex).
 
     Built as masks: vertex i of g.vertices is tile i and cell i, and its
-    one mask, N[v] over positions, is both the tile's cells and the cell's
-    holders, one list serving as both, as adjacency is symmetric. With a
+    one mask, bit i and the bits of its neighbours' positions, read as the
+    graph holds them with no vertex hashed, is both the tile's cells and
+    the cell's holders, one list serving as both, as adjacency is
+    symmetric. With a
     deadline (a time.monotonic() value), building raises OutOfTime once it
     has passed; it is checked before each vertex's mask.
     """
@@ -407,11 +430,10 @@ def eds_instance(g: Graph, deadline: float | None = None) -> ExactCoverInstance:
             if tid in seen:
                 raise ValueError(f"duplicate tile id {tid!r}")
             seen.add(tid)
-    pos = {v: i for i, v in enumerate(universe)}
     masks = []
-    for i, v in enumerate(universe):
+    for i, ns in enumerate(g._nbrs):
         _check_clock(deadline)
-        masks.append(_mask(map(pos.__getitem__, g.neighbors(v))) | 1 << i)
+        masks.append(_mask(ns) | 1 << i)
     return ExactCoverInstance._from_masks(universe, (ids, masks, masks), range(len(ids)))
 
 

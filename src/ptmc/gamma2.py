@@ -28,8 +28,9 @@ once, so that edges, vertices and tersquares become ints:
 `_rim_positions` finds each vertex's neighbours as positions in the
 collection, and `_owners` its member tersquares, by int lookups, with no
 word tuple hashed per vertex. The DOT and JSON exports and a region's
-interior degrees read those positions directly, and only `hive_graph` and
-`Region.graph` build a `Graph` from them. Export ids and tersquare names
+interior degrees read those positions directly, and `hive_graph` and
+`Region.graph` take them as a `Graph`'s neighbour positions as they are.
+Export ids and tersquare names
 are written from each word's text, made once per word.
 
 Addresses are plain named tuples (`Tersquare`, `GammaVertex`), hashed and
@@ -295,18 +296,18 @@ def _edge_numbers(vertices, members) -> tuple[dict, list[int], list[int]]:
 
 
 def _induced_graph(vertices) -> Graph:
-    """The subgraph of the compound induced on a vertex collection.
+    """The subgraph of the compound induced on a vertex collection, which
+    its callers pass sorted (a hive's vertices, a region's) and which is
+    taken as the graph's vertex order.
 
-    Its adjacency is `_rim_positions` read back into the collection, so
-    each neighbour is the collection's own object however many adjacency
-    sets hold it, and no vertex is built or hashed to find one. The rims
-    are symmetric and hold no edge's own vertex, so the graph is built
-    without `Graph`'s checks.
+    Its neighbours are the `_rim_positions` lists as they are, positions in
+    the collection, so each neighbour is the collection's own object
+    however many vertices it neighbours, and no vertex is built or hashed
+    to find one. The rims are symmetric and hold no edge's own vertex, so
+    the graph is built without `Graph`'s checks.
     """
     verts = tuple(vertices)
-    rims = _rim_positions(_edge_numbers(verts, ()))
-    return Graph._unchecked({v: frozenset(map(verts.__getitem__, ns))
-                             for v, ns in zip(verts, rims)})
+    return Graph._from_positions(verts, _rim_positions(_edge_numbers(verts, ())))
 
 
 def hive_graph(h: Hive) -> Graph:
@@ -733,18 +734,20 @@ def _export_json(numbers, members, adj: list[list[int]]) -> str:
     it, by the json module's C escaper, and the layout is fixed.
 
     The vertices are sorted, so an edge [u, v] has u at the lower position.
-    The edges sort by u's id, then v's: ranking the positions by id once,
-    they come out in that order, each vertex's higher neighbours ranked.
+    The edges sort by u's id, then v's: with the positions sorted by id
+    once, each v is filed under its lower neighbours u in that order, so
+    every u's list comes out sorted, and the lists are read in it too.
     """
     quote = json.encoder.encode_basestring_ascii
     ids, names = _texts(numbers, members)
     q = list(map(quote, ids))
     by_id = sorted(range(len(ids)), key=ids.__getitem__)
-    rank = [0] * len(ids)
-    for r, i in enumerate(by_id):
-        rank[i] = r
-    edges = [f"[\n      {q[i]},\n      {q[j]}\n    ]"
-             for i in by_id for j in sorted([j for j in adj[i] if j > i], key=rank.__getitem__)]
+    higher: list[list[int]] = [[] for _ in ids]
+    for j in by_id:
+        for i in adj[j]:
+            if i < j:
+                higher[i].append(j)
+    edges = [f"[\n      {q[i]},\n      {q[j]}\n    ]" for i in by_id for j in higher[i]]
     names = {t: quote(name) for t, name in names.items()}
     owners = _owners(numbers, names)
     verts = [f'{{\n      "id": {qi},\n      "tersquares": {_json_array(ts, "      ")}\n    }}'

@@ -14,7 +14,6 @@ from operator import add, mod, sub
 from ptmc.codes import CodeSet, components_of
 from ptmc.gamma2 import (LETTERS, GammaVertex, RegionCode, Tersquare, containing_tersquares,
                          neighbors)
-from ptmc.graphs import Graph
 from ptmc.metric import Ambient
 
 
@@ -148,8 +147,9 @@ def naive_verify_kappa_ptmc(code, kappa):
 
 
 def naive_lattice_graph(a):
-    """Grid graph of an ambient by stepping each vertex along each axis and
-    wrapping (torus) or bounds-checking (window) the result."""
+    """Grid graph of an ambient, as a dict from each vertex to the set of
+    its neighbours, by stepping each vertex along each axis and wrapping
+    (torus) or bounds-checking (window) the result."""
     adj = {v: set() for v in a.vertices()}
     for v in adj:
         for i in range(a.dimension):
@@ -159,37 +159,56 @@ def naive_lattice_graph(a):
                 u = a.wrap(tuple(w))
                 if a.contains(u) and u != v:
                     adj[v].add(u)
-    return Graph(adj)
+    return adj
 
 
-def naive_domination(s, g, relaxed):
+def same_graph(g, adj):
+    """Whether the Graph g has the vertices and edges of the dict adj from
+    each vertex to the set of its neighbours, read through g's queries by
+    vertex: sorted vertices, neighbours, degrees, membership, edge count."""
+    return (g.vertices == tuple(sorted(adj)) and len(g) == len(adj)
+            and all(v in g and g.neighbors(v) == adj[v] and g.degree(v) == len(adj[v])
+                    for v in adj)
+            and g.edge_count() == sum(map(len, adj.values())) // 2)
+
+
+def shuffled_adjacency(adj, rng):
+    """adj with its vertices, and each one's neighbours, in a random order:
+    the same graph for Graph to check and convert."""
+    keys = list(adj)
+    rng.shuffle(keys)
+    return {v: rng.sample(sorted(adj[v]), len(adj[v])) for v in keys}
+
+
+def naive_domination(s, adj, relaxed):
     """(passed, kind, witness, independent) of a PDS verifier by
-    literal loops over S.
+    literal loops over S, on a graph given as a dict from each vertex to
+    the set of its neighbours.
 
     A vertex outside S is dominated when exactly one vertex of S is its
     neighbour, or, if relaxed, exactly two that are joined by an edge. The
     witness is the smallest vertex that is not dominated; it is a gap with
     no neighbour in S, else an overlap. `independent` is whether no two
     vertices of S are joined by an edge, and None when relaxed. A vertex of
-    S outside g raises ValueError, the first in the order given.
+    S outside the graph raises ValueError, the first in the order given.
     """
     members = []
     for v in s:
-        if v not in g:
+        if v not in adj:
             raise ValueError(f"code vertex {v!r} not in graph")
         if v not in members:
             members.append(v)
     bad = []
-    for v in g.vertices:
+    for v in adj:
         if v in members:
             continue
-        doms = [u for u in members if g.has_edge(v, u)]
-        if len(doms) == 1 or relaxed and len(doms) == 2 and g.has_edge(*doms):
+        doms = [u for u in members if u in adj[v]]
+        if len(doms) == 1 or relaxed and len(doms) == 2 and doms[1] in adj[doms[0]]:
             continue
         bad.append((v, "overlap" if doms else "gap"))
     independent = None
     if not relaxed:
-        independent = not any(g.has_edge(u, w) for u, w in combinations(members, 2))
+        independent = not any(w in adj[u] for u, w in combinations(members, 2))
     if not bad:
         return True, None, (), independent
     v, kind = min(bad)
@@ -295,8 +314,9 @@ def naive_external_cycle(h, corner):
 
 
 def naive_tersquare_graph(members):
-    """Union of the member tersquares' vertices and triangle edges: within
-    a tersquare, vertices sharing a row or a column are adjacent."""
+    """Union of the member tersquares' vertices and triangle edges, as a
+    dict from each vertex to the set of its neighbours: within a
+    tersquare, vertices sharing a row or a column are adjacent."""
     adj = {}
     for t in members:
         grid = naive_grid(t)
@@ -306,15 +326,16 @@ def naive_tersquare_graph(members):
             if a1 == a2 or b1 == b2:
                 adj[grid[a1, b1]].add(grid[a2, b2])
                 adj[grid[a2, b2]].add(grid[a1, b1])
-    return Graph(adj)
+    return adj
 
 
 def naive_induced_graph(vertices):
-    """The subgraph `neighbors` induces on a vertex collection: each
-    vertex's eight neighbours, built and sorted, kept when in the
-    collection and mapped to its own objects."""
+    """The subgraph `neighbors` induces on a vertex collection, as a dict
+    from each vertex to the set of its neighbours: each vertex's eight
+    neighbours, built and sorted, kept when in the collection and mapped
+    to its own objects."""
     own = {v: v for v in vertices}
-    return Graph({v: [own[u] for u in neighbors(v) if u in own] for v in own})
+    return {v: {own[u] for u in neighbors(v) if u in own} for v in own}
 
 
 def naive_words(length):

@@ -25,6 +25,10 @@ KEEP = {
     "codes.verify_t_ptmc",
     # the compound's neighbours as the tests' oracles read them
     "gamma2.neighbors",
+    # Graph's queries by vertex, beside degree and `in`: the package reads
+    # neighbours by position, users of the exported Graph by vertex
+    "graphs.Graph.neighbors",
+    "graphs.Graph.has_edge",
 }
 
 

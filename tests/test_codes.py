@@ -31,16 +31,19 @@ from ptmc.codes import (
 )
 from ptmc.constructions import build_box_code, square_singleton_template, build_by_template
 from ptmc.cover import eds_instance, solve
-from ptmc.gamma2 import build_hive, hive_graph, hive_non_isolated_pds
+from ptmc.gamma2 import build_hive, hive_graph, hive_non_isolated_pds, hive_vertices
 from ptmc.graphs import Graph, grid_graph, lattice_graph
 from ptmc.metric import Ambient, _nearest_ball, truncated_ball
 
 from oracles import (
     naive_components,
     naive_domination,
+    naive_induced_graph,
     naive_lattice_graph,
     naive_verify_kappa_ptmc,
     reference_components,
+    same_graph,
+    shuffled_adjacency,
 )
 
 
@@ -525,9 +528,38 @@ def test_lattice_graph_matches_step_oracle():
             lows = [rng.randint(-3, 3) for _ in extents]
             ambients.append(Ambient.window(*((lo, lo + e - 1) for lo, e in zip(lows, extents))))
     for a in ambients:
-        g, ref = lattice_graph(a), naive_lattice_graph(a)
-        assert g.vertices == ref.vertices
-        assert all(g.neighbors(v) == ref.neighbors(v) for v in g.vertices)
+        ref = naive_lattice_graph(a)
+        assert same_graph(lattice_graph(a), ref), a
+        # the same adjacency as a dict in another order, checked and converted
+        assert same_graph(Graph(shuffled_adjacency(ref, rng)), ref), a
+
+
+def test_graph_edge_cases():
+    empty = Graph({})
+    assert same_graph(empty, {}) and empty.vertices == () and empty.edge_count() == 0
+    # moduli 1 and 2 and windows of extent 1: no loops, no doubled edges
+    for a, edges in [(torus(1), 0), (torus(2), 1), (torus(1, 1), 0), (torus(2, 2), 4),
+                     (torus(1, 2, 3), 9), (Ambient.window((3, 3)), 0),
+                     (Ambient.window((0, 0), (-2, 2)), 4),
+                     (Ambient.window((-1, -1), (2, 3), (5, 5)), 1)]:
+        g = lattice_graph(a)
+        assert same_graph(g, naive_lattice_graph(a)) and g.edge_count() == edges, a
+    # an unknown vertex is in no edge and has no neighbours or degree
+    for g in (empty, grid_graph(2, 3), lattice_graph(torus(3, 3)), cycle_graph(4)):
+        for u in (None, (0, 9), (3, 3), 7, "x"):
+            assert u not in g
+            assert not any(g.has_edge(u, v) or g.has_edge(v, u) for v in g.vertices)
+            assert not g.has_edge(u, u)
+            for query in (g.neighbors, g.degree):
+                with pytest.raises(KeyError):
+                    query(u)
+    # neighbours are the graph's own vertex objects, though the adjacency
+    # given holds equal copies
+    adj = {(i, 0): [((i + 1) % 5, 0), ((i - 1) % 5, 0)] for i in range(5)}
+    g = Graph({v: [tuple(list(u)) for u in ns] for v, ns in adj.items()})
+    own = {v: v for v in adj}
+    assert all(v is own[v] for v in g.vertices)
+    assert all(u is own[u] for v in g.vertices for u in g.neighbors(v))
 
 
 @pytest.mark.parametrize("adjacency, message", [
@@ -600,30 +632,35 @@ def report_fields(rep):
 
 
 def test_pds_verifiers_match_domination_oracle():
+    # each graph with the oracle's adjacency dict of it
     rng = random.Random(11)
+    graphs = [(grid_graph(m, n), naive_lattice_graph(Ambient.window((0, m - 1), (0, n - 1))))
+              for m, n in ((4, 4), (3, 5), (5, 6))]
+    graphs += [(lattice_graph(torus(5, 5)), naive_lattice_graph(torus(5, 5))),
+               (hive_graph(build_hive()), naive_induced_graph(hive_vertices(build_hive())))]
     cases = []
-    for g in (grid_graph(4, 4), grid_graph(3, 5), grid_graph(5, 6),
-              lattice_graph(torus(5, 5)), hive_graph(build_hive())):
-        verts = list(g.vertices)
-        cases.append((g, []))
+    for g, adj in graphs:
+        assert same_graph(g, adj)
+        verts = sorted(adj)
+        cases.append((g, adj, []))
         for _ in range(40):
-            cases.append((g, rng.sample(verts, rng.randint(1, len(verts) // 2))))
+            cases.append((g, adj, rng.sample(verts, rng.randint(1, len(verts) // 2))))
     # passing sets, from exact cover and the hive's relaxed set, with
     # one-vertex edits and repeats
-    g = grid_graph(4, 4)
+    g, adj = graphs[0]
     eds = [eval(t) for t in solve(eds_instance(g)).tiles]
-    cases += [(g, eds), (g, eds[1:]), (g, eds + [(0, 0)])]
-    g = lattice_graph(torus(5, 5))
+    cases += [(g, adj, eds), (g, adj, eds[1:]), (g, adj, eds + [(0, 0)])]
+    g, adj = graphs[3]
     eds = [eval(t) for t in solve(eds_instance(g)).tiles]
-    cases += [(g, eds), (g, eds[:-1]), (g, eds[::-1] + [eds[0]])]
-    g = hive_graph(build_hive())
+    cases += [(g, adj, eds), (g, adj, eds[:-1]), (g, adj, eds[::-1] + [eds[0]])]
+    g, adj = graphs[4]
     relaxed = list(hive_non_isolated_pds())
-    cases += [(g, relaxed), (g, relaxed[1:]), (g, relaxed + relaxed[:3])]
+    cases += [(g, adj, relaxed), (g, adj, relaxed[1:]), (g, adj, relaxed + relaxed[:3])]
     passed = set()
-    for g, s in cases:
+    for g, adj, s in cases:
         for check, rel in ((verify_pds, False), (verify_non_isolated_pds, True)):
             rep = check(s, g)
-            assert report_fields(rep) == naive_domination(s, g, rel), (check.__name__, s)
+            assert report_fields(rep) == naive_domination(s, adj, rel), (check.__name__, s)
             passed.add((check.__name__, rep.passed))
     assert len(passed) == 4  # every verifier both passes and fails somewhere
 

@@ -10,7 +10,9 @@ import ptmc.cover
 from ptmc.cover import (
     ExactCoverInstance,
     OutOfTime,
+    _counted,
     _run_x,
+    _sliced_sum,
     eds_instance,
     enumerate_covers,
     grid_eds_survey,
@@ -25,7 +27,7 @@ from ptmc.constructions import build_by_template, cube_singleton_template, squar
 from ptmc.gamma2 import (build_hive, external_cycle, hive_graph, hive_vertices, no_isolated_pds,
                          restricted_ball)
 from ptmc.graphs import Graph, grid_graph, lattice_graph
-from ptmc.metric import Ambient, DimensionMismatch, truncated_ball
+from ptmc.metric import Ambient, DimensionMismatch, _mask, truncated_ball
 
 from oracles import brute_ball, naive_cover_solutions, naive_tiling_masks, reference_x
 
@@ -487,6 +489,32 @@ def test_restrict_on_a_tile_listed_instance_matches_reference_x():
         assert r.tiles == tuple(i.tiles[k] for k in keep)
         for limit in (1, 3, None):
             assert _run_x(r, limit, None) == reference_x(r, limit)
+
+
+def test_first_counts_match_the_sliced_sum():
+    # the search's first counts, a popcount of each cell's holders, equal
+    # the chosen tiles' cell masks summed as bit slices: on random masks,
+    # with counts past a byte, no tile chosen, no cell at all, and the live
+    # tiles of restricted instances in a non-range order
+    rng = random.Random(43)
+    cases = [([0, 0, 0], [], 0b101)]  # three tiles over no cells
+    for _ in range(60):
+        ncells, ntiles, p = rng.randint(0, 30), rng.choice([0, 1, 7, 40, 700]), rng.random()
+        cells = [_mask(c for c in range(ncells) if rng.random() < p) for _ in range(ntiles)]
+        holders = [_mask(b for b, m in enumerate(cells) if m >> c & 1) for c in range(ncells)]
+        cases += [(cells, holders, chosen)
+                  for chosen in (0, (1 << ntiles) - 1, rng.getrandbits(ntiles))]
+    for big in (eds_instance(lattice_graph(Ambient.torus(7, 7))),
+                tiling_instance(*_template_case(3))[0]):
+        keep = rng.sample(range(len(big.ids)), len(big.ids) // 2)
+        _, cells, holders = big.restrict(keep).masks
+        cases.append((cells, holders, _mask(keep)))
+    widths = set()
+    for cells, holders, chosen in cases:
+        counts = _counted(holders, chosen)
+        assert counts == _sliced_sum(cells, chosen)
+        widths.add(len(counts))
+    assert {0, 9, 10} <= widths  # no count, and counts of 256-1023
 
 
 def test_deep_instance_beyond_recursion_limit():
