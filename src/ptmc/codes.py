@@ -6,11 +6,11 @@ radius assignment maps each translation class of components to a radius.
 The main verifier checks that the truncated balls of the components
 partition the ambient and that every vertex has a unique nearest code
 vertex inside the component whose ball covers it. Every component of a
-class is its key translated to the component's anchor, so when the class
-has many anchors or a large ball the verifier builds one ball and
-translates it to the other anchors as masks over the row-major vertex
-index (see `ptmc.metric`); else it builds each component's own ball into
-a set.
+class is its key translated to the component's anchor, so when walking
+every component's ball would cost more than translating masks, the
+verifier builds one ball and translates it to the other anchors as masks
+over the row-major vertex index (see `ptmc.metric`); else it builds each
+component's own ball into a set.
 `verify_partition` checks balls given as vertex sets, for the hive, the
 compound region and `verify_cover`.
 
@@ -33,7 +33,7 @@ from typing import Collection, Iterable
 from .graphs import Graph, _array
 # truncated_ball is called nowhere here: perfbench/spans.py wraps this binding, which a test checks
 from .metric import (Ambient, Point, _integers, _mask, _nearest_ball, _point, _strides,
-                     _translate, truncated_ball)
+                     _translate, ball_size_formula, truncated_ball)
 
 ClassKey = tuple[Point, ...]
 
@@ -369,7 +369,7 @@ def verify_kappa_ptmc(code: CodeSet, kappa: KappaAssignment) -> VerifyReport:
         ties: list[int] = []
         ball = list(_nearest_ball(comps[0].vertices, t, moduli, ties))
         ties = list(dict.fromkeys(ties))
-        if _swept(len(shifts), len(ball), size):
+        if _swept(len(shifts), len(comps[0].vertices), ball_size_formula(n, t), len(ball), size):
             at = [sum(map(mul, z, strides)) for z in shifts]
             union, doubled = _sum_masks(at, ball, moduli, tops)
             overlap |= doubled | covered & union
@@ -397,18 +397,22 @@ def verify_kappa_ptmc(code: CodeSet, kappa: KappaAssignment) -> VerifyReport:
     return VerifyReport(passed=True)
 
 
-def _swept(anchors: int, ball: int, size: int) -> bool:
-    """Whether a class of that many anchors and ball vertices is checked as
-    masks of size bits rather than ball by ball. Masks cost min(anchors,
-    ball) translates of size bits; ball by ball builds anchors balls, each
-    from every key vertex's offsets. Per ball vertex that took as long as a
-    masked translate of about 1,000 bits for 1-vertex keys, 2,000 for
-    4-vertex keys and 3,300-4,000 for keys of 16-64 vertices (medians, best
-    of 5; n = 3, tori of 24,000 to 2,400,000 vertices, 1-1,024 anchors,
-    radius 1 and 3): masks win once the longer list has size / 1024
-    entries for single vertices, and up to 4 times sooner for larger keys,
-    which this rule still checks ball by ball."""
-    return max(anchors, ball) << 10 >= size
+def _swept(anchors: int, key: int, offsets: int, ball: int, size: int) -> bool:
+    """Whether a class of that many anchors, each component of key
+    vertices, is checked as masks of size bits rather than ball by ball,
+    given its first component's ball and the offsets per key vertex
+    (ball_size_formula(n, t)). Masks cost min(anchors, ball) translates of
+    size bits. Ball by ball builds anchors balls, each walking every key
+    vertex's offsets, most of which land on vertices already reached: that
+    is anchors x key x offsets steps, and a step takes about as long as a
+    masked translate of 1,024 bits. Ball vertices alone understate it for
+    large keys: 240,000 vertices, a 64-vertex key, 128 anchors and radius
+    3 take 64 ms ball by ball and 10 ms as masks. Over a grid of n = 3
+    tori of 24,000 to 2,400,000 vertices, 1-1,024 anchors, keys of 1-64
+    vertices and radius 1 and 3, the side this rule picks is 1.4% slower
+    than the faster side, summed; a rule on anchors and ball vertices
+    picked one 31.2% slower."""
+    return anchors * key * offsets << 10 >= min(anchors, ball) * size
 
 
 def _sum_masks(xs: list[int], ys: list[int], moduli: tuple[int, ...],

@@ -157,23 +157,24 @@ def test_budget_counts_from_the_command_start(argv, slowed, tmp_path, monkeypatc
 ])
 def test_budget_passing_during_the_eds_build_is_a_timeout(extra, verdicts, tmp_path,
                                                           monkeypatch):
-    # the budget passes while the 5,625 masks are built: the build stops at
-    # its next clock read, and the search is never started
-    made = []
+    # the budget passes while the 5,625 masks are built: the 100th vertex's
+    # clock read comes after it, so the build stops there, and the search is
+    # never started
+    reads = []
 
-    def mask(positions):
-        made.append(None)
-        if len(made) == 100:
+    def check_clock(deadline):
+        reads.append(None)
+        if len(reads) == 100:
             time.sleep(0.3)
-        return make_mask(positions)
+        return read_clock(deadline)
 
-    make_mask = ptmc.cover._mask
-    monkeypatch.setattr("ptmc.cover._mask", mask)
+    read_clock = ptmc.cover._check_clock
+    monkeypatch.setattr("ptmc.cover._check_clock", check_clock)
     code, report = run(["search", "--torus", "75,75", "--budget", "0.2"] + extra, tmp_path)
     assert code == 3
     assert report["verdicts"] == verdicts
     assert report["counts"]["nodes"] == 0
-    assert len(made) == 100
+    assert len(reads) == 100
 
 
 @pytest.mark.parametrize("extra, verdicts", [

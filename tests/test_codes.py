@@ -6,6 +6,7 @@ import re
 import time
 import tracemalloc
 from collections import Counter
+from itertools import product
 from operator import add
 
 import pytest
@@ -33,7 +34,7 @@ from ptmc.constructions import build_box_code, square_singleton_template, build_
 from ptmc.cover import eds_instance, solve
 from ptmc.gamma2 import build_hive, hive_graph, hive_non_isolated_pds, hive_vertices
 from ptmc.graphs import Graph, grid_graph, lattice_graph
-from ptmc.metric import Ambient, _nearest_ball, truncated_ball
+from ptmc.metric import Ambient, _nearest_ball, ball_size_formula, truncated_ball
 
 from oracles import (
     naive_components,
@@ -345,8 +346,8 @@ def test_verifier_paths_match_naive_oracle_on_random_tori(swept, monkeypatch):
 
 
 def test_verifier_paths_agree_where_both_are_chosen(monkeypatch):
-    # on 8,000 vertices a class is swept as masks once it has 8 anchors or
-    # ball vertices, so sparse codes mix both paths
+    # on 8,000 vertices a class of singletons at radius 1 is swept as masks
+    # once it has 8 anchors, so sparse codes mix both paths
     chosen = []
     swept = ptmc.codes._swept
 
@@ -381,8 +382,8 @@ def test_verifier_finds_overlaps_between_swept_and_unswept_classes():
     # swept as masks, the one pair (a 12-vertex ball) is not; the pair's
     # ball meets the balls of (0, 0, 0) and (0, 0, 3) and nothing else
     swept = ptmc.codes._swept
-    assert swept(1000, 7, 27000) and not swept(1, 12, 27000)
-    assert swept(1, 27, 27000)  # a large ball alone is enough
+    assert swept(1000, 1, 7, 7, 27000) and not swept(1, 2, 7, 12, 27000)
+    assert swept(1, 4, 7, 20, 27000)  # a large key alone is enough
     lattice = [(x, y, z) for x in range(0, 30, 3) for y in range(0, 30, 3) for z in range(0, 30, 3)]
     code = CodeSet(torus(30, 30, 30), tuple(lattice) + ((1, 0, 1), (1, 0, 2)))
     rep = verify_t_ptmc(code, 1)
@@ -428,7 +429,9 @@ def test_verifier_translates_at_most_twice_per_component(monkeypatch):
             ties = []
             ball = _nearest_ball([code.ambient.wrap(k) for k in key], kappa.radius_for(key),
                                  code.ambient.moduli, ties)
-            swept = ptmc.codes._swept(count, len(ball), code.ambient.vertex_count())
+            swept = ptmc.codes._swept(count, len(key),
+                                      ball_size_formula(len(key[0]), kappa.radius_for(key)),
+                                      len(ball), code.ambient.vertex_count())
             paths.add(swept)
             mine = [c.vertices for c in comps if c.class_key == key]
             if swept:
@@ -440,6 +443,27 @@ def test_verifier_translates_at_most_twice_per_component(monkeypatch):
         assert len(calls) == expect <= 2 * len(comps)
         assert built == expect_built
     assert paths == {True, False}
+
+
+def test_large_keys_with_many_anchors_are_swept(monkeypatch):
+    # 240,000 vertices, 128 anchors of a 4 x 4 x 4 box key at radius 3 (216-
+    # vertex balls): walking them takes 128 x 64 x 27 steps, so the class is
+    # swept as masks, though its anchors and ball are both fewer than
+    # 240,000 / 1024
+    chosen = []
+    swept = ptmc.codes._swept
+
+    def recorded(*args):
+        chosen.append((args, swept(*args)))
+        return chosen[-1][1]
+
+    monkeypatch.setattr("ptmc.codes._swept", recorded)
+    box = list(product(range(4), repeat=3))
+    verts = [(x + dx, y + dy, z + dz) for x in range(0, 80, 10) for y in range(0, 60, 15)
+             for z in range(0, 48, 12) for dx, dy, dz in box]
+    rep = verify_t_ptmc(CodeSet(torus(80, 60, 50), tuple(verts)), 3)
+    assert (rep.kind, rep.witness) == ("gap", ((0, 0, 5),))
+    assert chosen == [((128, 64, 27, 216, 240000), True)]
 
 
 def test_verifier_on_a_large_torus_holds_few_masks():

@@ -1,5 +1,6 @@
 """Tests for the exact cover engine and its instance builders."""
 
+import hashlib
 import random
 import time
 from itertools import combinations, product
@@ -244,6 +245,59 @@ def test_golden_node_counts_pin_branching_order():
         assert build_by_template(cube_singleton_template(4), seed=seed).nodes == nodes
     res = enumerate_covers(eds_instance(grid_graph(7, 7)))
     assert (res.exhaustive, res.solutions, res.nodes) == (True, (), 18)
+
+
+def _solution_sha256(tiles):
+    return hashlib.sha256("\n".join(tiles).encode()).hexdigest()
+
+
+def test_golden_solutions_pin_the_tiles_found():
+    # the first covers themselves, pinned by digest next to their node
+    # counts: masks of many 30-bit digits, and any change to the search's bit
+    # operations that picks other tiles moves them
+    for m, digest in ((40, "72f50cae8aa480dad7f672b523fdb105a18f489fcede49a8152daf1305865704"),
+                      (45, "75e84a0d8f4112a4cb658369fb83b4ab86adb14275cfb410ee5cf36aa3aa4eb8"),
+                      (50, "b28cad1b388a35ed0b0473b677a2120f90007f2d7b3a087b0111dfbe5567047a")):
+        assert _solution_sha256(solve(eds_instance(lattice_graph(Ambient.torus(m, m)))).tiles) \
+            == digest
+    for template, seed, digest in (
+            (cube_singleton_template(4), 7,
+             "1828ddd1868162eb1c19a5ed22b2d2203599c021f8c8e1233d3fa9dc45c154c0"),
+            (square_singleton_template(), 1,
+             "9ff5ec65c93f081728c51356c97ed8755e99bdfbf74d169c5786637d51805077")):
+        assert _solution_sha256(build_by_template(template, seed=seed).tiles) == digest
+
+
+def test_core_matches_reference_x_on_multi_digit_masks():
+    # masks of many 30-bit digits: random instances of 60-200 cells and up to
+    # 300 tiles, each a planted partition with a second way to cover a few of
+    # its blocks, plus random tiles; then EDS tori 11-17 in a shuffled order,
+    # searched through rank
+    rng = random.Random(61)
+    for trial in range(60):
+        ncells = rng.randint(60, 200)
+        universe = list(range(ncells))
+        order = rng.sample(universe, ncells)
+        cuts = sorted(rng.sample(range(1, ncells), ncells // 3))
+        blocks = [order[a:b] for a, b in zip([0] + cuts, cuts + [ncells])]
+        tiles = list(blocks)
+        for b in rng.sample(blocks, rng.randint(0, 5)):
+            if len(b) > 1:
+                k = rng.randint(1, len(b) - 1)
+                tiles += [b[:k], b[k:]]
+        tiles += [rng.sample(universe, rng.randint(2, 4))
+                  for _ in range(rng.randint(0, min(3 * ncells // 2, 300 - len(tiles))))]
+        rng.shuffle(tiles)
+        i = inst(universe, [(f"t{t:03d}", cells) for t, cells in enumerate(tiles)])
+        for limit in (1, 2, None):
+            assert _run_x(i, limit, None) == reference_x(i, limit)
+    for m in range(11, 18):
+        i = eds_instance(lattice_graph(Ambient.torus(m, m)))
+        keep = list(range(len(i.ids)))
+        rng.shuffle(keep)
+        r = i.restrict(keep)
+        for limit in (1, 2, None):
+            assert _run_x(r, limit, None) == reference_x(r, limit)
 
 
 @pytest.mark.parametrize("template, seed", [
