@@ -152,7 +152,7 @@ def cmd_verify_ptmc(args) -> tuple[int, dict, dict, list]:
         raise ValueError("code file carries no radius map; pass --t")
     rep = codes_mod.verify_kappa_ptmc(code, kappa)
     counts = {"vertices": code.ambient.vertex_count(), "code": len(code),
-              "components": len(codes_mod.components_of(code))}
+              "components": codes_mod.component_count(code)}
     return _verify_outcome(args, rep, counts)
 
 
@@ -184,7 +184,7 @@ def cmd_construct_box(args) -> tuple[int, dict, dict, list]:
     sep = cons.min_component_separation(code)
     verdicts = {"verified": rep.passed, "separation": sep}
     counts = {"vertices": code.ambient.vertex_count(), "code": len(code),
-              "components": len(codes_mod.components_of(code))}
+              "components": codes_mod.component_count(code)}
     emitted = _emit(args, json.dumps(code_to_json(code, kappa), indent=2))
     ok = rep.passed and sep == 3
     return (EXIT_PASS if ok else EXIT_FAIL), verdicts, counts, emitted
@@ -212,7 +212,7 @@ def _construct_by_template(args, template: cons.TemplateSpec) -> tuple[int, dict
     rep = codes_mod.verify_kappa_ptmc(build.code, build.kappa)
     verdicts = {"outcome": "solution", "verified": rep.passed}
     counts["code"] = len(build.code)
-    counts["components"] = len(codes_mod.components_of(build.code))
+    counts["components"] = codes_mod.component_count(build.code)
     emitted = _emit(args, json.dumps(code_to_json(build.code, build.kappa), indent=2))
     print(f"construct {args.family}: solution, verified={rep.passed}")
     return (EXIT_PASS if rep.passed else EXIT_FAIL), verdicts, counts, emitted

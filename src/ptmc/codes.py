@@ -3,6 +3,17 @@
 A code is a vertex subset S of a finite ambient. Its connected components
 (under unit-step adjacency, wrapped on tori) are the truncated centers; a
 radius assignment maps each translation class of components to a radius.
+A code is held as its translation classes, found once per code: per class
+key, the anchors where the key sits (row-major vertex indices), the
+vertices of the components the BFS walked and whether the class wraps a
+torus axis. The BFS walks components root by root; on a torus, a class
+met often enough that its walks cost as much as a mask sweep (about
+N / 1024 components on N vertices, `_sweep_after`) has its other anchors
+found at once by ANDing translates of the code's mask (`_sweep`), so a
+periodic code's hundreds of repeats are never walked. `Component`
+objects are built from the classes only when `components_of` is asked
+for them; the verifier, the JSON functions and the CLI's counts read the
+classes.
 The main verifier checks that the truncated balls of the components
 partition the ambient and that every vertex has a unique nearest code
 vertex inside the component whose ball covers it. Every component of a
@@ -26,16 +37,22 @@ import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import product
-from operator import add, mod, mul, sub
+from itertools import chain, product, repeat
+from math import prod
+from operator import add, floordiv, mod, mul, neg, sub
 from typing import Collection, Iterable
 
 from .graphs import Graph, _array
 # truncated_ball is called nowhere here: perfbench/spans.py wraps this binding, which a test checks
-from .metric import (Ambient, Point, _integers, _mask, _nearest_ball, _point, _strides,
-                     _translate, ball_size_formula, truncated_ball)
+from .metric import (Ambient, Point, _bits, _integers, _mask, _nearest_ball, _point,
+                     _strides, _translate, ball_size_formula, truncated_ball)
 
 ClassKey = tuple[Point, ...]
+# a translation class: its anchors as row-major indices, the vertices of
+# the components the BFS walked (the first component's first; their anchors
+# come first, in the same order, and any a sweep found follow), and whether
+# its components wrap a torus axis
+Class = tuple[list[int], list[tuple[Point, ...]], bool]
 
 
 class MissingRadiusError(ValueError):
@@ -65,11 +82,24 @@ class CodeSet:
     def __len__(self) -> int:
         return len(self.vertices)
 
+    # each cache is made once per code; the instance dict is not a field,
+    # so equality and hash are unaffected
+
+    @cached_property
+    def _rows(self) -> dict[int, Point]:
+        """Each vertex by its row-major index (`_frame`): row-major order is
+        the vertices' sorted order."""
+        lows, _, strides = _frame(self.ambient)
+        base = sum(map(mul, lows, strides))
+        return {sum(map(mul, v, strides)) - base: v for v in self.vertices}
+
+    @cached_property
+    def _classes(self) -> dict[ClassKey, Class]:
+        return _find_classes(self)
+
     @cached_property
     def _components(self) -> tuple[Component, ...]:
-        # found once per code; the instance dict is not a field, so equality
-        # and hash are unaffected
-        return _find_components(self)
+        return _assemble(self)
 
 
 def _inside(a: Ambient, vs: tuple[Point, ...]) -> bool:
@@ -101,7 +131,11 @@ class Component:
     anchor is where the key's origin sits: vertices is
     sorted(wrap(anchor + k) for k in class_key). It is the lift's minimum
     corner, wrapped, or for a wrapped component the vertex that its
-    fallback key moves to the origin.
+    fallback key moves to the origin; it need not be a code vertex.
+
+    A code keeps its translation classes, not its components: they are
+    built from the classes by `components_of`, those a sweep found from
+    the class's key and anchors.
     """
 
     vertices: tuple[Point, ...]
@@ -168,26 +202,53 @@ class VerifyReport:
 def components_of(code: CodeSet) -> list[Component]:
     """Partition a code into maximal connected pieces, sorted by min vertex.
 
-    Adjacency is one unit step in exactly one axis, wrapped on tori. Each
-    component is lifted to Z^n by a BFS over row-major vertex indices,
-    which steps by a stride, or back round the torus when the vertex's own
-    coordinate is on the last (or first) row, and keeps each lift as one
-    mixed-radix int. A lift conflict means the component wraps an axis.
-    Translates that lift alike share one decoding of their key. The
-    components are found once per code; each call returns a new list.
+    Adjacency is one unit step in exactly one axis, wrapped on tori. The
+    components are built on first use from the code's translation classes
+    (`_find_classes`, run once per code: a BFS that walks components root
+    by root, except that on a torus a class that does not wrap is swept as
+    masks once `_sweep_after(N)` of its components are walked): the walked
+    ones as the BFS found them, the swept ones by placing the class's key
+    at their anchors, as the code's own vertex objects, every component of
+    a class sharing one key object. Each call returns a new list.
     """
     return list(code._components)
 
 
-def _find_components(code: CodeSet) -> tuple[Component, ...]:
-    a = code.ambient
-    n = a.dimension
+def component_count(code: CodeSet) -> int:
+    """The number of components of a code, read from its translation
+    classes without building a Component."""
+    return sum(len(anchors) for anchors, _, _ in code._classes.values())
+
+
+def _frame(a: Ambient) -> tuple[Point, tuple[int, ...], tuple[int, ...]]:
+    """The low corner, extents and row-major strides of an ambient's box:
+    vertex v has row-major index sum((v - low) * stride), and index order
+    is lexicographic order."""
     if a.is_torus:
-        lows, extents = (0,) * n, a.moduli
+        lows, extents = (0,) * a.dimension, a.moduli
     else:
         lows = tuple(lo for lo, _ in a.bounds)
         extents = tuple(hi - lo + 1 for lo, hi in a.bounds)
-    strides = _strides(extents)
+    return lows, extents, _strides(extents)
+
+
+def _find_classes(code: CodeSet) -> dict[ClassKey, Class]:
+    """The translation classes of a code, in the order of each class's first
+    component's min vertex.
+
+    One loop serves tori and windows. It takes roots in row-major order and
+    lifts each root's component to Z^n by a BFS over row-major vertex
+    indices, which steps by a stride, or back round the torus when the
+    vertex's own coordinate is on the last (or first) row, and keeps each
+    lift as one mixed-radix int. A lift conflict means the component wraps
+    an axis. Translates that lift alike share one decoding of their key.
+    On a torus, once the BFS has found `_sweep_after(N)` components of a
+    class that does not wrap, `_sweep` finds the class's other anchors at
+    once and marks their vertices, so the root scan skips them.
+    """
+    a = code.ambient
+    n = a.dimension
+    lows, extents, strides = _frame(a)
     # a lift coordinate, relative to the root, lies within +-(len(code) - 1):
     # lifts held as digits of this radix, each biased by half of it, sort as
     # their vectors do
@@ -200,14 +261,15 @@ def _find_components(code: CodeSet) -> tuple[Component, ...]:
     for i, (lo, e, s, w) in enumerate(zip(lows, extents, strides, weights)):
         back = (e - 1) * s if a.is_torus else None  # from lo + e - 1 round to lo
         moves += [(i, lo + e - 1, s, back and -back, w), (i, lo, -s, back, -w)]
-    # row-major order is the vertices' sorted order
-    base = sum(map(mul, lows, strides))
-    member = {sum(map(mul, v, strides)) - base: v for v in code.vertices}
+    member = code._rows
     lift: dict[int, int | None] = dict.fromkeys(member)  # None until reached
     absent = object()
-    keys: dict[ClassKey, ClassKey] = {}  # one key object per class
-    decoded: dict[tuple[int, ...], tuple[ClassKey, Point]] = {}  # lifts -> key, mins
-    comps: list[Component] = []
+    # lifts -> key, and the step from the root to the anchor, less the low corner
+    decoded: dict[tuple[int, ...], tuple[ClassKey, Point]] = {}
+    classes: dict[ClassKey, Class] = {}
+    after = _sweep_after(a.vertex_count()) if a.is_torus else 0  # 0: never swept
+    whole = None  # the code's mask, made at the first sweep
+    tops: dict = {}
     for root, v0 in member.items():
         if lift[root] is not None:
             continue
@@ -229,22 +291,122 @@ def _find_components(code: CodeSet) -> tuple[Component, ...]:
                     queue.append(q)
                 elif lq is not absent and lq != lp + dl:
                     wrapped = True
-        queue.sort()
-        verts = tuple(map(member.__getitem__, queue))
+        verts = tuple(map(member.__getitem__, sorted(queue)))
         if wrapped:
             key, anchor = _wrapped_key(verts, a)
-            key = keys.setdefault(key, key)
+            at = sum(map(mul, anchor, strides))
         else:
             lifts = tuple(sorted(map(lift.__getitem__, queue)))
-            if lifts not in decoded:
+            hit = decoded.get(lifts)
+            if hit is None:
                 digits = [[(x + bias) // w % radix for x in lifts] for w in weights]
                 mins = [min(column) for column in digits]
                 key = tuple(zip(*[[x - lo for x in column] for column, lo in zip(digits, mins)]))
-                decoded[lifts] = keys.setdefault(key, key), tuple(lo - len(code) for lo in mins)
-            key, mins = decoded[lifts]
-            anchor = a.wrap(tuple(map(add, v0, mins)))
-        comps.append(Component(verts, key, anchor, wrapped))
-    return tuple(comps)
+                hit = decoded[lifts] = key, tuple(lo - len(code) - low
+                                                  for lo, low in zip(mins, lows))
+            key, shift = hit
+            at = sum(map(mul, map(mod, map(add, v0, shift), extents), strides))
+        group = classes.get(key)
+        if group is None:
+            classes[key] = ([at], [verts], wrapped)
+            continue
+        anchors, walked, _ = group
+        anchors.append(at)
+        walked.append(verts)
+        if len(anchors) == after and not wrapped:
+            if whole is None:
+                whole = _mask(member)
+            found, covered = _sweep(whole, key, anchors, extents, tops)
+            anchors += found
+            lift.update(dict.fromkeys(covered, 0))
+    return classes
+
+
+def _sweep_after(size: int) -> int:
+    """How many components of a class that does not wrap the BFS walks on
+    a torus of size vertices before `_sweep` finds the rest: a ski rental,
+    which rents (walks) until the rent paid would buy (sweep).
+
+    Walking a component of key K takes 2n|K| steps, a step being one
+    neighbour looked up, and a sweep makes at most (2n + 2)|K| translates
+    of size bits, as the rim of K has at most 2n|K| points. A masked
+    translate of size bits takes about 12 steps plus one per 1,024 bits
+    (3 us plus 0.39 us per 1,024 bits, against 0.25 us a step, on tori of
+    108 to 1,000,000 vertices), so a sweep costs about as much as walking
+    size / 1024 components once the tori are large, whatever the key. On
+    small ones the 12 steps dominate: the floor of 16 keeps a class of 8
+    components on a 648-vertex torus, as a cube-singleton n = 4 build
+    makes, from being swept for nothing."""
+    return max(16, size >> 10)
+
+
+def _sweep(whole: int, key: ClassKey, found: list[int], moduli: tuple[int, ...],
+           tops: dict) -> tuple[list[int], list[int]]:
+    """The anchors (row-major indices) of the components of a class that
+    does not wrap, other than those found, and the indices of their
+    vertices, given the code's mask on a torus.
+
+    x is an anchor exactly when x + K lies in the code and no point of the
+    rim (the lattice neighbours of K outside K) does: the bits of
+    AND_k T_-k(code) AND NOT OR_b T_-b(code), from all ones, as an anchor
+    need not be a code vertex. Such an x + K is a whole component of the
+    class: it is connected, and no code vertex is next to it. Its lift is
+    K, since a rim point whose image met the key's would be a lift
+    conflict, and the class does not wrap. The found anchors are then
+    cleared, and the vertices are the union of the anchors translated by
+    each k: |K| + |rim| translates of the code, and |K| of the anchors."""
+    inside = (1 << prod(moduli)) - 1
+    for k in key:
+        inside &= _translate(whole, tuple(map(mod, map(neg, k), moduli)), moduli, tops)
+    keys = set(key)
+    touched = 0
+    for b in {k[:i] + (k[i] + d,) + k[i + 1:]
+              for k in key for i in range(len(k)) for d in (1, -1)} - keys:
+        touched |= _translate(whole, tuple(map(mod, map(neg, b), moduli)), moduli, tops)
+    anchors = inside ^ (inside & touched) ^ _mask(found)
+    covered = 0
+    for k in key:
+        covered |= _translate(anchors, tuple(map(mod, k, moduli)), moduli, tops)
+    return _bits(anchors), _bits(covered)
+
+
+def _placed(code: CodeSet, key: ClassKey,
+            anchors: list[int]) -> list[tuple[tuple[Point, ...], Point]]:
+    """The vertices of the components of one class at the given anchors
+    (row-major indices on a torus), as the code's own vertex objects, each
+    with its anchor point, in anchor order: the vertices at anchor p are
+    sorted(wrap(p + k) for k in key). Built a coordinate column at a time:
+    the anchors' coordinates, then for each key point k the indices of
+    every wrap(p + k)."""
+    moduli = code.ambient.moduli
+    strides = _strides(moduli)
+    columns = [list(map(mod, map(floordiv, anchors, repeat(s)), repeat(m)))
+               for s, m in zip(strides, moduli)]
+    at = []
+    for k in key:
+        index = repeat(0)
+        for column, d, s, m in zip(columns, k, strides, moduli):
+            index = map(add, index, map(mul, map(mod, map(add, column, repeat(d)), repeat(m)),
+                                        repeat(s)))
+        at.append(index)
+    rows = code._rows
+    return list(zip([tuple(map(rows.__getitem__, sorted(x))) for x in zip(*at)], zip(*columns)))
+
+
+def _assemble(code: CodeSet) -> tuple[Component, ...]:
+    """The code's components, built from its classes, by min vertex: those
+    the BFS walked from their vertices and anchors, the others placed."""
+    lows, extents, strides = _frame(code.ambient)
+    comps = []
+    for key, (anchors, walked, wrapped) in code._classes.items():
+        comps += [(verts, key, tuple(map(add, map(mod, map(floordiv, repeat(x), strides), extents),
+                                         lows)), wrapped)
+                  for verts, x in zip(walked, anchors)]
+        if len(anchors) > len(walked):
+            comps += [(verts, key, anchor, wrapped)
+                      for verts, anchor in _placed(code, key, anchors[len(walked):])]
+    comps.sort()
+    return tuple(Component(*c) for c in comps)
 
 
 def _wrapped_key(verts: tuple[Point, ...], a: Ambient) -> tuple[ClassKey, Point]:
@@ -326,13 +488,16 @@ def verify_kappa_ptmc(code: CodeSet, kappa: KappaAssignment) -> VerifyReport:
     (`_swept`, judged from its first component's ball). Swept as row-major
     masks of N = prod(moduli) bits: its components are the translates of
     its first one by the differences of their anchors, so their balls are
-    the translates of that ball, ties and all, and the smaller of the shift
-    list and that ball is translated by each point of the other. Else ball
-    by ball: each component's own ball (`_nearest_ball`) goes into a set,
-    as `verify_partition` does. A vertex in two balls, of one class or two,
-    is an overlap. The verifier holds a bounded number of masks of N bits
-    at a time, and the set of vertices in the balls of the classes checked
-    ball by ball.
+    the translates of that ball, ties and all: the mask of the longer of
+    the anchor list and that ball is translated by each point of the
+    shorter less the first component's anchor. Else ball by ball: each
+    component's own ball (`_nearest_ball`) goes into a set, as
+    `verify_partition` does, the components a sweep found being placed
+    from the class's key and anchors. The verifier reads the code's
+    translation classes and builds no `Component`. A vertex in two balls,
+    of one class or two, is an overlap. The verifier holds a bounded
+    number of masks of N bits at a time, and the set of vertices in the
+    balls of the classes checked ball by ball.
 
     Failures are checked in this order: degenerate ambient, bad radius
     (the first component in min-vertex order), overlap, gap, nonunique
@@ -345,18 +510,11 @@ def verify_kappa_ptmc(code: CodeSet, kappa: KappaAssignment) -> VerifyReport:
     if a.degenerate:
         return VerifyReport(False, "degenerate-ambient")
     n, moduli, size = a.dimension, a.moduli, a.vertex_count()
-    # radius, components and each one's shift from the first, per class
-    classes: dict[ClassKey, tuple[int, list[Component], list[Point]]] = {}
-    for c in components_of(code):
-        group = classes.get(c.class_key)
-        if group is None:
-            group = classes[c.class_key] = (kappa.radius_for(c.class_key), [], [])
-        group[1].append(c)
-        group[2].append(tuple(map(mod, map(sub, c.anchor, group[1][0].anchor), moduli)))
-    for t, comps, _ in classes.values():
+    classes = code._classes
+    radii = [kappa.radius_for(key) for key in classes]
+    for t, (_, walked, _) in zip(radii, classes.values()):
         if not 1 <= t <= n:
-            return VerifyReport(False, "bad-radius", (comps[0].min_vertex,))
-    strides = _strides(moduli)
+            return VerifyReport(False, "bad-radius", (walked[0][0],))
     tops: dict = {}
     # masks of the classes swept as masks, and their overlaps and ties
     covered = overlap = tied = 0
@@ -365,22 +523,29 @@ def verify_kappa_ptmc(code: CodeSet, kappa: KappaAssignment) -> VerifyReport:
     loose: set[int] = set()
     twice: list[int] = []
     ties_at: list[int] = []
-    for t, comps, shifts in classes.values():
+    for t, (key, (anchors, walked, _)) in zip(radii, classes.items()):
+        first = walked[0]
         ties: list[int] = []
-        ball = list(_nearest_ball(comps[0].vertices, t, moduli, ties))
+        ball = list(_nearest_ball(first, t, moduli, ties))
         ties = list(dict.fromkeys(ties))
-        if _swept(len(shifts), len(comps[0].vertices), ball_size_formula(n, t), len(ball), size):
-            at = [sum(map(mul, z, strides)) for z in shifts]
-            union, doubled = _sum_masks(at, ball, moduli, tops)
+        if _swept(len(anchors), len(first), ball_size_formula(n, t), len(ball), size):
+            origin = _point(anchors[0], moduli)  # the first component's anchor
+            union, doubled = _sum_masks(anchors, ball, origin, moduli, tops)
             overlap |= doubled | covered & union
             covered |= union
             if ties:
-                tied |= _sum_masks(at, ties, moduli, tops)[0]
+                tied |= _sum_masks(anchors, ties, origin, moduli, tops)[0]
             continue
         ties_at += ties
-        for c in comps:
-            if c is not comps[0]:  # the first one's ball is built above
-                ball = _nearest_ball(c.vertices, t, moduli, ties_at)
+        # the first component's ball is built above; the order of the others
+        # does not matter, as each witness is the least of its kind
+        others = walked[1:]
+        # a swept class has over _sweep_after(N) >= N / 1024 anchors, so
+        # `_swept` always takes it as masks: this runs only when tests
+        # force the ball-by-ball path
+        if len(anchors) > len(walked):
+            others += [verts for verts, _ in _placed(code, key, anchors[len(walked):])]
+        for ball in chain([ball], (_nearest_ball(verts, t, moduli, ties_at) for verts in others)):
             if not loose.isdisjoint(ball):
                 twice.append(min(loose.intersection(ball)))
             loose.update(ball)
@@ -415,18 +580,20 @@ def _swept(anchors: int, key: int, offsets: int, ball: int, size: int) -> bool:
     return anchors * key * offsets << 10 >= min(anchors, ball) * size
 
 
-def _sum_masks(xs: list[int], ys: list[int], moduli: tuple[int, ...],
+def _sum_masks(xs: list[int], ys: list[int], origin: Point, moduli: tuple[int, ...],
                tops: dict) -> tuple[int, int]:
-    """The mask of the torus vertices x + y, x in xs and y in ys (distinct
-    row-major indices, added as vectors), and the mask of those reached
-    more than once. The mask of the longer list is translated by each point
-    of the shorter: min(len(xs), len(ys)) translates."""
+    """The mask of the torus vertices x + y - origin, x in xs and y in ys
+    (distinct row-major indices, added as vectors), and the mask of those
+    reached more than once. The mask of the longer list is translated by
+    each point of the shorter, moved by -origin: min(len(xs), len(ys))
+    translates."""
     if len(xs) > len(ys):
         xs, ys = ys, xs
     base = _mask(ys)
     union = twice = 0
     for x in xs:
-        moved = _translate(base, _point(x, moduli), moduli, tops)
+        moved = _translate(base, tuple(map(mod, map(sub, _point(x, moduli), origin), moduli)),
+                           moduli, tops)
         twice |= union & moved
         union |= moved
     return union, twice
@@ -533,8 +700,7 @@ def code_to_json(code: CodeSet, kappa: KappaAssignment) -> dict:
     else:
         ambient["bounds"] = [list(b) for b in a.bounds]
     # one hash per class, not per component
-    radii = {class_key_hash(key): kappa.radius_for(key)
-             for key in dict.fromkeys(c.class_key for c in components_of(code))}
+    radii = {class_key_hash(key): kappa.radius_for(key) for key in code._classes}
     return {"ambient": ambient, "vertices": [list(v) for v in code.vertices],
             "kappa": {h: radii[h] for h in sorted(radii)}}
 
@@ -564,11 +730,9 @@ def code_from_json(doc: dict) -> tuple[CodeSet, KappaAssignment | None]:
     if not isinstance(by_hash, dict):
         raise TypeError(f"kappa {by_hash!r} is not an object")
     by_class = {}
-    for comp in components_of(code):
-        if comp.class_key in by_class:
-            continue
-        h = class_key_hash(comp.class_key)
+    for key, (_, walked, _) in code._classes.items():
+        h = class_key_hash(key)
         if h not in by_hash:
-            raise MissingRadiusError(f"kappa entry {h} missing for class of {comp.min_vertex}")
-        (by_class[comp.class_key],) = _integers((by_hash[h],), f"kappa entry {h} radius")
+            raise MissingRadiusError(f"kappa entry {h} missing for class of {walked[0][0]}")
+        (by_class[key],) = _integers((by_hash[h],), f"kappa entry {h} radius")
     return code, KappaAssignment(by_class=by_class)

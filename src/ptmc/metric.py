@@ -27,9 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import product
+from itertools import accumulate, product, repeat
 from math import comb, prod
-from operator import add, mod, mul
+from operator import add, eq, mod, mul
 from typing import Iterator
 
 Point = tuple[int, ...]
@@ -220,9 +220,13 @@ def _nearest_ball(center: tuple[Point, ...], t: int, moduli: tuple[int, ...],
     weight comes from another center vertex: its index goes to ties.
     """
     strides = _strides(moduli)
+    # a center vertex with no coordinate on an edge row steps as the origin
+    # does; only the others need their sides
+    inner = _index_steps(moduli, t, (0,) * len(moduli))
+    lasts = tuple(m - 1 for m in moduli)
     starts = [(sum(map(mul, s, strides)),
-               _index_steps(moduli, t, tuple([(x == m - 1) - (x == 0)
-                                              for x, m in zip(s, moduli)])))
+               _index_steps(moduli, t, tuple([(x == m) - (x == 0) for x, m in zip(s, lasts)]))
+               if 0 in s or any(map(eq, s, lasts)) else inner)
               for s in center]
     ball: dict[int, int] = {}
     for w in range(t + 1):
@@ -253,6 +257,18 @@ def _mask(positions) -> int:
     for p in ps:
         buf[p >> 3] |= 1 << (p & 7)
     return int.from_bytes(buf, "little")
+
+
+def _bits(mask: int) -> list[int]:
+    """The bit positions set in mask >= 0, ascending: the inverse of _mask.
+    The binary digits, least significant first, are split at each 1, so
+    the k-th piece is the run of zeros below the k-th set bit and the
+    positions are running sums of the pieces' lengths plus one: a mask of
+    thousands of bits costs a few C-level passes, not a shift of the
+    whole int per bit."""
+    runs = bin(mask)[:1:-1].split("1")
+    runs.pop()  # the zeros above the top set bit
+    return list(accumulate(map(add, map(len, runs), repeat(1)), initial=-1))[1:]
 
 
 def _repeat(block: int, width: int, times: int) -> int:

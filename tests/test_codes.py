@@ -7,7 +7,7 @@ import time
 import tracemalloc
 from collections import Counter
 from itertools import product
-from operator import add
+from operator import add, mul
 
 import pytest
 
@@ -30,6 +30,7 @@ from ptmc.codes import (
     verify_pds,
     verify_t_ptmc,
 )
+from ptmc.cli import main
 from ptmc.constructions import build_box_code, square_singleton_template, build_by_template
 from ptmc.cover import eds_instance, solve
 from ptmc.gamma2 import build_hive, hive_graph, hive_non_isolated_pds, hive_vertices
@@ -191,6 +192,130 @@ def test_wrapped_component_flagged():
     assert comps[0].wrapped
     with pytest.raises(ComponentWrapsTorus):
         box_hull_check(comps[0])
+
+
+def _scattered(a, shapes, rng):
+    """A code of translates of keys, (key, count) each, every one at a random
+    anchor where it neither meets nor touches one placed before, so that each
+    translate is a component of its key's class. On a window an anchor keeps
+    its translate inside."""
+    n = a.dimension
+    if a.is_torus:
+        lows, highs = (0,) * n, tuple(m - 1 for m in a.moduli)
+    else:
+        lows, highs = zip(*a.bounds)
+    near, verts = set(), []  # placed vertices and their neighbours
+    for key, count in shapes:
+        tops = [max(column) for column in zip(*key)]
+        for _ in range(count):
+            while True:
+                anchor = tuple(rng.randint(lo, hi if a.is_torus else hi - top)
+                               for lo, hi, top in zip(lows, highs, tops))
+                comp = [a.wrap(tuple(map(add, anchor, k))) for k in key]
+                if near.isdisjoint(comp):
+                    break
+            verts += comp
+            for v in comp:
+                near.add(v)
+                near.update(a.wrap(v[:i] + (v[i] + d,) + v[i + 1:])
+                            for i in range(n) for d in (1, -1))
+    return CodeSet(a, tuple(verts))
+
+
+L_KEY = ((0, 0, 1), (1, 0, 0), (1, 0, 1))  # its origin is not one of its points
+# on a torus with modulus 4 along axis 0 its lift spans 5 rows there, unwrapped
+STAIRCASE = ((0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 1, 0), (2, 2, 0), (3, 2, 0), (3, 3, 0),
+             (4, 3, 0), (4, 4, 0))
+BOX_KEY = tuple(product(range(1), range(2), range(3)))
+SINGLE = ((0, 0, 0),)
+
+
+def _class_case(name):
+    rng = random.Random(name)
+    if name == "l-shape":
+        return _scattered(torus(10, 12, 14), [(L_KEY, 30)], rng)
+    if name == "staircase":
+        return _scattered(torus(4, 30, 20), [(STAIRCASE, 20), (SINGLE, 3)], rng)
+    if name == "crowded":
+        # 18,000 vertices: classes past the threshold of 17 beside singletons
+        # past it, a pair below it and rings that wrap axis 2
+        ring = tuple((0, 0, z) for z in range(30))
+        return _scattered(torus(30, 20, 30), [(ring, 2), (BOX_KEY, 40), (SINGLE, 40),
+                                              (L_KEY, 20), (((0, 0, 0), (0, 1, 0)), 5)], rng)
+    # a window is never swept
+    return _scattered(Ambient.window((-3, 8), (0, 9), (2, 13)), [(SINGLE, 20), (L_KEY, 20)], rng)
+
+
+def _sweeps(monkeypatch):
+    """The number of anchors each sweep finds, as the finder runs; the BFS
+    walks the other components."""
+    found = []
+    sweep = ptmc.codes._sweep
+
+    def counted(*args):
+        out = sweep(*args)
+        found.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr("ptmc.codes._sweep", counted)
+    return found
+
+
+@pytest.mark.parametrize("name", ["l-shape", "staircase", "crowded", "window"])
+def test_class_finder_matches_the_reference_bfs(name, monkeypatch, tmp_path):
+    code = _class_case(name)
+    a = code.ambient
+    found = _sweeps(monkeypatch)
+    comps = components_of(code)
+    reference = reference_components(code)
+    assert [(c.vertices, c.class_key, c.wrapped) for c in comps] == reference
+    for c in comps:
+        assert c.vertices == tuple(sorted(a.wrap(tuple(map(add, c.anchor, k)))
+                                          for k in c.class_key))
+    # the BFS walks every component of a class below the threshold or that
+    # wraps, and the threshold's worth of any other, which one sweep finds
+    # the rest of
+    after = ptmc.codes._sweep_after(a.vertex_count()) if a.is_torus else len(code) + 1
+    counts = Counter((key, wrapped) for _, key, wrapped in reference)
+    walked = sum(count if wrapped else min(count, after) for (_, wrapped), count in counts.items())
+    assert len(found) == sum(count >= after and not wrapped
+                             for (_, wrapped), count in counts.items())
+    assert len(found) >= (name != "window")
+    assert len(comps) - sum(found) == walked
+    assert ptmc.codes.component_count(code) == len(reference)
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(code_to_json(code, KappaAssignment.uniform(1))))
+    main(["verify", "ptmc", "--code", str(path), "--out", str(tmp_path / "report.json")])
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["counts"]["components"] == len(reference)
+
+
+def test_finder_walks_the_threshold_and_sweeps_the_rest(monkeypatch):
+    # the box code: 400 translates of a 1 x 2 x 3 box on the (15, 32, 50)
+    # torus. The BFS walks 24000 >> 10 = 23 of them; one sweep translates
+    # the code's mask by -k for the key's 6 points and -b for its rim's 22,
+    # then the anchors it finds by k for each key point, to mark them
+    built, _ = build_box_code((2, 3, 4), (5, 8, 10))
+    code = CodeSet(built.ambient, built.vertices)
+    strides = (32 * 50, 50, 1)
+    whole = sum(1 << sum(map(mul, v, strides)) for v in code.vertices)
+    masks = []
+    translate = ptmc.codes._translate
+
+    def counted(*args):
+        masks.append(args[0] == whole)
+        return translate(*args)
+
+    found = _sweeps(monkeypatch)
+    monkeypatch.setattr("ptmc.codes._translate", counted)
+    assert ptmc.codes.component_count(code) == 400
+    (key,) = code._classes
+    rim = {k[:i] + (k[i] + d,) + k[i + 1:] for k in key for i in range(3) for d in (1, -1)}
+    rim -= set(key)
+    assert (len(key), len(rim)) == (6, 22)
+    assert len(found) == 1 and 400 - found[0] <= ptmc.codes._sweep_after(24000) + 1
+    assert masks.count(True) == len(key) + len(rim)
+    assert masks.count(False) <= len(key)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,17 @@
 
 import random
 import re
+from collections import Counter
+from itertools import product
 
 import pytest
 
 from ptmc.metric import (
     Ambient,
     DimensionMismatch,
+    _bits,
     _mask,
+    _nearest_ball,
     _point,
     _repeat,
     _strides,
@@ -18,7 +22,7 @@ from ptmc.metric import (
     truncated_distance,
 )
 
-from oracles import brute_ball, brute_rho
+from oracles import brute_ball, brute_rho, torus_rho
 
 WIN5 = Ambient.window((-5, 5), (-5, 5))
 
@@ -176,6 +180,43 @@ def test_mask_sets_exactly_the_positions():
         positions = [rng.randrange(5000) for _ in range(count)]
         assert _mask(positions) == sum(1 << p for p in set(positions))
         assert _mask(iter(positions)) == _mask(positions)
+
+
+def test_bits_inverts_mask():
+    rng = random.Random(7)
+    for count in (0, 1, 9, 200, 3000):
+        positions = sorted(rng.sample(range(6000), count))
+        assert _bits(_mask(positions)) == positions
+
+
+def test_nearest_ball_matches_the_distance_oracle():
+    # centres drawn mostly from the edge rows, where steps wrap round, and
+    # the rest from the interior, where they share the origin's steps: the
+    # ball maps each vertex within t to its distance from the nearest centre
+    # vertex, and a vertex lands in ties once per further centre vertex at
+    # that distance
+    rng = random.Random(12)
+    edges = interior = 0
+    for _ in range(400):
+        moduli = tuple(rng.randint(3, 7) for _ in range(rng.randint(1, 4)))
+        t = rng.randint(0, len(moduli))
+        centre = sorted({tuple(rng.choice((0, m - 1, rng.randrange(m))) for m in moduli)
+                         for _ in range(rng.randint(1, 5))})
+        ties = []
+        ball = _nearest_ball(centre, t, moduli, ties)
+        expect, tied = {}, {}
+        for p in product(*(range(m) for m in moduli)):
+            d = [torus_rho(p, s, moduli) for s in centre]
+            if min(d) <= t:
+                i = sum(x * k for x, k in zip(p, _strides(moduli)))
+                expect[i] = min(d)
+                if d.count(min(d)) > 1:
+                    tied[i] = d.count(min(d)) - 1
+        assert ball == expect
+        assert Counter(ties) == tied
+        edges += any(x in (0, m - 1) for s in centre for x, m in zip(s, moduli))
+        interior += any(all(0 < x < m - 1 for x, m in zip(s, moduli)) for s in centre)
+    assert edges > 300 and interior > 50
 
 
 def test_translate_moves_every_bit_by_the_vector():
