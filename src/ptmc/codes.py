@@ -4,9 +4,9 @@ A code is a vertex subset S of a finite ambient. Its connected components
 (under unit-step adjacency, wrapped on tori) are the truncated centers; a
 radius assignment maps each translation class of components to a radius.
 A code is held as its translation classes, found once per code: per class
-key, the anchors where the key sits (row-major vertex indices), the
-vertices of the components the BFS walked and whether the class wraps a
-torus axis. The BFS walks components root by root; on a torus, a class
+key, the anchors where the key sits (row-major indices of the ambient's
+box, `Ambient.index`), the vertices of the components the BFS walked and
+whether the class wraps a torus axis. The BFS walks components root by root; on a torus, a class
 met often enough that its walks cost as much as a mask sweep (about
 N / 1024 components on N vertices, `_sweep_after`) has its other anchors
 found at once by ANDing translates of the code's mask (`_sweep`), so a
@@ -44,8 +44,8 @@ from typing import Collection, Iterable
 
 from .graphs import Graph, _array
 # truncated_ball is called nowhere here: perfbench/spans.py wraps this binding, which a test checks
-from .metric import (Ambient, Point, _bits, _integers, _mask, _nearest_ball, _point,
-                     _strides, _translate, ball_size_formula, truncated_ball)
+from .metric import (Ambient, Point, _bits, _integers, _mask, _nearest_ball, _translate,
+                     ball_size_formula, truncated_ball)
 
 ClassKey = tuple[Point, ...]
 # a translation class: its anchors as row-major indices, the vertices of
@@ -87,10 +87,10 @@ class CodeSet:
 
     @cached_property
     def _rows(self) -> dict[int, Point]:
-        """Each vertex by its row-major index (`_frame`): row-major order is
-        the vertices' sorted order."""
-        lows, _, strides = _frame(self.ambient)
-        base = sum(map(mul, lows, strides))
+        """Each vertex by its row-major index (`Ambient.index`, summed here
+        inline): row-major order is the vertices' sorted order."""
+        strides = self.ambient.strides
+        base = sum(map(mul, self.ambient.low, strides))
         return {sum(map(mul, v, strides)) - base: v for v in self.vertices}
 
     @cached_property
@@ -111,9 +111,8 @@ def _inside(a: Ambient, vs: tuple[Point, ...]) -> bool:
         return True
     if set(map(len, vs)) != {a.dimension}:
         return False
-    limits = [(0, m - 1) for m in a.moduli] if a.is_torus else a.bounds
-    for column, (lo, hi) in zip(zip(*vs), limits):
-        if set(map(type, column)) != {int} or not lo <= min(column) <= max(column) <= hi:
+    for column, lo, e in zip(zip(*vs), a.low, a.extents):
+        if set(map(type, column)) != {int} or not lo <= min(column) <= max(column) < lo + e:
             return False
     return True
 
@@ -220,18 +219,6 @@ def component_count(code: CodeSet) -> int:
     return sum(len(anchors) for anchors, _, _ in code._classes.values())
 
 
-def _frame(a: Ambient) -> tuple[Point, tuple[int, ...], tuple[int, ...]]:
-    """The low corner, extents and row-major strides of an ambient's box:
-    vertex v has row-major index sum((v - low) * stride), and index order
-    is lexicographic order."""
-    if a.is_torus:
-        lows, extents = (0,) * a.dimension, a.moduli
-    else:
-        lows = tuple(lo for lo, _ in a.bounds)
-        extents = tuple(hi - lo + 1 for lo, hi in a.bounds)
-    return lows, extents, _strides(extents)
-
-
 def _find_classes(code: CodeSet) -> dict[ClassKey, Class]:
     """The translation classes of a code, in the order of each class's first
     component's min vertex.
@@ -248,7 +235,7 @@ def _find_classes(code: CodeSet) -> dict[ClassKey, Class]:
     """
     a = code.ambient
     n = a.dimension
-    lows, extents, strides = _frame(a)
+    lows, extents, strides = a.low, a.extents, a.strides
     # a lift coordinate, relative to the root, lies within +-(len(code) - 1):
     # lifts held as digits of this radix, each biased by half of it, sort as
     # their vectors do
@@ -294,7 +281,7 @@ def _find_classes(code: CodeSet) -> dict[ClassKey, Class]:
         verts = tuple(map(member.__getitem__, sorted(queue)))
         if wrapped:
             key, anchor = _wrapped_key(verts, a)
-            at = sum(map(mul, anchor, strides))
+            at = a.index(anchor)
         else:
             lifts = tuple(sorted(map(lift.__getitem__, queue)))
             hit = decoded.get(lifts)
@@ -378,8 +365,7 @@ def _placed(code: CodeSet, key: ClassKey,
     sorted(wrap(p + k) for k in key). Built a coordinate column at a time:
     the anchors' coordinates, then for each key point k the indices of
     every wrap(p + k)."""
-    moduli = code.ambient.moduli
-    strides = _strides(moduli)
+    moduli, strides = code.ambient.extents, code.ambient.strides
     columns = [list(map(mod, map(floordiv, anchors, repeat(s)), repeat(m)))
                for s, m in zip(strides, moduli)]
     at = []
@@ -396,12 +382,10 @@ def _placed(code: CodeSet, key: ClassKey,
 def _assemble(code: CodeSet) -> tuple[Component, ...]:
     """The code's components, built from its classes, by min vertex: those
     the BFS walked from their vertices and anchors, the others placed."""
-    lows, extents, strides = _frame(code.ambient)
+    point = code.ambient.point
     comps = []
     for key, (anchors, walked, wrapped) in code._classes.items():
-        comps += [(verts, key, tuple(map(add, map(mod, map(floordiv, repeat(x), strides), extents),
-                                         lows)), wrapped)
-                  for verts, x in zip(walked, anchors)]
+        comps += [(verts, key, point(x), wrapped) for verts, x in zip(walked, anchors)]
         if len(anchors) > len(walked):
             comps += [(verts, key, anchor, wrapped)
                       for verts, anchor in _placed(code, key, anchors[len(walked):])]
@@ -492,8 +476,9 @@ def verify_kappa_ptmc(code: CodeSet, kappa: KappaAssignment) -> VerifyReport:
     the anchor list and that ball is translated by each point of the
     shorter less the first component's anchor. Else ball by ball: each
     component's own ball (`_nearest_ball`) goes into a set, as
-    `verify_partition` does, the components a sweep found being placed
-    from the class's key and anchors. The verifier reads the code's
+    `verify_partition` does; a class whose anchors the component finder
+    swept always goes as masks, so each of these components was walked
+    and its vertices are at hand. The verifier reads the code's
     translation classes and builds no `Component`. A vertex in two balls,
     of one class or two, is an overlap. The verifier holds a bounded
     number of masks of N bits at a time, and the set of vertices in the
@@ -509,7 +494,7 @@ def verify_kappa_ptmc(code: CodeSet, kappa: KappaAssignment) -> VerifyReport:
     a = code.ambient
     if a.degenerate:
         return VerifyReport(False, "degenerate-ambient")
-    n, moduli, size = a.dimension, a.moduli, a.vertex_count()
+    n, moduli, size = a.dimension, a.extents, a.vertex_count()
     classes = code._classes
     radii = [kappa.radius_for(key) for key in classes]
     for t, (_, walked, _) in zip(radii, classes.values()):
@@ -523,42 +508,39 @@ def verify_kappa_ptmc(code: CodeSet, kappa: KappaAssignment) -> VerifyReport:
     loose: set[int] = set()
     twice: list[int] = []
     ties_at: list[int] = []
-    for t, (key, (anchors, walked, _)) in zip(radii, classes.items()):
+    for t, (anchors, walked, _) in zip(radii, classes.values()):
         first = walked[0]
         ties: list[int] = []
         ball = list(_nearest_ball(first, t, moduli, ties))
         ties = list(dict.fromkeys(ties))
         if _swept(len(anchors), len(first), ball_size_formula(n, t), len(ball), size):
-            origin = _point(anchors[0], moduli)  # the first component's anchor
-            union, doubled = _sum_masks(anchors, ball, origin, moduli, tops)
+            origin = a.point(anchors[0])  # the first component's anchor
+            union, doubled = _sum_masks(anchors, ball, origin, a, tops)
             overlap |= doubled | covered & union
             covered |= union
             if ties:
-                tied |= _sum_masks(anchors, ties, origin, moduli, tops)[0]
+                tied |= _sum_masks(anchors, ties, origin, a, tops)[0]
             continue
         ties_at += ties
         # the first component's ball is built above; the order of the others
-        # does not matter, as each witness is the least of its kind
-        others = walked[1:]
-        # a swept class has over _sweep_after(N) >= N / 1024 anchors, so
-        # `_swept` always takes it as masks: this runs only when tests
-        # force the ball-by-ball path
-        if len(anchors) > len(walked):
-            others += [verts for verts, _ in _placed(code, key, anchors[len(walked):])]
-        for ball in chain([ball], (_nearest_ball(verts, t, moduli, ties_at) for verts in others)):
+        # does not matter, as each witness is the least of its kind. Every
+        # component was walked: a class the finder swept has over
+        # _sweep_after(N) >= N / 1024 anchors, so `_swept` takes it as masks
+        for ball in chain([ball], (_nearest_ball(verts, t, moduli, ties_at)
+                                   for verts in walked[1:])):
             if not loose.isdisjoint(ball):
                 twice.append(min(loose.intersection(ball)))
             loose.update(ball)
     spread = _mask(loose)
     w = _least(overlap | covered & spread, twice)
     if w is not None:
-        return VerifyReport(False, "overlap", (_point(w, moduli),))
+        return VerifyReport(False, "overlap", (a.point(w),))
     covered |= spread
     if covered.bit_count() != size:
-        return VerifyReport(False, "gap", (_point(_least(~covered & (covered + 1), []), moduli),))
+        return VerifyReport(False, "gap", (a.point(_least(~covered & (covered + 1), [])),))
     w = _least(tied, ties_at)
     if w is not None:
-        return VerifyReport(False, "nonunique-nearest", (_point(w, moduli),))
+        return VerifyReport(False, "nonunique-nearest", (a.point(w),))
     return VerifyReport(passed=True)
 
 
@@ -580,10 +562,10 @@ def _swept(anchors: int, key: int, offsets: int, ball: int, size: int) -> bool:
     return anchors * key * offsets << 10 >= min(anchors, ball) * size
 
 
-def _sum_masks(xs: list[int], ys: list[int], origin: Point, moduli: tuple[int, ...],
+def _sum_masks(xs: list[int], ys: list[int], origin: Point, a: Ambient,
                tops: dict) -> tuple[int, int]:
-    """The mask of the torus vertices x + y - origin, x in xs and y in ys
-    (distinct row-major indices, added as vectors), and the mask of those
+    """The mask of the vertices x + y - origin of the torus a, x in xs and
+    y in ys (distinct row-major indices, added as vectors), and the mask of those
     reached more than once. The mask of the longer list is translated by
     each point of the shorter, moved by -origin: min(len(xs), len(ys))
     translates."""
@@ -592,8 +574,7 @@ def _sum_masks(xs: list[int], ys: list[int], origin: Point, moduli: tuple[int, .
     base = _mask(ys)
     union = twice = 0
     for x in xs:
-        moved = _translate(base, tuple(map(mod, map(sub, _point(x, moduli), origin), moduli)),
-                           moduli, tops)
+        moved = _translate(base, a.wrap(tuple(map(sub, a.point(x), origin))), a.extents, tops)
         twice |= union & moved
         union |= moved
     return union, twice

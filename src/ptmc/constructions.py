@@ -21,6 +21,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import product
 
+# components_of is called nowhere here: perfbench/spans.py wraps this binding, which a test checks
 from .codes import CodeSet, KappaAssignment, components_of
 from .cover import OutOfTime, solve, tiling_instance
 from .metric import Ambient, Point, truncated_ball
@@ -90,13 +91,17 @@ def build_box_code(c: tuple[int, ...], k: tuple[int, ...]) -> tuple[CodeSet, Kap
 
 
 def min_component_separation(code: CodeSet) -> int:
-    """Minimum l1 distance between distinct components, on the lifted grid.
+    """The l1 distance, on the lifted grid, from the home component (the
+    component of the code's least vertex) to the nearest other component.
 
     The toroidal code is unrolled over a 3x3x...x3 block of torus copies so
     that wrap-around neighbors (including the code's own lattice copies
     when the torus holds a single component) are measured in Z^n, matching
     the separation claim of the box construction. The home component grows
     through code vertices, then l1 shells through the rest up to the code.
+    For a box code this is the minimum over all pairs of components: its
+    components are lattice translates of one another, so each sees the
+    others as the home component does.
     """
     a = code.ambient
     if not a.is_torus:
@@ -179,6 +184,12 @@ def build_by_template(template: TemplateSpec, deadline: float | None = None,
     different solutions; without one, tiles stay in instance order. The
     deadline (a time.monotonic() value) is passed unchanged to the instance
     builder, which stops once it has passed, and then to the search.
+
+    Each radius is keyed by the orientation that its chosen tile places.
+    In an exact cover by balls of radius >= 1 no two tiles touch, so each
+    placed orientation is a whole component; a kept orientation never
+    wraps, as its ball does not, so the orientation, normalized by
+    `shape_orientations`, is that component's class key.
     """
     a = template.torus
     try:
@@ -197,14 +208,13 @@ def build_by_template(template: TemplateSpec, deadline: float | None = None,
     if outcome.kind != "solution":
         return TemplateBuild(outcome.kind, nodes=outcome.nodes)
     chosen = set(outcome.tiles)
-    placed_sets: dict[frozenset, int] = {}
+    verts, radii = [], {}
     for r, tid in zip(keep, pinned.ids):
         if tid in chosen:
             _, radius, orient, anchor = blocks[r // n]
             shift = tuple(z - y for z, y in zip(universe[r % n], anchor))
-            placed_sets[frozenset(a.translate(p, shift) for p in orient)] = radius
-    code = CodeSet(a, tuple(v for placed in placed_sets for v in placed))
-    radii = {comp.class_key: placed_sets[frozenset(comp.vertices)]
-             for comp in components_of(code)}
+            verts += (a.translate(p, shift) for p in orient)
+            radii[orient] = radius
+    code = CodeSet(a, tuple(verts))
     return TemplateBuild("solution", code, KappaAssignment(by_class=radii),
                          outcome.tiles, outcome.nodes)

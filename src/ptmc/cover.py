@@ -513,14 +513,9 @@ def tiling_instance(a: Ambient, shapes: list[tuple[str, tuple[Point, ...], int]]
         raise ValueError("tiling instances are built over tori")
     if any(m < 3 for m in a.moduli):
         raise ValueError("tiling needs all moduli >= 3 (balls would self-wrap)")
-    n, moduli = a.dimension, a.moduli
+    n, moduli = a.dimension, a.extents
     universe = tuple(a.vertices())
     labels = [",".join(map(str, z)) for z in universe]
-    axes = tuple(zip(moduli, _strides(moduli)))
-
-    def index(d):
-        return sum(x % m * k for x, (m, k) in zip(d, axes))
-
     ids, cells, starts, blocks = [], [], [], []
     for name, shape, radius in shapes:
         if any(len(p) != n for p in shape):
@@ -532,8 +527,8 @@ def tiling_instance(a: Ambient, shapes: list[tuple[str, tuple[Point, ...], int]]
                 continue
             anchor = min(ball, key=lambda p: (sum(p), p))
             offsets = [tuple(x - y for x, y in zip(p, anchor)) for p in ball]
-            cells += _sweep(_mask(map(index, offsets)), moduli, 1)
-            starts.append(_mask(index([-x for x in d]) for d in offsets))
+            cells += _sweep(_mask(a.index(a.wrap(d)) for d in offsets), moduli, 1)
+            starts.append(_mask(a.index(a.wrap([-x for x in d])) for d in offsets))
             tag = f"{name}:{oi}@"
             ids += [tag + label for label in labels]
             blocks.append((name, radius, orient, anchor))

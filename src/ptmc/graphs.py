@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .metric import Ambient, _strides
+from .metric import Ambient
 
 
 class Graph:
@@ -110,9 +110,8 @@ def lattice_graph(a: Ambient) -> Graph:
     """
     verts = tuple(a.vertices())
     size, torus = len(verts), a.is_torus
-    extents = a.moduli if torus else tuple(hi - lo + 1 for lo, hi in a.bounds)
     steps = []
-    for m, s in zip(extents, _strides(extents)):
+    for m, s in zip(a.extents, a.strides):
         up, down = [], []
         for k in range(0, size, m * s):
             block = range(k, k + m * s)
@@ -121,7 +120,7 @@ def lattice_graph(a: Ambient) -> Graph:
             down += block[-s:] if torus else [None] * s
             down += block[:-s]
         steps += (up, down)
-    if torus and min(extents) >= 3:
+    if not a.degenerate:
         return Graph._from_positions(verts, list(zip(*steps)))
     nbrs = []
     for i, ns in enumerate(zip(*steps)):

@@ -8,14 +8,19 @@ here work on two finite ambient spaces:
 
   * a window: an axis-aligned box of Z^n, used for enumeration and debug;
   * a torus: Z^n quotiented by per-axis moduli, used for exact verification
-    of periodic codes. Torus arithmetic lives here, with the row-major
-    vertex index (`_strides`) that the verifier's ball routine
-    `_nearest_ball` and the tiling-instance mask sweep `cover._sweep` use.
-    A vertex set is then an int mask over that index, and translating it
-    by a torus vector is one masked rotation per axis (`_rotate`, with the
-    wrapping rows from `_top_rows`); the sweep and the verifier's
-    per-class translates (`_translate`) share that rule, the one
-    translation rule here.
+    of periodic codes.
+
+Either is a box that `Ambient` works out once: its low corner, extents
+and row-major strides, with `Ambient.point` and `Ambient.index` mapping
+between a vertex and its row-major index, whose order is lexicographic
+order. Every module reads the box there. Torus arithmetic lives here too:
+a vertex set is an int mask over the row-major index, and translating it
+by a torus vector is one masked rotation per axis (`_rotate`, with the
+wrapping rows from `_top_rows`); the tiling-instance mask sweep
+`cover._sweep` and the verifier's per-class translates (`_translate`)
+share that rule, the one translation rule here. The mask routines, with
+the verifier's ball routine `_nearest_ball`, take the moduli as a tuple,
+the torus's extents.
 
 Coordinate differences on a torus are wrapped to the representative of
 minimal absolute value; a tie (even modulus, offset exactly half) picks the
@@ -25,11 +30,11 @@ is observable in debug output only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from itertools import accumulate, product, repeat
 from math import comb, prod
-from operator import add, eq, mod, mul
+from operator import add, eq, mod, mul, sub
 from typing import Iterator
 
 Point = tuple[int, ...]
@@ -55,11 +60,19 @@ class Ambient:
     (lo, hi) bounds; a torus carries per-axis moduli >= 1. Moduli 1 and 2
     are legal but degenerate for code verification (truncated balls
     self-overlap); verifiers refuse them.
+
+    Either is a box, worked out at construction: low, its low corner;
+    extents, hi - lo + 1 per axis or the moduli; strides, the weights of
+    its row-major vertex index sum((v - low) * strides). They take no part
+    in equality, hash or repr.
     """
 
     kind: str
     moduli: tuple[int, ...] | None = None
     bounds: tuple[tuple[int, int], ...] | None = None
+    low: Point = field(init=False, compare=False, repr=False)
+    extents: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    strides: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind == "torus":
@@ -67,13 +80,19 @@ class Ambient:
                 raise ValueError("torus moduli must be integers >= 1")
             if self.bounds is not None:
                 raise ValueError("torus ambient takes no bounds")
+            low, extents = (0,) * len(self.moduli), tuple(self.moduli)
         elif self.kind == "window":
             if not self.bounds or any(hi < lo for lo, hi in self.bounds):
                 raise ValueError("window bounds must be nonempty per axis")
             if self.moduli is not None:
                 raise ValueError("window ambient takes no moduli")
+            low = tuple(lo for lo, _ in self.bounds)
+            extents = tuple(hi - lo + 1 for lo, hi in self.bounds)
         else:
             raise ValueError(f"unknown ambient kind {self.kind!r}")
+        object.__setattr__(self, "low", low)
+        object.__setattr__(self, "extents", extents)
+        object.__setattr__(self, "strides", _strides(extents))
 
     @classmethod
     def torus(cls, *moduli: int) -> "Ambient":
@@ -92,7 +111,7 @@ class Ambient:
 
     @property
     def dimension(self) -> int:
-        return len(self.moduli) if self.kind == "torus" else len(self.bounds)
+        return len(self.extents)
 
     @property
     def is_torus(self) -> bool:
@@ -104,16 +123,19 @@ class Ambient:
         return self.kind != "torus" or any(m < 3 for m in self.moduli)
 
     def vertex_count(self) -> int:
-        if self.is_torus:
-            return prod(self.moduli)
-        return prod(hi - lo + 1 for lo, hi in self.bounds)
+        return prod(self.extents)
 
     def contains(self, p: Point) -> bool:
-        if len(p) != self.dimension:
-            return False
-        if self.is_torus:
-            return all(0 <= x < m for x, m in zip(p, self.moduli))
-        return all(lo <= x <= hi for x, (lo, hi) in zip(p, self.bounds))
+        return len(p) == self.dimension and all(
+            0 <= x - lo < e for x, lo, e in zip(p, self.low, self.extents))
+
+    def point(self, i: int) -> Point:
+        """The vertex with row-major index i: the inverse of index."""
+        return tuple(i // s % e + lo for lo, e, s in zip(self.low, self.extents, self.strides))
+
+    def index(self, p: Point) -> int:
+        """The row-major index of vertex p: the inverse of point."""
+        return sum(map(mul, map(sub, p, self.low), self.strides))
 
     def wrap(self, p: Point) -> Point:
         """Reduce a raw integer vector to its canonical representative."""
@@ -144,10 +166,7 @@ class Ambient:
 
     def vertices(self) -> Iterator[Point]:
         """All vertices in lexicographic order, each exactly once."""
-        if self.is_torus:
-            yield from product(*(range(m) for m in self.moduli))
-        else:
-            yield from product(*(range(lo, hi + 1) for lo, hi in self.bounds))
+        yield from product(*map(range, self.low, map(add, self.low, self.extents)))
 
 
 def truncated_distance(u: Point, v: Point, a: Ambient) -> int:
@@ -191,8 +210,8 @@ def truncated_ball(centers: tuple[Point, ...], t: int, a: Ambient) -> tuple[Poin
 
 @lru_cache(maxsize=64)
 def _strides(moduli: tuple[int, ...]) -> tuple[int, ...]:
-    """Per-axis weights of the row-major vertex index on a torus; index
-    order is lexicographic order."""
+    """Per-axis weights of the row-major vertex index of a box of the given
+    extents, the moduli on a torus; index order is lexicographic order."""
     return tuple(prod(moduli[i + 1:]) for i in range(len(moduli)))
 
 
@@ -315,15 +334,6 @@ def _translate(x: int, z: Point, moduli: tuple[int, ...], tops: dict) -> int:
                 top = tops[i, c] = _top_rows(m, s, c, size)
             x = _rotate(x, top, c * s, (m - c) * s)
     return x
-
-
-def _point(i: int, moduli: tuple[int, ...]) -> Point:
-    """The torus vertex with row-major index i."""
-    out = []
-    for m in reversed(moduli):
-        i, x = divmod(i, m)
-        out.append(x)
-    return tuple(reversed(out))
 
 
 def ball_size_formula(n: int, t: int) -> int:

@@ -18,10 +18,8 @@ PACKAGE = ROOT / "src" / "ptmc"
 # module.name or module.Class.method, kept though nothing above refers to it
 KEEP = {
     # what the acceptance suite (test_acceptance.py) checks
-    "metric.ball_size_formula",
     "metric.truncated_distance",
     "codes.box_hull_check",
-    "codes.inflate_code",
     "codes.verify_t_ptmc",
     # the compound's neighbours as the tests' oracles read them
     "gamma2.neighbors",
@@ -81,3 +79,5 @@ def test_every_public_name_is_used_outside_the_tests():
     defined, unused = _unreferenced()
     assert KEEP <= defined, f"KEEP names what is not defined: {sorted(KEEP - defined)}"
     assert sorted(unused - KEEP) == []
+    # a KEEP entry that the package or the benchmark has come to use is stale
+    assert sorted(KEEP - unused) == []

@@ -425,7 +425,10 @@ def test_nonunique_nearest_reports_smallest_witness():
 
 @pytest.mark.parametrize("swept", [True, False])
 def test_nonunique_nearest_witness_on_either_path(swept, monkeypatch):
-    # the class swept as masks, or translated ball by ball
+    # the class swept as masks, or translated ball by ball; the component
+    # finder sweeps nothing, as the ball-by-ball side needs every component
+    # walked
+    monkeypatch.setattr("ptmc.codes._sweep_after", lambda size: size + 1)
     monkeypatch.setattr("ptmc.codes._swept", lambda *args: swept)
     test_nonunique_nearest_reports_smallest_witness()
 
@@ -465,14 +468,18 @@ def test_verifier_matches_naive_oracle_on_random_tori():
 
 @pytest.mark.parametrize("swept", [True, False])
 def test_verifier_paths_match_naive_oracle_on_random_tori(swept, monkeypatch):
-    # every class swept as masks, or every class translated ball by ball
+    # every class swept as masks, or every class translated ball by ball,
+    # with every component walked
+    monkeypatch.setattr("ptmc.codes._sweep_after", lambda size: size + 1)
     monkeypatch.setattr("ptmc.codes._swept", lambda *args: swept)
     test_verifier_matches_naive_oracle_on_random_tori()
 
 
 def test_verifier_paths_agree_where_both_are_chosen(monkeypatch):
     # on 8,000 vertices a class of singletons at radius 1 is swept as masks
-    # once it has 8 anchors, so sparse codes mix both paths
+    # once it has 8 anchors, so sparse codes mix both paths; every component
+    # is walked, so that either path can take every class
+    monkeypatch.setattr("ptmc.codes._sweep_after", lambda size: size + 1)
     chosen = []
     swept = ptmc.codes._swept
 
@@ -500,6 +507,26 @@ def test_verifier_paths_agree_where_both_are_chosen(monkeypatch):
     for rule in (swept, lambda *args: True, lambda *args: False):
         monkeypatch.setattr("ptmc.codes._swept", rule)
         assert verify_kappa_ptmc(code, build.kappa).passed
+
+
+def test_classes_the_finder_sweeps_are_checked_as_masks():
+    # a class the component finder sweeps has _sweep_after(N) + 1 anchors or
+    # more, and its first component's ball has at most key x offsets
+    # vertices, so the verifier never takes it ball by ball, where only the
+    # walked components' vertices are at hand
+    swept, after = ptmc.codes._swept, ptmc.codes._sweep_after
+    sizes = {27, 100, 1000, 1023, 1024, 1025, 16383, 16384, 16385, 17407, 17408, 17409,
+             24000, 240000, 1 << 20, 1_000_000, 2_400_000, 8_000_000}
+    rng = random.Random(3)
+    sizes |= {rng.randint(27, 8_000_000) for _ in range(30)}
+    for size in sorted(sizes):
+        anchors = after(size) + 1
+        for n in range(1, 7):
+            for t in range(1, n + 1):
+                offsets = ball_size_formula(n, t)
+                for key in range(1, 65):
+                    for ball in (1, key * offsets):
+                        assert swept(anchors, key, offsets, ball, size), (size, n, t, key, ball)
 
 
 def test_verifier_finds_overlaps_between_swept_and_unswept_classes():
@@ -871,6 +898,31 @@ def test_json_round_trip_preserves_verdict():
     assert back == code
     assert verify_kappa_ptmc(back, kappa2).passed
     assert code_to_json(back, kappa2) == doc  # stable re-serialization
+
+
+def test_json_format_on_tori_and_offset_windows():
+    # the documents as the format fixes them, for a torus and for windows
+    # whose low corner is not the origin, and their components' anchors
+    cases = [
+        (CodeSet(torus(5, 5), ((0, 0), (1, 2), (2, 4), (3, 1), (4, 3))),
+         KappaAssignment.uniform(2),
+         '{"ambient": {"kind": "torus", "moduli": [5, 5]}, "vertices": [[0, 0], [1, 2], '
+         '[2, 4], [3, 1], [4, 3]], "kappa": {"b0d317a3ada5": 2}}'),
+        (CodeSet(Ambient.window((1, 4), (1, 4)), ((1, 2), (2, 4), (3, 1), (4, 3))),
+         KappaAssignment.uniform(1),
+         '{"ambient": {"kind": "window", "bounds": [[1, 4], [1, 4]]}, "vertices": [[1, 2], '
+         '[2, 4], [3, 1], [4, 3]], "kappa": {"b0d317a3ada5": 1}}'),
+        (CodeSet(Ambient.window((-1, 2), (3, 5)), ((2, 5), (-1, 3), (0, 3))),
+         KappaAssignment(by_class={((0, 0), (1, 0)): 1, ((0, 0),): 2}),
+         '{"ambient": {"kind": "window", "bounds": [[-1, 2], [3, 5]]}, "vertices": [[-1, 3], '
+         '[0, 3], [2, 5]], "kappa": {"0588b2094e86": 1, "b0d317a3ada5": 2}}'),
+    ]
+    for code, kappa, text in cases:
+        assert json.dumps(code_to_json(code, kappa)) == text
+        back, radii = code_from_json(json.loads(text))
+        assert back == code and code_to_json(back, radii) == json.loads(text)
+    assert [(c.vertices, c.class_key, c.anchor) for c in components_of(cases[2][0])] == [
+        (((-1, 3), (0, 3)), ((0, 0), (1, 0)), (-1, 3)), (((2, 5),), ((0, 0),), (2, 5))]
 
 
 def test_json_kappa_hash_is_stable():

@@ -267,6 +267,19 @@ def test_build_radii_follow_shapes():
         assert t == 1
 
 
+def test_build_radii_are_keyed_by_the_chosen_orientations():
+    # each component is one placed tile, so its class takes the radius of
+    # the shape placed: the shapes differ in size, which names the shape
+    cases = [(3, seed) for seed in (None, 1, 7, 9, 123)] + [(4, None), (4, 3), (4, 7), (5, None)]
+    for n, seed in cases:
+        template = cube_singleton_template(n)
+        build = build_by_template(template, seed=seed)
+        assert build.kind == "solution"
+        radius = {len(s.vertices): s.radius for s in template.shapes}
+        assert build.kappa.by_class == {c.class_key: radius[len(c)]
+                                        for c in components_of(build.code)}, (n, seed)
+
+
 def test_dim4_build_reproduces_fixture():
     # the unseeded search finds exactly the frozen file, byte for byte
     build = build_by_template(cube_singleton_template(4))

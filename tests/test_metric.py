@@ -13,7 +13,6 @@ from ptmc.metric import (
     _bits,
     _mask,
     _nearest_ball,
-    _point,
     _repeat,
     _strides,
     _translate,
@@ -165,6 +164,43 @@ def test_ambient_validation():
         Ambient(kind="blob", moduli=(3,))
 
 
+def test_ambient_box_and_index_maps():
+    # the box is the low corner, the extents and the row-major strides; point
+    # and index are inverse, and index order is the vertices' order
+    cases = [(Ambient.torus(3, 4, 5), (0, 0, 0), (3, 4, 5), (20, 5, 1)),
+             (Ambient.window((1, 4), (-2, 3)), (1, -2), (4, 6), (6, 1)),
+             (Ambient.window((5, 5)), (5,), (1,), (1,))]
+    for a, low, extents, strides in cases:
+        assert (a.low, a.extents, a.strides) == (low, extents, strides)
+        verts = list(a.vertices())
+        assert verts == sorted(set(verts)) and len(verts) == a.vertex_count()
+        assert [a.index(v) for v in verts] == list(range(len(verts)))
+        assert [a.point(i) for i in range(len(verts))] == verts
+        assert all(map(a.contains, verts))
+        hi = tuple(x + e - 1 for x, e in zip(low, extents))
+        for i in range(a.dimension):
+            for bad in (low[i] - 1, hi[i] + 1):
+                assert not a.contains(low[:i] + (bad,) + low[i + 1:])
+        assert not a.contains(low + (0,))
+
+
+def test_ambient_equality_hash_and_repr_read_only_the_given_fields():
+    # the box attributes are derived: equality, hash and repr are those of
+    # (kind, moduli, bounds) alone
+    cases = [(Ambient.torus(3, 4), "Ambient(kind='torus', moduli=(3, 4), bounds=None)"),
+             (Ambient.window((1, 4), (1, 4)),
+              "Ambient(kind='window', moduli=None, bounds=((1, 4), (1, 4)))"),
+             (Ambient.window((-1, 2), (3, 5)),
+              "Ambient(kind='window', moduli=None, bounds=((-1, 2), (3, 5)))")]
+    for a, text in cases:
+        assert repr(a) == text
+        assert hash(a) == hash((a.kind, a.moduli, a.bounds))
+        assert a == Ambient(kind=a.kind, moduli=a.moduli, bounds=a.bounds)
+    assert Ambient.torus(3, 4) != Ambient.torus(4, 3)
+    # a window of the torus's box is another ambient
+    assert Ambient.torus(3, 4) != Ambient.window((0, 2), (0, 3))
+
+
 def test_repeat_matches_the_repunit_product():
     rng = random.Random(4)
     for _ in range(300):
@@ -226,9 +262,8 @@ def test_translate_moves_every_bit_by_the_vector():
         size = moduli[0] * _strides(moduli)[0]
         positions = rng.sample(range(size), rng.randint(0, size))
         z = tuple(rng.randrange(m) for m in moduli)
-        moved = [sum(((x + y) % m) * k for x, y, m, k in zip(_point(p, moduli), z, moduli,
-                                                              _strides(moduli)))
-                 for p in positions]
+        a = Ambient.torus(*moduli)
+        moved = [a.index(a.translate(a.point(p), z)) for p in positions]
         tops = {}
         assert _translate(_mask(positions), z, moduli, tops) == _mask(moved)
         assert _translate(_mask(positions), z, moduli, tops) == _mask(moved)  # from the cache
