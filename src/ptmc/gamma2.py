@@ -11,8 +11,8 @@ by that sum. `_words` lists a truncated tree in lexicographic order, where
 a word comes before its extensions, which is how tuples of words sort: so
 the pairs of its words under the cut-off, x-word outer and y-word inner,
 come out sorted, and tersquares, region vertices and a grown code's
-centres are generated in order, not sorted after. The growth sweep reads
-the same listing a level at a time.
+centres are generated in order, not sorted after. The growth sweep walks
+the same order a level at a time, each node carrying only its state.
 
 The compound is L(T) box L(T). A vertex is a pair (x-tree edge e, y-tree
 edge f), where a tree edge is (shallow node, letter) and its letter is the
@@ -21,9 +21,11 @@ an endpoint of e with one of f, with the same label (a, b) in each. With
 N[e] for e and the four tree edges meeting it, the vertex has the eight
 neighbours (N[e] - e) x {f} and {e} x (N[f] - f), and its truncated 2-ball
 is N[e] x N[f]. Every local structure here is such a product of one piece
-per axis, and every graph (a hive's, a region's) is the subgraph induced
-on a vertex collection by the same rule, read off the rims N[e] - e and
-N[f] - f of each vertex's edges. The words of a collection are numbered
+per axis: a grown code is a product of two axis codes, and its interior
+is checked through per-edge counts on each axis, not ball by ball. Every
+graph (a hive's, a region's) is the subgraph induced on a vertex
+collection by the same rule, read off the rims N[e] - e and N[f] - f of
+each vertex's edges. The words of a collection are numbered
 once, so that edges, vertices and tersquares become ints:
 `_rim_positions` finds each vertex's neighbours as positions in the
 collection, and `_owners` its member tersquares, by int lookups, with no
@@ -590,24 +592,70 @@ def no_isolated_pds(h: Hive, deadline: float | None = None) -> CoverOutcome:
 # growing codes beyond one hive
 # ---------------------------------------------------------------------------
 
+_FREE, _CHOSEN, _COVERED = 0, 1, 2  # `_edge_code`'s node states
+
+
 def _edge_code(max_depth: int, rng: random.Random | None) -> set[Edge]:
     """A set of tree edges such that every edge within depth touches
     exactly one chosen edge (efficient edge domination of the 3-regular
     tree), built by a breadth-first sweep of the tree's levels.
 
-    Level by level, in lexicographic order within a level (`_words` sorted
-    by length), each node whose incoming edge e touches no chosen edge
-    yet (no edge of N[e] is chosen) adds one of its deeper edges to the
-    code; the rng (or the least letter, when rng is None) picks it. No root
-    edge is chosen, matching the hive picture where the chosen vertices
-    sit in corners.
+    A node at depth 1..max_depth carries the state of its incoming edge e:
+    chosen, covered (e meets a chosen edge at its shallow end) or free. A
+    node is free when its parent chose no deeper edge and the parent's
+    incoming edge is not chosen, so no edge of N[e] is chosen yet. Level
+    by level, in lexicographic order within a level, each free node
+    chooses one of its deeper edges, picked by the rng (or the least
+    letter, when rng is None); the chosen child's incoming edge is chosen
+    and the other child's covered. Below a chosen edge both children are
+    covered, below a covered node both are free. No root edge is chosen,
+    matching the hive picture where the chosen vertices sit in corners.
     """
     code: set[Edge] = set()
-    for node in sorted(_words(max_depth), key=len)[1:]:
-        if code.isdisjoint(_closed((node[:-1], node[-1]))):
-            deeper = _deeper(node)
-            code.add((node, rng.choice(deeper) if rng is not None else deeper[0]))
+    nodes = [((s,), _FREE) for s in LETTERS]
+    for _ in range(max_depth):
+        children: list = []
+        for w, state in nodes:
+            s, t = letters = _OTHER_LETTERS[w[-1]]
+            ws, wt = w + (s,), w + (t,)
+            if state == _FREE:
+                pick = rng.choice(letters) if rng is not None else s
+                code.add((w, pick))
+                children += ((ws, _CHOSEN), (wt, _COVERED)) if pick == s else \
+                            ((ws, _COVERED), (wt, _CHOSEN))
+            else:
+                below = _COVERED if state == _CHOSEN else _FREE
+                children += ((ws, below), (wt, below))
+        nodes = children
     return code
+
+
+def _interior_check(level: int, dx: set[Edge], dy: set[Edge]) -> VerifyReport:
+    """Check that the balls of the centres that the axis codes dx and dy
+    give at a level partition the region's interior, through the codes.
+
+    An interior vertex (e, f), |wx| + |wy| <= level - 2, lies in the ball
+    N[e'] x N[f'] of a centre (e', f') exactly when e' is in N[e] and f'
+    in N[f], and every such pair of chosen edges is a centre, its depths
+    summing to at most level. So the vertex is hit cx(e) * cy(f) times,
+    with cx(e) = |N[e] & dx| and cy(f) = |N[f] & dy|, and the interior is
+    partitioned exactly when cx and cy are 1 on every edge of depth <=
+    level - 2. Only when they are not does it scan the interior vertices,
+    in order, for `verify_partition`'s witness: the smallest vertex hit
+    twice or more, else the smallest hit by none. Neither the interior nor
+    a ball is built on a pass.
+    """
+    edges = [(w, a) for w, ls in _tree_edges(level - 2) for a in ls]
+    cx, cy = ({e: sum(g in code for g in _closed(e)) for e in edges} for code in (dx, dy))
+    if all(c == 1 for c in chain(cx.values(), cy.values())):
+        return VerifyReport(passed=True)
+    hits = [(v, cx[v.wx, v.a] * cy[v.wy, v.b]) for v in _vertices_up_to(level - 2)]
+    over = [v for v, n in hits if n > 1]
+    if over:
+        return VerifyReport(False, "overlap", (over[0],))
+    # some count is not 1: paired with a depth-0 edge of the other axis it
+    # leaves a product other than 1, so a vertex is hit by none
+    return VerifyReport(False, "gap", (next(v for v, n in hits if n == 0),))
 
 
 @dataclass(frozen=True)
@@ -632,29 +680,37 @@ def extend_2ptmc(level: int, seed: int | None = None) -> RegionCode:
     `_edge_code`'s seeded level sweep. Centers are the pairs of chosen x-
     and y-edges (wx, a), (wy, b) with |wx| + |wy| <= level.
 
+    The x-sweep runs to depth level + 3 though only its edges of depth
+    <= level become centres: the y-sweep's draws follow it on the shared
+    rng, so the three extra levels fix every seeded code. The y-sweep
+    stops at the level, and the rng is not read after it.
+
     The region is never built: as in `Region`, its vertices are the pairs
-    of tree edges with |wx| + |wy| <= level, counted off the same cut-off,
-    and its interior those with |wx| + |wy| <= level - 2. Truncated 2-balls
-    of the centers partition the interior; boundary vertices (with
-    containing tersquares outside the region) are left unverified;
-    overlaps precede gaps.
+    of tree edges with |wx| + |wy| <= level, and its interior those with
+    |wx| + |wy| <= level - 2; both sizes come from per-depth edge counts.
+    The truncated 2-balls of the centers must partition the interior,
+    which `_interior_check` decides from the axis codes' per-edge counts
+    (an overlap reported before a gap); boundary vertices (with containing
+    tersquares outside the region) are left unverified.
     """
     if level < 2:
         raise ValueError("need a region of level >= 2")
     rng = random.Random(seed) if seed is not None else None
     dx = _edge_code(level + 3, rng)
-    dy = _edge_code(level + 3, rng)
+    dy = _edge_code(level, rng)
     edges = _tree_edges(level)
     xs, ys = ([(w, [a for a in ls if (w, a) in code]) for w, ls in edges] for code in (dx, dy))
     centers = _cut(level, xs, ys)
-    interior = _vertices_up_to(level - 2)
-    inside = set(interior)
-    rep = verify_partition((local_ball(c) & inside for c in centers), interior)
+    rep = _interior_check(level, dx, dy)
     per_depth = [0] * (level + 1)
     for w, ls in edges:
         per_depth[len(w)] += len(ls)
-    size = sum(per_depth[i] * per_depth[j] for i in range(level + 1) for j in range(level + 1 - i))
-    return RegionCode(level, seed, centers, len(interior), size - len(interior), rep.passed,
+
+    def pairs(d: int) -> int:  # the vertices with |wx| + |wy| <= d
+        return sum(per_depth[i] * per_depth[j] for i in range(d + 1) for j in range(d + 1 - i))
+
+    interior = pairs(level - 2)
+    return RegionCode(level, seed, centers, interior, pairs(level) - interior, rep.passed,
                       rep.witness[0] if rep.witness else None)
 
 

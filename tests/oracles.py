@@ -11,9 +11,9 @@ from collections import deque
 from itertools import combinations, product
 from operator import add, mod, sub
 
-from ptmc.codes import CodeSet, components_of
+from ptmc.codes import CodeSet, components_of, verify_partition
 from ptmc.gamma2 import (LETTERS, GammaVertex, RegionCode, Tersquare, containing_tersquares,
-                         neighbors)
+                         local_ball, neighbors)
 from ptmc.metric import Ambient
 
 
@@ -428,6 +428,19 @@ def naive_region_code(region, seed):
     return RegionCode(level, seed, tuple(sorted(centers)), len(interior),
                       len(region.graph) - len(interior), not bad,
                       min(bad) if bad else None)
+
+
+def ball_scan_interior(level, dx, dy):
+    """`extend_2ptmc`'s interior check by scanning balls: the centres are
+    the pairs of edges from the axis codes dx and dy with |wx| + |wy| <=
+    level, and each centre's 2-ball, cut to the interior |wx| + |wy| <=
+    level - 2, is handed to `verify_partition` (overlap before gap)."""
+    ys = sorted(dy)
+    centers = [GammaVertex(wx, wy, a, b) for wx, a in sorted(dx) for wy, b in ys
+               if len(wx) + len(wy) <= level]
+    interior = naive_vertices(level - 2)
+    inside = set(interior)
+    return verify_partition((local_ball(c) & inside for c in centers), interior)
 
 
 def naive_cover_solutions(universe, tiles):

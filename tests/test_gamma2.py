@@ -37,11 +37,12 @@ from ptmc.gamma2 import (
     tersquare_vertices,
     verify_hive_selection,
 )
-from ptmc.gamma2 import (_edge_code, _edge_numbers, _induced_graph, _owners, _tersquares_up_to,
-                         _texts, _vertices_up_to, ORIGIN)
+from ptmc.gamma2 import (_closed, _edge_code, _edge_numbers, _induced_graph, _interior_check,
+                         _owners, _tersquares_up_to, _texts, _vertices_up_to, ORIGIN)
 import ptmc.gamma2
 
 from oracles import (
+    ball_scan_interior,
     naive_canonical,
     naive_edge_code,
     naive_external_cycle,
@@ -665,10 +666,22 @@ def test_edge_code_matches_queue_oracle():
     for seed in (None, 0, 1, 2, 99, 7340):
         rng = random.Random(seed) if seed is not None else None
         ref = random.Random(seed) if seed is not None else None
-        for depth in range(12):
+        for depth in range(13):
             # two sweeps share one rng, as extend_2ptmc's x- and y-sweeps do
             for _ in range(2):
                 assert _edge_code(depth, rng) == naive_edge_code(depth, ref), (seed, depth)
+                # the sweep drew from the rng exactly what the queue did
+                if rng is not None:
+                    assert rng.random() == ref.random(), (seed, depth)
+
+
+def test_edge_code_to_a_level_is_the_shallow_part_of_a_deeper_sweep():
+    # so extend_2ptmc's y-sweep, the last to read the rng, may stop at the level
+    for seed in (None, 0, 1, 7340):
+        for level in range(11):
+            rngs = [random.Random(seed) if seed is not None else None for _ in range(2)]
+            deep = _edge_code(level + 3, rngs[0])
+            assert _edge_code(level, rngs[1]) == {e for e in deep if len(e[0]) <= level}
 
 
 def test_naive_words_count_reduced_words():
@@ -718,17 +731,69 @@ def test_extend_level4_two_seeds_distinct_and_pass():
 
 def test_extend_level4_missing_center_reports_smallest_gap(monkeypatch):
     full = extend_2ptmc(4, seed=1)
-    interior = build_region(4).interior()
-    dropped = full.centers[len(full.centers) // 2]
-    uncovered = [u for u in interior if gamma_truncated_distance(u, dropped) <= 2]
-    assert uncovered
-    real = ptmc.gamma2.local_ball
-    monkeypatch.setattr(ptmc.gamma2, "local_ball",
-                        lambda v: frozenset() if v == dropped else real(v))
+    rng = random.Random(1)
+    dx, dy = _edge_code(7, rng), _edge_code(4, rng)
+    shallow = sorted(e for e in dx if len(e[0]) <= 2)
+    dropped = shallow[len(shallow) // 2]
+    real = ptmc.gamma2._edge_code
+    sweeps = []
+
+    def drop_from_x_sweep(max_depth, rng):
+        code = real(max_depth, rng)
+        if not sweeps:
+            code.discard(dropped)
+        sweeps.append(max_depth)
+        return code
+
+    monkeypatch.setattr(ptmc.gamma2, "_edge_code", drop_from_x_sweep)
     rc = extend_2ptmc(4, seed=1)
-    assert rc.centers == full.centers
+    assert sweeps == [7, 4]
+    assert rc.centers == tuple(c for c in full.centers if (c.wx, c.a) != dropped)
+    interior = build_region(4).interior()
+    uncovered = [u for u in interior if not any(u in naive_local_ball(c) for c in rc.centers)]
+    assert uncovered
     assert not rc.passed
     assert rc.witness == min(uncovered)
+    assert ball_scan_interior(4, dx - {dropped}, dy).witness == (rc.witness,)
+
+
+def _mutants(level, dx, dy, rng):
+    """Mutated axis-code pairs, each with the failure kind it must give
+    (None where random flips may give either)."""
+    tree = [(w, a) for w in naive_words(level - 1) for a in (0, 1, 2) if w[-1:] != (a,)]
+
+    def flipped(code):
+        for e in rng.sample(tree, rng.randint(1, 3)):
+            code = code ^ {e}
+        return code
+
+    out = [((flipped(dx), flipped(dy)), None)]
+    for axis, code in enumerate((dx, dy)):
+        g = rng.choice(sorted(e for e in code if len(e[0]) <= level - 1))
+        # dropping g leaves the edge into its shallow end meeting no chosen
+        # edge; adding an edge that meets g there makes that edge meet two
+        for mutated, kind in ((code - {g}, "gap"),
+                              (code | {rng.choice(_closed(g)[1:3])}, "overlap"),
+                              (flipped(code), None)):
+            out.append(((mutated, dy) if axis == 0 else (dx, mutated), kind))
+    return out
+
+
+@pytest.mark.parametrize("level", range(2, 10))
+def test_interior_check_matches_ball_scan_on_mutated_axis_codes(level):
+    rng = random.Random(level)
+    dx = _edge_code(level + 3, rng)
+    dy = _edge_code(level, rng)
+    assert _interior_check(level, dx, dy) == ball_scan_interior(level, dx, dy)
+    assert _interior_check(level, dx, dy).passed
+    kinds = set()
+    for (mx, my), kind in _mutants(level, dx, dy, random.Random(1000 + level)):
+        got = _interior_check(level, mx, my)
+        want = ball_scan_interior(level, mx, my)
+        assert (got.passed, got.kind, got.witness) == (want.passed, want.kind, want.witness)
+        assert kind is None or got.kind == kind
+        kinds.add(got.kind)
+    assert {"overlap", "gap"} <= kinds
 
 
 @pytest.mark.parametrize("level", range(2, 7))
@@ -742,6 +807,14 @@ def test_extend_level7_counts():
     rc = extend_2ptmc(7, seed=7340)
     assert rc.passed
     assert (len(rc.centers), rc.interior_size, rc.boundary_size) == (657, 2889, 13248)
+
+
+@pytest.mark.parametrize("level, seed, counts", [(11, 1, (15345, 82953, 322560)),
+                                                 (12, 7340, (34353, 184329, 700416))])
+def test_extend_deep_counts(level, seed, counts):
+    rc = extend_2ptmc(level, seed=seed)
+    assert rc.passed and rc.witness is None
+    assert (len(rc.centers), rc.interior_size, rc.boundary_size) == counts
 
 
 def test_extend_rejects_small_level():
