@@ -44,7 +44,7 @@ from typing import Collection, Iterable
 
 from .graphs import Graph, _array
 # truncated_ball is called nowhere here: perfbench/spans.py wraps this binding, which a test checks
-from .metric import (Ambient, Point, _bits, _integers, _mask, _nearest_ball, _translate,
+from .metric import (Ambient, Point, _bits, _inside, _integers, _mask, _nearest_ball, _translate,
                      ball_size_formula, truncated_ball)
 
 ClassKey = tuple[Point, ...]
@@ -100,21 +100,6 @@ class CodeSet:
     @cached_property
     def _components(self) -> tuple[Component, ...]:
         return _assemble(self)
-
-
-def _inside(a: Ambient, vs: tuple[Point, ...]) -> bool:
-    """True when every vertex lies in the ambient, checked per axis by C-level
-    min and max. False leaves the verdict to the exact per-vertex scan: a
-    vertex may be outside or of the wrong length, or a coordinate may not be
-    an int, where min and max need not agree with the scan (NaN, strings)."""
-    if not vs:
-        return True
-    if set(map(len, vs)) != {a.dimension}:
-        return False
-    for column, lo, e in zip(zip(*vs), a.low, a.extents):
-        if set(map(type, column)) != {int} or not lo <= min(column) <= max(column) < lo + e:
-            return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,12 @@ the constructors in this package list their tiles in a fixed order, so
 runs are reproducible: tiling instances in orientation blocks, each with
 its anchors in row-major order (not sorted id order once a modulus
 exceeds 10: "dot:0@9,2" comes before "dot:0@10,0"), the others in the
-order of their graph's vertices or their file's tiles.
+order of their graph's vertices or their file's tiles. A tiling
+instance is set up from each orientation's ball alone: the orientations
+are the shape's orbit under adjacent transpositions, not a loop over all
+n! permutations, each ball vertex costs one arithmetic pass for its
+row-major offset, and the ids' anchor labels are one product of per-axis
+strings.
 
 The search turns every set it needs into a Python int: a tile's cells, a
 cell's tiles, the tiles a choice rules out (built the first time that tile
@@ -43,8 +48,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
+from itertools import product
 from math import prod
+from operator import mod, mul, sub
 from typing import Iterable
 
 from .codes import verify_partition
@@ -457,23 +463,30 @@ def eds_instance(g: Graph, deadline: float | None = None) -> ExactCoverInstance:
 
 
 def shape_orientations(shape: tuple[Point, ...]) -> list[tuple[Point, ...]]:
-    """Distinct images of a shape under coordinate permutations.
+    """Distinct images of a shape under coordinate permutations, sorted.
 
     Each image is normalized to have its coordinate-wise minimum at the
     origin and sorted; duplicates collapse, so a singleton has one
-    orientation and a unit square in n=3 has three.
+    orientation and a unit square in n=3 has three. The images are the
+    orbit of the normalized shape under the n - 1 adjacent transpositions,
+    which generate every permutation, so the work grows with the number of
+    distinct images, not with n!: the (n-1)-cube in n dimensions has n.
+    Swapping two axes keeps a normalized image normalized, so each new
+    image is only sorted.
     """
     n = len(shape[0])
-    seen = set()
-    out = []
-    for perm in permutations(range(n)):
-        img = [tuple(p[perm[i]] for i in range(n)) for p in shape]
-        mins = tuple(min(p[i] for p in img) for i in range(n))
-        norm = tuple(sorted(tuple(x - m for x, m in zip(p, mins)) for p in img))
-        if norm not in seen:
-            seen.add(norm)
-            out.append(norm)
-    return sorted(out)
+    mins = [min(c) for c in zip(*shape)]
+    start = tuple(sorted(tuple(map(sub, p, mins)) for p in shape))
+    seen = {start}
+    todo = [start]
+    while todo:
+        img = todo.pop()
+        for i in range(n - 1):
+            swapped = tuple(sorted(p[:i] + (p[i + 1], p[i]) + p[i + 2:] for p in img))
+            if swapped not in seen:
+                seen.add(swapped)
+                todo.append(swapped)
+    return sorted(seen)
 
 
 def tiling_instance(a: Ambient, shapes: list[tuple[str, tuple[Point, ...], int]],
@@ -481,24 +494,31 @@ def tiling_instance(a: Ambient, shapes: list[tuple[str, tuple[Point, ...], int]]
     """Exact cover instance whose tiles are placed truncated balls.
 
     shapes is a list of (name, vertex set, radius); every orientation under
-    coordinate permutations and every torus translation yields one tile.
-    Tile ids encode shape, orientation and anchor, e.g. "sq:1@0,3,2".
+    coordinate permutations (`shape_orientations`, in its sorted order) and
+    every torus translation yields one tile. Tile ids encode shape,
+    orientation and anchor, e.g. "sq:1@0,3,2"; the anchor labels are made
+    once, as the row-major product of each axis's coordinate strings.
 
     Each orientation's ball is enumerated once, on a window that does not
-    clip it, for its anchor: the ball vertex of minimal coordinate sum, ties
-    broken lexicographically. The tile anchored at z is that ball translated
-    to z, the torus ball of the shape placed with its anchor at z. Torus
-    vertices are listed in row-major order, and a cell's position is its
-    row-major index, so the instance is built as the search's masks: the
-    cell masks of one orientation are its ball's mask at anchor 0 swept over
-    the anchors (`_sweep`), and the masks of each cell's tiles are one sweep
-    of the masks of the negated balls, set side by side, one block of N =
-    len(universe) bits per orientation. Rows are made only on demand.
+    clip it (`Ambient.around`, so `truncated_ball` filters no point), for
+    its anchor: the ball vertex of minimal coordinate sum, ties broken
+    lexicographically. The tile anchored at z is that ball translated to z,
+    the torus ball of the shape placed with its anchor at z. Torus vertices
+    are listed in row-major order, and a cell's position is its row-major
+    index, so the instance is built as the search's masks: each ball
+    vertex's offset from the anchor, and its negation, is wrapped and
+    weighted by the strides in one arithmetic pass per vertex; the cell
+    masks of one orientation are the offsets' mask, the ball at anchor 0,
+    swept over the anchors (`_sweep`), and the masks of each cell's tiles
+    are one sweep of the negated offsets' masks, set side by side, one
+    block of N = len(universe) bits per orientation. Rows are made only on
+    demand.
 
     A ball whose span exceeds a modulus wraps onto itself and comes out
-    smaller than its lattice volume. The wrap always creates a vertex with
-    two nearest center vertices, so no verified code can use such a ball;
-    a translate has the same size, so the whole orientation is left out.
+    smaller than its lattice volume: two of its offsets wrap to one index.
+    The wrap always creates a vertex with two nearest center vertices, so no
+    verified code can use such a ball; a translate has the same size, so
+    the whole orientation is left out.
 
     Returns the instance plus one block (name, radius, orientation, anchor)
     per orientation kept, in instance order, each of N tiles: tile r is
@@ -513,9 +533,9 @@ def tiling_instance(a: Ambient, shapes: list[tuple[str, tuple[Point, ...], int]]
         raise ValueError("tiling instances are built over tori")
     if any(m < 3 for m in a.moduli):
         raise ValueError("tiling needs all moduli >= 3 (balls would self-wrap)")
-    n, moduli = a.dimension, a.extents
+    n, moduli, strides = a.dimension, a.extents, a.strides
     universe = tuple(a.vertices())
-    labels = [",".join(map(str, z)) for z in universe]
+    labels = list(map(",".join, product(*[list(map(str, range(m))) for m in moduli])))
     ids, cells, starts, blocks = [], [], [], []
     for name, shape, radius in shapes:
         if any(len(p) != n for p in shape):
@@ -523,12 +543,13 @@ def tiling_instance(a: Ambient, shapes: list[tuple[str, tuple[Point, ...], int]]
         for oi, orient in enumerate(shape_orientations(tuple(shape))):
             _check_clock(deadline)
             ball = truncated_ball(orient, radius, Ambient.around(orient))
-            if len(set(map(a.wrap, ball))) < len(ball):
-                continue
             anchor = min(ball, key=lambda p: (sum(p), p))
-            offsets = [tuple(x - y for x, y in zip(p, anchor)) for p in ball]
-            cells += _sweep(_mask(a.index(a.wrap(d)) for d in offsets), moduli, 1)
-            starts.append(_mask(a.index(a.wrap([-x for x in d])) for d in offsets))
+            offsets = [sum(map(mul, map(mod, map(sub, p, anchor), moduli), strides)) for p in ball]
+            if len(set(offsets)) < len(ball):
+                continue
+            cells += _sweep(_mask(offsets), moduli, 1)
+            starts.append(_mask([sum(map(mul, map(mod, map(sub, anchor, p), moduli), strides))
+                                 for p in ball]))
             tag = f"{name}:{oi}@"
             ids += [tag + label for label in labels]
             blocks.append((name, radius, orient, anchor))

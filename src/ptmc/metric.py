@@ -35,7 +35,7 @@ from functools import cache, lru_cache
 from itertools import accumulate, product, repeat
 from math import comb, prod
 from operator import add, eq, mod, mul, sub
-from typing import Iterator
+from typing import Collection, Iterator
 
 Point = tuple[int, ...]
 
@@ -189,22 +189,46 @@ def _offsets(n: int, t: int) -> tuple[tuple[Point, ...], ...]:
     return tuple(map(tuple, groups))
 
 
+def _inside(a: Ambient, vs: Collection[Point]) -> bool:
+    """True when every vertex of the collection vs lies in the ambient,
+    checked per axis by C-level min and max. False leaves the verdict to the
+    exact per-vertex scan: a vertex may be outside or of the wrong length, or
+    a coordinate may not be an int, where min and max need not agree with
+    the scan (NaN, strings)."""
+    if not vs:
+        return True
+    if set(map(len, vs)) != {a.dimension}:
+        return False
+    for column, lo, e in zip(zip(*vs), a.low, a.extents):
+        if set(map(type, column)) != {int} or not lo <= min(column) <= max(column) < lo + e:
+            return False
+    return True
+
+
 def truncated_ball(centers: tuple[Point, ...], t: int, a: Ambient) -> tuple[Point, ...]:
     """All ambient vertices at truncated distance <= t from the given set.
 
-    Windows clip the ball to their bounds. Returned sorted
-    lexicographically.
+    Windows clip the ball to their bounds: the points are made once and
+    checked per axis (`_inside`), and only a ball that check does not pass,
+    one the window clips or one with a coordinate that is not an int, is
+    filtered point by point. A window from `Ambient.around` never clips.
+    Returned sorted lexicographically. A center of another dimension than
+    the ambient raises DimensionMismatch.
     """
     if not centers:
         raise ValueError("truncated ball of an empty set")
     n = a.dimension
     if not 0 <= t <= n:
         raise ValueError(f"radius {t} outside [0, {n}]")
+    if set(map(len, centers)) != {n}:
+        bad = next(s for s in centers if len(s) != n)
+        raise DimensionMismatch(f"center {bad} in ambient of dim {n}")
     moved = (tuple(map(add, s, d)) for group in _offsets(n, t) for s in centers for d in group)
     if a.is_torus:
-        pts = {tuple(map(mod, p, a.moduli)) for p in moved}
-    else:
-        pts = {p for p in moved if a.contains(p)}
+        return tuple(sorted({tuple(map(mod, p, a.moduli)) for p in moved}))
+    pts = set(moved)
+    if not _inside(a, pts):
+        pts = {p for p in pts if a.contains(p)}
     return tuple(sorted(pts))
 
 

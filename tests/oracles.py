@@ -8,7 +8,7 @@ cover.
 
 import random
 from collections import deque
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from operator import add, mod, sub
 
 from ptmc.codes import CodeSet, components_of, verify_partition
@@ -468,6 +468,19 @@ def naive_cover_solutions(universe, tiles):
             if ok and acc == want and total == len(want):
                 sols.append(tuple(sorted(ids[i] for i in combo)))
     return sorted(sols)
+
+
+def naive_orientations(shape):
+    """Distinct images of a shape under all n! coordinate permutations, each
+    moved to have its coordinate-wise minimum at the origin and sorted;
+    the images sorted."""
+    n = len(shape[0])
+    seen = set()
+    for perm in permutations(range(n)):
+        img = [tuple(p[perm[i]] for i in range(n)) for p in shape]
+        mins = tuple(min(p[i] for p in img) for i in range(n))
+        seen.add(tuple(sorted(tuple(x - m for x, m in zip(p, mins)) for p in img)))
+    return sorted(seen)
 
 
 def naive_tiling_masks(a, shapes, orientations):

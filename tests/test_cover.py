@@ -30,7 +30,8 @@ from ptmc.gamma2 import (build_hive, external_cycle, hive_graph, hive_vertices, 
 from ptmc.graphs import Graph, grid_graph, lattice_graph
 from ptmc.metric import Ambient, DimensionMismatch, _mask, truncated_ball
 
-from oracles import brute_ball, naive_cover_solutions, naive_tiling_masks, reference_x
+from oracles import (brute_ball, naive_cover_solutions, naive_orientations, naive_tiling_masks,
+                     reference_x)
 
 
 def inst(universe, tiles):
@@ -621,6 +622,39 @@ def test_shape_orientations():
     assert len(shape_orientations(cube4)) == 4
 
 
+def _flat_cube(n):
+    return tuple(p + (0,) for p in product((0, 1), repeat=n - 1))
+
+
+def _random_shape(rng):
+    # unsorted, off the origin, sometimes with a point listed twice
+    n = rng.randint(2, 5)
+    shape = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, 6))]
+    if rng.random() < 0.3:
+        shape.append(rng.choice(shape))
+    rng.shuffle(shape)
+    return tuple(shape)
+
+
+@pytest.mark.parametrize("shape", [_flat_cube(n) for n in (3, 4, 5, 6)]
+                         + [tuple(product((0, 1), repeat=n)) for n in (3, 4)]
+                         + [((1, 2, 0), (0, 1, 1), (1, 2, 0), (-1, 0, 3))]
+                         + [_random_shape(random.Random(seed)) for seed in range(30)])
+def test_shape_orientations_match_every_permutation(shape):
+    # the orbit under adjacent transpositions is the image set of all n!
+    # permutations, in the same sorted order, so orientation indices agree;
+    # a point listed twice stays listed twice in every image
+    assert shape_orientations(shape) == naive_orientations(shape)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_flat_cube_has_one_orientation_per_axis(n):
+    # n! = 5,040 and 40,320 permutations, n distinct images: the flat axis
+    got = shape_orientations(_flat_cube(n))
+    assert len(got) == n
+    assert {tuple(map(max, zip(*o))).index(0) for o in got} == set(range(n))
+
+
 def placements_of(i, blocks, a):
     """Each tile's (name, radius, placed shape, anchor vertex), read off its
     position: tile r is block r // N anchored at universe[r % N]."""
@@ -727,13 +761,19 @@ def _random_torus_case(seed):
     return Ambient.torus(*moduli), rng.sample(shapes, rng.randint(1, 3))
 
 
+# the Lee sphere's radius-1 ball spans 5 on each axis, so on the modulus-4
+# axis exactly its two tips meet: one vertex short, the orientation is left out
+_LEE2 = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
+
+
 @pytest.mark.parametrize("a, shapes", [_template_case(n) for n in (3, 4, 5)]
-                         + [_random_torus_case(seed) for seed in range(8)])
+                         + [_random_torus_case(seed) for seed in range(8)]
+                         + [(Ambient.torus(4, 7), [("lee", _LEE2, 1), ("dot", ((0, 0),), 1)])])
 def test_tiling_masks_match_naive_placements(a, shapes):
     # the swept masks equal, bit for bit, the masks of every placement made
     # one at a time, and so do the rows made from them on demand
     i, blocks = tiling_instance(a, shapes)
-    want_blocks, rows, cells, holders = naive_tiling_masks(a, shapes, shape_orientations)
+    want_blocks, rows, cells, holders = naive_tiling_masks(a, shapes, naive_orientations)
     names, got_cells, got_holders = i.masks
     assert blocks == want_blocks
     assert len(names) == len(i.ids) == len(rows) == len(blocks) * len(i.universe)

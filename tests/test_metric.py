@@ -92,6 +92,54 @@ def test_ball_window_clipping_flag():
     assert len(truncated_ball(((0, 0),), 1, tight)) == 3  # clipped cross
 
 
+@pytest.mark.parametrize("a", [Ambient.torus(3, 3), Ambient.window((-2, 2), (-2, 2))])
+@pytest.mark.parametrize("centers", [((0,),), ((0, 0, 0),), ((0, 0), (0, 0, 0)), ((1,), (0, 0))])
+def test_ball_rejects_centers_of_another_dimension(a, centers):
+    # map(add, center, offset) stops at the shorter tuple, so such a center
+    # used to give wrong points: ((0,),) on the 3 x 3 torus gave (0,), (1,), (2,)
+    with pytest.raises(DimensionMismatch):
+        truncated_ball(centers, 1, a)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ball_on_windows_matches_brute_force(n):
+    # the per-axis bounds check that skips the per-point filter gives the
+    # ball the filter gives, on windows that clip the ball (centers on the
+    # window's edge) and on windows grown around the centers, which never do
+    rng = random.Random(n)
+    for _ in range(4):
+        bounds = [(rng.randint(-3, 0), rng.randint(0, 3)) for _ in range(n)]
+        edge = tuple(rng.choice(b) for b in bounds)
+        inner = tuple(rng.randint(lo, hi) for lo, hi in bounds)
+        for centers in ((edge,), (edge, inner), (inner,)):
+            for t in range(n + 1):
+                whole = brute_ball(list(centers), t, -4, 4)
+                for w in (Ambient.window(*bounds), Ambient.around(centers)):
+                    want = [p for p in whole if w.contains(p)]
+                    assert list(truncated_ball(centers, t, w)) == want
+
+
+def test_ball_on_an_unclipping_window_tests_no_point(monkeypatch):
+    calls = []
+    contains = Ambient.contains
+    monkeypatch.setattr(Ambient, "contains", lambda a, p: calls.append(p) or contains(a, p))
+    cube = tuple(product((0, 1), repeat=3))
+    assert len(truncated_ball(cube, 1, Ambient.around(cube))) == 8 + 3 * 8
+    assert calls == []
+    assert len(truncated_ball(((0, 0, 0),), 1, Ambient.window((0, 1), (0, 1), (0, 1)))) == 4
+    assert len(calls) == 7  # a clipped ball is filtered point by point
+
+
+def test_ball_with_a_float_center_is_filtered_point_by_point():
+    # the type check sends a float ball to the per-point filter, which clips it
+    # as it always has; min and max alone would pass the last ball's columns
+    w = Ambient.window((0, 2), (0, 2))
+    assert truncated_ball(((0.5, 1),), 1, w) == ((0.5, 0), (0.5, 1), (0.5, 2), (1.5, 1))
+    assert truncated_ball(((2.0, 0),), 1, w) == ((1.0, 0), (2.0, 0), (2.0, 1))
+    assert truncated_ball(((1.0, 1),), 2, w) == tuple(
+        (float(x), y) for x in range(3) for y in range(3))
+
+
 def test_ball_size_formula_values():
     assert ball_size_formula(3, 1) == 7
     assert ball_size_formula(4, 2) == 33
