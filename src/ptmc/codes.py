@@ -5,15 +5,16 @@ A code is a vertex subset S of a finite ambient. Its connected components
 radius assignment maps each translation class of components to a radius.
 A code is held as its translation classes, found once per code: per class
 key, the anchors where the key sits (row-major indices of the ambient's
-box, `Ambient.index`), the vertices of the components the BFS walked and
-whether the class wraps a torus axis. The BFS walks components root by root; on a torus, a class
-met often enough that its walks cost as much as a mask sweep (about
-N / 1024 components on N vertices, `_sweep_after`) has its other anchors
-found at once by ANDing translates of the code's mask (`_sweep`), so a
-periodic code's hundreds of repeats are never walked. `Component`
-objects are built from the classes only when `components_of` is asked
-for them; the verifier, the JSON functions and the CLI's counts read the
-classes.
+box, `Ambient.index`), the vertices of the component at the first anchor
+and whether the class wraps a torus axis. Every other component is the
+key placed at its anchor (`_placed`). The BFS walks components root by
+root; on a torus, a class met often enough that its walks cost as much as
+a mask sweep (about N / 1024 components on N vertices, `_sweep_after`)
+has its other anchors found at once by ANDing translates of the code's
+mask (`_sweep`), so a periodic code's hundreds of repeats are never
+walked. `Component` objects are built from the classes only when
+`components_of` is asked for them; the verifier, the JSON functions and
+the CLI's counts read the classes.
 The main verifier checks that the truncated balls of the components
 partition the ambient and that every vertex has a unique nearest code
 vertex inside the component whose ball covers it. Every component of a
@@ -21,7 +22,7 @@ class is its key translated to the component's anchor, so when walking
 every component's ball would cost more than translating masks, the
 verifier builds one ball and translates it to the other anchors as masks
 over the row-major vertex index (see `ptmc.metric`); else it builds each
-component's own ball into a set.
+component's own ball, placed from its anchor, into a set.
 `verify_partition` checks balls given as vertex sets, for the hive, the
 compound region and `verify_cover`.
 
@@ -37,9 +38,9 @@ import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain, product, repeat
+from itertools import chain, product
 from math import prod
-from operator import add, floordiv, mod, mul, neg, sub
+from operator import add, mod, mul, neg, sub
 from typing import Collection, Iterable
 
 from .graphs import Graph, _array
@@ -48,11 +49,10 @@ from .metric import (Ambient, Point, _bits, _inside, _integers, _mask, _nearest_
                      ball_size_formula, truncated_ball)
 
 ClassKey = tuple[Point, ...]
-# a translation class: its anchors as row-major indices, the vertices of
-# the components the BFS walked (the first component's first; their anchors
-# come first, in the same order, and any a sweep found follow), and whether
-# its components wrap a torus axis
-Class = tuple[list[int], list[tuple[Point, ...]], bool]
+# a translation class: its anchors as row-major indices, the sorted vertices
+# of the component at the first anchor, the one its key was read from, and
+# whether its components wrap a torus axis
+Class = tuple[list[int], tuple[Point, ...], bool]
 
 
 class MissingRadiusError(ValueError):
@@ -97,10 +97,6 @@ class CodeSet:
     def _classes(self) -> dict[ClassKey, Class]:
         return _find_classes(self)
 
-    @cached_property
-    def _components(self) -> tuple[Component, ...]:
-        return _assemble(self)
-
 
 @dataclass(frozen=True)
 class Component:
@@ -117,9 +113,9 @@ class Component:
     corner, wrapped, or for a wrapped component the vertex that its
     fallback key moves to the origin; it need not be a code vertex.
 
-    A code keeps its translation classes, not its components: they are
-    built from the classes by `components_of`, those a sweep found from
-    the class's key and anchors.
+    A code keeps its translation classes, not its components:
+    `components_of` builds them from the classes, each but a class's first
+    by placing the class key at its anchor.
     """
 
     vertices: tuple[Point, ...]
@@ -187,15 +183,21 @@ def components_of(code: CodeSet) -> list[Component]:
     """Partition a code into maximal connected pieces, sorted by min vertex.
 
     Adjacency is one unit step in exactly one axis, wrapped on tori. The
-    components are built on first use from the code's translation classes
-    (`_find_classes`, run once per code: a BFS that walks components root
-    by root, except that on a torus a class that does not wrap is swept as
-    masks once `_sweep_after(N)` of its components are walked): the walked
-    ones as the BFS found them, the swept ones by placing the class's key
-    at their anchors, as the code's own vertex objects, every component of
-    a class sharing one key object. Each call returns a new list.
+    components are built on each call from the code's translation classes
+    (`_find_classes`, run once per code): a class's first component as the
+    class holds it, the others by placing the class key at their anchors
+    (`_placed`), as the code's own vertex objects, every component of a
+    class sharing one key object.
     """
-    return list(code._components)
+    a, rows = code.ambient, code._rows
+    comps = []
+    for key, (anchors, first, wrapped) in code._classes.items():
+        comps.append((first, key, a.point(anchors[0]), wrapped))
+        for x in anchors[1:]:
+            verts = tuple(map(rows.__getitem__, sorted(map(a.index, _placed(a, key, x)))))
+            comps.append((verts, key, a.point(x), wrapped))
+    comps.sort()
+    return [Component(*c) for c in comps]
 
 
 def component_count(code: CodeSet) -> int:
@@ -214,9 +216,12 @@ def _find_classes(code: CodeSet) -> dict[ClassKey, Class]:
     vertex's own coordinate is on the last (or first) row, and keeps each
     lift as one mixed-radix int. A lift conflict means the component wraps
     an axis. Translates that lift alike share one decoding of their key.
-    On a torus, once the BFS has found `_sweep_after(N)` components of a
-    class that does not wrap, `_sweep` finds the class's other anchors at
-    once and marks their vertices, so the root scan skips them.
+    Only a class's first component and a component that wraps (its key is
+    read from its vertices) are made vertex tuples; the others keep their
+    anchor alone. On a torus, once the BFS has found
+    `_sweep_after(N)` components of a class that does not wrap, `_sweep`
+    finds the class's other anchors at once and marks their vertices, so
+    the root scan skips them.
     """
     a = code.ambient
     n = a.dimension
@@ -263,8 +268,9 @@ def _find_classes(code: CodeSet) -> dict[ClassKey, Class]:
                     queue.append(q)
                 elif lq is not absent and lq != lp + dl:
                     wrapped = True
-        verts = tuple(map(member.__getitem__, sorted(queue)))
+        verts = None
         if wrapped:
+            verts = tuple(map(member.__getitem__, sorted(queue)))
             key, anchor = _wrapped_key(verts, a)
             at = a.index(anchor)
         else:
@@ -280,11 +286,12 @@ def _find_classes(code: CodeSet) -> dict[ClassKey, Class]:
             at = sum(map(mul, map(mod, map(add, v0, shift), extents), strides))
         group = classes.get(key)
         if group is None:
-            classes[key] = ([at], [verts], wrapped)
+            if verts is None:
+                verts = tuple(map(member.__getitem__, sorted(queue)))
+            classes[key] = ([at], verts, wrapped)
             continue
-        anchors, walked, _ = group
+        anchors = group[0]
         anchors.append(at)
-        walked.append(verts)
         if len(anchors) == after and not wrapped:
             if whole is None:
                 whole = _mask(member)
@@ -326,7 +333,9 @@ def _sweep(whole: int, key: ClassKey, found: list[int], moduli: tuple[int, ...],
     K, since a rim point whose image met the key's would be a lift
     conflict, and the class does not wrap. The found anchors are then
     cleared, and the vertices are the union of the anchors translated by
-    each k: |K| + |rim| translates of the code, and |K| of the anchors."""
+    each k: |K| + |rim| translates of the code, and |K| of the anchors.
+    The vertices only mark what the BFS skips: the class keeps the anchors,
+    and `_placed` makes a component from one when it is asked for."""
     inside = (1 << prod(moduli)) - 1
     for k in key:
         inside &= _translate(whole, tuple(map(mod, map(neg, k), moduli)), moduli, tops)
@@ -342,52 +351,33 @@ def _sweep(whole: int, key: ClassKey, found: list[int], moduli: tuple[int, ...],
     return _bits(anchors), _bits(covered)
 
 
-def _placed(code: CodeSet, key: ClassKey,
-            anchors: list[int]) -> list[tuple[tuple[Point, ...], Point]]:
-    """The vertices of the components of one class at the given anchors
-    (row-major indices on a torus), as the code's own vertex objects, each
-    with its anchor point, in anchor order: the vertices at anchor p are
-    sorted(wrap(p + k) for k in key). Built a coordinate column at a time:
-    the anchors' coordinates, then for each key point k the indices of
-    every wrap(p + k)."""
-    moduli, strides = code.ambient.extents, code.ambient.strides
-    columns = [list(map(mod, map(floordiv, anchors, repeat(s)), repeat(m)))
-               for s, m in zip(strides, moduli)]
-    at = []
-    for k in key:
-        index = repeat(0)
-        for column, d, s, m in zip(columns, k, strides, moduli):
-            index = map(add, index, map(mul, map(mod, map(add, column, repeat(d)), repeat(m)),
-                                        repeat(s)))
-        at.append(index)
-    rows = code._rows
-    return list(zip([tuple(map(rows.__getitem__, sorted(x))) for x in zip(*at)], zip(*columns)))
-
-
-def _assemble(code: CodeSet) -> tuple[Component, ...]:
-    """The code's components, built from its classes, by min vertex: those
-    the BFS walked from their vertices and anchors, the others placed."""
-    point = code.ambient.point
-    comps = []
-    for key, (anchors, walked, wrapped) in code._classes.items():
-        comps += [(verts, key, point(x), wrapped) for verts, x in zip(walked, anchors)]
-        if len(anchors) > len(walked):
-            comps += [(verts, key, anchor, wrapped)
-                      for verts, anchor in _placed(code, key, anchors[len(walked):])]
-    comps.sort()
-    return tuple(Component(*c) for c in comps)
+def _placed(a: Ambient, key: ClassKey, anchor: int) -> list[Point]:
+    """The vertices of the component of a class at an anchor (a row-major
+    index), in key order: wrap(p + k) for each key point k, p the anchor's
+    point."""
+    p = a.point(anchor)
+    return [a.wrap(tuple(map(add, p, k))) for k in key]
 
 
 def _wrapped_key(verts: tuple[Point, ...], a: Ambient) -> tuple[ClassKey, Point]:
     """The fallback key of a component that wraps an axis, the least
     translate that moves one of its vertices to the origin, and that vertex,
-    the first in order to give it."""
+    the first in order to give it.
+
+    Each translate is sorted as the row-major indices of its wrapped
+    differences, one int per vertex, which sort as the differences do;
+    only the least is decoded. It is still quadratic in the component's
+    size: one translate per vertex."""
+    columns = list(zip(*verts))
     best = anchor = None
     for v in verts:
-        shifted = tuple(sorted(a.wrap(tuple(map(sub, u, v))) for u in verts))
+        shifted = [0] * len(verts)
+        for column, x0, m, s in zip(columns, v, a.extents, a.strides):
+            shifted = list(map(add, shifted, [(x - x0) % m * s for x in column]))
+        shifted.sort()
         if best is None or shifted < best:
             best, anchor = shifted, v
-    return best, anchor
+    return tuple(map(a.point, best)), anchor
 
 
 def box_hull_check(comp: Component) -> BoxSpec | None:
@@ -460,14 +450,13 @@ def verify_kappa_ptmc(code: CodeSet, kappa: KappaAssignment) -> VerifyReport:
     the translates of that ball, ties and all: the mask of the longer of
     the anchor list and that ball is translated by each point of the
     shorter less the first component's anchor. Else ball by ball: each
-    component's own ball (`_nearest_ball`) goes into a set, as
-    `verify_partition` does; a class whose anchors the component finder
-    swept always goes as masks, so each of these components was walked
-    and its vertices are at hand. The verifier reads the code's
-    translation classes and builds no `Component`. A vertex in two balls,
-    of one class or two, is an overlap. The verifier holds a bounded
-    number of masks of N bits at a time, and the set of vertices in the
-    balls of the classes checked ball by ball.
+    component's own ball (`_nearest_ball`), the first's from the vertices
+    the class holds and every other's from the key placed at its anchor
+    (`_placed`), goes into a set, as `verify_partition` does. The verifier
+    reads the code's translation classes and builds no `Component`. A
+    vertex in two balls, of one class or two, is an overlap. The verifier
+    holds a bounded number of masks of N bits at a time, and the set of
+    vertices in the balls of the classes checked ball by ball.
 
     Failures are checked in this order: degenerate ambient, bad radius
     (the first component in min-vertex order), overlap, gap, nonunique
@@ -482,9 +471,9 @@ def verify_kappa_ptmc(code: CodeSet, kappa: KappaAssignment) -> VerifyReport:
     n, moduli, size = a.dimension, a.extents, a.vertex_count()
     classes = code._classes
     radii = [kappa.radius_for(key) for key in classes]
-    for t, (_, walked, _) in zip(radii, classes.values()):
+    for t, (_, first, _) in zip(radii, classes.values()):
         if not 1 <= t <= n:
-            return VerifyReport(False, "bad-radius", (walked[0][0],))
+            return VerifyReport(False, "bad-radius", (first[0],))
     tops: dict = {}
     # masks of the classes swept as masks, and their overlaps and ties
     covered = overlap = tied = 0
@@ -493,8 +482,7 @@ def verify_kappa_ptmc(code: CodeSet, kappa: KappaAssignment) -> VerifyReport:
     loose: set[int] = set()
     twice: list[int] = []
     ties_at: list[int] = []
-    for t, (anchors, walked, _) in zip(radii, classes.values()):
-        first = walked[0]
+    for t, (key, (anchors, first, _)) in zip(radii, classes.items()):
         ties: list[int] = []
         ball = list(_nearest_ball(first, t, moduli, ties))
         ties = list(dict.fromkeys(ties))
@@ -508,11 +496,9 @@ def verify_kappa_ptmc(code: CodeSet, kappa: KappaAssignment) -> VerifyReport:
             continue
         ties_at += ties
         # the first component's ball is built above; the order of the others
-        # does not matter, as each witness is the least of its kind. Every
-        # component was walked: a class the finder swept has over
-        # _sweep_after(N) >= N / 1024 anchors, so `_swept` takes it as masks
-        for ball in chain([ball], (_nearest_ball(verts, t, moduli, ties_at)
-                                   for verts in walked[1:])):
+        # does not matter, as each witness is the least of its kind
+        for ball in chain([ball], (_nearest_ball(_placed(a, key, x), t, moduli, ties_at)
+                                   for x in anchors[1:])):
             if not loose.isdisjoint(ball):
                 twice.append(min(loose.intersection(ball)))
             loose.update(ball)
@@ -696,9 +682,9 @@ def code_from_json(doc: dict) -> tuple[CodeSet, KappaAssignment | None]:
     if not isinstance(by_hash, dict):
         raise TypeError(f"kappa {by_hash!r} is not an object")
     by_class = {}
-    for key, (_, walked, _) in code._classes.items():
+    for key, (_, first, _) in code._classes.items():
         h = class_key_hash(key)
         if h not in by_hash:
-            raise MissingRadiusError(f"kappa entry {h} missing for class of {walked[0][0]}")
+            raise MissingRadiusError(f"kappa entry {h} missing for class of {first[0]}")
         (by_class[key],) = _integers((by_hash[h],), f"kappa entry {h} radius")
     return code, KappaAssignment(by_class=by_class)

@@ -63,6 +63,18 @@ def naive_components(code):
     return sorted(comps)
 
 
+def reference_wrapped_key(verts, a):
+    """The fallback key of a component that wraps an axis, by sorting
+    vertex tuples: the least translate that moves one of its vertices to
+    the origin, and the first of verts to give it."""
+    best = anchor = None
+    for v in verts:
+        shifted = tuple(sorted(a.wrap(tuple(map(sub, u, v))) for u in verts))
+        if best is None or shifted < best:
+            best, anchor = shifted, v
+    return best, anchor
+
+
 def reference_components(code):
     """(vertices, class key, wrapped) per component, by a BFS over vertex
     tuples that lifts each component to Z^n one tuple per step; a lift
@@ -100,7 +112,7 @@ def reference_components(code):
                 queue.append(u)
         verts = tuple(sorted(lift))
         if wrapped:
-            key = min(tuple(sorted(a.wrap(tuple(map(sub, u, v))) for u in verts)) for v in verts)
+            key = reference_wrapped_key(verts, a)[0]
         else:
             mins = tuple(map(min, zip(*lift.values())))
             key = tuple(sorted(tuple(map(sub, p, mins)) for p in lift.values()))

@@ -44,6 +44,7 @@ from oracles import (
     naive_lattice_graph,
     naive_verify_kappa_ptmc,
     reference_components,
+    reference_wrapped_key,
     same_graph,
     shuffled_adjacency,
 )
@@ -183,6 +184,24 @@ def test_components_match_the_reference_bfs():
         wrapped += any(c.wrapped for c in comps)
         moduli_met += a.is_torus and min(a.moduli) < 3 and len(code) > 1
     assert wrapped > 20 and moduli_met > 20
+
+
+def test_wrapped_keys_match_the_tuple_sort():
+    # the key and anchor of each wrapped component, from row-major ints,
+    # equal those of sorting wrapped vertex tuples, on dense random codes of
+    # tori of dimension 1-4, moduli 1 and 2 included
+    rng = random.Random(35)
+    met = 0
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        a = torus(*(rng.randint(1, 7 if n < 4 else 4) for _ in range(n)))
+        verts = list(a.vertices())
+        code = CodeSet(a, tuple(rng.sample(verts, len(verts) * rng.randint(1, 3) // 4)))
+        for comp, _, wrapped in reference_components(code):
+            if wrapped:
+                assert ptmc.codes._wrapped_key(comp, a) == reference_wrapped_key(comp, a)
+                met += 1
+    assert met > 100, met
 
 
 def test_wrapped_component_flagged():
@@ -425,10 +444,7 @@ def test_nonunique_nearest_reports_smallest_witness():
 
 @pytest.mark.parametrize("swept", [True, False])
 def test_nonunique_nearest_witness_on_either_path(swept, monkeypatch):
-    # the class swept as masks, or translated ball by ball; the component
-    # finder sweeps nothing, as the ball-by-ball side needs every component
-    # walked
-    monkeypatch.setattr("ptmc.codes._sweep_after", lambda size: size + 1)
+    # the class swept as masks, or translated ball by ball
     monkeypatch.setattr("ptmc.codes._swept", lambda *args: swept)
     test_nonunique_nearest_reports_smallest_witness()
 
@@ -462,24 +478,31 @@ def test_verifier_matches_naive_oracle_on_random_tori():
                                     for x, m in zip(zip(*c.class_key), a.moduli))
                             for c in comps)
         crowded += max(Counter(c.class_key for c in comps).values(), default=0) >= 4
+    # two rings round axis 0, a class that wraps with two anchors: at radius
+    # 1 their balls leave a gap, or meet
+    for z, kind in ((3, "gap"), (2, "overlap")):
+        code = CodeSet(torus(3, 4, 7), tuple((x, 0, c) for c in (0, z) for x in range(3)))
+        assert [c.wrapped for c in components_of(code)] == [True, True]
+        kappa = KappaAssignment.uniform(1)
+        rep = verify_kappa_ptmc(code, kappa)
+        assert (rep.passed, rep.kind, rep.witness) == naive_verify_kappa_ptmc(code, kappa)
+        assert rep.kind == kind
     assert kinds == {None, "bad-radius", "overlap", "gap", "nonunique-nearest"}
     assert wrapped > 10 and self_wrapped > 10 and crowded > 10
 
 
 @pytest.mark.parametrize("swept", [True, False])
 def test_verifier_paths_match_naive_oracle_on_random_tori(swept, monkeypatch):
-    # every class swept as masks, or every class translated ball by ball,
-    # with every component walked
-    monkeypatch.setattr("ptmc.codes._sweep_after", lambda size: size + 1)
+    # every class swept as masks, or every class translated ball by ball
     monkeypatch.setattr("ptmc.codes._swept", lambda *args: swept)
     test_verifier_matches_naive_oracle_on_random_tori()
 
 
 def test_verifier_paths_agree_where_both_are_chosen(monkeypatch):
     # on 8,000 vertices a class of singletons at radius 1 is swept as masks
-    # once it has 8 anchors, so sparse codes mix both paths; every component
-    # is walked, so that either path can take every class
-    monkeypatch.setattr("ptmc.codes._sweep_after", lambda size: size + 1)
+    # once it has 8 anchors, so sparse codes mix both paths; either path
+    # takes every class, also one whose anchors the component finder swept
+    found = _sweeps(monkeypatch)
     chosen = []
     swept = ptmc.codes._swept
 
@@ -491,42 +514,26 @@ def test_verifier_paths_agree_where_both_are_chosen(monkeypatch):
     a = torus(20, 20, 20)
     verts = list(a.vertices())
     kinds = set()
+    finder_swept = 0  # codes with a class the finder swept, checked ball by ball too
     for count in (1, 3, 40, 400, 1600):
         for t in (1, 2, 3):
             code = CodeSet(a, tuple(rng.sample(verts, count)))
+            del found[:]
             reports = []
             for rule in (recorded, lambda *args: True, lambda *args: False):
                 monkeypatch.setattr("ptmc.codes._swept", rule)
                 reports.append(verify_t_ptmc(code, t))
             assert reports[0] == reports[1] == reports[2]
             kinds.add(reports[0].kind)
+            finder_swept += any(found)
     assert True in chosen and False in chosen
     assert {"overlap", "gap"} <= kinds
+    assert finder_swept
     build = build_by_template(square_singleton_template(), seed=3)
     code = inflate_code(build.code, (4, 4, 4))
     for rule in (swept, lambda *args: True, lambda *args: False):
         monkeypatch.setattr("ptmc.codes._swept", rule)
         assert verify_kappa_ptmc(code, build.kappa).passed
-
-
-def test_classes_the_finder_sweeps_are_checked_as_masks():
-    # a class the component finder sweeps has _sweep_after(N) + 1 anchors or
-    # more, and its first component's ball has at most key x offsets
-    # vertices, so the verifier never takes it ball by ball, where only the
-    # walked components' vertices are at hand
-    swept, after = ptmc.codes._swept, ptmc.codes._sweep_after
-    sizes = {27, 100, 1000, 1023, 1024, 1025, 16383, 16384, 16385, 17407, 17408, 17409,
-             24000, 240000, 1 << 20, 1_000_000, 2_400_000, 8_000_000}
-    rng = random.Random(3)
-    sizes |= {rng.randint(27, 8_000_000) for _ in range(30)}
-    for size in sorted(sizes):
-        anchors = after(size) + 1
-        for n in range(1, 7):
-            for t in range(1, n + 1):
-                offsets = ball_size_formula(n, t)
-                for key in range(1, 65):
-                    for ball in (1, key * offsets):
-                        assert swept(anchors, key, offsets, ball, size), (size, n, t, key, ball)
 
 
 def test_verifier_finds_overlaps_between_swept_and_unswept_classes():
@@ -556,7 +563,7 @@ def test_verifier_translates_at_most_twice_per_component(monkeypatch):
         return translate(*args)
 
     def counted_ball(*args):
-        built.append(args[0])
+        built.append(tuple(sorted(args[0])))  # a placed component comes in key order
         return nearest_ball(*args)
 
     monkeypatch.setattr("ptmc.codes._translate", counted)
