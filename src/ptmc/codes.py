@@ -12,9 +12,8 @@ root; on a torus, a class met often enough that its walks cost as much as
 a mask sweep (about N / 1024 components on N vertices, `_sweep_after`)
 has its other anchors found at once by ANDing translates of the code's
 mask (`_sweep`), so a periodic code's hundreds of repeats are never
-walked. `Component` objects are built from the classes only when
-`components_of` is asked for them; the verifier, the JSON functions and
-the CLI's counts read the classes.
+walked. The verifier, the JSON functions and the CLI's counts read the
+classes; `components_of` lists each component's vertices from them.
 The main verifier checks that the truncated balls of the components
 partition the ambient and that every vertex has a unique nearest code
 vertex inside the component whose ball covers it. Every component of a
@@ -48,6 +47,10 @@ from .graphs import Graph, _array
 from .metric import (Ambient, Point, _bits, _inside, _integers, _mask, _nearest_ball, _translate,
                      ball_size_formula, truncated_ball)
 
+# a component lifted to Z^n (torus wrap-around unrolled), moved so that its
+# coordinate-wise minimum is the origin, and sorted: translates share it,
+# other orientations do not; a component that wraps an axis has the
+# translation-invariant fallback key of `_wrapped_key`
 ClassKey = tuple[Point, ...]
 # a translation class: its anchors as row-major indices, the sorted vertices
 # of the component at the first anchor, the one its key was read from, and
@@ -60,7 +63,7 @@ class MissingRadiusError(ValueError):
 
 
 class ComponentWrapsTorus(ValueError):
-    """A component spans a full torus axis; its box hull is undefined."""
+    """A class's components span a full torus axis; its box hull is undefined."""
 
 
 @dataclass(frozen=True)
@@ -99,39 +102,6 @@ class CodeSet:
 
 
 @dataclass(frozen=True)
-class Component:
-    """A maximal connected piece of a code, with its translation-class key.
-
-    class_key is the component lifted to Z^n (unrolling torus wrap-around),
-    translated so the coordinate-wise minimum is the origin, and sorted.
-    Translates of a component share the key; differently oriented copies do
-    not (translation classes, not isomorphism classes). A component that
-    wraps an axis gets a translation-invariant fallback key and is flagged.
-
-    anchor is where the key's origin sits: vertices is
-    sorted(wrap(anchor + k) for k in class_key). It is the lift's minimum
-    corner, wrapped, or for a wrapped component the vertex that its
-    fallback key moves to the origin; it need not be a code vertex.
-
-    A code keeps its translation classes, not its components:
-    `components_of` builds them from the classes, each but a class's first
-    by placing the class key at its anchor.
-    """
-
-    vertices: tuple[Point, ...]
-    class_key: ClassKey
-    anchor: Point
-    wrapped: bool = False
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def min_vertex(self) -> Point:
-        return self.vertices[0]
-
-
-@dataclass(frozen=True)
 class KappaAssignment:
     """Radius per translation class, optionally uniform."""
 
@@ -148,13 +118,6 @@ class KappaAssignment:
         if self.uniform_radius is not None:
             return self.uniform_radius
         raise MissingRadiusError(f"no radius for class {key}")
-
-
-@dataclass(frozen=True)
-class BoxSpec:
-    """Per-axis vertex extents of a full integer box component."""
-
-    extents: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -179,30 +142,29 @@ class VerifyReport:
 # components and translation classes
 # ---------------------------------------------------------------------------
 
-def components_of(code: CodeSet) -> list[Component]:
-    """Partition a code into maximal connected pieces, sorted by min vertex.
+def components_of(code: CodeSet) -> list[tuple[Point, ...]]:
+    """The sorted vertices of each maximal connected piece of a code,
+    sorted by min vertex.
 
     Adjacency is one unit step in exactly one axis, wrapped on tori. The
-    components are built on each call from the code's translation classes
+    list is built on each call from the code's translation classes
     (`_find_classes`, run once per code): a class's first component as the
     class holds it, the others by placing the class key at their anchors
-    (`_placed`), as the code's own vertex objects, every component of a
-    class sharing one key object.
+    (`_placed`), as the code's own vertex objects.
     """
     a, rows = code.ambient, code._rows
     comps = []
-    for key, (anchors, first, wrapped) in code._classes.items():
-        comps.append((first, key, a.point(anchors[0]), wrapped))
-        for x in anchors[1:]:
-            verts = tuple(map(rows.__getitem__, sorted(map(a.index, _placed(a, key, x)))))
-            comps.append((verts, key, a.point(x), wrapped))
+    for key, (anchors, first, _) in code._classes.items():
+        comps.append(first)
+        comps += (tuple(map(rows.__getitem__, sorted(map(a.index, _placed(a, key, x)))))
+                  for x in anchors[1:])
     comps.sort()
-    return [Component(*c) for c in comps]
+    return comps
 
 
 def component_count(code: CodeSet) -> int:
     """The number of components of a code, read from its translation
-    classes without building a Component."""
+    classes without listing the components."""
     return sum(len(anchors) for anchors, _, _ in code._classes.values())
 
 
@@ -380,23 +342,17 @@ def _wrapped_key(verts: tuple[Point, ...], a: Ambient) -> tuple[ClassKey, Point]
     return tuple(map(a.point, best)), anchor
 
 
-def box_hull_check(comp: Component) -> BoxSpec | None:
-    """BoxSpec iff the component fills the integer box spanned by its lift.
+def box_hull_check(key: ClassKey, wrapped: bool) -> tuple[int, ...] | None:
+    """The per-axis extents of a class key that fills the integer box it
+    spans, else None: every component of the class is then that box.
 
-    Returns None for non-box components. Components wrapping a torus axis
-    are rejected outright: their hull is not defined.
+    A class that wraps a torus axis is rejected outright: its hull is not
+    defined.
     """
-    if comp.wrapped:
-        raise ComponentWrapsTorus(f"component at {comp.min_vertex} wraps a torus axis")
-    pts = comp.class_key  # already min-corner normalized
-    n = len(pts[0])
-    extents = tuple(max(p[i] for p in pts) + 1 for i in range(n))
-    vol = 1
-    for e in extents:
-        vol *= e
-    if vol != len(pts):
-        return None
-    return BoxSpec(extents)
+    if wrapped:
+        raise ComponentWrapsTorus(f"class {key} wraps a torus axis")
+    extents = tuple(max(column) + 1 for column in zip(*key))  # the key's minimum is the origin
+    return extents if prod(extents) == len(key) else None
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +408,7 @@ def verify_kappa_ptmc(code: CodeSet, kappa: KappaAssignment) -> VerifyReport:
     shorter less the first component's anchor. Else ball by ball: each
     component's own ball (`_nearest_ball`), the first's from the vertices
     the class holds and every other's from the key placed at its anchor
-    (`_placed`), goes into a set, as `verify_partition` does. The verifier
-    reads the code's translation classes and builds no `Component`. A
+    (`_placed`), goes into a set, as `verify_partition` does. A
     vertex in two balls, of one class or two, is an overlap. The verifier
     holds a bounded number of masks of N bits at a time, and the set of
     vertices in the balls of the classes checked ball by ball.

@@ -81,13 +81,10 @@ def build_box_code(c: tuple[int, ...], k: tuple[int, ...]) -> tuple[CodeSet, Kap
     if any(ki < 1 for ki in k):
         raise ValueError("cell multipliers k_i must be >= 1")
     torus = Ambient.torus(*((1 + ci) * ki for ci, ki in zip(c, k)))
-    cells = product(*(range(ki) for ki in k))
-    verts: list[Point] = []
-    for cell in cells:
-        base = tuple(j * (1 + ci) for j, ci in zip(cell, c))
-        for off in product(*(range(1, ci) for ci in c)):
-            verts.append(tuple(b + o for b, o in zip(base, off)))
-    return CodeSet(torus, tuple(verts)), KappaAssignment.uniform(n)
+    # per axis the coordinates j(1 + c_i) + o, j < k_i and 1 <= o < c_i, come
+    # out ascending, so their product is the sorted vertex tuple
+    axes = [[j * (1 + ci) + o for j in range(ki) for o in range(1, ci)] for ci, ki in zip(c, k)]
+    return CodeSet(torus, tuple(product(*axes))), KappaAssignment.uniform(n)
 
 
 def min_component_separation(code: CodeSet) -> int:

@@ -55,8 +55,8 @@ from typing import Iterable
 
 from .codes import verify_partition
 from .graphs import Graph, _array, _str_id, grid_graph
-from .metric import (Ambient, DimensionMismatch, Point, _mask, _rotate, _strides, _top_rows,
-                     truncated_ball)
+from .metric import (Ambient, DimensionMismatch, Point, _bits, _mask, _rotate, _strides,
+                     _top_rows, truncated_ball)
 
 
 class OutOfTime(Exception):
@@ -134,11 +134,11 @@ class ExactCoverInstance:
     def row(self, r: int) -> tuple[int, ...]:
         """The positions in universe, ascending, of tile r's cells, read off
         its mask, so no other tile's are made."""
-        return tuple(_positions(self.masks[1][self._order[r]]))
+        return tuple(_bits(self.masks[1][self._order[r]]))
 
     def holding(self, c: int) -> list[int]:
         """The positions, ascending, of the tiles holding cell position c."""
-        bits = set(_positions(self.masks[2][c]))
+        bits = set(_bits(self.masks[2][c]))
         return [r for r, b in enumerate(self._order) if b in bits]
 
     @cached_property
@@ -253,7 +253,7 @@ def _run_x(inst: ExactCoverInstance, limit: int | None, deadline: float | None):
             candidates = tiles[(least ^ (least - 1)).bit_length() - 1] & live
             if candidates:
                 if rank is not None:  # a list, next candidate last
-                    candidates = sorted(_positions(candidates), key=rank.__getitem__,
+                    candidates = sorted(_bits(candidates), key=rank.__getitem__,
                                         reverse=True)
                 stack.append([uncovered, live, counts, candidates, -1, nodes, len(solutions), []])
             else:
@@ -338,18 +338,6 @@ def _replay(branches, path: list[str], names, out: list, deadline: float | None)
             if walk:
                 path.pop()
     return True
-
-
-def _positions(m: int) -> list[int]:
-    """The bit positions set in m, ascending: found in its binary digits,
-    so a sparse mask costs one pass over its length, not one per bit."""
-    digits = bin(m)[:1:-1]
-    out = []
-    p = digits.find("1")
-    while p >= 0:
-        out.append(p)
-        p = digits.find("1", p + 1)
-    return out
 
 
 def _sliced_sum(cells: list[int], chosen: int) -> list[int]:

@@ -11,7 +11,7 @@ from collections import deque
 from itertools import combinations, permutations, product
 from operator import add, mod, sub
 
-from ptmc.codes import CodeSet, components_of, verify_partition
+from ptmc.codes import CodeSet, verify_partition
 from ptmc.gamma2 import (LETTERS, GammaVertex, RegionCode, Tersquare, containing_tersquares,
                          local_ball, neighbors)
 from ptmc.metric import Ambient
@@ -120,33 +120,43 @@ def reference_components(code):
     return out
 
 
+def class_components(code):
+    """(vertices, class key, wrapped) per component, rebuilt from the
+    code's translation classes: each class key placed at each of its
+    anchors, sorted by min vertex, as `reference_components` lists them."""
+    a = code.ambient
+    return sorted((tuple(sorted(a.wrap(tuple(map(add, a.point(x), k))) for k in key)),
+                   key, wrapped)
+                  for key, (anchors, _, wrapped) in code._classes.items() for x in anchors)
+
+
 def naive_verify_kappa_ptmc(code, kappa):
     """(passed, kind, witness) of the PTMC check by distance scans.
 
-    Only the class keys, for the radii, come from `components_of`. Each
-    ball is a scan of every torus vertex against every center vertex; hits
-    are counted per vertex; ties are found by listing the distances to
-    every vertex of the covering component. Checks, in order: degenerate
-    ambient, bad radius (first component outside [1, n]), overlap
-    (smallest vertex covered twice), gap (smallest vertex covered by none),
-    nonunique nearest (smallest vertex with two nearest vertices in its
-    component).
+    The components and their class keys, for the radii, come from
+    `reference_components`, not from the package. Each ball is a scan of
+    every torus vertex against every center vertex; hits are counted per
+    vertex; ties are found by listing the distances to every vertex of the
+    covering component. Checks, in order: degenerate ambient, bad radius
+    (first component outside [1, n]), overlap (smallest vertex covered
+    twice), gap (smallest vertex covered by none), nonunique nearest
+    (smallest vertex with two nearest vertices in its component).
     """
     a = code.ambient
     if a.degenerate:
         return False, "degenerate-ambient", ()
     n = a.dimension
-    comps = components_of(code)
-    radii = [kappa.radius_for(c.class_key) for c in comps]
-    for comp, t in zip(comps, radii):
+    comps = reference_components(code)
+    radii = [kappa.radius_for(key) for _, key, _ in comps]
+    for (comp, _, _), t in zip(comps, radii):
         if not 1 <= t <= n:
-            return False, "bad-radius", (min(comp.vertices),)
+            return False, "bad-radius", (min(comp),)
     verts = sorted(product(*(range(m) for m in a.moduli)))
     owners = {v: [] for v in verts}
-    for comp, t in zip(comps, radii):
+    for (comp, _, _), t in zip(comps, radii):
         for v in verts:
-            if min(torus_rho(v, s, a.moduli) for s in comp.vertices) <= t:
-                owners[v].append(comp.vertices)
+            if min(torus_rho(v, s, a.moduli) for s in comp) <= t:
+                owners[v].append(comp)
     for kind, bad in (("overlap", lambda k: k > 1), ("gap", lambda k: k == 0)):
         hit = [v for v in verts if bad(len(owners[v]))]
         if hit:
@@ -240,14 +250,13 @@ def naive_min_component_separation(code):
         for z in product((0, 1, 2), repeat=n):
             lifted.add(tuple(x + zi * m for x, zi, m in zip(v, z, a.moduli)))
     window = Ambient.window(*((0, 3 * m - 1) for m in a.moduli))
-    comps = components_of(CodeSet(window, tuple(lifted)))
+    comps = reference_components(CodeSet(window, tuple(lifted)))
     center = tuple(x + m for x, m in zip(code.vertices[0], a.moduli))
-    home = next(c for c in comps if center in c.vertices)
-    home_set = set(home.vertices)
+    home = next(verts for verts, _, _ in comps if center in verts)
     reach = max(a.moduli)
     best = None
-    for v in lifted - home_set:
-        for u in home.vertices:
+    for v in lifted - set(home):
+        for u in home:
             d = sum(abs(x - y) for x, y in zip(u, v))
             if d <= reach and (best is None or d < best):
                 best = d

@@ -15,7 +15,6 @@ from ptmc.codes import (
     KappaAssignment,
     box_hull_check,
     code_from_json,
-    components_of,
     verify_kappa_ptmc,
     verify_non_isolated_pds,
     verify_pds,
@@ -96,10 +95,11 @@ def test_criterion_03_square_singleton_reproduction():
     build = build_by_template(template, deadline=time.monotonic() + 600)
     assert build.kind == "solution"
     assert verify_kappa_ptmc(build.code, build.kappa).passed
+    # each class's components, its anchors, counted by sorted box extents
     kinds = {}
-    for comp in components_of(build.code):
-        key = tuple(sorted(box_hull_check(comp).extents))
-        kinds[key] = kinds.get(key, 0) + 1
+    for key, (anchors, _, wrapped) in build.code._classes.items():
+        extents = tuple(sorted(box_hull_check(key, wrapped)))
+        kinds[extents] = kinds.get(extents, 0) + len(anchors)
     assert kinds == {(1, 2, 2): 4, (1, 1, 1): 4}
     report("3 square+singleton code found on (6,6,3), census 4+4")
 
@@ -213,14 +213,13 @@ def test_criterion_11_components_are_boxes():
         for c in product((2, 3, 4), repeat=n):
             for k in product((1, 2), repeat=n):
                 code, _ = build_box_code(c, k)
-                for comp in components_of(code):
-                    spec = box_hull_check(comp)
-                    assert spec is not None
-                    assert spec.extents == tuple(ci - 1 for ci in c)
+                # every component is its class key placed at an anchor
+                for key, (_, _, wrapped) in code._classes.items():
+                    assert box_hull_check(key, wrapped) == tuple(ci - 1 for ci in c)
     build = build_by_template(square_singleton_template(), deadline=time.monotonic() + 600)
     assert build.kind == "solution"
-    for comp in components_of(build.code):
-        assert box_hull_check(comp) is not None
+    for key, (_, _, wrapped) in build.code._classes.items():
+        assert box_hull_check(key, wrapped) is not None
     report("11 every verified component has a full box hull")
 
 

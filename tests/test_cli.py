@@ -69,8 +69,8 @@ def test_verify_failure_has_witness(tmp_path):
     doc = json.loads(bad.read_text())
     from ptmc.codes import class_key_hash, code_from_json
     code_set, _ = code_from_json({k: v for k, v in doc.items() if k != "kappa"})
-    from ptmc.codes import components_of
-    h = class_key_hash(components_of(code_set)[0].class_key)
+    (key,) = code_set._classes
+    h = class_key_hash(key)
     doc["kappa"] = {h: 2}
     bad.write_text(json.dumps(doc))
     code, report = run(["verify", "ptmc", "--code", str(bad)], tmp_path)

@@ -38,6 +38,7 @@ from ptmc.graphs import Graph, grid_graph, lattice_graph
 from ptmc.metric import Ambient, _nearest_ball, ball_size_formula, truncated_ball
 
 from oracles import (
+    class_components,
     naive_components,
     naive_domination,
     naive_induced_graph,
@@ -60,8 +61,8 @@ def translated(code, z):
 
 def balls_of(code, kappa):
     """The truncated ball of each component, in component order."""
-    return [truncated_ball(c.vertices, kappa.radius_for(c.class_key), code.ambient)
-            for c in components_of(code)]
+    return [truncated_ball(verts, kappa.radius_for(key), code.ambient)
+            for verts, key, _ in class_components(code)]
 
 
 # ---------------------------------------------------------------------------
@@ -70,10 +71,7 @@ def balls_of(code, kappa):
 
 def test_components_basic():
     code = CodeSet(torus(10, 10), ((0, 0), (0, 1), (5, 5)))
-    comps = components_of(code)
-    assert len(comps) == 2
-    assert comps[0].vertices == ((0, 0), (0, 1))
-    assert comps[1].vertices == ((5, 5),)
+    assert components_of(code) == [((0, 0), (0, 1)), ((5, 5),)]
 
 
 def test_components_empty():
@@ -118,28 +116,24 @@ def test_vertices_on_the_ambient_boundary_are_inside():
 
 def test_components_unit_square():
     code = CodeSet(torus(10, 10), ((0, 0), (0, 1), (1, 0), (1, 1)))
-    comps = components_of(code)
-    assert len(comps) == 1
-    assert len(comps[0].class_key) == 4
+    assert components_of(code) == [code.vertices]
+    assert list(code._classes) == [code.vertices]  # at the origin, the square is its key
 
 
 def test_components_wrap_across_seam():
     # the pair (0,0), (9,0) is connected through the torus seam
     code = CodeSet(torus(10, 3), ((0, 0), (9, 0)))
-    comps = components_of(code)
-    assert len(comps) == 1
-    assert comps[0].class_key == ((0, 0), (1, 0))
-    assert not comps[0].wrapped
+    assert class_components(code) == [(((0, 0), (9, 0)), ((0, 0), (1, 0)), False)]
 
 
 def test_class_key_translation_invariant():
     rng = random.Random(3)
     base = CodeSet(torus(7, 7), ((1, 1), (1, 2), (2, 1)))
-    key = components_of(base)[0].class_key
+    (key,) = base._classes
     for _ in range(10):
         z = (rng.randrange(7), rng.randrange(7))
         moved = translated(base, z)
-        assert components_of(moved)[0].class_key == key
+        assert list(moved._classes) == [key]
 
 
 def test_components_found_once_per_code():
@@ -148,11 +142,8 @@ def test_components_found_once_per_code():
     again = components_of(code)
     assert first is not again and first == again
     own = {v: v for v in code.vertices}
-    assert all(own[v] is v for c in first for v in c.vertices)
-    keys = {}
-    for c in first:
-        assert keys.setdefault(c.class_key, c.class_key) is c.class_key
-    assert len(keys) == 2
+    assert all(own[v] is v for c in first for v in c)
+    assert len(first) == 4 and len(code._classes) == 2
     fresh = CodeSet(code.ambient, code.vertices)
     assert code == fresh and hash(code) == hash(fresh)
     assert components_of(fresh) == first
@@ -172,16 +163,15 @@ def test_components_match_the_reference_bfs():
             a = Ambient.window(*((lo, lo + e - 1) for lo, e in zip(lows, extents)))
         verts = list(a.vertices())
         code = CodeSet(a, tuple(rng.sample(verts, rng.randint(0, len(verts) * rng.choice((1, 3)) // 4))))
-        comps = components_of(code)
-        assert [(c.vertices, c.class_key, c.wrapped) for c in comps] == reference_components(code)
+        comps = class_components(code)
+        assert comps == reference_components(code)
+        # each class's first component, as the class holds it, is its key
+        # placed at its first anchor
+        listed = components_of(code)
+        assert listed == [verts for verts, _, _ in comps]
         own = {v: v for v in code.vertices}
-        keys = {}
-        for c in comps:
-            assert all(own[v] is v for v in c.vertices)
-            assert keys.setdefault(c.class_key, c.class_key) is c.class_key
-            assert c.vertices == tuple(sorted(a.wrap(tuple(map(add, c.anchor, k)))
-                                              for k in c.class_key))
-        wrapped += any(c.wrapped for c in comps)
+        assert all(own[v] is v for c in listed for v in c)
+        wrapped += any(w for _, _, w in comps)
         moduli_met += a.is_torus and min(a.moduli) < 3 and len(code) > 1
     assert wrapped > 20 and moduli_met > 20
 
@@ -206,11 +196,10 @@ def test_wrapped_keys_match_the_tuple_sort():
 
 def test_wrapped_component_flagged():
     code = CodeSet(torus(3, 5), ((0, 0), (1, 0), (2, 0)))  # full ring around axis 0
-    comps = components_of(code)
-    assert len(comps) == 1
-    assert comps[0].wrapped
+    ((key, (_, _, wrapped)),) = code._classes.items()
+    assert class_components(code) == [(code.vertices, key, True)]
     with pytest.raises(ComponentWrapsTorus):
-        box_hull_check(comps[0])
+        box_hull_check(key, wrapped)
 
 
 def _scattered(a, shapes, rng):
@@ -287,10 +276,8 @@ def test_class_finder_matches_the_reference_bfs(name, monkeypatch, tmp_path):
     found = _sweeps(monkeypatch)
     comps = components_of(code)
     reference = reference_components(code)
-    assert [(c.vertices, c.class_key, c.wrapped) for c in comps] == reference
-    for c in comps:
-        assert c.vertices == tuple(sorted(a.wrap(tuple(map(add, c.anchor, k)))
-                                          for k in c.class_key))
+    assert class_components(code) == reference
+    assert comps == [verts for verts, _, _ in reference]
     # the BFS walks every component of a class below the threshold or that
     # wraps, and the threshold's worth of any other, which one sweep finds
     # the rest of
@@ -341,21 +328,21 @@ def test_finder_walks_the_threshold_and_sweeps_the_rest(monkeypatch):
 # box hulls
 # ---------------------------------------------------------------------------
 
+def hulls(code):
+    """box_hull_check of each translation class of a code, in class order."""
+    return [box_hull_check(key, wrapped) for key, (_, _, wrapped) in code._classes.items()]
+
+
 def test_box_hull_square():
-    comp = components_of(CodeSet(torus(6, 6), ((0, 0), (0, 1), (1, 0), (1, 1))))[0]
-    spec = box_hull_check(comp)
-    assert spec.extents == (2, 2)
+    assert hulls(CodeSet(torus(6, 6), ((0, 0), (0, 1), (1, 0), (1, 1)))) == [(2, 2)]
 
 
 def test_box_hull_l_triomino_fails():
-    comp = components_of(CodeSet(torus(6, 6), ((0, 0), (1, 0), (1, 1))))[0]
-    assert box_hull_check(comp) is None
+    assert hulls(CodeSet(torus(6, 6), ((0, 0), (1, 0), (1, 1)))) == [None]
 
 
 def test_box_hull_singleton():
-    comp = components_of(CodeSet(torus(6, 6), ((2, 3),)))[0]
-    spec = box_hull_check(comp)
-    assert spec.extents == (1, 1)
+    assert hulls(CodeSet(torus(6, 6), ((2, 3),))) == [(1, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -428,10 +415,10 @@ def test_bad_radius_above_dimension_reported():
     code, _ = build_box_code((2, 2), (2, 2))
     rep = verify_t_ptmc(code, 3)
     assert (rep.kind, rep.witness) == ("bad-radius", (code.vertices[0],))
-    comps = components_of(code)
-    kappa = KappaAssignment(by_class={comps[0].class_key: 2})
+    (key,) = code._classes
+    kappa = KappaAssignment(by_class={key: 2})
     assert verify_kappa_ptmc(code, kappa).passed
-    kappa = KappaAssignment(by_class={comps[0].class_key: -1})
+    kappa = KappaAssignment(by_class={key: -1})
     assert verify_kappa_ptmc(code, kappa).kind == "bad-radius"
 
 
@@ -462,27 +449,27 @@ def test_verifier_matches_naive_oracle_on_random_tori():
         verts = list(a.vertices())
         most = rng.choice((min(6, len(verts) // 3 + 1), len(verts) // 3))
         code = CodeSet(a, tuple(rng.sample(verts, rng.randint(1, most))))
-        comps = components_of(code)
-        assert [c.vertices for c in comps] == naive_components(code)
+        assert components_of(code) == naive_components(code)
+        classes = code._classes
         if rng.random() < 0.5:
             kappa = KappaAssignment.uniform(rng.randint(0, n + 1))
         else:
-            kappa = KappaAssignment(by_class={c.class_key: rng.randint(0, n + 1) for c in comps})
+            kappa = KappaAssignment(by_class={key: rng.randint(0, n + 1) for key in classes})
         rep = verify_kappa_ptmc(code, kappa)
         assert (rep.passed, rep.kind, rep.witness) == naive_verify_kappa_ptmc(code, kappa)
         kinds.add(rep.kind)
-        wrapped += any(c.wrapped for c in comps)
+        wrapped += any(w for _, _, w in classes.values())
         # a ball spans its component's lift plus one vertex either side
-        self_wrapped += any(not c.wrapped and kappa.radius_for(c.class_key) >= 1
+        self_wrapped += any(not w and kappa.radius_for(key) >= 1
                             and any(max(x) - min(x) + 3 > m
-                                    for x, m in zip(zip(*c.class_key), a.moduli))
-                            for c in comps)
-        crowded += max(Counter(c.class_key for c in comps).values(), default=0) >= 4
+                                    for x, m in zip(zip(*key), a.moduli))
+                            for key, (_, _, w) in classes.items())
+        crowded += max((len(anchors) for anchors, _, _ in classes.values()), default=0) >= 4
     # two rings round axis 0, a class that wraps with two anchors: at radius
     # 1 their balls leave a gap, or meet
     for z, kind in ((3, "gap"), (2, "overlap")):
         code = CodeSet(torus(3, 4, 7), tuple((x, 0, c) for c in (0, z) for x in range(3)))
-        assert [c.wrapped for c in components_of(code)] == [True, True]
+        assert [w for _, _, w in class_components(code)] == [True, True]
         kappa = KappaAssignment.uniform(1)
         rep = verify_kappa_ptmc(code, kappa)
         assert (rep.passed, rep.kind, rep.witness) == naive_verify_kappa_ptmc(code, kappa)
@@ -581,8 +568,8 @@ def test_verifier_translates_at_most_twice_per_component(monkeypatch):
                   KappaAssignment.uniform(1)))
     paths = set()
     for code, kappa in cases:
-        comps = components_of(code)
-        classes = Counter(c.class_key for c in comps)
+        comps = class_components(code)
+        classes = Counter(key for _, key, _ in comps)
         expect, expect_built = 0, []
         for key, count in classes.items():
             ties = []
@@ -592,7 +579,7 @@ def test_verifier_translates_at_most_twice_per_component(monkeypatch):
                                       ball_size_formula(len(key[0]), kappa.radius_for(key)),
                                       len(ball), code.ambient.vertex_count())
             paths.add(swept)
-            mine = [c.vertices for c in comps if c.class_key == key]
+            mine = [verts for verts, k, _ in comps if k == key]
             if swept:
                 expect += min(count, len(ball)) + min(count, len(set(ties)))
                 mine = mine[:1]
@@ -909,7 +896,7 @@ def test_json_round_trip_preserves_verdict():
 
 def test_json_format_on_tori_and_offset_windows():
     # the documents as the format fixes them, for a torus and for windows
-    # whose low corner is not the origin, and their components' anchors
+    # whose low corner is not the origin, and their classes' anchors
     cases = [
         (CodeSet(torus(5, 5), ((0, 0), (1, 2), (2, 4), (3, 1), (4, 3))),
          KappaAssignment.uniform(2),
@@ -928,8 +915,11 @@ def test_json_format_on_tori_and_offset_windows():
         assert json.dumps(code_to_json(code, kappa)) == text
         back, radii = code_from_json(json.loads(text))
         assert back == code and code_to_json(back, radii) == json.loads(text)
-    assert [(c.vertices, c.class_key, c.anchor) for c in components_of(cases[2][0])] == [
-        (((-1, 3), (0, 3)), ((0, 0), (1, 0)), (-1, 3)), (((2, 5),), ((0, 0),), (2, 5))]
+    code = cases[2][0]
+    assert components_of(code) == [((-1, 3), (0, 3)), ((2, 5),)]
+    assert [(key, list(map(code.ambient.point, anchors)))
+            for key, (anchors, _, _) in code._classes.items()] == [
+        (((0, 0), (1, 0)), [(-1, 3)]), (((0, 0),), [(2, 5)])]
 
 
 def test_json_kappa_hash_is_stable():

@@ -37,12 +37,12 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def shape_kind_census(code):
-    """Aggregate the per-class census over orientations by box extents."""
+    """Aggregate the per-class census over orientations by box extents: the
+    components of each class, its anchors, summed by sorted extents."""
     kinds = {}
-    for comp in components_of(code):
-        spec = box_hull_check(comp)
-        key = tuple(sorted(spec.extents))
-        kinds[key] = kinds.get(key, 0) + 1
+    for key, (anchors, _, wrapped) in code._classes.items():
+        extents = tuple(sorted(box_hull_check(key, wrapped)))
+        kinds[extents] = kinds.get(extents, 0) + len(anchors)
     return kinds
 
 
@@ -68,9 +68,9 @@ def test_box_code_3d_singletons():
 def test_box_code_mixed_extents():
     code, kappa = build_box_code((3, 2), (2, 1))
     assert code.ambient.moduli == (8, 3)
-    comps = components_of(code)
-    assert len(comps) == 2
-    assert box_hull_check(comps[0]).extents == (2, 1)
+    assert len(components_of(code)) == 2
+    assert [box_hull_check(key, wrapped) for key, (_, _, wrapped) in code._classes.items()] == [
+        (2, 1)]
     assert verify_t_ptmc(code, 2).passed
 
 
@@ -94,10 +94,8 @@ def test_box_code_components_are_boxes():
     # moduli (1 + c_i) k_i: one component per lattice cell
     assert code.ambient.moduli == (10, 3, 4)
     assert len(components_of(code)) == 2
-    for comp in components_of(code):
-        spec = box_hull_check(comp)
-        assert spec is not None
-        assert spec.extents == (3, 1, 2)
+    assert [(box_hull_check(key, wrapped), len(anchors))
+            for key, (anchors, _, wrapped) in code._classes.items()] == [((3, 1, 2), 2)]
 
 
 def test_box_code_dimension_one():
@@ -262,9 +260,8 @@ def test_seeded_builds_keep_their_tiles():
 
 def test_build_radii_follow_shapes():
     build = build_by_template(square_singleton_template(), deadline=time.monotonic() + 120)
-    for comp in components_of(build.code):
-        t = build.kappa.radius_for(comp.class_key)
-        assert t == 1
+    for key in build.code._classes:
+        assert build.kappa.radius_for(key) == 1
 
 
 def test_build_radii_are_keyed_by_the_chosen_orientations():
@@ -276,8 +273,8 @@ def test_build_radii_are_keyed_by_the_chosen_orientations():
         build = build_by_template(template, seed=seed)
         assert build.kind == "solution"
         radius = {len(s.vertices): s.radius for s in template.shapes}
-        assert build.kappa.by_class == {c.class_key: radius[len(c)]
-                                        for c in components_of(build.code)}, (n, seed)
+        assert build.kappa.by_class == {key: radius[len(key)]
+                                        for key in build.code._classes}, (n, seed)
 
 
 def test_dim4_build_reproduces_fixture():
@@ -295,6 +292,6 @@ def test_dim4_fixture_verifies():
     rep = verify_kappa_ptmc(code, kappa)
     assert rep.passed
     assert shape_kind_census(code) == {(1, 1, 1, 1): 8, (1, 2, 2, 2): 8}
-    radii = {tuple(sorted(box_hull_check(c).extents)): kappa.radius_for(c.class_key)
-             for c in components_of(code)}
+    radii = {tuple(sorted(box_hull_check(key, wrapped))): kappa.radius_for(key)
+             for key, (_, _, wrapped) in code._classes.items()}
     assert radii == {(1, 1, 1, 1): 2, (1, 2, 2, 2): 1}
