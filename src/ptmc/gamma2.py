@@ -198,8 +198,10 @@ def neighbors(v: GammaVertex) -> tuple[GammaVertex, ...]:
 def local_ball(v: GammaVertex) -> frozenset:
     """The truncated 2-ball of a vertex, N[e] x N[f]: the 25 vertices of
     its four containing tersquares, the only vertices at distance <= 2."""
-    fs = _closed((v.wy, v.b))
-    return frozenset(_vertex(e, f) for e in _closed((v.wx, v.a)) for f in fs)
+    # tuple.__new__ skips the named tuple's Python-level __new__
+    new, fs = tuple.__new__, _closed((v.wy, v.b))
+    return frozenset([new(GammaVertex, (e[0], f[0], e[1], f[1]))
+                      for e in _closed((v.wx, v.a)) for f in fs])
 
 
 def gamma_truncated_distance(u: GammaVertex, v: GammaVertex) -> int:

@@ -1,7 +1,9 @@
 """Tests for the exact cover engine and its instance builders."""
 
 import hashlib
+import inspect
 import random
+import sys
 import time
 from itertools import combinations, product
 
@@ -12,6 +14,7 @@ from ptmc.cover import (
     ExactCoverInstance,
     OutOfTime,
     _counted,
+    _recount_above,
     _run_x,
     _sliced_sum,
     eds_instance,
@@ -570,6 +573,103 @@ def test_first_counts_match_the_sliced_sum():
         assert counts == _sliced_sum(cells, chosen)
         widths.add(len(counts))
     assert {0, 9, 10} <= widths  # no count, and counts of 256-1023
+
+
+def _count_updates(monkeypatch):
+    """Counts, in a dict, the recounts (`_counted`, set-up included), sums
+    (`_sliced_sum`) and subtractions that `_run_x` makes; a subtraction is
+    the line that copies the counts list, counted by a tracer that the
+    caller sets with sys.settrace."""
+    calls = {"counted": 0, "summed": 0, "subtracted": 0}
+    counted, summed = ptmc.cover._counted, ptmc.cover._sliced_sum
+
+    def recount(*args):
+        calls["counted"] += 1
+        return counted(*args)
+
+    def resum(*args):
+        calls["summed"] += 1
+        return summed(*args)
+
+    monkeypatch.setattr(ptmc.cover, "_counted", recount)
+    monkeypatch.setattr(ptmc.cover, "_sliced_sum", resum)
+    lines, first = inspect.getsourcelines(_run_x)
+    line = first + next(i for i, text in enumerate(lines) if "counts = list(counts)" in text)
+
+    def tracer(frame, event, arg):
+        if frame.f_code is not _run_x.__code__:
+            return None
+
+        def step(frame, event, arg):
+            if event == "line" and frame.f_lineno == line:
+                calls["subtracted"] += 1
+            return step
+        return step
+    return calls, tracer
+
+
+def test_core_matches_reference_x_through_all_three_count_updates(monkeypatch):
+    # dense random instances of 20-32 cells and 60-120 tiles of 2-4 cells,
+    # plus a planted partition, whose choices kill more tiles than
+    # _recount_above allows (about 20) near the root and a few deeper down:
+    # the search recounts, sums and subtracts, and still finds the solutions
+    # and nodes of reference_x
+    calls, tracer = _count_updates(monkeypatch)
+    rng = random.Random(5)
+    for trial in range(8):
+        ncells = rng.randint(20, 32)
+        universe = list(range(ncells))
+        order = rng.sample(universe, ncells)
+        cuts = sorted(rng.sample(range(1, ncells), ncells // 3))
+        tiles = [order[a:b] for a, b in zip([0] + cuts, cuts + [ncells])]
+        tiles += [rng.sample(universe, rng.randint(2, 4)) for _ in range(rng.randint(60, 120))]
+        rng.shuffle(tiles)
+        i = inst(universe, [(f"t{t:03d}", cells) for t, cells in enumerate(tiles)])
+        for limit in (1, None):
+            previous = sys.gettrace()
+            sys.settrace(tracer)
+            try:
+                got = _run_x(i, limit, None)
+            finally:
+                sys.settrace(previous)
+            assert got == reference_x(i, limit)
+    # 16 of the recounts are the searches' set-ups
+    assert calls["counted"] > 16 and calls["summed"] and calls["subtracted"], calls
+
+
+def test_wide_instances_recount_only_where_it_pays(monkeypatch):
+    # a recount costs a popcount of a tiles-bit mask per cell, whatever a
+    # choice kills: the 50 x 50 EDS torus's choices kill about a dozen
+    # tiles and never recount; the pinned n = 5 template recounts after its
+    # first choice alone, which kills 2,670 of its 7,535 tiles (a 2.6 ms
+    # recount against 4 ms to subtract them); and the pinned n = 6
+    # template's first choice, which kills 12,845 of 45,929 tiles, the most
+    # any of its choices kills, stays below the threshold, as a recount
+    # (83 ms) costs more than subtracting them (78 ms)
+    calls, _ = _count_updates(monkeypatch)
+    out = solve(eds_instance(lattice_graph(Ambient.torus(50, 50))))
+    assert (out.kind, out.nodes, calls["counted"]) == ("solution", 500, 1)
+    calls["counted"] = 0
+    assert build_by_template(cube_singleton_template(5)).nodes == 32
+    assert calls["counted"] == 2
+    assert _recount_above(23328, 46656) > 12845
+
+
+def test_holding_lists_a_cells_tiles_in_instance_order():
+    # a range order reads the positions off the holders mask; a restricted
+    # order is scanned: both against the tiles themselves, on a tiling, an
+    # EDS and a tile-listed instance, whole, reversed and shuffled in part
+    rng = random.Random(11)
+    universe = list(range(9))
+    listed = inst(universe, [(f"t{t}", rng.sample(universe, rng.randint(1, 4)))
+                             for t in range(20)])
+    for base in (tiling_instance(*_template_case(3))[0],
+                 eds_instance(lattice_graph(Ambient.torus(5, 5))), listed):
+        size = len(base.ids)
+        for i in (base, base.restrict(range(size - 1, -1, -1)),
+                  base.restrict(rng.sample(range(size), size // 2))):
+            for c, cell in enumerate(i.universe):
+                assert i.holding(c) == [r for r, (_, cells) in enumerate(i.tiles) if cell in cells]
 
 
 def test_deep_instance_beyond_recursion_limit():

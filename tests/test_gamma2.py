@@ -472,6 +472,20 @@ def test_local_balls_and_distances_match_tersquare_oracles_on_region_vertices():
             assert gamma_truncated_distance(u, v) == naive_gamma_distance(u, v), (u, v)
 
 
+def test_local_balls_match_tersquare_oracle_on_hives_and_random_vertices():
+    # the balls are built as plain tuples typed GammaVertex, not through the
+    # named tuple's constructor: each must equal the oracle's and its
+    # vertices must be GammaVertex, on every hive and on deep random vertices
+    rng = random.Random(29)
+    verts = [v for c in HIVE_CENTERS for v in hive_vertices(build_hive(c))]
+    verts += [canonical_vertex(random_tersquare(rng, 9), rng.randrange(3), rng.randrange(3))
+              for _ in range(300)]
+    for v in verts:
+        ball = local_ball(v)
+        assert ball == naive_local_ball(v) and len(ball) == 25
+        assert all(type(u) is GammaVertex for u in ball)
+
+
 @pytest.mark.parametrize("center", HIVE_CENTERS)
 def test_hive_structures_match_tersquare_oracles(center):
     h = build_hive(center)
