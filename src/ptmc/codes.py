@@ -11,9 +11,10 @@ key placed at its anchor (`_placed`). The BFS walks components root by
 root; on a torus, a class met often enough that its walks cost as much as
 a mask sweep (about N / 1024 components on N vertices, `_sweep_after`)
 has its other anchors found at once by ANDing translates of the code's
-mask (`_sweep`), so a periodic code's hundreds of repeats are never
-walked. The verifier, the JSON functions and the CLI's counts read the
-classes; `components_of` lists each component's vertices from them.
+mask (`_sweep`), so the hundreds of repeats of a class in a code that
+does not fold (below) are never walked. The verifier, the JSON functions
+and the CLI's counts read the classes; `components_of` lists each
+component's vertices from them.
 The main verifier checks that the truncated balls of the components
 partition the ambient and that every vertex has a unique nearest code
 vertex inside the component whose ball covers it. Every component of a
@@ -29,6 +30,17 @@ Verification of "infinite grid" claims happens exclusively on tori: a
 periodic code projects onto a toroidal quotient without boundary effects,
 so a toroidal pass is exact. Windows are supported for enumeration and
 debugging only; the verifier reports them as degenerate.
+
+The same holds between tori. A torus code works out its least axis
+periods d_i | m_i, d_i >= 3, once (`_periods`), and folds onto the torus
+(d_1, ..., d_n) when three conditions, read off the folded code's
+classes, hold (`_fold`): every d_i >= 3, no folded class wraps, and every
+class key has max coordinate <= d_i - 3, so that each ball maps one-to-one
+onto either torus. The code is then perfect exactly when its fold is, with
+the same witness. Its classes are the folded ones with their anchors
+unfolded over the period translates (`_unfolded`), and the verifier checks
+the folded code; otherwise both run on the whole torus, as
+`_find_classes` and `_verify_classes`.
 """
 
 from __future__ import annotations
@@ -37,15 +49,15 @@ import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain, product, repeat
 from math import prod
-from operator import add, mod, mul, neg, sub
+from operator import add, floordiv, mod, mul, neg, sub
 from typing import Collection, Iterable
 
 from .graphs import Graph, _array
 # truncated_ball is called nowhere here: perfbench/spans.py wraps this binding, which a test checks
-from .metric import (Ambient, Point, _bits, _inside, _integers, _mask, _nearest_ball, _translate,
-                     ball_size_formula, truncated_ball)
+from .metric import (Ambient, Point, _bits, _inside, _integers, _mask, _nearest_ball, _repeat,
+                     _translate, ball_size_formula, truncated_ball)
 
 # a component lifted to Z^n (torus wrap-around unrolled), moved so that its
 # coordinate-wise minimum is the origin, and sorted: translates share it,
@@ -97,8 +109,18 @@ class CodeSet:
         return {sum(map(mul, v, strides)) - base: v for v in self.vertices}
 
     @cached_property
+    def _whole(self) -> int:
+        """The code's mask over row-major indices."""
+        return _mask(self._rows)
+
+    @cached_property
+    def _folded(self) -> CodeSet | None:
+        return _fold(self)
+
+    @cached_property
     def _classes(self) -> dict[ClassKey, Class]:
-        return _find_classes(self)
+        folded = self._folded
+        return _find_classes(self) if folded is None else _unfolded(self, folded)
 
 
 @dataclass(frozen=True)
@@ -148,16 +170,14 @@ def components_of(code: CodeSet) -> list[tuple[Point, ...]]:
 
     Adjacency is one unit step in exactly one axis, wrapped on tori. The
     list is built on each call from the code's translation classes
-    (`_find_classes`, run once per code): a class's first component as the
-    class holds it, the others by placing the class key at their anchors
-    (`_placed`), as the code's own vertex objects.
+    (`CodeSet._classes`, found once per code): a class's first component
+    as the class holds it, the others by placing the class key at their
+    anchors (`_placed`), as the code's own vertex objects.
     """
-    a, rows = code.ambient, code._rows
     comps = []
     for key, (anchors, first, _) in code._classes.items():
         comps.append(first)
-        comps += (tuple(map(rows.__getitem__, sorted(map(a.index, _placed(a, key, x)))))
-                  for x in anchors[1:])
+        comps += _placed(code, key, anchors[1:])
     comps.sort()
     return comps
 
@@ -170,7 +190,11 @@ def component_count(code: CodeSet) -> int:
 
 def _find_classes(code: CodeSet) -> dict[ClassKey, Class]:
     """The translation classes of a code, in the order of each class's first
-    component's min vertex.
+    component's min vertex, found on its whole ambient. `CodeSet._classes`
+    calls it on the code's fold when the code folds onto its least axis
+    periods (`_fold`: d_i >= 3, no folded class wraps, every key's max
+    coordinate <= d_i - 3), then unfolds the anchors (`_unfolded`), and on
+    the code itself when not.
 
     One loop serves tori and windows. It takes roots in row-major order and
     lifts each root's component to Z^n by a BFS over row-major vertex
@@ -207,7 +231,6 @@ def _find_classes(code: CodeSet) -> dict[ClassKey, Class]:
     decoded: dict[tuple[int, ...], tuple[ClassKey, Point]] = {}
     classes: dict[ClassKey, Class] = {}
     after = _sweep_after(a.vertex_count()) if a.is_torus else 0  # 0: never swept
-    whole = None  # the code's mask, made at the first sweep
     tops: dict = {}
     for root, v0 in member.items():
         if lift[root] is not None:
@@ -255,9 +278,7 @@ def _find_classes(code: CodeSet) -> dict[ClassKey, Class]:
         anchors = group[0]
         anchors.append(at)
         if len(anchors) == after and not wrapped:
-            if whole is None:
-                whole = _mask(member)
-            found, covered = _sweep(whole, key, anchors, extents, tops)
+            found, covered = _sweep(code._whole, key, anchors, extents, tops)
             anchors += found
             lift.update(dict.fromkeys(covered, 0))
     return classes
@@ -313,12 +334,106 @@ def _sweep(whole: int, key: ClassKey, found: list[int], moduli: tuple[int, ...],
     return _bits(anchors), _bits(covered)
 
 
-def _placed(a: Ambient, key: ClassKey, anchor: int) -> list[Point]:
-    """The vertices of the component of a class at an anchor (a row-major
-    index), in key order: wrap(p + k) for each key point k, p the anchor's
-    point."""
-    p = a.point(anchor)
-    return [a.wrap(tuple(map(add, p, k))) for k in key]
+def _placed(code: CodeSet, key: ClassKey, anchors: list[int]) -> list[tuple[Point, ...]]:
+    """The sorted vertices of the components of a class at the given
+    anchors (row-major indices), as the code's own vertex objects, in
+    anchor order: at anchor p, wrap(p + k) for each key point k. Built a
+    column at a time: per axis the anchors' coordinates, then per key point
+    k one column of row-major indices, each axis wrapped with one
+    map(mod, ...), and each component's indices looked up in
+    `CodeSet._rows`. On a window the components lie inside, so mod leaves
+    them as they are."""
+    extents, strides = code.ambient.extents, code.ambient.strides
+    columns = [list(map(mod, map(floordiv, anchors, repeat(s)), repeat(e)))
+               for e, s in zip(extents, strides)]
+    at = []
+    for k in key:
+        index = repeat(0)
+        for column, d, e, s in zip(columns, k, extents, strides):
+            index = map(add, index, map(mul, map(mod, map(add, column, repeat(d)), repeat(e)),
+                                        repeat(s)))
+        at.append(index)
+    rows = code._rows.__getitem__
+    return [tuple(map(rows, sorted(x))) for x in zip(*at)]
+
+
+# ---------------------------------------------------------------------------
+# the fold onto one period
+# ---------------------------------------------------------------------------
+
+def _periods(code: CodeSet) -> tuple[int, ...]:
+    """Per axis of a torus, the least d | m with d >= 3 and code + d e_i =
+    code, else m: one masked translate of the code's mask per divisor
+    tried. A divisor is skipped when m / d does not divide len(code), as a
+    code of period d is m / d translates of its vertices below d."""
+    moduli, whole = code.ambient.extents, code._whole
+    tops: dict = {}
+    periods = []
+    for i, m in enumerate(moduli):
+        for d in range(3, m // 2 + 1):
+            if m % d == 0 and len(code) % (m // d) == 0 and _translate(
+                    whole, (0,) * i + (d,) + (0,) * (len(moduli) - i - 1), moduli, tops) == whole:
+                break
+        else:
+            d = m
+        periods.append(d)
+    return tuple(periods)
+
+
+def _fold(code: CodeSet) -> CodeSet | None:
+    """The code on the torus of its least axis periods d (`_periods`), when
+    that is checked in its place, else None.
+
+    The folded code is the code's vertices inside the box [0, d). It stands
+    for the code when its classes show three things: every d_i >= 3, which
+    `_periods` ensures; no folded class wraps; and every key has max
+    coordinate <= d_i - 3 on each axis, so that a component's ball, at most
+    the key grown by one each way, maps one-to-one onto either torus. Then
+    the code's components are the period translates of the folded ones and
+    their balls the translates of theirs, so a vertex lies in as many balls,
+    with as many nearest vertices, as its image does: the code is perfect
+    exactly when the folded code is. Every failing set is d-periodic, and x
+    mod d <= x, so its least vertex, the witness, lies in [0, d) on both."""
+    a = code.ambient
+    if a.degenerate:
+        return None
+    periods = _periods(code)
+    if periods == a.extents:
+        return None
+    # the rows below d_i on each axis: the low d_0 s_0 bits, then, within
+    # them, the low d_i s_i bits in every block of m_i s_i
+    size = periods[0] * a.strides[0]
+    box = code._whole & ((1 << size) - 1)
+    for d, m, s in zip(periods[1:], a.extents[1:], a.strides[1:]):
+        box &= _repeat((1 << d * s) - 1, m * s, size // (m * s))
+    folded = CodeSet(Ambient.torus(*periods), tuple(map(code._rows.__getitem__, _bits(box))))
+    for key, (_, _, wrapped) in folded._classes.items():
+        if wrapped or any(max(column) > d - 3 for column, d in zip(zip(*key), periods)):
+            return None
+    return folded
+
+
+def _unfolded(code: CodeSet, folded: CodeSet) -> dict[ClassKey, Class]:
+    """The translation classes of a code from those of its fold (`_fold`),
+    as `_find_classes` gives them but for the order of anchors after the
+    first: each folded anchor unfolds to its N / N' period translates, N and N'
+    the vertex counts of the two tori. The first component is the one that
+    holds the class's least vertex u, its first vertex on either torus; its
+    anchor is wrap(u - k_u), k_u the key point at u, which may lie outside
+    [0, d) when that component crosses the fold's boundary."""
+    a, b = code.ambient, folded.ambient
+    steps = [0]  # from a vertex in [0, d) to its period translates
+    for d, m, s in zip(b.extents, a.extents, a.strides):
+        steps = [x + j * d * s for x in steps for j in range(m // d)]
+    classes = {}
+    for key, (anchors, first, _) in folded._classes.items():
+        u, p = first[0], b.point(anchors[0])
+        k = next(k for k in key if b.wrap(tuple(map(add, p, k))) == u)
+        at = a.index(a.wrap(tuple(map(sub, u, k))))
+        rest = [x + step for x in map(a.index, map(b.point, anchors)) for step in steps]
+        rest.remove(at)
+        classes[key] = ([at, *rest], _placed(code, key, [at])[0], False)
+    return classes
 
 
 def _wrapped_key(verts: tuple[Point, ...], a: Ambient) -> tuple[ClassKey, Point]:
@@ -398,6 +513,13 @@ def verify_kappa_ptmc(code: CodeSet, kappa: KappaAssignment) -> VerifyReport:
     radii the per-component reading is the one under which the two-radius
     constructions are perfect, so that is what is checked.
 
+    A periodic code is checked on one period: when it folds onto the torus
+    of its least axis periods d (`_fold`: every d_i >= 3, no folded class
+    wraps, every key's max coordinate <= d_i - 3), the folded code's report
+    is returned. It is the whole torus's, witness included: every failing
+    set is d-periodic, so its least vertex lies in [0, d). Otherwise the
+    code is checked on its whole torus (`_verify_classes`), as follows.
+
     Every radius is checked against [1, n] before any ball is built. Then
     each translation class is checked whichever of two ways costs less
     (`_swept`, judged from its first component's ball). Swept as row-major
@@ -420,6 +542,13 @@ def verify_kappa_ptmc(code: CodeSet, kappa: KappaAssignment) -> VerifyReport:
     with any modulus < 3 (and windows) are refused as degenerate: truncated
     balls would self-overlap or be clipped.
     """
+    folded = code._folded
+    return _verify_classes(code if folded is None else folded, kappa)
+
+
+def _verify_classes(code: CodeSet, kappa: KappaAssignment) -> VerifyReport:
+    """verify_kappa_ptmc on the code's own ambient, from its classes as
+    they are, whether or not the code folds."""
     a = code.ambient
     if a.degenerate:
         return VerifyReport(False, "degenerate-ambient")
@@ -452,8 +581,8 @@ def verify_kappa_ptmc(code: CodeSet, kappa: KappaAssignment) -> VerifyReport:
         ties_at += ties
         # the first component's ball is built above; the order of the others
         # does not matter, as each witness is the least of its kind
-        for ball in chain([ball], (_nearest_ball(_placed(a, key, x), t, moduli, ties_at)
-                                   for x in anchors[1:])):
+        for ball in chain([ball], (_nearest_ball(c, t, moduli, ties_at)
+                                   for c in _placed(code, key, anchors[1:]))):
             if not loose.isdisjoint(ball):
                 twice.append(min(loose.intersection(ball)))
             loose.update(ball)

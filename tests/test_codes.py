@@ -7,7 +7,7 @@ import time
 import tracemalloc
 from collections import Counter
 from itertools import product
-from operator import add, mul
+from operator import add, ge, mod, mul
 
 import pytest
 
@@ -300,7 +300,9 @@ def test_finder_walks_the_threshold_and_sweeps_the_rest(monkeypatch):
     # the box code: 400 translates of a 1 x 2 x 3 box on the (15, 32, 50)
     # torus. The BFS walks 24000 >> 10 = 23 of them; one sweep translates
     # the code's mask by -k for the key's 6 points and -b for its rim's 22,
-    # then the anchors it finds by k for each key point, to mark them
+    # then the anchors it finds by k for each key point, to mark them. The
+    # code folds onto its (3, 4, 5) period, so the finder is run on the
+    # full torus as the fold's fallback runs it
     built, _ = build_box_code((2, 3, 4), (5, 8, 10))
     code = CodeSet(built.ambient, built.vertices)
     strides = (32 * 50, 50, 1)
@@ -314,8 +316,9 @@ def test_finder_walks_the_threshold_and_sweeps_the_rest(monkeypatch):
 
     found = _sweeps(monkeypatch)
     monkeypatch.setattr("ptmc.codes._translate", counted)
-    assert ptmc.codes.component_count(code) == 400
-    (key,) = code._classes
+    classes = ptmc.codes._find_classes(code)
+    assert sum(len(anchors) for anchors, _, _ in classes.values()) == 400
+    (key,) = classes
     rim = {k[:i] + (k[i] + d,) + k[i + 1:] for k in key for i in range(3) for d in (1, -1)}
     rim -= set(key)
     assert (len(key), len(rim)) == (6, 22)
@@ -541,7 +544,9 @@ def test_verifier_translates_at_most_twice_per_component(monkeypatch):
     # per class of A components, a ball of B vertices and T tied vertices:
     # min(A, B) translates for the balls and min(A, T) for the ties, and
     # one ball built, when it is swept as masks; no translate and A balls
-    # built, each component's own, when it is checked ball by ball
+    # built, each component's own, when it is checked ball by ball. The box
+    # and inflated codes fold onto one period, so the full-torus check that
+    # the fold stands in for is run on them
     calls, built = [], []
     translate, nearest_ball = ptmc.codes._translate, ptmc.codes._nearest_ball
 
@@ -585,7 +590,7 @@ def test_verifier_translates_at_most_twice_per_component(monkeypatch):
                 mine = mine[:1]
             expect_built += mine
         del calls[:], built[:]
-        verify_kappa_ptmc(code, kappa)
+        ptmc.codes._verify_classes(code, kappa)
         assert len(calls) == expect <= 2 * len(comps)
         assert built == expect_built
     assert paths == {True, False}
@@ -595,7 +600,8 @@ def test_large_keys_with_many_anchors_are_swept(monkeypatch):
     # 240,000 vertices, 128 anchors of a 4 x 4 x 4 box key at radius 3 (216-
     # vertex balls): walking them takes 128 x 64 x 27 steps, so the class is
     # swept as masks, though its anchors and ball are both fewer than
-    # 240,000 / 1024
+    # 240,000 / 1024. The code folds onto its (10, 15, 50) period, so the
+    # full-torus check is run
     chosen = []
     swept = ptmc.codes._swept
 
@@ -607,7 +613,8 @@ def test_large_keys_with_many_anchors_are_swept(monkeypatch):
     box = list(product(range(4), repeat=3))
     verts = [(x + dx, y + dy, z + dz) for x in range(0, 80, 10) for y in range(0, 60, 15)
              for z in range(0, 48, 12) for dx, dy, dz in box]
-    rep = verify_t_ptmc(CodeSet(torus(80, 60, 50), tuple(verts)), 3)
+    rep = ptmc.codes._verify_classes(CodeSet(torus(80, 60, 50), tuple(verts)),
+                                     KappaAssignment.uniform(3))
     assert (rep.kind, rep.witness) == ("gap", ((0, 0, 5),))
     assert chosen == [((128, 64, 27, 216, 240000), True)]
 
@@ -623,6 +630,142 @@ def test_verifier_on_a_large_torus_holds_few_masks():
         tracemalloc.stop()
     assert (rep.kind, rep.witness) == ("gap", ((0, 0, 0),))
     assert peak < 64 << 20
+
+
+# ---------------------------------------------------------------------------
+# the fold onto one period
+# ---------------------------------------------------------------------------
+
+def _full_torus(code, kappa, monkeypatch):
+    """The classes, component count and (passed, kind, witness) of the
+    finder and verifier run on the whole torus, the fold switched off."""
+    with monkeypatch.context() as m:
+        m.setattr("ptmc.codes._fold", lambda code: None)
+        full = CodeSet(code.ambient, code.vertices)
+        rep = verify_kappa_ptmc(full, kappa)
+        return full._classes, ptmc.codes.component_count(full), (rep.passed, rep.kind, rep.witness)
+
+
+def _folds_as_the_full_torus(code, kappa, monkeypatch):
+    """Whether a code folds, once its report, component count and classes
+    (key order, anchor sets, first anchor, first component, wrapped) are
+    checked against the full torus's and, on at most 150 vertices, its
+    report against the naive oracle's."""
+    classes, count, report = _full_torus(code, kappa, monkeypatch)
+    rep = verify_kappa_ptmc(code, kappa)
+    assert (rep.passed, rep.kind, rep.witness) == report
+    if code.ambient.vertex_count() <= 150:
+        assert report == naive_verify_kappa_ptmc(code, kappa)
+    assert ptmc.codes.component_count(code) == count
+    assert list(code._classes) == list(classes)
+    for key, (anchors, first, wrapped) in classes.items():
+        mine, again, wraps = code._classes[key]
+        assert (mine[0], sorted(mine), again, wraps) == (anchors[0], sorted(anchors), first, wrapped)
+    return code._folded is not None
+
+
+def test_fold_matches_the_full_torus_on_random_periodic_codes(monkeypatch):
+    # n = 2 and 3, periods 3-7 and 1-3 copies per axis, uniform and per-class
+    # radii; a mutant in every period stays periodic, and a mutant in one
+    # period of a code with two or more copies on each axis folds on no axis
+    rng = random.Random(38)
+    folded, kinds, crossing, one_period = 0, set(), 0, 0
+    for i in range(120):
+        n = rng.choice((2, 3))
+        cell = torus(*(rng.randint(3, 7) for _ in range(n)))
+        copies = tuple(rng.randint(1, 3) for _ in range(n))
+        if copies == (1,) * n:
+            copies = (2,) + copies[1:]
+        verts = list(cell.vertices())
+        base = set(rng.sample(verts, rng.randint(1, len(verts) // 4 + 1)))
+        code = inflate_code(CodeSet(cell, tuple(base)), copies)
+        t = rng.randint(1, n)
+        if i % 2:
+            kappa = KappaAssignment(by_class={key: rng.randint(1, n)
+                                              for key in ptmc.codes._find_classes(code)},
+                                    uniform_radius=t)
+        else:
+            kappa = KappaAssignment.uniform(t)
+        v = rng.choice(verts)
+        every = inflate_code(CodeSet(cell, tuple(base ^ {v})), copies)
+        for c in (code, every):
+            if _folds_as_the_full_torus(c, kappa, monkeypatch):
+                folded += 1
+                kinds.add(verify_kappa_ptmc(c, kappa).kind)
+                d = c._folded.ambient.moduli
+                crossing += any(any(map(ge, c.ambient.point(anchors[0]), d))
+                                for anchors, _, _ in c._classes.values())
+        if min(copies) >= 2:
+            z = tuple(rng.randrange(1, k) * p for k, p in zip(copies, cell.moduli))
+            one = CodeSet(code.ambient, tuple(set(code.vertices) ^ {tuple(map(add, v, z))}))
+            assert not _folds_as_the_full_torus(one, kappa, monkeypatch)
+            one_period += 1
+    assert folded > 100 and crossing > 10 and one_period > 40
+    assert {None, "overlap", "gap"} <= kinds
+
+
+def test_constructed_codes_fold_and_their_mutants_agree(monkeypatch):
+    # box and inflated square-singleton codes pass folded; less one vertex
+    # in every period they fold and fail, less one in one period they do
+    # not fold
+    build = build_by_template(square_singleton_template(), seed=1)
+    cases = [build_box_code((2, 3, 4), (5, 8, 10)), build_box_code((3, 2), (3, 4)),
+             (inflate_code(build.code, (4, 6, 5)), build.kappa)]
+    for code, kappa in cases:
+        assert _folds_as_the_full_torus(code, kappa, monkeypatch)
+        assert verify_kappa_ptmc(code, kappa).passed
+        d = code._folded.ambient.moduli
+        drop = min(code._folded.vertices)
+        every = CodeSet(code.ambient, tuple(v for v in code.vertices
+                                            if tuple(map(mod, v, d)) != drop))
+        one = CodeSet(code.ambient, tuple(v for v in code.vertices if v != drop))
+        # a class the drop makes takes radius n
+        radius = KappaAssignment(kappa.by_class, uniform_radius=code.ambient.dimension)
+        assert _folds_as_the_full_torus(every, radius, monkeypatch)
+        assert not verify_kappa_ptmc(every, radius).passed
+        assert not _folds_as_the_full_torus(one, radius, monkeypatch)
+
+
+def test_fold_keeps_a_bad_radius_witness(monkeypatch):
+    # the inflated square-singleton code with its singletons' radius above n
+    build = build_by_template(square_singleton_template(), seed=1)
+    code = inflate_code(build.code, (2, 2, 3))
+    kappa = KappaAssignment(by_class={key: 2 if len(key) > 1 else 4
+                                      for key in build.kappa.by_class})
+    assert _folds_as_the_full_torus(code, kappa, monkeypatch)
+    rep = verify_kappa_ptmc(code, kappa)
+    singles = next(first for key, (_, first, _) in code._classes.items() if len(key) == 1)
+    assert (rep.kind, rep.witness) == ("bad-radius", (singles[0],))
+
+
+def test_fold_keeps_a_tie_and_a_first_component_across_its_boundary(monkeypatch):
+    # on its (5, 4) period the code is one component that wraps round x, at
+    # radius 2 tied at (0, 1). Repeated (2, 3) times, the component holding
+    # the least vertex (0, 0) runs from x = 9 round to x = 1: its anchor is
+    # (9, 0), where the folded class's is (4, 0)
+    cell = CodeSet(torus(5, 4), ((0, 0), (1, 0), (1, 1), (4, 0), (4, 1)))
+    code = inflate_code(cell, (2, 3))
+    kappa = KappaAssignment.uniform(2)
+    assert _folds_as_the_full_torus(code, kappa, monkeypatch)
+    assert code._folded.ambient.moduli == (5, 4)
+    assert (verify_t_ptmc(code, 2).kind, verify_t_ptmc(code, 2).witness) == (
+        "nonunique-nearest", ((0, 1),))
+    ((key, (anchors, first, _)),) = code._classes.items()
+    ((anchors_folded, _, _),) = code._folded._classes.values()
+    assert (code.ambient.point(anchors[0]), code._folded.ambient.point(anchors_folded[0])) == (
+        (9, 0), (4, 0))
+    assert first == ((0, 0), (1, 0), (1, 1), (9, 0), (9, 1))
+
+
+def test_fold_is_skipped_where_a_ball_would_wrap_its_period(monkeypatch):
+    # period (3, 5) with a domino along axis 0: its ball spans 4 > 3 rows, so
+    # the code is checked on its whole torus; a ring round the period of
+    # axis 1 wraps, and so does not fold either
+    domino = inflate_code(CodeSet(torus(3, 5), ((0, 0), (1, 0))), (3, 2))
+    ring = inflate_code(CodeSet(torus(4, 5), tuple((0, y) for y in range(5))), (2, 2))
+    for code in (domino, ring):
+        assert ptmc.codes._periods(code) != code.ambient.moduli
+        assert not _folds_as_the_full_torus(code, KappaAssignment.uniform(1), monkeypatch)
 
 
 def test_missing_kappa_entry_raises():
