@@ -3,6 +3,11 @@
 A code is a vertex subset S of a finite ambient. Its connected components
 (under unit-step adjacency, wrapped on tori) are the truncated centers; a
 radius assignment maps each translation class of components to a radius.
+A code is loaded in one pass per axis (`metric._indices`), which checks its
+sorted vertices and works out their row-major indices, ascending as the
+vertices are; repeats are found among neighbours. The code's mask and its
+index-to-vertex dict, which only the class finder's BFS and `_placed`
+read, are made from those indices.
 A code is held as its translation classes, found once per code: per class
 key, the anchors where the key sits (row-major indices of the ambient's
 box, `Ambient.index`), the vertices of the component at the first anchor
@@ -33,30 +38,30 @@ debugging only; the verifier reports them as degenerate.
 
 The same holds between tori. A torus code works out its least axis
 periods d_i | m_i, d_i >= 3, once (`_periods`), and folds onto the torus
-(d_1, ..., d_n) when three conditions, read off the folded code's
-classes, hold (`_fold`): every d_i >= 3, no folded class wraps, and every
-class key has max coordinate <= d_i - 3, so that each ball maps one-to-one
-onto either torus. The code is then perfect exactly when its fold is, with
-the same witness. Its classes are the folded ones with their anchors
-unfolded over the period translates (`_unfolded`), and the verifier checks
-the folded code; otherwise both run on the whole torus, as
-`_find_classes` and `_verify_classes`.
+(d_1, ..., d_n) when every d_i >= 3 and every folded class key has max
+coordinate <= d_i - 3 (`_fold`), so that each ball maps one-to-one onto
+either torus; a folded class that wraps fails that bound. The code is then
+perfect exactly when its fold is, with the same witness. Its classes are
+the folded ones with their anchors unfolded over the period translates
+(`_unfolded`), and the verifier checks the folded code; otherwise both run
+on the whole torus, as `_find_classes` and `_verify_classes`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain, product, repeat
+from itertools import chain, compress, islice, product, repeat
 from math import prod
-from operator import add, floordiv, mod, mul, neg, sub
+from operator import add, floordiv, mod, mul, ne, neg, sub
 from typing import Collection, Iterable
 
 from .graphs import Graph, _array
 # truncated_ball is called nowhere here: perfbench/spans.py wraps this binding, which a test checks
-from .metric import (Ambient, Point, _bits, _inside, _integers, _mask, _nearest_ball, _repeat,
+from .metric import (Ambient, Point, _bits, _indices, _integers, _mask, _nearest_ball, _repeat,
                      _translate, ball_size_formula, truncated_ball)
 
 # a component lifted to Z^n (torus wrap-around unrolled), moved so that its
@@ -80,19 +85,31 @@ class ComponentWrapsTorus(ValueError):
 
 @dataclass(frozen=True)
 class CodeSet:
-    """A duplicate-free vertex subset of one ambient, kept sorted."""
+    """A duplicate-free vertex subset of one ambient, kept sorted.
+
+    indices holds each vertex's row-major index (`Ambient.index`), worked
+    out in the column pass that checks the vertices (`metric._indices`).
+    Row-major order is sorted order, so the indices ascend, and a repeat
+    has the same index as its neighbour. It takes no part in equality,
+    hash or repr."""
 
     ambient: Ambient
     vertices: tuple[Point, ...]
+    indices: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        # a stable sort keeps first occurrences, and is linear on sorted input
-        vs = tuple(dict.fromkeys(sorted(self.vertices)))
-        object.__setattr__(self, "vertices", vs)
-        if not _inside(self.ambient, vs):
+        vs = sorted(self.vertices)  # stable, so a repeat follows its first occurrence
+        index = _indices(self.ambient, vs)
+        if index is None:
             for v in vs:  # sorted, so the smallest offender is named
                 if not self.ambient.contains(_integers(v, f"vertex {v} coordinate")):
                     raise ValueError(f"vertex {v} outside ambient")
+        index = tuple(index)
+        if not all(map(ne, islice(index, 1, None), index)):
+            keep = [True, *map(ne, islice(index, 1, None), index)]
+            vs, index = list(compress(vs, keep)), tuple(compress(index, keep))
+        object.__setattr__(self, "vertices", tuple(vs))
+        object.__setattr__(self, "indices", index)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -102,16 +119,14 @@ class CodeSet:
 
     @cached_property
     def _rows(self) -> dict[int, Point]:
-        """Each vertex by its row-major index (`Ambient.index`, summed here
-        inline): row-major order is the vertices' sorted order."""
-        strides = self.ambient.strides
-        base = sum(map(mul, self.ambient.low, strides))
-        return {sum(map(mul, v, strides)) - base: v for v in self.vertices}
+        """Each vertex by its row-major index, for the class finder's BFS
+        and `_placed`."""
+        return dict(zip(self.indices, self.vertices))
 
     @cached_property
     def _whole(self) -> int:
         """The code's mask over row-major indices."""
-        return _mask(self._rows)
+        return _mask(self.indices)
 
     @cached_property
     def _folded(self) -> CodeSet | None:
@@ -192,9 +207,9 @@ def _find_classes(code: CodeSet) -> dict[ClassKey, Class]:
     """The translation classes of a code, in the order of each class's first
     component's min vertex, found on its whole ambient. `CodeSet._classes`
     calls it on the code's fold when the code folds onto its least axis
-    periods (`_fold`: d_i >= 3, no folded class wraps, every key's max
-    coordinate <= d_i - 3), then unfolds the anchors (`_unfolded`), and on
-    the code itself when not.
+    periods (`_fold`: d_i >= 3, every key's max coordinate <= d_i - 3),
+    then unfolds the anchors (`_unfolded`), and on the code itself when
+    not.
 
     One loop serves tori and windows. It takes roots in row-major order and
     lifts each root's component to Z^n by a BFS over row-major vertex
@@ -384,11 +399,13 @@ def _fold(code: CodeSet) -> CodeSet | None:
     """The code on the torus of its least axis periods d (`_periods`), when
     that is checked in its place, else None.
 
-    The folded code is the code's vertices inside the box [0, d). It stands
-    for the code when its classes show three things: every d_i >= 3, which
-    `_periods` ensures; no folded class wraps; and every key has max
-    coordinate <= d_i - 3 on each axis, so that a component's ball, at most
-    the key grown by one each way, maps one-to-one onto either torus. Then
+    The folded code is the code's vertices inside the box [0, d), taken by
+    position. It stands for the code when every d_i >= 3, which `_periods`
+    ensures, and every key of its classes has max coordinate <= d_i - 3 on
+    each axis, so that a component's ball, at most the key grown by one
+    each way, maps one-to-one onto either torus. No folded class that wraps
+    passes that bound: it winds round some axis j, so it holds a vertex in
+    every row of that axis, and its key reaches d_j - 1 there. Then
     the code's components are the period translates of the folded ones and
     their balls the translates of theirs, so a vertex lies in as many balls,
     with as many nearest vertices, as its image does: the code is perfect
@@ -406,9 +423,11 @@ def _fold(code: CodeSet) -> CodeSet | None:
     box = code._whole & ((1 << size) - 1)
     for d, m, s in zip(periods[1:], a.extents[1:], a.strides[1:]):
         box &= _repeat((1 << d * s) - 1, m * s, size // (m * s))
-    folded = CodeSet(Ambient.torus(*periods), tuple(map(code._rows.__getitem__, _bits(box))))
-    for key, (_, _, wrapped) in folded._classes.items():
-        if wrapped or any(max(column) > d - 3 for column, d in zip(zip(*key), periods)):
+    # the box's vertices by position: the indices ascend
+    at = map(bisect_left, repeat(code.indices), _bits(box))
+    folded = CodeSet(Ambient.torus(*periods), tuple(map(code.vertices.__getitem__, at)))
+    for key in folded._classes:
+        if any(max(column) > d - 3 for column, d in zip(zip(*key), periods)):
             return None
     return folded
 
@@ -514,8 +533,8 @@ def verify_kappa_ptmc(code: CodeSet, kappa: KappaAssignment) -> VerifyReport:
     constructions are perfect, so that is what is checked.
 
     A periodic code is checked on one period: when it folds onto the torus
-    of its least axis periods d (`_fold`: every d_i >= 3, no folded class
-    wraps, every key's max coordinate <= d_i - 3), the folded code's report
+    of its least axis periods d (`_fold`: every d_i >= 3, every key's max
+    coordinate <= d_i - 3), the folded code's report
     is returned. It is the whole torus's, witness included: every failing
     set is d-periodic, so its least vertex lies in [0, d). Otherwise the
     code is checked on its whole torus (`_verify_classes`), as follows.

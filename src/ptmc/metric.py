@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from itertools import accumulate, product, repeat
 from math import comb, prod
-from operator import add, eq, mod, mul, sub
-from typing import Collection, Iterator
+from operator import add, eq, itemgetter, mod, mul, sub
+from typing import Collection, Iterable, Iterator
 
 Point = tuple[int, ...]
 
@@ -189,27 +189,36 @@ def _offsets(n: int, t: int) -> tuple[tuple[Point, ...], ...]:
     return tuple(map(tuple, groups))
 
 
-def _inside(a: Ambient, vs: Collection[Point]) -> bool:
-    """True when every vertex of the collection vs lies in the ambient,
-    checked per axis by C-level min and max. False leaves the verdict to the
-    exact per-vertex scan: a vertex may be outside or of the wrong length, or
-    a coordinate may not be an int, where min and max need not agree with
-    the scan (NaN, strings)."""
+def _indices(a: Ambient, vs: Collection[Point]) -> Iterable[int] | None:
+    """The row-major index (`Ambient.index`) of each vertex of the
+    collection vs, in its order, when every vertex lies in the ambient, else
+    None. One pass per axis: the axis's column of coordinates is taken at C
+    level, checked to hold only ints and, by min and max, to lie within the
+    axis's bounds, and added times the axis's stride into the indices. The
+    indices come as an iterator, summed only when read, so a caller that
+    wants the check alone (`truncated_ball`) pays for no index. None leaves
+    the verdict to the exact per-vertex scan: a vertex may be outside or of
+    the wrong length, or a coordinate may not be an int, where min and max
+    need not agree with the scan (NaN, strings)."""
     if not vs:
-        return True
+        return []
     if set(map(len, vs)) != {a.dimension}:
-        return False
-    for column, lo, e in zip(zip(*vs), a.low, a.extents):
+        return None
+    index = repeat(-sum(map(mul, a.low, a.strides)))
+    for i, (lo, e, s) in enumerate(zip(a.low, a.extents, a.strides)):
+        # not zip(*vs), whose iterator per vertex sets off full garbage collections on large codes
+        column = list(map(itemgetter(i), vs))
         if set(map(type, column)) != {int} or not lo <= min(column) <= max(column) < lo + e:
-            return False
-    return True
+            return None
+        index = map(add, index, column if s == 1 else map(mul, column, repeat(s)))
+    return index
 
 
 def truncated_ball(centers: tuple[Point, ...], t: int, a: Ambient) -> tuple[Point, ...]:
     """All ambient vertices at truncated distance <= t from the given set.
 
     Windows clip the ball to their bounds: the points are made once and
-    checked per axis (`_inside`), and only a ball that check does not pass,
+    checked per axis (`_indices`), and only a ball that check does not pass,
     one the window clips or one with a coordinate that is not an int, is
     filtered point by point. A window from `Ambient.around` never clips.
     Returned sorted lexicographically. A center of another dimension than
@@ -227,7 +236,7 @@ def truncated_ball(centers: tuple[Point, ...], t: int, a: Ambient) -> tuple[Poin
     if a.is_torus:
         return tuple(sorted({tuple(map(mod, p, a.moduli)) for p in moved}))
     pts = set(moved)
-    if not _inside(a, pts):
+    if _indices(a, pts) is None:
         pts = {p for p in pts if a.contains(p)}
     return tuple(sorted(pts))
 

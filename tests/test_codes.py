@@ -35,7 +35,7 @@ from ptmc.constructions import build_box_code, square_singleton_template, build_
 from ptmc.cover import eds_instance, solve
 from ptmc.gamma2 import build_hive, hive_graph, hive_non_isolated_pds, hive_vertices
 from ptmc.graphs import Graph, grid_graph, lattice_graph
-from ptmc.metric import Ambient, _nearest_ball, ball_size_formula, truncated_ball
+from ptmc.metric import Ambient, _mask, _nearest_ball, ball_size_formula, truncated_ball
 
 from oracles import (
     class_components,
@@ -107,6 +107,30 @@ def test_codeset_sorts_and_dedups_keeping_first_occurrence():
     code = CodeSet(torus(3, 3), ((2, 2), first, (0, 1), again, (2, 2), (0, 1)))
     assert code.vertices == ((0, 1), (1, 0), (2, 2))
     assert code.vertices[1] is first
+
+
+def test_codeset_keeps_the_row_major_indices_of_its_vertices():
+    # random codes, given shuffled and with repeats, on tori and on windows
+    # whose low corner is negative: the indices are each vertex's row-major
+    # index, ascending, and the code's mask is made from them
+    rng = random.Random(39)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        if rng.random() < 0.5:
+            a = torus(*(rng.randint(1, 6) for _ in range(n)))
+        else:
+            a = Ambient.window(*((lo, lo + rng.randint(0, 5))
+                                 for lo in (rng.randint(-4, -1) for _ in range(n))))
+        verts = list(a.vertices())
+        picked = rng.sample(verts, rng.randint(0, len(verts)))
+        given = picked + rng.choices(picked, k=len(picked) // 3)
+        rng.shuffle(given)
+        code = CodeSet(a, tuple(given))
+        assert code.vertices == tuple(sorted(set(picked)))
+        assert list(code.indices) == [a.index(v) for v in code.vertices]
+        assert list(code.indices) == sorted(set(code.indices))
+        assert code._whole == _mask(code.indices)
+        assert code._rows == {a.index(v): v for v in code.vertices}
 
 
 def test_vertices_on_the_ambient_boundary_are_inside():
@@ -766,6 +790,31 @@ def test_fold_is_skipped_where_a_ball_would_wrap_its_period(monkeypatch):
     for code in (domino, ring):
         assert ptmc.codes._periods(code) != code.ambient.moduli
         assert not _folds_as_the_full_torus(code, KappaAssignment.uniform(1), monkeypatch)
+
+
+def test_a_class_that_wraps_fails_the_fold_key_bound(monkeypatch):
+    # _fold reads only the key bound: a class that wraps winds round some
+    # axis, so it has a vertex in every row of that axis and its key reaches
+    # m - 1 there, past m - 3. On random codes every class that wraps does;
+    # a staircase winding round both axes of its (4, 4) period, repeated
+    # (2, 2) times, is refused by that bound
+    rng = random.Random(39)
+    wraps = 0
+    for _ in range(150):
+        a = torus(*(rng.randint(3, 6) for _ in range(rng.choice((2, 3)))))
+        verts = list(a.vertices())
+        code = CodeSet(a, tuple(rng.sample(verts, rng.randint(1, len(verts) // 2))))
+        for key, (_, _, wrapped) in ptmc.codes._find_classes(code).items():
+            if wrapped:
+                wraps += 1
+                assert any(max(column) == m - 1 for column, m in zip(zip(*key), a.moduli))
+    assert wraps > 30
+    stairs = CodeSet(torus(4, 4), ((0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (0, 3)))
+    ((key, (_, _, wrapped)),) = ptmc.codes._find_classes(stairs).items()
+    assert wrapped and [max(column) for column in zip(*key)] == [3, 3]
+    code = inflate_code(stairs, (2, 2))
+    assert ptmc.codes._periods(code) == (4, 4)
+    assert not _folds_as_the_full_torus(code, KappaAssignment.uniform(1), monkeypatch)
 
 
 def test_missing_kappa_entry_raises():

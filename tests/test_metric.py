@@ -11,6 +11,7 @@ from ptmc.metric import (
     Ambient,
     DimensionMismatch,
     _bits,
+    _indices,
     _mask,
     _nearest_ball,
     _repeat,
@@ -138,6 +139,23 @@ def test_ball_with_a_float_center_is_filtered_point_by_point():
     assert truncated_ball(((2.0, 0),), 1, w) == ((1.0, 0), (2.0, 0), (2.0, 1))
     assert truncated_ball(((1.0, 1),), 2, w) == tuple(
         (float(x), y) for x in range(3) for y in range(3))
+
+
+@pytest.mark.parametrize("a", [Ambient.torus(3, 4, 5), Ambient.window((-2, 1), (3, 5), (-1, -1))])
+def test_indices_are_row_major_or_none(a):
+    # the column pass gives Ambient.index per vertex, in the order given;
+    # a vertex outside, of another length, or with a coordinate that is not
+    # an int (a bool, a float, a str) gives None
+    verts = list(a.vertices())
+    random.Random(39).shuffle(verts)
+    assert list(_indices(a, verts)) == list(map(a.index, verts))
+    assert list(_indices(a, [])) == []
+    v = verts[0]
+    above = tuple(lo + e for lo, e in zip(a.low, a.extents))
+    below = tuple(lo - 1 for lo in a.low)
+    for bad in (above, below, v[:2], v + (0,), (True,) + v[1:], (float(v[0]),) + v[1:],
+                (str(v[0]),) + v[1:]):
+        assert _indices(a, verts + [bad]) is None
 
 
 def test_ball_size_formula_values():
