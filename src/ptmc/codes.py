@@ -8,18 +8,19 @@ sorted vertices and works out their row-major indices, ascending as the
 vertices are; repeats are found among neighbours. The code's mask and its
 index-to-vertex dict, which only the class finder's BFS and `_placed`
 read, are made from those indices.
-A code is held as its translation classes, found once per code: per class
-key, the anchors where the key sits (row-major indices of the ambient's
-box, `Ambient.index`), the vertices of the component at the first anchor
-and whether the class wraps a torus axis. Every other component is the
-key placed at its anchor (`_placed`). The BFS walks components root by
+A code is held as its translation classes, found once per code on the
+torus it is checked on (`CodeSet._checked`, below): per class key, the
+anchors where the key sits (row-major indices of that torus's box,
+`Ambient.index`), the vertices of the component at the first anchor and
+whether the class wraps a torus axis. Every other component is the key
+placed at its anchor (`_placed`). The BFS walks components root by
 root; on a torus, a class met often enough that its walks cost as much as
 a mask sweep (about N / 1024 components on N vertices, `_sweep_after`)
 has its other anchors found at once by ANDing translates of the code's
 mask (`_sweep`), so the hundreds of repeats of a class in a code that
 does not fold (below) are never walked. The verifier, the JSON functions
 and the CLI's counts read the classes; `components_of` lists each
-component's vertices from them.
+component's vertices from them, over every period translate.
 The main verifier checks that the truncated balls of the components
 partition the ambient and that every vertex has a unique nearest code
 vertex inside the component whose ball covers it. Every component of a
@@ -41,10 +42,12 @@ periods d_i | m_i, d_i >= 3, once (`_periods`), and folds onto the torus
 (d_1, ..., d_n) when every d_i >= 3 and every folded class key has max
 coordinate <= d_i - 3 (`_fold`), so that each ball maps one-to-one onto
 either torus; a folded class that wraps fails that bound. The code is then
-perfect exactly when its fold is, with the same witness. Its classes are
-the folded ones with their anchors unfolded over the period translates
-(`_unfolded`), and the verifier checks the folded code; otherwise both run
-on the whole torus, as `_find_classes` and `_verify_classes`.
+perfect exactly when its fold is, with the same witness. The fold is the
+code it is checked on: its classes are the code's, each anchor standing
+for its N / N' period translates (N and N' the vertex counts of the two
+tori). A fold's first component of a class holds the class's least
+vertex, as the least vertex of a d-periodic set lies in [0, d). A code
+that does not fold is checked on its whole torus.
 """
 
 from __future__ import annotations
@@ -69,8 +72,9 @@ from .metric import (Ambient, Point, _bits, _indices, _integers, _mask, _nearest
 # other orientations do not; a component that wraps an axis has the
 # translation-invariant fallback key of `_wrapped_key`
 ClassKey = tuple[Point, ...]
-# a translation class: its anchors as row-major indices, the sorted vertices
-# of the component at the first anchor, the one its key was read from, and
+# a translation class: its anchors as row-major indices of the torus the
+# code is checked on (`CodeSet._checked`), the sorted vertices of the
+# component at the first anchor, the one its key was read from, and
 # whether its components wrap a torus axis
 Class = tuple[list[int], tuple[Point, ...], bool]
 
@@ -129,13 +133,21 @@ class CodeSet:
         return _mask(self.indices)
 
     @cached_property
-    def _folded(self) -> CodeSet | None:
+    def _quotient(self) -> CodeSet | None:
         return _fold(self)
+
+    @property
+    def _checked(self) -> CodeSet:
+        """The code the classes are found and verified on: the fold, else the
+        code itself. Not cached: a code that held itself would outlive its
+        last reference until a cyclic garbage collection."""
+        quotient = self._quotient
+        return self if quotient is None else quotient
 
     @cached_property
     def _classes(self) -> dict[ClassKey, Class]:
-        folded = self._folded
-        return _find_classes(self) if folded is None else _unfolded(self, folded)
+        checked = self._checked
+        return _find_classes(self) if checked is self else checked._classes
 
 
 @dataclass(frozen=True)
@@ -185,31 +197,35 @@ def components_of(code: CodeSet) -> list[tuple[Point, ...]]:
 
     Adjacency is one unit step in exactly one axis, wrapped on tori. The
     list is built on each call from the code's translation classes
-    (`CodeSet._classes`, found once per code): a class's first component
-    as the class holds it, the others by placing the class key at their
-    anchors (`_placed`), as the code's own vertex objects.
+    (`CodeSet._classes`, found once per code on `CodeSet._checked`): each
+    class key placed (`_placed`) at each of its anchors plus each period
+    step, as the code's own vertex objects.
     """
+    a, b = code.ambient, code._checked.ambient
+    steps = [0]  # from a vertex of the checked torus to its period translates
+    for d, m, s in zip(b.extents, a.extents, a.strides):
+        steps = [x + j * d * s for x in steps for j in range(m // d)]
     comps = []
-    for key, (anchors, first, _) in code._classes.items():
-        comps.append(first)
-        comps += _placed(code, key, anchors[1:])
+    for key, (anchors, _, _) in code._classes.items():
+        comps += _placed(code, key, [x + step for x in map(a.index, map(b.point, anchors))
+                                     for step in steps])
     comps.sort()
     return comps
 
 
 def component_count(code: CodeSet) -> int:
     """The number of components of a code, read from its translation
-    classes without listing the components."""
-    return sum(len(anchors) for anchors, _, _ in code._classes.values())
+    classes without listing the components: N / N' per anchor, N and N'
+    the vertex counts of its ambient and of `CodeSet._checked`'s."""
+    copies = code.ambient.vertex_count() // code._checked.ambient.vertex_count()
+    return copies * sum(len(anchors) for anchors, _, _ in code._classes.values())
 
 
 def _find_classes(code: CodeSet) -> dict[ClassKey, Class]:
     """The translation classes of a code, in the order of each class's first
     component's min vertex, found on its whole ambient. `CodeSet._classes`
-    calls it on the code's fold when the code folds onto its least axis
-    periods (`_fold`: d_i >= 3, every key's max coordinate <= d_i - 3),
-    then unfolds the anchors (`_unfolded`), and on the code itself when
-    not.
+    calls it once per code, on the code it is checked on (`CodeSet._checked`):
+    the fold (`_fold`), else the code itself.
 
     One loop serves tori and windows. It takes roots in row-major order and
     lifts each root's component to Z^n by a BFS over row-major vertex
@@ -432,29 +448,6 @@ def _fold(code: CodeSet) -> CodeSet | None:
     return folded
 
 
-def _unfolded(code: CodeSet, folded: CodeSet) -> dict[ClassKey, Class]:
-    """The translation classes of a code from those of its fold (`_fold`),
-    as `_find_classes` gives them but for the order of anchors after the
-    first: each folded anchor unfolds to its N / N' period translates, N and N'
-    the vertex counts of the two tori. The first component is the one that
-    holds the class's least vertex u, its first vertex on either torus; its
-    anchor is wrap(u - k_u), k_u the key point at u, which may lie outside
-    [0, d) when that component crosses the fold's boundary."""
-    a, b = code.ambient, folded.ambient
-    steps = [0]  # from a vertex in [0, d) to its period translates
-    for d, m, s in zip(b.extents, a.extents, a.strides):
-        steps = [x + j * d * s for x in steps for j in range(m // d)]
-    classes = {}
-    for key, (anchors, first, _) in folded._classes.items():
-        u, p = first[0], b.point(anchors[0])
-        k = next(k for k in key if b.wrap(tuple(map(add, p, k))) == u)
-        at = a.index(a.wrap(tuple(map(sub, u, k))))
-        rest = [x + step for x in map(a.index, map(b.point, anchors)) for step in steps]
-        rest.remove(at)
-        classes[key] = ([at, *rest], _placed(code, key, [at])[0], False)
-    return classes
-
-
 def _wrapped_key(verts: tuple[Point, ...], a: Ambient) -> tuple[ClassKey, Point]:
     """The fallback key of a component that wraps an axis, the least
     translate that moves one of its vertices to the origin, and that vertex,
@@ -532,12 +525,12 @@ def verify_kappa_ptmc(code: CodeSet, kappa: KappaAssignment) -> VerifyReport:
     radii the per-component reading is the one under which the two-radius
     constructions are perfect, so that is what is checked.
 
-    A periodic code is checked on one period: when it folds onto the torus
-    of its least axis periods d (`_fold`: every d_i >= 3, every key's max
-    coordinate <= d_i - 3), the folded code's report
-    is returned. It is the whole torus's, witness included: every failing
-    set is d-periodic, so its least vertex lies in [0, d). Otherwise the
-    code is checked on its whole torus (`_verify_classes`), as follows.
+    The check runs on `CodeSet._checked` (`_verify_classes`): a periodic
+    code that folds onto the torus of its least axis periods d (`_fold`:
+    every d_i >= 3, every key's max coordinate <= d_i - 3) is checked on
+    one period, and its fold's report is the whole torus's, witness
+    included: every failing set is d-periodic, so its least vertex lies in
+    [0, d). Any other code is checked on its whole torus, as follows.
 
     Every radius is checked against [1, n] before any ball is built. Then
     each translation class is checked whichever of two ways costs less
@@ -561,13 +554,13 @@ def verify_kappa_ptmc(code: CodeSet, kappa: KappaAssignment) -> VerifyReport:
     with any modulus < 3 (and windows) are refused as degenerate: truncated
     balls would self-overlap or be clipped.
     """
-    folded = code._folded
-    return _verify_classes(code if folded is None else folded, kappa)
+    return _verify_classes(code._checked, kappa)
 
 
 def _verify_classes(code: CodeSet, kappa: KappaAssignment) -> VerifyReport:
-    """verify_kappa_ptmc on the code's own ambient, from its classes as
-    they are, whether or not the code folds."""
+    """verify_kappa_ptmc on the code's own ambient, from its classes, for a
+    code that is its own `CodeSet._checked`: a fold, or a code that does
+    not fold. Its anchors then lie on its own ambient."""
     a = code.ambient
     if a.degenerate:
         return VerifyReport(False, "degenerate-ambient")

@@ -123,11 +123,15 @@ def reference_components(code):
 def class_components(code):
     """(vertices, class key, wrapped) per component, rebuilt from the
     code's translation classes: each class key placed at each of its
-    anchors, sorted by min vertex, as `reference_components` lists them."""
-    a = code.ambient
-    return sorted((tuple(sorted(a.wrap(tuple(map(add, a.point(x), k))) for k in key)),
-                   key, wrapped)
-                  for key, (anchors, _, wrapped) in code._classes.items() for x in anchors)
+    anchors on the torus the code is checked on, moved by each multiple of
+    that torus's moduli below the code's, sorted by min vertex, as
+    `reference_components` lists them."""
+    a, b = code.ambient, code._checked.ambient
+    moves = list(product(*(range(0, m, d) for m, d in zip(a.extents, b.extents))))
+    return sorted((tuple(sorted(a.wrap(tuple(x + z + c for x, z, c in zip(b.point(p), move, k)))
+                                for k in key)), key, wrapped)
+                  for key, (anchors, _, wrapped) in code._classes.items()
+                  for p in anchors for move in moves)
 
 
 def naive_verify_kappa_ptmc(code, kappa):

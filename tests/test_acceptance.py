@@ -50,7 +50,7 @@ from ptmc.gamma2 import (
 from ptmc.graphs import grid_graph
 from ptmc.metric import Ambient, ball_size_formula, truncated_ball, truncated_distance
 
-from oracles import grid_eds_dfs, grid_eds_literal, naive_cover_solutions
+from oracles import class_components, grid_eds_dfs, grid_eds_literal, naive_cover_solutions
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -95,11 +95,11 @@ def test_criterion_03_square_singleton_reproduction():
     build = build_by_template(template, deadline=time.monotonic() + 600)
     assert build.kind == "solution"
     assert verify_kappa_ptmc(build.code, build.kappa).passed
-    # each class's components, its anchors, counted by sorted box extents
+    # each class's components counted by sorted box extents
     kinds = {}
-    for key, (anchors, _, wrapped) in build.code._classes.items():
+    for _, key, wrapped in class_components(build.code):
         extents = tuple(sorted(box_hull_check(key, wrapped)))
-        kinds[extents] = kinds.get(extents, 0) + len(anchors)
+        kinds[extents] = kinds.get(extents, 0) + 1
     assert kinds == {(1, 2, 2): 4, (1, 1, 1): 4}
     report("3 square+singleton code found on (6,6,3), census 4+4")
 

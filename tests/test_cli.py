@@ -629,6 +629,21 @@ def test_incomplete_kappa_error_line_is_the_bare_message(tmp_path, capsys):
     assert err == f"error: kappa entry {class_key_hash(((0, 0),))} missing for class of (0, 0)\n"
 
 
+def test_incomplete_kappa_names_the_least_vertex_of_a_code_that_folds(tmp_path, capsys):
+    # a (5, 4) staircase that wraps round x, repeated (2, 3) times: the code
+    # is checked on its (5, 4) period, and the component that holds the
+    # class's least vertex (0, 0) runs from x = 9 round to x = 1
+    cell = ((0, 0), (1, 0), (1, 1), (4, 0), (4, 1))
+    code_file = tmp_path / "code.json"
+    code_file.write_text(json.dumps({
+        "ambient": {"kind": "torus", "moduli": [10, 12]},
+        "vertices": [[x + 5 * i, y + 4 * j] for x, y in cell for i in range(2) for j in range(3)],
+        "kappa": {},
+    }))
+    err = usage_error(["verify", "ptmc", "--code", str(code_file)], tmp_path, capsys)
+    assert err == "error: kappa entry 3d95af64423a missing for class of (0, 0)\n"
+
+
 def test_incomplete_kappa_is_usage_error_unless_t_given(tmp_path, capsys):
     code_file = tmp_path / "code.json"
     code_file.write_text(json.dumps({

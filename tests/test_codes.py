@@ -7,7 +7,7 @@ import time
 import tracemalloc
 from collections import Counter
 from itertools import product
-from operator import add, ge, mod, mul
+from operator import add, ge, lt, mod, mul
 
 import pytest
 
@@ -491,7 +491,8 @@ def test_verifier_matches_naive_oracle_on_random_tori():
                             and any(max(x) - min(x) + 3 > m
                                     for x, m in zip(zip(*key), a.moduli))
                             for key, (_, _, w) in classes.items())
-        crowded += max((len(anchors) for anchors, _, _ in classes.values()), default=0) >= 4
+        crowded += max(Counter(key for _, key, _ in class_components(code)).values(),
+                       default=0) >= 4
     # two rings round axis 0, a class that wraps with two anchors: at radius
     # 1 their balls leave a gap, or meet
     for z, kind in ((3, "gap"), (2, "overlap")):
@@ -569,8 +570,9 @@ def test_verifier_translates_at_most_twice_per_component(monkeypatch):
     # min(A, B) translates for the balls and min(A, T) for the ties, and
     # one ball built, when it is swept as masks; no translate and A balls
     # built, each component's own, when it is checked ball by ball. The box
-    # and inflated codes fold onto one period, so the full-torus check that
-    # the fold stands in for is run on them
+    # and inflated codes fold onto one period, so the fold is switched off
+    # and the full-torus check that it stands in for is run on them
+    monkeypatch.setattr("ptmc.codes._fold", lambda code: None)
     calls, built = [], []
     translate, nearest_ball = ptmc.codes._translate, ptmc.codes._nearest_ball
 
@@ -625,7 +627,8 @@ def test_large_keys_with_many_anchors_are_swept(monkeypatch):
     # vertex balls): walking them takes 128 x 64 x 27 steps, so the class is
     # swept as masks, though its anchors and ball are both fewer than
     # 240,000 / 1024. The code folds onto its (10, 15, 50) period, so the
-    # full-torus check is run
+    # fold is switched off and the full-torus check is run
+    monkeypatch.setattr("ptmc.codes._fold", lambda code: None)
     chosen = []
     swept = ptmc.codes._swept
 
@@ -661,31 +664,37 @@ def test_verifier_on_a_large_torus_holds_few_masks():
 # ---------------------------------------------------------------------------
 
 def _full_torus(code, kappa, monkeypatch):
-    """The classes, component count and (passed, kind, witness) of the
+    """The components, component count and (passed, kind, witness) of the
     finder and verifier run on the whole torus, the fold switched off."""
     with monkeypatch.context() as m:
         m.setattr("ptmc.codes._fold", lambda code: None)
         full = CodeSet(code.ambient, code.vertices)
         rep = verify_kappa_ptmc(full, kappa)
-        return full._classes, ptmc.codes.component_count(full), (rep.passed, rep.kind, rep.witness)
+        count = ptmc.codes.component_count(full)
+        return components_of(full), count, (rep.passed, rep.kind, rep.witness)
 
 
 def _folds_as_the_full_torus(code, kappa, monkeypatch):
-    """Whether a code folds, once its report, component count and classes
-    (key order, anchor sets, first anchor, first component, wrapped) are
-    checked against the full torus's and, on at most 150 vertices, its
-    report against the naive oracle's."""
-    classes, count, report = _full_torus(code, kappa, monkeypatch)
+    """Whether a code folds, once its components, component count and
+    report are checked against the full torus's and the components against
+    the reference BFS's, and, on at most 150 vertices, its report against
+    the naive oracle's. The class order and each class's least vertex,
+    which a bad-radius witness and a missing kappa entry name, are checked
+    against the reference too."""
+    comps, count, report = _full_torus(code, kappa, monkeypatch)
     rep = verify_kappa_ptmc(code, kappa)
     assert (rep.passed, rep.kind, rep.witness) == report
     if code.ambient.vertex_count() <= 150:
         assert report == naive_verify_kappa_ptmc(code, kappa)
-    assert ptmc.codes.component_count(code) == count
-    assert list(code._classes) == list(classes)
-    for key, (anchors, first, wrapped) in classes.items():
-        mine, again, wraps = code._classes[key]
-        assert (mine[0], sorted(mine), again, wraps) == (anchors[0], sorted(anchors), first, wrapped)
-    return code._folded is not None
+    reference = reference_components(code)
+    assert components_of(code) == comps == [verts for verts, _, _ in reference]
+    assert ptmc.codes.component_count(code) == count == len(reference)
+    least = {}
+    for verts, key, _ in reference:
+        least.setdefault(key, verts[0])
+    assert [(key, first[0]) for key, (_, first, _) in code._classes.items()] == list(
+        least.items())
+    return code._checked is not code
 
 
 def test_fold_matches_the_full_torus_on_random_periodic_codes(monkeypatch):
@@ -716,9 +725,11 @@ def test_fold_matches_the_full_torus_on_random_periodic_codes(monkeypatch):
             if _folds_as_the_full_torus(c, kappa, monkeypatch):
                 folded += 1
                 kinds.add(verify_kappa_ptmc(c, kappa).kind)
-                d = c._folded.ambient.moduli
-                crossing += any(any(map(ge, c.ambient.point(anchors[0]), d))
-                                for anchors, _, _ in c._classes.values())
+                # a component that holds a vertex of the period box [0, d)
+                # and one outside it crosses the fold's boundary
+                d = c._checked.ambient.moduli
+                crossing += any(all(map(lt, comp[0], d)) and any(any(map(ge, v, d)) for v in comp)
+                                for comp in components_of(c))
         if min(copies) >= 2:
             z = tuple(rng.randrange(1, k) * p for k, p in zip(copies, cell.moduli))
             one = CodeSet(code.ambient, tuple(set(code.vertices) ^ {tuple(map(add, v, z))}))
@@ -738,8 +749,8 @@ def test_constructed_codes_fold_and_their_mutants_agree(monkeypatch):
     for code, kappa in cases:
         assert _folds_as_the_full_torus(code, kappa, monkeypatch)
         assert verify_kappa_ptmc(code, kappa).passed
-        d = code._folded.ambient.moduli
-        drop = min(code._folded.vertices)
+        d = code._checked.ambient.moduli
+        drop = min(code._checked.vertices)
         every = CodeSet(code.ambient, tuple(v for v in code.vertices
                                             if tuple(map(mod, v, d)) != drop))
         one = CodeSet(code.ambient, tuple(v for v in code.vertices if v != drop))
@@ -765,20 +776,26 @@ def test_fold_keeps_a_bad_radius_witness(monkeypatch):
 def test_fold_keeps_a_tie_and_a_first_component_across_its_boundary(monkeypatch):
     # on its (5, 4) period the code is one component that wraps round x, at
     # radius 2 tied at (0, 1). Repeated (2, 3) times, the component holding
-    # the least vertex (0, 0) runs from x = 9 round to x = 1: its anchor is
-    # (9, 0), where the folded class's is (4, 0)
+    # the least vertex (0, 0) runs from x = 9 round to x = 1
     cell = CodeSet(torus(5, 4), ((0, 0), (1, 0), (1, 1), (4, 0), (4, 1)))
     code = inflate_code(cell, (2, 3))
     kappa = KappaAssignment.uniform(2)
     assert _folds_as_the_full_torus(code, kappa, monkeypatch)
-    assert code._folded.ambient.moduli == (5, 4)
+    assert code._checked.ambient.moduli == (5, 4)
     assert (verify_t_ptmc(code, 2).kind, verify_t_ptmc(code, 2).witness) == (
         "nonunique-nearest", ((0, 1),))
-    ((key, (anchors, first, _)),) = code._classes.items()
-    ((anchors_folded, _, _),) = code._folded._classes.values()
-    assert (code.ambient.point(anchors[0]), code._folded.ambient.point(anchors_folded[0])) == (
-        (9, 0), (4, 0))
-    assert first == ((0, 0), (1, 0), (1, 1), (9, 0), (9, 1))
+    assert ((0, 0), (1, 0), (1, 1), (9, 0), (9, 1)) in components_of(code)
+
+
+def test_a_folding_code_is_verified_and_counted_without_its_whole_index():
+    # the index-to-vertex dict of the whole code is read only to list its
+    # components; the verifier and the count read the fold's classes
+    built, kappa = build_box_code((2, 3, 4), (5, 8, 10))
+    code = CodeSet(built.ambient, built.vertices)
+    assert verify_kappa_ptmc(code, kappa).passed
+    assert ptmc.codes.component_count(code) == 400
+    assert code._checked is not code and "_rows" not in vars(code)
+    assert len(components_of(code)) == 400
 
 
 def test_fold_is_skipped_where_a_ball_would_wrap_its_period(monkeypatch):

@@ -31,18 +31,18 @@ from ptmc.constructions import (
 from ptmc.cover import tiling_instance
 from ptmc.metric import Ambient, ball_size_formula
 
-from oracles import brute_ball, naive_min_component_separation
+from oracles import brute_ball, class_components, naive_min_component_separation
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def shape_kind_census(code):
     """Aggregate the per-class census over orientations by box extents: the
-    components of each class, its anchors, summed by sorted extents."""
+    components of each class summed by sorted extents."""
     kinds = {}
-    for key, (anchors, _, wrapped) in code._classes.items():
+    for _, key, wrapped in class_components(code):
         extents = tuple(sorted(box_hull_check(key, wrapped)))
-        kinds[extents] = kinds.get(extents, 0) + len(anchors)
+        kinds[extents] = kinds.get(extents, 0) + 1
     return kinds
 
 
@@ -94,8 +94,8 @@ def test_box_code_components_are_boxes():
     # moduli (1 + c_i) k_i: one component per lattice cell
     assert code.ambient.moduli == (10, 3, 4)
     assert len(components_of(code)) == 2
-    assert [(box_hull_check(key, wrapped), len(anchors))
-            for key, (anchors, _, wrapped) in code._classes.items()] == [((3, 1, 2), 2)]
+    assert [box_hull_check(key, wrapped)
+            for key, (_, _, wrapped) in code._classes.items()] == [(3, 1, 2)]
 
 
 def test_box_code_dimension_one():
