@@ -24,11 +24,9 @@ component's vertices from them, over every period translate.
 The main verifier checks that the truncated balls of the components
 partition the ambient and that every vertex has a unique nearest code
 vertex inside the component whose ball covers it. Every component of a
-class is its key translated to the component's anchor, so when walking
-every component's ball would cost more than translating masks, the
-verifier builds one ball and translates it to the other anchors as masks
-over the row-major vertex index (see `ptmc.metric`); else it builds each
-component's own ball, placed from its anchor, into a set.
+class is its key translated to the component's anchor, so the verifier
+builds one ball per class and translates it to the other anchors as masks
+over the row-major vertex index (see `ptmc.metric`).
 `verify_partition` checks balls given as vertex sets, for the hive, the
 compound region and `verify_cover`.
 
@@ -57,7 +55,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain, compress, islice, product, repeat
+from itertools import compress, islice, product, repeat
 from math import prod
 from operator import add, floordiv, mod, mul, ne, neg, sub
 from typing import Collection, Iterable
@@ -65,7 +63,7 @@ from typing import Collection, Iterable
 from .graphs import Graph, _array
 # truncated_ball is called nowhere here: perfbench/spans.py wraps this binding, which a test checks
 from .metric import (Ambient, Point, _bits, _indices, _integers, _mask, _nearest_ball, _repeat,
-                     _translate, ball_size_formula, truncated_ball)
+                     _translate, truncated_ball)
 
 # a component lifted to Z^n (torus wrap-around unrolled), moved so that its
 # coordinate-wise minimum is the origin, and sorted: translates share it,
@@ -533,19 +531,14 @@ def verify_kappa_ptmc(code: CodeSet, kappa: KappaAssignment) -> VerifyReport:
     [0, d). Any other code is checked on its whole torus, as follows.
 
     Every radius is checked against [1, n] before any ball is built. Then
-    each translation class is checked whichever of two ways costs less
-    (`_swept`, judged from its first component's ball). Swept as row-major
-    masks of N = prod(moduli) bits: its components are the translates of
-    its first one by the differences of their anchors, so their balls are
-    the translates of that ball, ties and all: the mask of the longer of
+    each translation class is checked as row-major masks of N =
+    prod(moduli) bits: its components are the translates of its first one
+    by the differences of their anchors, so their balls are the translates
+    of that ball (`_nearest_ball`), ties and all: the mask of the longer of
     the anchor list and that ball is translated by each point of the
-    shorter less the first component's anchor. Else ball by ball: each
-    component's own ball (`_nearest_ball`), the first's from the vertices
-    the class holds and every other's from the key placed at its anchor
-    (`_placed`), goes into a set, as `verify_partition` does. A
-    vertex in two balls, of one class or two, is an overlap. The verifier
-    holds a bounded number of masks of N bits at a time, and the set of
-    vertices in the balls of the classes checked ball by ball.
+    shorter less the first component's anchor. A vertex in two balls, of
+    one class or two, is an overlap. The verifier holds a bounded number of
+    masks of N bits at a time.
 
     Failures are checked in this order: degenerate ambient, bad radius
     (the first component in min-vertex order), overlap, gap, nonunique
@@ -571,62 +564,23 @@ def _verify_classes(code: CodeSet, kappa: KappaAssignment) -> VerifyReport:
         if not 1 <= t <= n:
             return VerifyReport(False, "bad-radius", (first[0],))
     tops: dict = {}
-    # masks of the classes swept as masks, and their overlaps and ties
     covered = overlap = tied = 0
-    # the vertices of the classes checked ball by ball, the least vertex
-    # of each ball's overlap with them, and their ties
-    loose: set[int] = set()
-    twice: list[int] = []
-    ties_at: list[int] = []
-    for t, (key, (anchors, first, _)) in zip(radii, classes.items()):
+    for t, (anchors, first, _) in zip(radii, classes.values()):
         ties: list[int] = []
         ball = list(_nearest_ball(first, t, moduli, ties))
-        ties = list(dict.fromkeys(ties))
-        if _swept(len(anchors), len(first), ball_size_formula(n, t), len(ball), size):
-            origin = a.point(anchors[0])  # the first component's anchor
-            union, doubled = _sum_masks(anchors, ball, origin, a, tops)
-            overlap |= doubled | covered & union
-            covered |= union
-            if ties:
-                tied |= _sum_masks(anchors, ties, origin, a, tops)[0]
-            continue
-        ties_at += ties
-        # the first component's ball is built above; the order of the others
-        # does not matter, as each witness is the least of its kind
-        for ball in chain([ball], (_nearest_ball(c, t, moduli, ties_at)
-                                   for c in _placed(code, key, anchors[1:]))):
-            if not loose.isdisjoint(ball):
-                twice.append(min(loose.intersection(ball)))
-            loose.update(ball)
-    spread = _mask(loose)
-    w = _least(overlap | covered & spread, twice)
-    if w is not None:
-        return VerifyReport(False, "overlap", (a.point(w),))
-    covered |= spread
+        origin = a.point(anchors[0])  # the first component's anchor
+        union, doubled = _sum_masks(anchors, ball, origin, a, tops)
+        overlap |= doubled | covered & union
+        covered |= union
+        if ties:
+            tied |= _sum_masks(anchors, list(dict.fromkeys(ties)), origin, a, tops)[0]
+    if overlap:
+        return VerifyReport(False, "overlap", (a.point(_least(overlap)),))
     if covered.bit_count() != size:
-        return VerifyReport(False, "gap", (a.point(_least(~covered & (covered + 1), [])),))
-    w = _least(tied, ties_at)
-    if w is not None:
-        return VerifyReport(False, "nonunique-nearest", (a.point(w),))
+        return VerifyReport(False, "gap", (a.point(_least(~covered)),))
+    if tied:
+        return VerifyReport(False, "nonunique-nearest", (a.point(_least(tied)),))
     return VerifyReport(passed=True)
-
-
-def _swept(anchors: int, key: int, offsets: int, ball: int, size: int) -> bool:
-    """Whether a class of that many anchors, each component of key
-    vertices, is checked as masks of size bits rather than ball by ball,
-    given its first component's ball and the offsets per key vertex
-    (ball_size_formula(n, t)). Masks cost min(anchors, ball) translates of
-    size bits. Ball by ball builds anchors balls, each walking every key
-    vertex's offsets, most of which land on vertices already reached: that
-    is anchors x key x offsets steps, and a step takes about as long as a
-    masked translate of 1,024 bits. Ball vertices alone understate it for
-    large keys: 240,000 vertices, a 64-vertex key, 128 anchors and radius
-    3 take 64 ms ball by ball and 10 ms as masks. Over a grid of n = 3
-    tori of 24,000 to 2,400,000 vertices, 1-1,024 anchors, keys of 1-64
-    vertices and radius 1 and 3, the side this rule picks is 1.4% slower
-    than the faster side, summed; a rule on anchors and ball vertices
-    picked one 31.2% slower."""
-    return anchors * key * offsets << 10 >= min(anchors, ball) * size
 
 
 def _sum_masks(xs: list[int], ys: list[int], origin: Point, a: Ambient,
@@ -647,12 +601,10 @@ def _sum_masks(xs: list[int], ys: list[int], origin: Point, a: Ambient,
     return union, twice
 
 
-def _least(mask: int, more: list[int]) -> int | None:
-    """The least of the bit positions set in mask and the positions in
-    more, or None if there are none."""
-    if mask:
-        more = [*more, (mask & -mask).bit_length() - 1]
-    return min(more, default=None)
+def _least(mask: int) -> int:
+    """The least bit position set in a nonzero mask; for ~mask, the least
+    position unset in mask."""
+    return (mask & -mask).bit_length() - 1
 
 
 def verify_t_ptmc(code: CodeSet, t: int) -> VerifyReport:

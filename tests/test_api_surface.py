@@ -18,6 +18,7 @@ PACKAGE = ROOT / "src" / "ptmc"
 # module.name or module.Class.method, kept though nothing above refers to it
 KEEP = {
     # what the acceptance suite (test_acceptance.py) checks
+    "metric.ball_size_formula",
     "metric.truncated_distance",
     "codes.box_hull_check",
     "codes.verify_t_ptmc",

@@ -35,7 +35,7 @@ from ptmc.constructions import build_box_code, square_singleton_template, build_
 from ptmc.cover import eds_instance, solve
 from ptmc.gamma2 import build_hive, hive_graph, hive_non_isolated_pds, hive_vertices
 from ptmc.graphs import Graph, grid_graph, lattice_graph
-from ptmc.metric import Ambient, _mask, _nearest_ball, ball_size_formula, truncated_ball
+from ptmc.metric import Ambient, _mask, _nearest_ball, truncated_ball
 
 from oracles import (
     class_components,
@@ -450,17 +450,12 @@ def test_bad_radius_above_dimension_reported():
 
 
 def test_nonunique_nearest_reports_smallest_witness():
-    # (2, 0) is tied in the first component, (0, 2) in the second
+    # (2, 0) is tied in the first component, (0, 2) in the second: one
+    # class, whose first ball's ties are translated to its second anchor
     code = CodeSet(torus(3, 6), ((0, 0), (1, 0), (1, 3), (2, 3)))
+    assert [len(anchors) for anchors, _, _ in code._classes.values()] == [2]
     rep = verify_t_ptmc(code, 2)
     assert (rep.kind, rep.witness) == ("nonunique-nearest", ((0, 2),))
-
-
-@pytest.mark.parametrize("swept", [True, False])
-def test_nonunique_nearest_witness_on_either_path(swept, monkeypatch):
-    # the class swept as masks, or translated ball by ball
-    monkeypatch.setattr("ptmc.codes._swept", lambda *args: swept)
-    test_nonunique_nearest_reports_smallest_witness()
 
 
 def test_verifier_matches_naive_oracle_on_random_tori():
@@ -506,58 +501,42 @@ def test_verifier_matches_naive_oracle_on_random_tori():
     assert wrapped > 10 and self_wrapped > 10 and crowded > 10
 
 
-@pytest.mark.parametrize("swept", [True, False])
-def test_verifier_paths_match_naive_oracle_on_random_tori(swept, monkeypatch):
-    # every class swept as masks, or every class translated ball by ball
-    monkeypatch.setattr("ptmc.codes._swept", lambda *args: swept)
-    test_verifier_matches_naive_oracle_on_random_tori()
-
-
-def test_verifier_paths_agree_where_both_are_chosen(monkeypatch):
-    # on 8,000 vertices a class of singletons at radius 1 is swept as masks
-    # once it has 8 anchors, so sparse codes mix both paths; either path
-    # takes every class, also one whose anchors the component finder swept
+def test_verifier_matches_the_partition_reference_on_swept_classes(monkeypatch):
+    # on 8,000 vertices the finder sweeps a class once it has 16 anchors, so
+    # the denser codes hold classes whose anchors a sweep found. The
+    # reference is verify_partition over each component's own truncated
+    # ball; where it passes, the verifier may still find a tie
     found = _sweeps(monkeypatch)
-    chosen = []
-    swept = ptmc.codes._swept
-
-    def recorded(*args):
-        chosen.append(swept(*args))
-        return chosen[-1]
-
     rng = random.Random(5)
     a = torus(20, 20, 20)
     verts = list(a.vertices())
     kinds = set()
-    finder_swept = 0  # codes with a class the finder swept, checked ball by ball too
+    finder_swept = 0  # codes with a class the finder swept
     for count in (1, 3, 40, 400, 1600):
         for t in (1, 2, 3):
             code = CodeSet(a, tuple(rng.sample(verts, count)))
             del found[:]
-            reports = []
-            for rule in (recorded, lambda *args: True, lambda *args: False):
-                monkeypatch.setattr("ptmc.codes._swept", rule)
-                reports.append(verify_t_ptmc(code, t))
-            assert reports[0] == reports[1] == reports[2]
-            kinds.add(reports[0].kind)
+            rep = verify_t_ptmc(code, t)
             finder_swept += any(found)
-    assert True in chosen and False in chosen
+            reference = verify_partition([truncated_ball(c, t, a) for c in components_of(code)],
+                                         verts)
+            if reference.passed:
+                assert rep.kind in (None, "nonunique-nearest")
+            else:
+                assert (rep.kind, rep.witness) == (reference.kind, reference.witness)
+            kinds.add(rep.kind)
     assert {"overlap", "gap"} <= kinds
     assert finder_swept
     build = build_by_template(square_singleton_template(), seed=3)
     code = inflate_code(build.code, (4, 4, 4))
-    for rule in (swept, lambda *args: True, lambda *args: False):
-        monkeypatch.setattr("ptmc.codes._swept", rule)
-        assert verify_kappa_ptmc(code, build.kappa).passed
+    assert verify_kappa_ptmc(code, build.kappa).passed
+    assert _full_torus(code, build.kappa, monkeypatch)[2] == (True, None, ())
 
 
-def test_verifier_finds_overlaps_between_swept_and_unswept_classes():
-    # 27,000 vertices: the class of 1,000 singletons (7-vertex balls) is
-    # swept as masks, the one pair (a 12-vertex ball) is not; the pair's
-    # ball meets the balls of (0, 0, 0) and (0, 0, 3) and nothing else
-    swept = ptmc.codes._swept
-    assert swept(1000, 1, 7, 7, 27000) and not swept(1, 2, 7, 12, 27000)
-    assert swept(1, 4, 7, 20, 27000)  # a large key alone is enough
+def test_verifier_finds_overlaps_between_two_classes():
+    # 27,000 vertices: the pair's 12-vertex ball meets the 7-vertex balls of
+    # the singletons (0, 0, 0) and (0, 0, 3) of the other class and nothing
+    # else
     lattice = [(x, y, z) for x in range(0, 30, 3) for y in range(0, 30, 3) for z in range(0, 30, 3)]
     code = CodeSet(torus(30, 30, 30), tuple(lattice) + ((1, 0, 1), (1, 0, 2)))
     rep = verify_t_ptmc(code, 1)
@@ -567,21 +546,20 @@ def test_verifier_finds_overlaps_between_swept_and_unswept_classes():
 
 def test_verifier_translates_at_most_twice_per_component(monkeypatch):
     # per class of A components, a ball of B vertices and T tied vertices:
-    # min(A, B) translates for the balls and min(A, T) for the ties, and
-    # one ball built, when it is swept as masks; no translate and A balls
-    # built, each component's own, when it is checked ball by ball. The box
-    # and inflated codes fold onto one period, so the fold is switched off
-    # and the full-torus check that it stands in for is run on them
+    # one ball built, its first component's, then min(A, B) translates for
+    # the balls and min(A, T) for the ties. The box and inflated codes fold
+    # onto one period, so the fold is switched off and the full-torus check
+    # that it stands in for is run on them
     monkeypatch.setattr("ptmc.codes._fold", lambda code: None)
-    calls, built = [], []
+    events = []  # a ball built, by its component, or None for a translate
     translate, nearest_ball = ptmc.codes._translate, ptmc.codes._nearest_ball
 
     def counted(*args):
-        calls.append(args[1])
+        events.append(None)
         return translate(*args)
 
     def counted_ball(*args):
-        built.append(tuple(sorted(args[0])))  # a placed component comes in key order
+        events.append(tuple(sorted(args[0])))
         return nearest_ball(*args)
 
     monkeypatch.setattr("ptmc.codes._translate", counted)
@@ -593,70 +571,65 @@ def test_verifier_translates_at_most_twice_per_component(monkeypatch):
              (inflate_code(build.code, (2, 1, 3)), build.kappa),
              (CodeSet(a, tuple(rng.sample(list(a.vertices()), 150))), KappaAssignment.uniform(2)),
              (CodeSet(torus(3, 6), ((0, 0), (1, 0), (1, 3), (2, 3))), KappaAssignment.uniform(2))]
-    # 27,000 vertices: singletons are swept, the few pairs and triples not
+    # 27,000 vertices: a class of many singletons beside a few pairs and triples
     big = torus(30, 30, 30)
     cases.append((CodeSet(big, tuple(rng.sample(list(big.vertices()), 300))),
                   KappaAssignment.uniform(1)))
-    paths = set()
     for code, kappa in cases:
         comps = class_components(code)
-        classes = Counter(key for _, key, _ in comps)
-        expect, expect_built = 0, []
-        for key, count in classes.items():
+        firsts = {}
+        for verts, key, _ in comps:
+            firsts.setdefault(key, verts)
+        counts = Counter(key for _, key, _ in comps)
+        expect = []
+        for key, first in firsts.items():
             ties = []
             ball = _nearest_ball([code.ambient.wrap(k) for k in key], kappa.radius_for(key),
                                  code.ambient.moduli, ties)
-            swept = ptmc.codes._swept(count, len(key),
-                                      ball_size_formula(len(key[0]), kappa.radius_for(key)),
-                                      len(ball), code.ambient.vertex_count())
-            paths.add(swept)
-            mine = [verts for verts, k, _ in comps if k == key]
-            if swept:
-                expect += min(count, len(ball)) + min(count, len(set(ties)))
-                mine = mine[:1]
-            expect_built += mine
-        del calls[:], built[:]
+            translates = min(counts[key], len(ball)) + min(counts[key], len(set(ties)))
+            assert translates <= 2 * counts[key]
+            expect.append((first, translates))
+        del events[:]
         ptmc.codes._verify_classes(code, kappa)
-        assert len(calls) == expect <= 2 * len(comps)
-        assert built == expect_built
-    assert paths == {True, False}
+        got = []
+        for e in events:
+            if e is None:
+                got[-1][1] += 1
+            else:
+                got.append([e, 0])
+        assert [tuple(x) for x in got] == expect
 
 
 def test_large_keys_with_many_anchors_are_swept(monkeypatch):
     # 240,000 vertices, 128 anchors of a 4 x 4 x 4 box key at radius 3 (216-
-    # vertex balls): walking them takes 128 x 64 x 27 steps, so the class is
-    # swept as masks, though its anchors and ball are both fewer than
-    # 240,000 / 1024. The code folds onto its (10, 15, 50) period, so the
-    # fold is switched off and the full-torus check is run
+    # vertex balls): the one ball is translated to the anchors as masks. The
+    # code folds onto its (10, 15, 50) period, so the fold is switched off
+    # and the full-torus check is run
     monkeypatch.setattr("ptmc.codes._fold", lambda code: None)
-    chosen = []
-    swept = ptmc.codes._swept
-
-    def recorded(*args):
-        chosen.append((args, swept(*args)))
-        return chosen[-1][1]
-
-    monkeypatch.setattr("ptmc.codes._swept", recorded)
     box = list(product(range(4), repeat=3))
     verts = [(x + dx, y + dy, z + dz) for x in range(0, 80, 10) for y in range(0, 60, 15)
              for z in range(0, 48, 12) for dx, dy, dz in box]
-    rep = ptmc.codes._verify_classes(CodeSet(torus(80, 60, 50), tuple(verts)),
-                                     KappaAssignment.uniform(3))
+    code = CodeSet(torus(80, 60, 50), tuple(verts))
+    assert [len(anchors) for anchors, _, _ in code._classes.values()] == [128]
+    rep = ptmc.codes._verify_classes(code, KappaAssignment.uniform(3))
     assert (rep.kind, rep.witness) == ("gap", ((0, 0, 5),))
-    assert chosen == [((128, 64, 27, 216, 240000), True)]
 
 
 def test_verifier_on_a_large_torus_holds_few_masks():
-    # 8,000,000 vertices; masks of N bits take 1 MB each
-    code = CodeSet(torus(400, 400, 50), ((200, 200, 25),))
-    tracemalloc.start()
-    try:
-        rep = verify_t_ptmc(code, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (rep.kind, rep.witness) == ("gap", ((0, 0, 0),))
-    assert peak < 64 << 20
+    # 8,000,000 vertices; masks of N bits take 1 MB each. One vertex, whose
+    # ball leaves gaps, and two vertices two steps apart, whose radius-1
+    # balls meet between them
+    for vertices, report in ((((200, 200, 25),), ("gap", ((0, 0, 0),))),
+                             (((0, 0, 0), (0, 0, 2)), ("overlap", ((0, 0, 1),)))):
+        code = CodeSet(torus(400, 400, 50), vertices)
+        tracemalloc.start()
+        try:
+            rep = verify_t_ptmc(code, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rep.kind, rep.witness) == report
+        assert peak < 64 << 20
 
 
 # ---------------------------------------------------------------------------
