@@ -458,6 +458,23 @@ def test_nonunique_nearest_reports_smallest_witness():
     assert (rep.kind, rep.witness) == ("nonunique-nearest", ((0, 2),))
 
 
+def _sweep_every_class(swept, monkeypatch):
+    """Make the class finder sweep each class that does not wrap once it has
+    two components, or never sweep: the verifier reads the anchors alike."""
+    monkeypatch.setattr("ptmc.codes._sweep_after",
+                        (lambda size: 2) if swept else (lambda size: size + 1))
+
+
+@pytest.mark.parametrize("swept", [True, False])
+def test_nonunique_nearest_witness_on_either_path(swept, monkeypatch):
+    # a sweep run once the class's second anchor is found, which finds no
+    # more and marks them walked, or none run
+    _sweep_every_class(swept, monkeypatch)
+    found = _sweeps(monkeypatch)
+    test_nonunique_nearest_reports_smallest_witness()
+    assert found == ([0] if swept else [])
+
+
 def test_verifier_matches_naive_oracle_on_random_tori():
     # up to n = 4 and up to a third of the torus, so that wrapped components,
     # balls that wrap onto themselves (modulus 3) and classes of many
@@ -499,6 +516,16 @@ def test_verifier_matches_naive_oracle_on_random_tori():
         assert rep.kind == kind
     assert kinds == {None, "bad-radius", "overlap", "gap", "nonunique-nearest"}
     assert wrapped > 10 and self_wrapped > 10 and crowded > 10
+
+
+@pytest.mark.parametrize("swept", [True, False])
+def test_verifier_paths_match_naive_oracle_on_random_tori(swept, monkeypatch):
+    # every class that does not wrap swept by the finder from its second
+    # component on, or every class walked by the BFS
+    _sweep_every_class(swept, monkeypatch)
+    found = _sweeps(monkeypatch)
+    test_verifier_matches_naive_oracle_on_random_tori()
+    assert any(found) == swept
 
 
 def test_verifier_matches_the_partition_reference_on_swept_classes(monkeypatch):
