@@ -22,18 +22,15 @@ N[e] for e and the four tree edges meeting it, the vertex has the eight
 neighbours (N[e] - e) x {f} and {e} x (N[f] - f), and its truncated 2-ball
 is N[e] x N[f]. Every local structure here is such a product of one piece
 per axis: a grown code is a product of two axis codes, and its interior
-is checked through per-edge counts on each axis, not ball by ball. Every
-graph (a hive's, a region's) is the subgraph induced on a vertex
-collection by the same rule, read off the rims N[e] - e and N[f] - f of
-each vertex's edges. The words of a collection are numbered
-once, so that edges, vertices and tersquares become ints:
-`_rim_positions` finds each vertex's neighbours as positions in the
-collection, and `_owners` its member tersquares, by int lookups, with no
-word tuple hashed per vertex. The DOT and JSON exports and a region's
-interior degrees read those positions directly, and `hive_graph` and
-`Region.graph` take them as a `Graph`'s neighbour positions as they are.
-Export ids and tersquare names
-are written from each word's text, made once per word.
+is checked through per-edge counts on each axis, not ball by ball. A hive's
+or a region's vertices are a cut product too (`_Layout`): the pairs of
+(word, edge letters) entries, one per axis, under a cut on |wx| + |wy|,
+walked one block per address (wx, wy), which numbers and writes each word
+once and gives every vertex its edge ints, id and member tersquares with
+no vertex hashed. Its graph is induced by one rule, read off the rims
+N[e] - e and N[f] - f of each vertex's edges as positions
+(`_rim_positions`) that the exports, a region's interior degrees,
+`hive_graph` and `Region.graph` read as they are.
 
 Addresses are plain named tuples (`Tersquare`, `GammaVertex`), hashed and
 ordered as tuples of their fields. Code here builds them only from reduced
@@ -47,12 +44,11 @@ offsets lying in {-1,0,1}) and 3 otherwise.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
-from operator import add
+from itertools import chain, combinations, groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 from .codes import VerifyReport, verify_partition
@@ -244,22 +240,21 @@ def build_hive(j: Tersquare = ORIGIN) -> Hive:
 def hive_vertices(h: Hive) -> tuple[GammaVertex, ...]:
     """All distinct vertices of a hive's member tersquares, sorted: on each
     axis, the nine tree edges meeting an edge at the center's node; 81."""
-    xs, ys = ({m for e in _edges_at(w) for m in _closed(e)} for w in (h.center.wx, h.center.wy))
-    return tuple(sorted(_vertex(e, f) for e in xs for f in ys))
+    return _hive_layout(h).vertices
 
 
 def _rim_positions(numbers) -> list[list[int]]:
     """For each position of a vertex sequence, the positions of that
-    vertex's neighbours in it, in no set order, read from the sequence's
-    `_edge_numbers`.
+    vertex's neighbours in it, in no set order, read from its numbers: a
+    dict from each numbered word w to 3k, then each vertex's x- and y-edge
+    (w, a) as the int 3k + a, in the sequence's order.
 
-    Each vertex is two edge ints there, x and y, and each edge's rim
-    N[e] - e becomes a list of edge ints, made once per word and letter,
-    less the edges of words not numbered. With n edge ints in all, the
-    vertex (x, y) is keyed by the int x * n + y, and its neighbours are the
-    keys m * n + y over the rim of x and x * n + m over the rim of y: one
-    loop of int lookups per vertex. The lookup table holds one entry per
-    vertex, not one per pair of edges.
+    Each edge's rim N[e] - e becomes a list of edge ints, made once per
+    word and letter, less the edges of words not numbered. With n edge
+    ints in all, the vertex (x, y) is keyed by the int x * n + y, and its
+    neighbours are the keys m * n + y over the rim of x and x * n + m over
+    the rim of y: one loop of int lookups per vertex, in a table of one
+    entry per vertex.
     """
     base, xs, ys = numbers
     n = 3 * len(base)
@@ -285,37 +280,16 @@ def _rim_positions(numbers) -> list[list[int]]:
     return out
 
 
-def _edge_numbers(vertices, members) -> tuple[dict, list[int], list[int]]:
-    """The words of a vertex sequence, then those of some tersquares,
-    numbered in order of first use, and each vertex's x- and y-edge (w, a)
-    as the int 3k + a, k the number of w: a dict from each word to its 3k,
-    then the x- and y-edge ints in the vertices' order. Each vertex's and
-    tersquare's words are hashed once."""
-    wxs, wys, las, lbs = tuple(zip(*vertices)) or ((),) * 4
-    base = dict.fromkeys(chain(wxs, wys, chain.from_iterable(members)))
-    for k, w in enumerate(base):
-        base[w] = 3 * k
-    get = base.__getitem__
-    return base, list(map(add, map(get, wxs), las)), list(map(add, map(get, wys), lbs))
-
-
-def _induced_graph(vertices) -> Graph:
-    """The subgraph of the compound induced on a vertex collection, which
-    its callers pass sorted (a hive's vertices, a region's) and which is
-    taken as the graph's vertex order.
-
-    Its neighbours are the `_rim_positions` lists as they are, positions in
-    the collection, so each neighbour is the collection's own object
-    however many vertices it neighbours, and no vertex is built or hashed
-    to find one. The rims are symmetric and hold no edge's own vertex, so
-    the graph is built without `Graph`'s checks.
-    """
-    verts = tuple(vertices)
-    return Graph._from_positions(verts, _rim_positions(_edge_numbers(verts, ())))
+def _induced_graph(layout: _Layout) -> Graph:
+    """The subgraph of the compound induced on a layout's sorted vertices,
+    whose neighbours are the `_rim_positions` lists of its numbers taken as
+    they are: each the collection's own object, no vertex built or hashed,
+    symmetric and loop-free, so `Graph`'s checks are skipped."""
+    return Graph._from_positions(layout.vertices, _rim_positions(layout.numbers))
 
 
 def hive_graph(h: Hive) -> Graph:
-    return _induced_graph(hive_vertices(h))
+    return _induced_graph(_hive_layout(h))
 
 
 @dataclass(frozen=True)
@@ -325,22 +299,28 @@ class Region:
 
     Its vertices are the canonical vertices with |wx| + |wy| <= level: a
     vertex's address is one of its own tersquares, and every vertex of a
-    tersquare has an address at most as deep. Two regions are equal when
-    their level and members are.
+    tersquare has an address at most as deep. They, their edge numbers and
+    the graph come from one `_Layout`, the cut product of the depth-level
+    tree's edges on each axis, made on first use. Two regions are equal
+    when their level and members are.
     """
 
     level: int
     members: tuple[Tersquare, ...]
 
     @cached_property
+    def _layout(self) -> _Layout:
+        return _region_layout(self.level)
+
+    @property
     def vertices(self) -> tuple[GammaVertex, ...]:
         """The region's vertices, sorted."""
-        return _vertices_up_to(self.level)
+        return self._layout.vertices
 
     @cached_property
     def graph(self) -> Graph:
         """The subgraph of the compound the vertices induce."""
-        return _induced_graph(self.vertices)
+        return _induced_graph(self._layout)
 
     def interior(self) -> tuple[GammaVertex, ...]:
         """Vertices all of whose containing tersquares lie in the region,
@@ -353,7 +333,7 @@ class Region:
         """The degree in the region's graph of each interior vertex, in
         order: the length of its `_rim_positions` entry, no graph built."""
         depth = self.level - 2
-        rims = _rim_positions(_edge_numbers(self.vertices, ()))
+        rims = _rim_positions(self._layout.numbers)
         return [len(ns) for v, ns in zip(self.vertices, rims)
                 if len(v.wx) + len(v.wy) <= depth]
 
@@ -424,6 +404,86 @@ def _vertices_up_to(depth: int) -> tuple[GammaVertex, ...]:
     depth < 0."""
     edges = _tree_edges(depth)
     return _cut(depth, edges, edges)
+
+
+class _Layout:
+    """A hive's or a region's vertices as a cut product, one block per
+    address (wx, wy), with their edge numbers, ids and owners.
+
+    Each axis gives its entries (word, edge letters), lexicographic, and
+    its member nodes (all, for None): the vertices are (wx, wy, a, b) over
+    an x- and a y-entry with |wx| + |wy| <= depth, sorted block by block
+    (`_cut`), and the members are the pairs of member nodes within the cut.
+    Each word is numbered 3k in order of first use, as an x-word and then
+    as a y-word, and written once; the walk gives each vertex its edge ints
+    3k + a and 3k' + b, the numbers `_rim_positions` reads, and hashes no
+    vertex. The exports' `ids` ("tx|" + "ty|a|b") and `owners` are walked on
+    first use, the latter a vertex's member tersquares among (wx, wy), (wx,
+    wy+b), (wx+a, wy), (wx+a, wy+b), in that sorted order: a block's slack
+    depth - |wx| - |wy| of 0 keeps only the first, and of 1 all but the last.
+    """
+
+    def __init__(self, depth: int, xs: list, ys: list, nodes: tuple = (None, None)):
+        words = dict.fromkeys(w for w, _ in chain(xs, ys))
+        base = {w: 3 * k for k, w in enumerate(words)}
+        self.depth, self.nodes = depth, nodes
+        self.xs = [(w, ls, base[w]) for w, ls in xs]
+        self.ys = _bounded(depth, [(w, ls, base[w]) for w, ls in ys])
+        self.vertices = _cut(depth, xs, ys)
+        rows = [(kx, la, self.ys[depth - len(wx)]) for wx, la, kx in self.xs]
+        ex = [kx + a for kx, la, row in rows for _, lb, _ in row for a in la for b in lb]
+        ey = [ky + b for _, la, row in rows for _, lb, ky in row for a in la for b in lb]
+        self.numbers = base, ex, ey
+
+    @cached_property
+    def ids(self) -> list[str]:
+        text = list(map(word_str, self.numbers[0]))
+        tails = {k: [[f"{text[k // 3]}|{a}|{b}" for b in lb] for a in LETTERS]
+                 for _, lb, k in self.ys[-1]}
+        return [tx + t for wx, la, kx in self.xs for tx in [text[kx // 3] + "|"]
+                for _, _, ky in self.ys[self.depth - len(wx)] for a in la for t in tails[ky][a]]
+
+    @cached_property
+    def owners(self) -> list[list[str]]:
+        (mx, my), out = self.nodes, []
+
+        def part(u, nodes, end=""):  # a member node's text in a tersquare name, else ""
+            return word_str(u) + end if nodes is None or u in nodes else ""
+
+        ends = {k: (part(w, my), [part(w + (b,), my) for b in lb]) for w, lb, k in self.ys[-1]}
+        for wx, la, _ in self.xs:
+            r = self.depth - len(wx)
+            x0, xcs = part(wx, mx, "|"), [part(wx + (a,), mx, "|") for a in la]
+            for wy, _, ky in self.ys[r]:
+                (y0, ycs), s = ends[ky], r - len(wy)
+                n00 = [x0 + y0] if x0 and y0 else []
+                heads = [n00 + [x0 + q] if x0 and q and s else n00 for q in ycs]
+                for c in xcs:
+                    if c and s:
+                        mid = [c + y0] if y0 else []
+                        out += [h + mid + [c + q] if q and s > 1 else h + mid
+                                for h, q in zip(heads, ycs)]
+                    else:  # no member (wx + a, *): the heads, shared
+                        out += heads
+        return out
+
+
+def _region_layout(level: int) -> _Layout:
+    """The region's vertices: the depth-level tree's edges on each axis,
+    cut by |wx| + |wy| <= level, every tersquare within it a member."""
+    edges = _tree_edges(level)
+    return _Layout(level, edges, edges)
+
+
+def _hive_layout(h: Hive) -> _Layout:
+    """The hive's vertices: on each axis, the nine tree edges meeting an
+    edge at the center's node; its member nodes, the members' words, are
+    that node and its neighbours, and the cut leaves every pair in."""
+    axes = (sorted({m for e in _edges_at(w) for m in _closed(e)}) for w in h.center)
+    xs, ys = ([(u, tuple(a for _, a in es)) for u, es in groupby(edges, itemgetter(0))]
+              for edges in axes)
+    nodes = tuple(set(ws) for ws in zip(*h.members))
+    return _Layout(sum(max(map(len, ws)) for ws in nodes), xs, ys, nodes)
 
 
 def build_region(level: int) -> Region:
@@ -720,60 +780,7 @@ def extend_2ptmc(level: int, seed: int | None = None) -> RegionCode:
 # graph export
 # ---------------------------------------------------------------------------
 
-def _vertex_class(v: GammaVertex, h: Hive) -> str:
-    owners = containing_tersquares(v)
-    if h.center in owners:
-        return "center"
-    if not set(h.subcentral).isdisjoint(owners):
-        return "subcentral"
-    return "corner"
-
-
 _CLASS_COLORS = {"center": "white", "subcentral": "lightblue", "corner": "lightgray"}
-
-
-def _owners(numbers, names: dict) -> list[list[str]]:
-    """For each vertex, the names of the member tersquares containing it,
-    given as names[member], in sorted tersquare order, from the
-    `_edge_numbers` of the vertices and members.
-
-    A vertex's four tersquares sort as (wx, wy), (wx, wy+b), (wx+a, wy),
-    (wx+a, wy+b), a word sorting before its extensions. Each edge int
-    3k + s gets child[3k + s], the 3k' of the word w + s, or `none` (the
-    3k' of no word) when w + s is not numbered. A member (u, v) is keyed
-    by the int 3k_u * row + 3k_v, row > none, so a vertex's four are int
-    lookups from its edge ints x, y: their words' bases x - x % 3 and
-    y - y % 3, and child[x], child[y].
-    """
-    base, xs, ys = numbers
-    none = 3 * len(base)
-    row = none + 1
-    child = [none] * none
-    for w, k in base.items():
-        for s in _deeper(w):
-            child[k + s] = base.get(w + (s,), none)
-    get = {base[t.wx] * row + base[t.wy]: name for t, name in names.items()}.get
-    out = []
-    for x, y in zip(xs, ys):
-        x1, x2 = (x - x % 3) * row, child[x] * row
-        y1, y2 = y - y % 3, child[y]
-        found = []
-        for key in (x1 + y1, x1 + y2, x2 + y1, x2 + y2):
-            name = get(key)
-            if name is not None:
-                found.append(name)
-        out.append(found)
-    return out
-
-
-def _texts(numbers, members) -> tuple[list[str], dict]:
-    """Each vertex's id str(v), and each member tersquare's name str(t) keyed
-    by the member, written from the text of each word the vertices' and
-    members' `_edge_numbers` number, made once per word."""
-    base, xs, ys = numbers
-    text = list(map(word_str, base))
-    return ([f"{text[x // 3]}|{text[y // 3]}|{x % 3}|{y % 3}" for x, y in zip(xs, ys)],
-            {t: f"{text[base[t.wx] // 3]}|{text[base[t.wy] // 3]}" for t in members})
 
 
 def _json_array(items: list[str], pad: str) -> str:
@@ -785,20 +792,20 @@ def _json_array(items: list[str], pad: str) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
 
 
-def _export_json(numbers, members, adj: list[list[int]]) -> str:
+def _export_json(layout: _Layout, adj: list[list[int]]) -> str:
     """The text json.dumps(doc, indent=2, sort_keys=True) gives for the doc
     {"edges": [[u, v], ...], "vertices": [{"id": v, "tersquares": [...]},
-    ...]}, written directly: each string is escaped as json.dumps escapes
-    it, by the json module's C escaper, and the layout is fixed.
+    ...]}, written directly. Ids and tersquare names are made of digits,
+    '-' and '|', which json.dumps writes as they are, so each is written
+    between quotes; every vertex has an owner; the layout is fixed.
 
     The vertices are sorted, so an edge [u, v] has u at the lower position.
     The edges sort by u's id, then v's: with the positions sorted by id
     once, each v is filed under its lower neighbours u in that order, so
     every u's list comes out sorted, and the lists are read in it too.
     """
-    quote = json.encoder.encode_basestring_ascii
-    ids, names = _texts(numbers, members)
-    q = list(map(quote, ids))
+    ids = layout.ids
+    q = [f'"{i}"' for i in ids]
     by_id = sorted(range(len(ids)), key=ids.__getitem__)
     higher: list[list[int]] = [[] for _ in ids]
     for j in by_id:
@@ -806,26 +813,25 @@ def _export_json(numbers, members, adj: list[list[int]]) -> str:
             if i < j:
                 higher[i].append(j)
     edges = [f"[\n      {q[i]},\n      {q[j]}\n    ]" for i in by_id for j in higher[i]]
-    names = {t: quote(name) for t, name in names.items()}
-    owners = _owners(numbers, names)
-    verts = [f'{{\n      "id": {qi},\n      "tersquares": {_json_array(ts, "      ")}\n    }}'
-             for qi, ts in zip(q, owners)]
+    sep = '",\n        "'  # between two names of a vertex's "tersquares"
+    verts = [f'{{\n      "id": {qi},\n      "tersquares": [\n        "{sep.join(ts)}"\n      ]\n    }}'
+             for qi, ts in zip(q, layout.owners)]
     return f'{{\n  "edges": {_json_array(edges, "  ")},\n  "vertices": {_json_array(verts, "  ")}\n}}'
 
 
-def _export_dot(vertices, numbers, members, adj: list[list[int]], hive: Hive | None) -> str:
-    """DOT text with membership in `members`; a hive's vertices are colored.
-    Edges come in position order, which is sorted pair order."""
-    ids, names = _texts(numbers, members)
-    owners = _owners(numbers, names)
+def _export_dot(layout: _Layout, adj: list[list[int]], hive: Hive | None) -> str:
+    """DOT text with each vertex's member tersquares; a hive's vertices are
+    colored by class, read off those. Edges come in position order, which
+    is sorted pair order."""
+    ids, owners, attrs = layout.ids, layout.owners, [""] * len(layout.ids)
+    if hive is not None:
+        center, subs = str(hive.center), set(map(str, hive.subcentral))
+        for i, ts in enumerate(owners):
+            cls = "center" if center in ts else "corner" if subs.isdisjoint(ts) else "subcentral"
+            attrs[i] = f'fillcolor="{_CLASS_COLORS[cls]}", class="{cls}", '
     lines = ["graph gamma2 {", '  node [shape=circle, style=filled];']
-    for v, vid, ts in zip(vertices, ids, owners):
-        attrs = ""
-        if hive is not None:
-            cls = _vertex_class(v, hive)
-            attrs = f'fillcolor="{_CLASS_COLORS[cls]}", class="{cls}", '
-        lines.append(f'  "{vid}" [{attrs}tersquares="{";".join(ts)}"];')
-    lines.extend(f'  "{ids[i]}" -- "{ids[j]}";' for i, ns in enumerate(adj) for j in sorted(ns) if j > i)
+    lines += [f'  "{i}" [{a}tersquares="{";".join(ts)}"];' for i, a, ts in zip(ids, attrs, owners)]
+    lines += [f'  "{ids[i]}" -- "{ids[j]}";' for i, ns in enumerate(adj) for j in sorted(ns) if j > i]
     lines.append("}")
     return "\n".join(lines)
 
@@ -849,25 +855,19 @@ def graph_from_json(doc: dict) -> Graph:
 def export_graph(target: str, fmt: str, level: int = 2) -> str:
     """Render the hive or a region as DOT or JSON text.
 
-    target is "hive" or "region"; level applies to regions only. The
-    sorted vertex tuple and the member tersquares are numbered once
-    (`_edge_numbers`), and that numbering gives the edges
-    (`_rim_positions`), the ids and the owners; no `Graph` is built.
+    target is "hive" or "region"; level applies to regions only. One
+    `_Layout` gives the edges (`_rim_positions` of its numbers), the ids
+    and the owners; no `Graph` is built.
     """
     if target not in ("hive", "region"):
         raise ValueError(f"unknown export target {target!r}")
     if fmt not in ("dot", "json"):
         raise ValueError(f"unknown format {fmt!r}")
-    if target == "hive":
-        hive = build_hive()
-        vertices, members = hive_vertices(hive), hive.members
-    else:
-        if level < 0:
-            raise ValueError("region level must be >= 0")
-        hive = None
-        vertices, members = _vertices_up_to(level), _tersquares_up_to(level)
-    numbers = _edge_numbers(vertices, members)
-    adj = _rim_positions(numbers)
+    if target == "region" and level < 0:
+        raise ValueError("region level must be >= 0")
+    hive = build_hive() if target == "hive" else None
+    layout = _region_layout(level) if hive is None else _hive_layout(hive)
+    adj = _rim_positions(layout.numbers)
     if fmt == "dot":
-        return _export_dot(vertices, numbers, members, adj, hive)
-    return _export_json(numbers, members, adj)
+        return _export_dot(layout, adj, hive)
+    return _export_json(layout, adj)

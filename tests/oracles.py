@@ -363,6 +363,17 @@ def naive_induced_graph(vertices):
     return {v: {own[u] for u in neighbors(v) if u in own} for v in own}
 
 
+def naive_edge_numbers(vertices):
+    """The numbers `_rim_positions` reads for any vertex sequence: each
+    word of the vertices, the x-words and then the y-words, numbered 3k in
+    order of first use, then each vertex's x- and y-edge (w, a) as the int
+    3k + a, in the sequence's order."""
+    base = {}
+    for w in [v.wx for v in vertices] + [v.wy for v in vertices]:
+        base.setdefault(w, 3 * len(base))
+    return base, [base[v.wx] + v.a for v in vertices], [base[v.wy] + v.b for v in vertices]
+
+
 def naive_words(length):
     """The reduced words over F3 of length at most `length`: every word of
     each length, kept when no two adjacent letters are equal."""

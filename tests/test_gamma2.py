@@ -37,14 +37,15 @@ from ptmc.gamma2 import (
     tersquare_vertices,
     verify_hive_selection,
 )
-from ptmc.gamma2 import (_closed, _edge_code, _edge_numbers, _induced_graph, _interior_check,
-                         _owners, _tersquares_up_to, _texts, _vertices_up_to, ORIGIN)
+from ptmc.gamma2 import (_closed, _edge_code, _hive_layout, _interior_check, _region_layout,
+                         _rim_positions, _tersquares_up_to, _vertices_up_to, ORIGIN)
 import ptmc.gamma2
 
 from oracles import (
     ball_scan_interior,
     naive_canonical,
     naive_edge_code,
+    naive_edge_numbers,
     naive_external_cycle,
     naive_gamma_ball,
     naive_gamma_distance,
@@ -324,6 +325,12 @@ def test_region_graph_matches_tersquare_oracle():
         assert_graph_is_tersquare_union(region.graph, region.members)
 
 
+def rim_graph(vertices):
+    """The graph `_rim_positions` gives a sorted vertex sequence, numbered
+    by the oracle as a layout numbers a hive or a region."""
+    return Graph._from_positions(tuple(vertices), _rim_positions(naive_edge_numbers(vertices)))
+
+
 def test_induced_graph_matches_neighbors_oracle_on_random_subsets():
     # neither a hive nor a depth cut-off: kept vertices miss some neighbours
     h1, h2 = build_hive(Tersquare((0, 1, 0), ())), build_hive(Tersquare((0, 1, 2), ()))
@@ -332,7 +339,7 @@ def test_induced_graph_matches_neighbors_oracle_on_random_subsets():
     for pool in pools:
         for keep in (0.3, 0.6, 0.9):
             subset = [GammaVertex(*v) for v in pool if rng.random() < keep]
-            g, ref = _induced_graph(subset), naive_induced_graph(subset)
+            g, ref = rim_graph(subset), naive_induced_graph(subset)
             assert same_graph(g, ref)
             assert same_graph(Graph(shuffled_adjacency(ref, shuffles)), ref)
             assert any(0 < g.degree(v) < 8 for v in g.vertices)
@@ -345,15 +352,15 @@ def test_induced_graph_passes_graph_checks_and_matches_tersquare_oracle():
     # built without Graph's checks: a checked Graph of the same adjacency
     # accepts it, and the adjacency is the union of the tersquares meeting
     # the vertices, induced on them (on hives and regions, the members')
-    cases = [(hive_vertices(h), h.members) for h in map(build_hive, HIVE_CENTERS)]
-    cases += [(r.vertices, r.members) for r in map(build_region, range(7))]
+    cases = [(hive_graph(h), hive_vertices(h), h.members) for h in map(build_hive, HIVE_CENTERS)]
+    cases += [(r.graph, r.vertices, r.members) for r in map(build_region, range(7))]
     rng = random.Random(31)
     for pool in (_vertices_up_to(5), hive_vertices(build_hive(HIVE_CENTERS[1]))):
         for keep in (0.2, 0.5, 0.8):
             subset = [v for v in pool if rng.random() < keep]
-            cases.append((subset, {t for v in subset for t in containing_tersquares(v)}))
-    for vertices, members in cases:
-        g = _induced_graph(vertices)
+            cases.append((rim_graph(subset), subset,
+                          {t for v in subset for t in containing_tersquares(v)}))
+    for g, vertices, members in cases:
         checked = Graph({v: g.neighbors(v) for v in vertices})
         ref, kept = naive_tersquare_graph(members), set(vertices)
         assert g.vertices == checked.vertices == tuple(sorted(vertices))
@@ -879,33 +886,52 @@ def test_export_rejects_bad_requests(target, fmt, level):
         export_graph(target, fmt, level=level)
 
 
+def assert_layout_matches_oracles(layout, vertices, members):
+    """A hive's or region's layout against the oracles: its vertices are
+    the given ones, its numbers the oracle's first-use numbering, its ids
+    str(v), its owners each vertex's member tersquares in sorted order,
+    and the rims of its numbers the graph `neighbors` induces."""
+    assert layout.vertices == vertices
+    assert layout.numbers == naive_edge_numbers(vertices)
+    assert layout.ids == list(map(str, vertices))
+    members = set(members)
+    assert layout.owners == [[str(t) for t in sorted(containing_tersquares(v)) if t in members]
+                             for v in vertices]
+    g = Graph._from_positions(layout.vertices, _rim_positions(layout.numbers))
+    assert same_graph(g, naive_induced_graph(vertices))
+
+
 @pytest.mark.parametrize("center", [None] + HIVE_CENTERS)
 def test_export_ids_and_owners_match_str_and_sorted_tersquares(center):
-    # random subsets of the level-5 region (center None) or of a hive, in
-    # shuffled order, against members that only partly hold them
+    # what the exports write, on the level-5 region (center None) or a hive
     if center is None:
-        vertices, members = _vertices_up_to(5), _tersquares_up_to(5)
+        layout, members = _region_layout(5), _tersquares_up_to(5)
+        assert layout.vertices == _vertices_up_to(5)
     else:
         h = build_hive(center)
-        vertices, members = hive_vertices(h), h.members
-    rng = random.Random(27)
-    for keep in (0.0, 0.2, 0.6, 1.0):
-        vs = [v for v in vertices if rng.random() < keep]
-        if keep < 1:
-            rng.shuffle(vs)
-        ms = [t for t in members if rng.random() < keep] + [random_tersquare(rng) for _ in range(5)]
-        numbers = _edge_numbers(vs, ms)
-        ids, names = _texts(numbers, ms)
-        assert ids == list(map(str, vs))
-        assert names == {t: str(t) for t in ms}
-        names = {t: f"member {i}" for i, t in enumerate(ms)}
-        assert _owners(numbers, names) == [
-            [names[t] for t in sorted(containing_tersquares(v)) if t in names] for v in vs]
+        layout, members = _hive_layout(h), h.members
+        assert layout.vertices == naive_hive_vertices(h)
+    assert_layout_matches_oracles(layout, layout.vertices, members)
+
+
+def test_layout_matches_oracles_on_random_hives():
+    rng = random.Random(41)
+    for _ in range(30):
+        h = build_hive(random_tersquare(rng, 5))
+        assert_layout_matches_oracles(_hive_layout(h), naive_hive_vertices(h), h.members)
+
+
+@pytest.mark.parametrize("level", range(8))
+def test_layout_matches_oracles_on_regions(level):
+    region = build_region(level)
+    assert region.vertices == _vertices_up_to(level) == naive_vertices(level)
+    assert_layout_matches_oracles(region._layout, naive_vertices(level), naive_tersquares(level))
 
 
 # sha256 of the export text at the commit before the rim-based induced
-# graph, and for level 6 at the one before the hand-written JSON layout:
-# any change to ids, owner lists, edge order or JSON layout fails
+# graph, for level 6 at the one before the hand-written JSON layout, and
+# for level 7 at the one before the blockwise vertex layout: any change
+# to ids, owner lists, edge order or JSON layout fails
 EXPORT_SHA256 = {
     ("hive", "dot", None): "9bde14d359795e63f0e1864dac6e33073e81ddcac7673b02c3fbc026ec13db82",
     ("region", "dot", 0): "cf93e9f442298f2d889b81eb0b5c18e8f35678b3a7bba48d9f99334ea370c050",
@@ -915,6 +941,7 @@ EXPORT_SHA256 = {
     ("region", "dot", 4): "42b6d709cd022af3fd07d7f7f9d4ba0c4a65f05b0547d6c249da167486c38a21",
     ("region", "dot", 5): "3f507564258979b7560a95722aa2868078a8309c70638ee94c0ea1d3b6c588a6",
     ("region", "dot", 6): "5ca9ff2194dbc5aba721fa76197e25c9f840ba6f3348a6dd9abbb6a58700cc18",
+    ("region", "dot", 7): "fadf70bdbd6bc14c59a4fa19e0b5f9bab3b9bac0d0f989183400e179cc2550a3",
     ("hive", "json", None): "bc4656e25e358560a2ca8ab029a5ddb9002ae505fe801883133a6609a4bf799a",
     ("region", "json", 0): "c4e28237fb8048cac362da27e6e9a2ed6150834c478d6ab59d72362cdc144838",
     ("region", "json", 1): "8e3435672446d2a6188f40a74436dc8f3c79ed0629803d4ea7aa49b31cd8f559",
@@ -923,6 +950,7 @@ EXPORT_SHA256 = {
     ("region", "json", 4): "fd364212770055de8d63d35f19a91a490ce1c31ad3ed50b2f73dbb38bb989827",
     ("region", "json", 5): "390bea04542680bbf2079dd0b07aabee2e1744de3f8c0254b5d41592d93bd435",
     ("region", "json", 6): "847b517d4b266ad86aff6bdbd2b6400fe2e7d37560c73c9422a00f58cdfb22ad",
+    ("region", "json", 7): "8b6d9b2776d2dbf75ed012ea6c881d5b1d6c5ad3d43a88a69907d3873421e513",
 }
 
 
