@@ -8,7 +8,11 @@ Every run prints a short human summary and assembles a machine-readable
 run report (stable field order; identical inputs give identical reports up
 to the trailing timing block). The report goes to --out when given, else
 to stdout. Leaves that produce an artifact (code sets, graph renderings,
-solutions) write it to --emit.
+solutions) write it to --emit. A JSON artifact's text is what
+json.dumps(doc, indent=2) writes for its document, written directly
+through the shared `codes._json_array`: a code by `codes.code_to_text`,
+and each id of a solution, centre or vertex list by json.dumps, so its
+escapes are the json module's. Run reports are written by json.dumps.
 
 Exit codes: 0 success / verification pass, 1 verification failure or
 failed construction goal, 2 usage error or bad input, 3 search timeout.
@@ -27,7 +31,9 @@ from . import codes as codes_mod
 from . import constructions as cons
 from . import cover as cover_mod
 from . import gamma2
-from .codes import CodeSet, KappaAssignment, code_from_json, code_to_json
+# code_to_json is called nowhere here: perfbench/spans.py wraps this binding, which a test checks
+from .codes import (CodeSet, KappaAssignment, _json_array, _json_object, code_from_json,
+                    code_to_json, code_to_text)
 from .graphs import Graph, _array, _str_id, grid_graph, lattice_graph
 from .metric import Ambient
 
@@ -92,6 +98,13 @@ def _emit(args, text: str) -> list[str]:
         return [args.emit]
     print(text)
     return []
+
+
+def _ids(ids, pad: str = "  ") -> str:
+    """A JSON array of ids at indent pad, as json.dumps(indent=2) lays it
+    out: each id written by json.dumps, so its escapes and ensure_ascii
+    are the module's."""
+    return _json_array(list(map(json.dumps, ids)), pad)
 
 
 def _read_json(path: str, parse):
@@ -185,7 +198,7 @@ def cmd_construct_box(args) -> tuple[int, dict, dict, list]:
     verdicts = {"verified": rep.passed, "separation": sep}
     counts = {"vertices": code.ambient.vertex_count(), "code": len(code),
               "components": codes_mod.component_count(code)}
-    emitted = _emit(args, json.dumps(code_to_json(code, kappa), indent=2))
+    emitted = _emit(args, code_to_text(code, kappa))
     ok = rep.passed and sep == 3
     return (EXIT_PASS if ok else EXIT_FAIL), verdicts, counts, emitted
 
@@ -213,7 +226,7 @@ def _construct_by_template(args, template: cons.TemplateSpec) -> tuple[int, dict
     verdicts = {"outcome": "solution", "verified": rep.passed}
     counts["code"] = len(build.code)
     counts["components"] = codes_mod.component_count(build.code)
-    emitted = _emit(args, json.dumps(code_to_json(build.code, build.kappa), indent=2))
+    emitted = _emit(args, code_to_text(build.code, build.kappa))
     print(f"construct {args.family}: solution, verified={rep.passed}")
     return (EXIT_PASS if rep.passed else EXIT_FAIL), verdicts, counts, emitted
 
@@ -251,14 +264,15 @@ def cmd_search(args) -> tuple[int, dict, dict, list]:
         counts["solutions"] = len(res.solutions)
         counts["nodes"] = res.nodes
         verdicts = {"exhaustive": res.exhaustive}
-        emitted = _emit(args, json.dumps({"solutions": [list(s) for s in res.solutions],
-                                          "exhaustive": res.exhaustive}, indent=2))
+        emitted = _emit(args, _json_object({
+            "solutions": _json_array([_ids(s, "    ") for s in res.solutions], "  "),
+            "exhaustive": json.dumps(res.exhaustive)}))
         done = res.exhaustive or (args.limit is not None and len(res.solutions) >= args.limit)
         return (EXIT_PASS if done else EXIT_TIMEOUT), verdicts, counts, emitted
     out = (cover_mod.CoverOutcome("timeout", None, 0) if inst is None else
            cover_mod.solve(inst, deadline=args._deadline))
     counts["nodes"] = out.nodes
-    emitted = (_emit(args, json.dumps({"tiles": list(out.tiles)}, indent=2))
+    emitted = (_emit(args, _json_object({"tiles": _ids(out.tiles)}))
                if out.kind == "solution" else [])
     print(f"search: {out.kind}")
     code = EXIT_TIMEOUT if out.kind == "timeout" else EXIT_PASS
@@ -303,7 +317,7 @@ def cmd_gamma_non_isolated(args) -> tuple[int, dict, dict, list]:
     rep = codes_mod.verify_non_isolated_pds(s, g)
     iso = codes_mod.verify_pds(s, g)
     verdicts = {"non_isolated_pass": rep.passed, "isolated_pass": iso.passed}
-    emitted = _emit(args, json.dumps({"vertices": [str(v) for v in s]}, indent=2))
+    emitted = _emit(args, _json_object({"vertices": _ids(map(str, s))}))
     print(f"18-vertex set: non-isolated={rep.passed}, isolated={iso.passed}")
     ok = rep.passed and not iso.passed
     return (EXIT_PASS if ok else EXIT_FAIL), verdicts, {"size": len(s)}, emitted
@@ -315,8 +329,9 @@ def cmd_gamma_extend(args) -> tuple[int, dict, dict, list]:
     verdicts = {"interior_verified": rc.passed}
     counts = {"centers": len(rc.centers), "interior": rc.interior_size,
               "boundary_unverified": rc.boundary_size}
-    emitted = _emit(args, json.dumps({"centers": [str(c) for c in rc.centers],
-                                      "level": rc.level, "seed": rc.seed}, indent=2))
+    emitted = _emit(args, _json_object({"centers": _ids(map(str, rc.centers)),
+                                        "level": json.dumps(rc.level),
+                                        "seed": json.dumps(rc.seed)}))
     print(f"extend level={args.level}: interior partition "
           f"{'pass' if rc.passed else 'FAIL'} ({rc.interior_size} vertices)")
     return (EXIT_PASS if rc.passed else EXIT_FAIL), verdicts, counts, emitted

@@ -30,6 +30,14 @@ over the row-major vertex index (see `ptmc.metric`).
 `verify_partition` checks balls given as vertex sets, for the hive, the
 compound region and `verify_cover`.
 
+A code is written as the text json.dumps(code_to_json(...), indent=2)
+gives, but directly (`code_to_text`): every vertex row goes through one %d
+template of the ambient's dimension, straight from `CodeSet.vertices`, so
+no document and no list per vertex is made. `_json_array` and
+`_json_object` lay out an indent-2 array or object of items already
+written: the one writer that every artifact, a code, a solution list or
+a graph export, goes through.
+
 Verification of "infinite grid" claims happens exclusively on tori: a
 periodic code projects onto a toroidal quotient without boundary effects,
 so a toroidal pass is exact. Windows are supported for enumeration and
@@ -691,6 +699,46 @@ def class_key_hash(key: ClassKey) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
+def _json_array(items: list[str], pad: str = "") -> str:
+    """A JSON array as json.dumps(indent=2) lays it out at indent pad, of
+    items already written for the indent pad plus two spaces; [] if empty.
+    Every artifact is written through it."""
+    if not items:
+        return "[]"
+    inner = "\n" + pad + "  "
+    sep = "," + inner
+    return f"[{inner}{sep.join(items)}\n{pad}]"
+
+
+def _json_object(fields: dict[str, str], pad: str = "") -> str:
+    """A JSON object as json.dumps(indent=2) lays it out at indent pad, of
+    values already written for the indent pad plus two spaces. The values
+    are joined in once, not copied into an item each first: a code's rows
+    are most of its text."""
+    if not fields:
+        return "{}"
+    inner = "\n" + pad + "  "
+    parts = []
+    for k, v in fields.items():
+        parts += (",", inner, json.dumps(k), ": ", v)
+    parts[0] = "{"
+    return "".join(parts + ["\n", pad, "}"])
+
+
+def _int_rows(rows: Iterable[tuple[int, ...]], n: int, pad: str) -> str:
+    """An array of int rows of length n at indent pad, each row written
+    through one %d template: no list is made per row."""
+    row = _json_array(["%d"] * n, pad + "  ")
+    return _json_array(list(map(row.__mod__, rows)), pad)
+
+
+def _radii(code: CodeSet, kappa: KappaAssignment) -> dict[str, int]:
+    """Each class's radius by its hash, in hash order; one hash per class,
+    not per component."""
+    radii = {class_key_hash(key): kappa.radius_for(key) for key in code._classes}
+    return {h: radii[h] for h in sorted(radii)}
+
+
 def code_to_json(code: CodeSet, kappa: KappaAssignment) -> dict:
     """Canonical JSON document for a code set; diff-stable ordering."""
     a = code.ambient
@@ -699,10 +747,27 @@ def code_to_json(code: CodeSet, kappa: KappaAssignment) -> dict:
         ambient["moduli"] = list(a.moduli)
     else:
         ambient["bounds"] = [list(b) for b in a.bounds]
-    # one hash per class, not per component
-    radii = {class_key_hash(key): kappa.radius_for(key) for key in code._classes}
     return {"ambient": ambient, "vertices": [list(v) for v in code.vertices],
-            "kappa": {h: radii[h] for h in sorted(radii)}}
+            "kappa": _radii(code, kappa)}
+
+
+def code_to_text(code: CodeSet, kappa: KappaAssignment) -> str:
+    """The text json.dumps(code_to_json(code, kappa), indent=2) gives, written
+    directly. Moduli, bounds and coordinates are ints (the ambient and the
+    code check theirs), so each row of them is written through one %d
+    template of its length, the vertex rows straight from code.vertices,
+    with no document and no list per vertex."""
+    a = code.ambient
+    n = a.dimension
+    ambient = {"kind": json.dumps(a.kind)}
+    if a.is_torus:
+        ambient["moduli"] = _json_array(["%d"] * n, "    ") % a.moduli
+    else:
+        ambient["bounds"] = _int_rows(a.bounds, 2, "    ")
+    radii = {h: json.dumps(r) for h, r in _radii(code, kappa).items()}
+    return _json_object({"ambient": _json_object(ambient, "  "),
+                         "vertices": _int_rows(code.vertices, n, "  "),
+                         "kappa": _json_object(radii, "  ")})
 
 
 def code_from_json(doc: dict) -> tuple[CodeSet, KappaAssignment | None]:

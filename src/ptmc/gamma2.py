@@ -30,7 +30,10 @@ once and gives every vertex its edge ints, id and member tersquares with
 no vertex hashed. Its graph is induced by one rule, read off the rims
 N[e] - e and N[f] - f of each vertex's edges as positions
 (`_rim_positions`) that the exports, a region's interior degrees,
-`hive_graph` and `Region.graph` read as they are.
+`hive_graph` and `Region.graph` read as they are. Only what is read is
+made: a region holds its level, and its member tersquares, a layout's
+vertex tuples, ids and owners are each made on first use, so an export,
+which reads the numbers, ids and owners, builds no vertex tuple.
 
 Addresses are plain named tuples (`Tersquare`, `GammaVertex`), hashed and
 ordered as tuples of their fields. Code here builds them only from reduced
@@ -51,7 +54,7 @@ from itertools import chain, combinations, groupby
 from operator import itemgetter
 from typing import NamedTuple
 
-from .codes import VerifyReport, verify_partition
+from .codes import VerifyReport, _json_array, _json_object, verify_partition
 from .cover import (CoverOutcome, ExactCoverInstance, OutOfTime, eds_instance, enumerate_covers,
                     solve)
 from .graphs import Graph, _array, _str_id
@@ -295,18 +298,23 @@ def hive_graph(h: Hive) -> Graph:
 @dataclass(frozen=True)
 class Region:
     """All tersquares of bounded address depth, with the vertices they hold
-    and the graph those induce, each made on first use.
+    and the graph those induce. A region holds only its level: its members,
+    vertices and graph are each made on first use.
 
     Its vertices are the canonical vertices with |wx| + |wy| <= level: a
     vertex's address is one of its own tersquares, and every vertex of a
     tersquare has an address at most as deep. They, their edge numbers and
     the graph come from one `_Layout`, the cut product of the depth-level
     tree's edges on each axis, made on first use. Two regions are equal
-    when their level and members are.
+    when their levels are.
     """
 
     level: int
-    members: tuple[Tersquare, ...]
+
+    @cached_property
+    def members(self) -> tuple[Tersquare, ...]:
+        """The region's tersquares, sorted."""
+        return _tersquares_up_to(self.level)
 
     @cached_property
     def _layout(self) -> _Layout:
@@ -417,8 +425,10 @@ class _Layout:
     Each word is numbered 3k in order of first use, as an x-word and then
     as a y-word, and written once; the walk gives each vertex its edge ints
     3k + a and 3k' + b, the numbers `_rim_positions` reads, and hashes no
-    vertex. The exports' `ids` ("tx|" + "ty|a|b") and `owners` are walked on
-    first use, the latter a vertex's member tersquares among (wx, wy), (wx,
+    vertex. The rest is made on first use: the sorted vertex tuples, which
+    `hive_vertices`, `hive_graph` and a region's vertices and graph read
+    and the exports do not, and the exports' `ids` ("tx|" + "ty|a|b") and
+    `owners`, the latter a vertex's member tersquares among (wx, wy), (wx,
     wy+b), (wx+a, wy), (wx+a, wy+b), in that sorted order: a block's slack
     depth - |wx| - |wy| of 0 keeps only the first, and of 1 all but the last.
     """
@@ -426,14 +436,17 @@ class _Layout:
     def __init__(self, depth: int, xs: list, ys: list, nodes: tuple = (None, None)):
         words = dict.fromkeys(w for w, _ in chain(xs, ys))
         base = {w: 3 * k for k, w in enumerate(words)}
-        self.depth, self.nodes = depth, nodes
+        self.depth, self.nodes, self._entries = depth, nodes, (xs, ys)
         self.xs = [(w, ls, base[w]) for w, ls in xs]
         self.ys = _bounded(depth, [(w, ls, base[w]) for w, ls in ys])
-        self.vertices = _cut(depth, xs, ys)
         rows = [(kx, la, self.ys[depth - len(wx)]) for wx, la, kx in self.xs]
         ex = [kx + a for kx, la, row in rows for _, lb, _ in row for a in la for b in lb]
         ey = [ky + b for _, la, row in rows for _, lb, ky in row for a in la for b in lb]
         self.numbers = base, ex, ey
+
+    @cached_property
+    def vertices(self) -> tuple[GammaVertex, ...]:
+        return _cut(self.depth, *self._entries)
 
     @cached_property
     def ids(self) -> list[str]:
@@ -490,7 +503,7 @@ def build_region(level: int) -> Region:
     """Region of all tersquares with |wx| + |wy| <= level."""
     if level < 0:
         raise ValueError("region level must be >= 0")
-    return Region(level, _tersquares_up_to(level))
+    return Region(level)
 
 
 # ---------------------------------------------------------------------------
@@ -783,15 +796,6 @@ def extend_2ptmc(level: int, seed: int | None = None) -> RegionCode:
 _CLASS_COLORS = {"center": "white", "subcentral": "lightblue", "corner": "lightgray"}
 
 
-def _json_array(items: list[str], pad: str) -> str:
-    """A JSON array as json.dumps(indent=2) lays it out at indent pad, of
-    items already written for the indent pad plus two spaces; [] if empty."""
-    if not items:
-        return "[]"
-    inner = "\n" + pad + "  "
-    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
-
-
 def _export_json(layout: _Layout, adj: list[list[int]]) -> str:
     """The text json.dumps(doc, indent=2, sort_keys=True) gives for the doc
     {"edges": [[u, v], ...], "vertices": [{"id": v, "tersquares": [...]},
@@ -816,7 +820,7 @@ def _export_json(layout: _Layout, adj: list[list[int]]) -> str:
     sep = '",\n        "'  # between two names of a vertex's "tersquares"
     verts = [f'{{\n      "id": {qi},\n      "tersquares": [\n        "{sep.join(ts)}"\n      ]\n    }}'
              for qi, ts in zip(q, layout.owners)]
-    return f'{{\n  "edges": {_json_array(edges, "  ")},\n  "vertices": {_json_array(verts, "  ")}\n}}'
+    return _json_object({"edges": _json_array(edges, "  "), "vertices": _json_array(verts, "  ")})
 
 
 def _export_dot(layout: _Layout, adj: list[list[int]], hive: Hive | None) -> str:
@@ -857,7 +861,8 @@ def export_graph(target: str, fmt: str, level: int = 2) -> str:
 
     target is "hive" or "region"; level applies to regions only. One
     `_Layout` gives the edges (`_rim_positions` of its numbers), the ids
-    and the owners; no `Graph` is built.
+    and the owners, the parts made on first use that the text reads; no
+    vertex tuple and no `Graph` is built.
     """
     if target not in ("hive", "region"):
         raise ValueError(f"unknown export target {target!r}")

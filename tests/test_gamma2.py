@@ -958,3 +958,45 @@ EXPORT_SHA256 = {
 def test_export_bytes_are_pinned(target, fmt, level):
     text = export_graph(target, fmt) if level is None else export_graph(target, fmt, level=level)
     assert hashlib.sha256(text.encode()).hexdigest() == EXPORT_SHA256[target, fmt, level]
+
+
+# ---------------------------------------------------------------------------
+# parts made on first use
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("fmt", ["dot", "json"])
+@pytest.mark.parametrize("target, level", [("hive", 2)] + [("region", L) for L in (0, 3, 5)])
+def test_exports_build_no_vertex_tuple(target, fmt, level, monkeypatch):
+    # the text reads the layout's numbers, ids and owners, never its vertices
+    expected = export_graph(target, fmt, level=level)
+
+    def refused(*args):
+        raise AssertionError("_cut called")
+
+    monkeypatch.setattr(ptmc.gamma2, "_cut", refused)
+    assert export_graph(target, fmt, level=level) == expected
+
+
+@pytest.mark.parametrize("level", range(9))
+def test_region_members_are_made_when_read(level, monkeypatch):
+    calls = []
+    made = ptmc.gamma2._tersquares_up_to
+    monkeypatch.setattr(ptmc.gamma2, "_tersquares_up_to",
+                        lambda depth: calls.append(depth) or made(depth))
+    region = build_region(level)
+    region.vertices, region.interior()
+    assert calls == []
+    members = region.members
+    assert calls == [level] and region.members is members
+
+
+# len(build_region(L).members) for L = 0..8, as when members were built eagerly
+MEMBER_COUNTS = [1, 7, 28, 88, 244, 628, 1540, 3652, 8452]
+
+
+@pytest.mark.parametrize("level", range(9))
+def test_regions_of_a_level_are_equal_and_keep_their_member_counts(level):
+    region = build_region(level)
+    assert region == build_region(level) and hash(region) == hash(build_region(level))
+    assert region != build_region(level + 1)
+    assert len(region.members) == MEMBER_COUNTS[level]
